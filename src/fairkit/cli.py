@@ -18,6 +18,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import analysis, data, postproc, training
@@ -353,7 +354,6 @@ def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path
     p = list(prior.prior)
     row = {"post": "Gate-soft", "prior": p, "dev_dto": dev_dto}
     for name, ds in (("dev", dev_ds), ("test", test_ds)):
-        import numpy as np
         preds = training.gate_soft_logits(model, ds.X, np.array(p)).argmax(axis=1)
         report = evaluate_predictions(preds, ds.y, ds.g, ds.num_classes, ds.num_groups)
         row[f"{name}_performance"] = report.performance

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationDegenerateError, ShapeError
+from .errors import EvaluationDegenerateError, LabelDomainError, ShapeError
 
 METRICS = ("positive_rate", "tpr", "fpr", "precision", "npv")
 
@@ -37,27 +37,25 @@ def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> 
     g = np.asarray(g, dtype=int)
     if not (predictions.shape == y.shape == g.shape):
         raise ShapeError("predictions, y, g must have equal length")
-    counts: dict[tuple[int, int], Counts] = {}
-    overall: dict[int, Counts] = {}
-    for c in range(num_classes):
-        pred_pos = predictions == c
-        true_pos = y == c
-        overall[c] = _tally(pred_pos, true_pos)
-        for gr in range(num_groups):
-            in_g = g == gr
-            counts[(c, gr)] = _tally(pred_pos & in_g, true_pos & in_g, in_g)
-    return GroupedConfusion(counts=counts, overall=overall,
-                            num_classes=num_classes, num_groups=num_groups)
-
-
-def _tally(pred_pos, true_pos, mask=None) -> Counts:
-    if mask is None:
-        mask = np.ones_like(pred_pos, dtype=bool)
-    tp = int(np.sum(pred_pos & true_pos & mask))
-    fp = int(np.sum(pred_pos & ~true_pos & mask))
-    fn = int(np.sum(~pred_pos & true_pos & mask))
-    tn = int(np.sum(mask)) - tp - fp - fn
-    return (tp, fp, tn, fn)
+    # an out-of-range label would be counted in another cell of the cube
+    for name, labels, bound in (("prediction", predictions, num_classes),
+                                ("class label", y, num_classes),
+                                ("group label", g, num_groups)):
+        if labels.size and (labels.min() < 0 or labels.max() >= bound):
+            raise LabelDomainError(f"{name} outside [0, {bound})")
+    C, G = num_classes, num_groups
+    cube = np.bincount((predictions * C + y) * G + g,
+                       minlength=C * C * G).reshape(C, C, G)  # [predicted, true, group]
+    tp = np.diagonal(cube).T  # [class, group]
+    fp = cube.sum(axis=1) - tp
+    fn = cube.sum(axis=0) - tp
+    tn = cube.sum(axis=(0, 1)) - tp - fp - fn
+    cells = np.stack([tp, fp, tn, fn], axis=-1)  # [class, group, (TP, FP, TN, FN)]
+    by_cell, by_class = cells.tolist(), cells.sum(axis=1).tolist()
+    return GroupedConfusion(
+        counts={(c, gr): tuple(by_cell[c][gr]) for c in range(C) for gr in range(G)},
+        overall={c: tuple(by_class[c]) for c in range(C)},
+        num_classes=C, num_groups=G)
 
 
 def cm_metric(counts: Counts, kind) -> float | None:
@@ -135,26 +133,6 @@ def max_violation(gc: GroupedConfusion, kind="tpr") -> float:
     return worst
 
 
-def accuracy(predictions, y) -> float:
-    predictions = np.asarray(predictions)
-    y = np.asarray(y)
-    if predictions.shape != y.shape:
-        raise ShapeError("predictions and y must have equal length")
-    return float(np.mean(predictions == y))
-
-
-def per_group_accuracy(predictions, y, g, num_groups: int) -> dict[int, float]:
-    predictions = np.asarray(predictions)
-    y = np.asarray(y)
-    g = np.asarray(g)
-    out = {}
-    for gr in range(num_groups):
-        mask = g == gr
-        if mask.any():
-            out[gr] = float(np.mean(predictions[mask] == y[mask]))
-    return out
-
-
 @dataclass
 class TradeoffPoint:
     performance: float
@@ -199,9 +177,13 @@ def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int,
     """Accuracy + group fairness in one report (the standard per-epoch eval)."""
     gc = confusion_by_group(predictions, y, g, num_classes, num_groups)
     gap, fairness, per_group = gap_and_fairness(gc, kind)
-    groups_acc = per_group_accuracy(predictions, y, g, num_groups)
+    # correct rows are the TPs summed over classes; one division = np.mean's float
+    correct = [sum(gc.counts[(c, gr)][0] for c in range(num_classes))
+               for gr in range(num_groups)]
+    rows = [sum(gc.counts[(0, gr)]) for gr in range(num_groups)]
+    groups_acc = {gr: correct[gr] / rows[gr] for gr in range(num_groups) if rows[gr]}
     return FairnessReport(
-        performance=accuracy(predictions, y),
+        performance=sum(correct) / sum(rows),
         per_group_metric=per_group,
         gap=gap,
         fairness=fairness,

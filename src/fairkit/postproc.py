@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .errors import DegenerateProbeError, MethodInapplicableError, ShapeError
 from .evaluation import dto, evaluate_predictions
-from .training import GateModel, gate_soft_logits
+from .training import GateModel, gate_head_logits, mix_gate_heads
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +199,19 @@ def _simplex_grid(num_groups: int, resolution: int):
 def gate_soft_search(model: GateModel, dev_ds, grid_resolution: int = 11,
                      utopia: tuple[float, float] = (1.0, 1.0)) -> tuple[GatePrior, float]:
     """Grid search over the group simplex minimizing dev DTO; ties broken
-    toward the uniform prior. Returns (prior, best DTO)."""
+    toward the uniform prior. Returns (prior, best DTO). The encoder runs
+    once; each prior mixes the cached logits exactly as gate_soft_logits does."""
     if not isinstance(model, GateModel) or model.num_groups < 1:
         raise MethodInapplicableError("gate-soft needs a model with group heads")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     uniform = np.full(model.num_groups, 1.0 / model.num_groups)
+    trace = nn.forward(model.base, dev_ds.X)
+    heads = gate_head_logits(model, trace.hidden)
     best = None
     for prior in _simplex_grid(model.num_groups, grid_resolution):
         p = np.array(prior)
-        preds = gate_soft_logits(model, dev_ds.X, p).argmax(axis=1)
+        preds = mix_gate_heads(trace.logits, heads, p).argmax(axis=1)
         report = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
                                       dev_ds.num_classes, dev_ds.num_groups)
         d = dto((report.performance, report.fairness), utopia)

@@ -21,6 +21,7 @@ from .data import Batch, BatchPlan, Dataset, make_batches
 from .errors import (
     ContrastiveDegenerateError,
     FairbatchCollapseError,
+    IOErrorWithStage,
     LabelDomainError,
     ShapeError,
     TrainingDivergedError,
@@ -121,14 +122,24 @@ def gate_forward(shared_hidden: np.ndarray, g: np.ndarray, shared_logits: np.nda
     return logits
 
 
+def gate_head_logits(model: GateModel, hidden: np.ndarray) -> list[np.ndarray]:
+    """Each group head's logits h @ W_g.T + b_g, in group order."""
+    return [hidden @ w.T + b for w, b in zip(model.head_weights, model.head_biases)]
+
+
+def mix_gate_heads(shared_logits: np.ndarray, head_logits: list[np.ndarray],
+                   prior: np.ndarray) -> np.ndarray:
+    """shared_logits + sum_g prior[g] * head_logits[g], summed in group order."""
+    logits = shared_logits.copy()
+    for gr, head in enumerate(head_logits):
+        logits += prior[gr] * head
+    return logits
+
+
 def gate_soft_logits(model: GateModel, X: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Inference logits with group heads mixed by a prior (no g needed)."""
     trace = nn.forward(model.base, X)
-    h = trace.hidden
-    logits = trace.logits.copy()
-    for gr in range(model.num_groups):
-        logits += prior[gr] * (h @ model.head_weights[gr].T + model.head_biases[gr])
-    return logits
+    return mix_gate_heads(trace.logits, gate_head_logits(model, trace.hidden), prior)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +339,8 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
                    batch: Batch, cfg: MethodConfig, num_classes: int) -> float:
     """One joint update: main model gets CE plus the reversed adversarial
     gradient; each discriminator minimizes its own CE (plus orthogonality)."""
-    loss, grads, _ = main_loss_and_grads(main, batch, cfg, discs=discs,
-                                         num_classes=num_classes)
-    trace = nn.forward(main, batch.X)
-    hidden = trace.hidden
+    loss, grads, _, hidden = main_loss_and_grads(main, batch, cfg, discs=discs,
+                                                 num_classes=num_classes)
     nn.optimizer_step(main, grads, main_opt)
     discriminator_step(discs, disc_opts, hidden, batch, num_classes,
                        cfg.effective_diff_lambda)
@@ -345,8 +354,9 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
                         discs: list[Discriminator] | None = None,
                         num_classes: int | None = None
-                        ) -> tuple[float, nn.Gradients, np.ndarray]:
-    """Returns (scalar objective, gradients for the model, per-example CE).
+                        ) -> tuple[float, nn.Gradients, np.ndarray, np.ndarray]:
+    """Returns (scalar objective, gradients for the model, per-example CE,
+    hidden representation of the batch before the update).
 
     model is a Network, or a GateModel for method="Gate"; its gradients
     then cover the base network followed by the per-group head params.
@@ -408,7 +418,7 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
     grads = nn.backward(net, trace, d_logits, extra_post_grads=extra)
     if is_gate:
         grads = GateGradients(grads, head_w_grads, head_b_grads)
-    return loss, grads, per_example
+    return loss, grads, per_example, hidden
 
 
 @dataclass
@@ -517,7 +527,7 @@ def load_checkpoint(path):
         return net, opt, epoch
 
 
-class ParseErrorForCheckpoint(TrainingDivergedError):
+class ParseErrorForCheckpoint(IOErrorWithStage):
     def __init__(self, path):
         super().__init__(f"{path}: not a recognized checkpoint file")
 
@@ -615,28 +625,31 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
                          shuffle_seed=_shuffle_seed(cfg.seed, epoch),
                          group_sampling_probs=probs)
         batches = make_batches(train_ds, plan)
-        cell_sums: dict[tuple[int, int], float] = {}
-        cell_counts: dict[tuple[int, int], int] = {}
+        batch_losses: list[np.ndarray] = []
+        batch_cells: list[np.ndarray] = []
         for b_idx, batch in enumerate(batches):
             if cfg.method in _ADV_FAMILY:
                 loss = adv_joint_step(model, main_opt, discs, disc_opts, batch,
                                       cfg, num_classes)
             else:
-                loss, grads, per_example = main_loss_and_grads(model, batch, cfg)
+                loss, grads, per_example, _ = main_loss_and_grads(model, batch, cfg)
                 if cfg.method == "Gate":
                     gate_optimizer_step(model, grads, main_opt, head_opt)
                 else:
                     nn.optimizer_step(model, grads, main_opt)
                 if fb_state is not None:
-                    for i in range(len(batch.y)):
-                        cell = (int(batch.y[i]), int(batch.g[i]))
-                        cell_sums[cell] = cell_sums.get(cell, 0.0) + float(per_example[i])
-                        cell_counts[cell] = cell_counts.get(cell, 0) + 1
+                    batch_losses.append(per_example)
+                    batch_cells.append(batch.y * num_groups + batch.g)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}")
         if fb_state is not None and cfg.fairbatch_alpha > 0:
-            epoch_losses = {cell: cell_sums[cell] / cell_counts[cell] for cell in cell_sums}
+            # bincount adds the weights in row order, as a running sum per cell would
+            cells = np.concatenate(batch_cells)
+            sums = np.bincount(cells, weights=np.concatenate(batch_losses))
+            counts = np.bincount(cells)
+            epoch_losses = {divmod(k, num_groups): float(sums[k]) / int(counts[k])
+                            for k in np.flatnonzero(counts).tolist()}
             fb_state = fairbatch_epoch_update(fb_state, epoch_losses)
             record.fairbatch_state = fb_state
         emit(epoch)

@@ -2,9 +2,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairkit import evaluation as ev
-from fairkit.errors import EvaluationDegenerateError, ShapeError
+from fairkit.errors import EvaluationDegenerateError, LabelDomainError, ShapeError
+
+
+def _masked_counts(pred_pos, true_pos, mask):
+    tp = int(np.sum(pred_pos & true_pos & mask))
+    fp = int(np.sum(pred_pos & ~true_pos & mask))
+    fn = int(np.sum(~pred_pos & true_pos & mask))
+    return (tp, fp, int(np.sum(mask)) - tp - fp - fn, fn)
+
+
+def reference_tally(predictions, y, g, num_classes, num_groups):
+    """One-vs-rest counts from one masked pass per (class, group) cell."""
+    counts, overall = {}, {}
+    everyone = np.ones(len(y), dtype=bool)
+    for c in range(num_classes):
+        pred_pos, true_pos = predictions == c, y == c
+        overall[c] = _masked_counts(pred_pos, true_pos, everyone)
+        for gr in range(num_groups):
+            counts[(c, gr)] = _masked_counts(pred_pos, true_pos, g == gr)
+    return counts, overall
+
+
+@st.composite
+def labelled_rows(draw):
+    num_classes = draw(st.integers(1, 5))
+    num_groups = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    column = lambda hi: np.array(draw(st.lists(st.integers(0, hi - 1), min_size=n,
+                                               max_size=n)), dtype=int)
+    return (column(num_classes), column(num_classes), column(num_groups),
+            num_classes, num_groups)
 
 
 class TestConfusionByGroup:
@@ -49,6 +81,30 @@ class TestConfusionByGroup:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             ev.confusion_by_group([0, 1], [0], [0], 2, 1)
+
+    @pytest.mark.parametrize("preds, y, g", [
+        ([2, 0], [0, 1], [0, 1]),    # prediction >= C
+        ([0, 1], [-1, 1], [0, 1]),   # class label < 0
+        ([0, 1], [0, 2], [0, 1]),    # class label >= C
+        ([0, 1], [0, 1], [0, 2]),    # group label >= G
+        ([0, 1], [0, 1], [-1, 0]),   # group label < 0
+    ])
+    def test_label_outside_domain_raises(self, preds, y, g):
+        with pytest.raises(LabelDomainError):
+            ev.confusion_by_group(preds, y, g, 2, 2)
+
+    @given(labelled_rows())
+    def test_counts_match_reference_tally(self, rows):
+        preds, y, g, num_classes, num_groups = rows
+        gc = ev.confusion_by_group(preds, y, g, num_classes, num_groups)
+        assert (gc.counts, gc.overall) == reference_tally(preds, y, g, num_classes, num_groups)
+        try:
+            report = ev.evaluate_predictions(preds, y, g, num_classes, num_groups)
+        except EvaluationDegenerateError:
+            return
+        assert report.performance == float(np.mean(preds == y))
+        assert report.rawlsian_min == min(float(np.mean(preds[g == gr] == y[g == gr]))
+                                          for gr in range(num_groups) if np.any(g == gr))
 
 
 class TestCmMetric:

@@ -186,9 +186,10 @@ class TestApplyInlpAndRefit:
         np.testing.assert_array_equal(model.flat_params(), before)
 
 
-def trained_gate(seed=0):
+def trained_gate(seed=0, num_groups=2):
     spec = data.SyntheticSpec(
-        n_per_cell={(0, 0): 80, (0, 1): 40, (1, 0): 40, (1, 1): 80},
+        n_per_cell={(c, gr): 80 if gr == c % num_groups else 40
+                    for c in range(2) for gr in range(num_groups)},
         d=6, class_separation=1.5, group_shift=2.5, noise_sigma=1.0, seed=seed)
     train_ds, dev_ds, test_ds = data.generate_synthetic(spec)
     cfg = training.MethodConfig(method="Gate", epochs=5, batch_size=64,
@@ -216,18 +217,24 @@ class TestGateSoft:
         np.testing.assert_allclose(uniform, (head0 + head1) / 2, atol=1e-10)
 
     def test_search_matches_exhaustive_oracle(self):
+        # the oracle runs the encoder again for every prior; the search must
+        # pick the same prior with the same DTO, bit for bit
         from fairkit.evaluation import dto, evaluate_predictions
-        model, dev_ds = trained_gate()
-        prior, best = postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
-        dtos = {}
-        for k in range(11):
-            p = np.array([k / 10, 1 - k / 10])
-            preds = training.gate_soft_logits(model, dev_ds.X, p).argmax(axis=1)
-            r = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
-                                     dev_ds.num_classes, dev_ds.num_groups)
-            dtos[round(p[0], 10)] = dto((r.performance, r.fairness))
-        assert best == pytest.approx(min(dtos.values()), abs=1e-12)
-        assert dtos[round(prior.prior[0], 10)] == pytest.approx(best, abs=1e-12)
+        for num_groups in (2, 3, 4):
+            model, dev_ds = trained_gate(num_groups=num_groups)
+            prior, best = postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
+            uniform = np.full(num_groups, 1.0 / num_groups)
+            oracle = None
+            for point in postproc._simplex_grid(num_groups, 11):
+                p = np.array(point)
+                preds = training.gate_soft_logits(model, dev_ds.X, p).argmax(axis=1)
+                r = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
+                                         dev_ds.num_classes, dev_ds.num_groups)
+                key = (dto((r.performance, r.fairness)), float(np.linalg.norm(p - uniform)))
+                if oracle is None or key < oracle[0]:
+                    oracle = (key, point)
+            assert prior.prior == oracle[1], num_groups
+            assert best == oracle[0][0], num_groups
 
     def test_tie_breaks_toward_uniform(self):
         # zero heads and zero base output layer -> all priors tie

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairkit import data, nn, training
-from fairkit.errors import LabelDomainError
+from fairkit.errors import IOErrorWithStage, LabelDomainError, TrainingDivergedError
 from test_nn import finite_diff_grad, rel_err, scl_brute_force
 
 
@@ -65,8 +65,8 @@ def check_gradients(cfg, seed, discs=None, num_classes=2):
     rng = np.random.default_rng(seed)
     batch = random_batch(rng)
     model = make_model(cfg, seed=seed)
-    loss, grads, _ = training.main_loss_and_grads(model, batch, cfg,
-                                                  discs=discs, num_classes=num_classes)
+    loss, grads, _, _ = training.main_loss_and_grads(model, batch, cfg,
+                                                     discs=discs, num_classes=num_classes)
     theta0 = flat_model_params(model)
 
     def loss_of(theta):
@@ -119,8 +119,8 @@ class TestAdversarial:
         discs = training.init_discriminators(cfg_adv, 6, 2, 2)
         m1 = make_model(cfg_std, seed=3)
         m2 = make_model(cfg_adv, seed=3)
-        _, g1, _ = training.main_loss_and_grads(m1, batch, cfg_std)
-        _, g2, _ = training.main_loss_and_grads(m2, batch, cfg_adv, discs=discs, num_classes=2)
+        _, g1, _, _ = training.main_loss_and_grads(m1, batch, cfg_std)
+        _, g2, _, _ = training.main_loss_and_grads(m2, batch, cfg_adv, discs=discs, num_classes=2)
         np.testing.assert_array_equal(g1.flat(), g2.flat())
 
     def test_constant_hidden_reversed_gradient(self):
@@ -462,6 +462,13 @@ class TestTrainLoop:
         X = dev_ds.X
         np.testing.assert_array_equal(nn.forward(model, X).logits,
                                       nn.forward(record.model, X).logits)
+
+    def test_wrong_magic_is_io_error(self, tmp_path):
+        path = tmp_path / "epoch_1.npz"
+        np.savez(path, magic=np.array("not-a-checkpoint"))
+        with pytest.raises(IOErrorWithStage) as info:
+            training.load_checkpoint(path)
+        assert not isinstance(info.value, TrainingDivergedError)
 
     def test_gate_checkpoint_roundtrip(self, tmp_path):
         train_ds, dev_ds, test_ds = biased_bundle(n=40)
