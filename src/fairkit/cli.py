@@ -15,13 +15,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import analysis, data, postproc, training
+from . import analysis, data, nn, postproc, training
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -84,41 +84,29 @@ class TrainConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
 
 
+# The allowed values of each field that has a fixed set, for flags and YAML alike
+_CHOICES = {
+    "dataset_format": ["csv", "jsonl"],
+    "BT": list(data.MODES),
+    "BTObj": list(BTOBJ_TO_OBJECTIVE),
+    "method": list(training.METHODS),
+    "optimizer": list(nn.OPTIMIZERS),
+    "activation": list(nn.ACTIVATIONS),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per TrainConfig field, in field order."""
     p = argparse.ArgumentParser(prog="fairkit", add_help=True)
-    p.add_argument("--dataset", type=str)
-    p.add_argument("--dataset_format", type=str, choices=["csv", "jsonl"])
-    p.add_argument("--emb_size", type=int)
-    p.add_argument("--num_classes", type=int)
-    p.add_argument("--num_groups", type=int)
-    p.add_argument("--encoder_architecture", type=str)
-    p.add_argument("--BT", type=str, choices=list(data.MODES))
-    p.add_argument("--BTObj", type=str, choices=list(BTOBJ_TO_OBJECTIVE))
-    p.add_argument("--adv_debiasing", action="store_const", const=True)
-    p.add_argument("--INLP", action="store_const", const=True)
-    p.add_argument("--gate_soft", action="store_const", const=True)
-    p.add_argument("--method", type=str, choices=list(training.METHODS))
-    p.add_argument("--adv_lambda", type=float)
-    p.add_argument("--n_discriminators", type=int)
-    p.add_argument("--diff_lambda", type=float)
-    p.add_argument("--fairbatch_alpha", type=float)
-    p.add_argument("--fcl_lambda_y", type=float)
-    p.add_argument("--fcl_lambda_g", type=float)
-    p.add_argument("--eo_cla_lambda", type=float)
-    p.add_argument("--inlp_iterations", type=int)
-    p.add_argument("--gate_grid_resolution", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", type=str, choices=["sgd", "adam"])
-    p.add_argument("--hidden_dims", type=int, nargs="+")
-    p.add_argument("--activation", type=str, choices=["relu", "tanh"])
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--results_dir", type=str)
-    p.add_argument("--data_dir", type=str)
-    p.add_argument("--synthetic_spec", type=str)
-    p.add_argument("--conf_file", type=str)
+    for f in fields(TrainConfig):
+        flag = f"--{f.name}"
+        if f.type == "bool":
+            p.add_argument(flag, action="store_const", const=True)
+        elif f.name == "hidden_dims":
+            p.add_argument(flag, type=int, nargs="+")
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}.get(f.type, str),
+                           choices=_CHOICES.get(f.name))
     return p
 
 
@@ -183,8 +171,20 @@ def _validate(cfg: TrainConfig):
         raise ConfigError("--BTObj requires --BT (objective given without a mode)")
     if cfg.BT is not None and cfg.BTObj is None:
         raise ConfigError("--BT requires --BTObj (mode given without an objective)")
-    if cfg.method not in training.METHODS:
-        raise ConfigError(f"unknown method {cfg.method!r}")
+    for key, choices in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value is not None and value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+    if cfg.BTObj == "y" and cfg.BT != "Downsampling":
+        raise ConfigError("--BTObj y is defined by downsampling; use --BT Downsampling")
+    for key, low in (("emb_size", 0), ("num_classes", 0), ("num_groups", 0),
+                     ("inlp_iterations", 0), ("gate_grid_resolution", 2)):
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"--{key} must be >= {low}")
+    try:
+        method_config(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def effective_method(cfg: TrainConfig) -> str:
@@ -193,22 +193,17 @@ def effective_method(cfg: TrainConfig) -> str:
     return cfg.method
 
 
+def method_config(cfg: TrainConfig) -> training.MethodConfig:
+    """The training settings: every field the two configs share, with the
+    effective method. Raises ValueError for an invalid value."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(training.MethodConfig)
+              if f.name in _CONFIG_FIELDS}
+    return training.MethodConfig(**{**shared, "method": effective_method(cfg)})
+
+
 def method_index(cfg: TrainConfig) -> dict:
     """Trade-off hyperparameter index identifying a sweep point."""
-    m = effective_method(cfg)
-    index: dict[str, float] = {}
-    if m in ("Adv", "EAdv", "AAdv"):
-        index["adv_lambda"] = cfg.adv_lambda
-    elif m in ("DAdv", "ADAdv"):
-        index["adv_lambda"] = cfg.adv_lambda
-        index["diff_lambda"] = cfg.diff_lambda
-    elif m == "FairBatch":
-        index["fairbatch_alpha"] = cfg.fairbatch_alpha
-    elif m == "FairSCL":
-        index["fcl_lambda_y"] = cfg.fcl_lambda_y
-        index["fcl_lambda_g"] = cfg.fcl_lambda_g
-    elif m == "EO_CLA":
-        index["eo_cla_lambda"] = cfg.eo_cla_lambda
+    index = {name: getattr(cfg, name) for name in training.METHODS[effective_method(cfg)]}
     if cfg.INLP:
         index["inlp_iterations"] = cfg.inlp_iterations
     return index
@@ -252,7 +247,11 @@ def resolve_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset, data
         splits.append(data.load_dataset(path, cfg.dataset_format, split=split,
                                         num_classes=cfg.num_classes,
                                         num_groups=cfg.num_groups))
-    train_ds, dev_ds, test_ds = splits
+    # one label domain for all splits: the declared sizes, else the largest inferred
+    num_classes = max(ds.num_classes for ds in splits)
+    num_groups = max(ds.num_groups for ds in splits)
+    train_ds, dev_ds, test_ds = (replace(ds, num_classes=num_classes, num_groups=num_groups)
+                                 for ds in splits)
     if cfg.emb_size and train_ds.dim != cfg.emb_size:
         raise ConfigError(f"--emb_size {cfg.emb_size} does not match data dim {train_ds.dim}")
     return train_ds, dev_ds, test_ds
@@ -295,15 +294,7 @@ def cmd_train(cfg: TrainConfig) -> int:
         train_ds = data.balance(train_ds, BTOBJ_TO_OBJECTIVE[cfg.BTObj], cfg.BT,
                                 seed=cfg.seed)
 
-    mcfg = training.MethodConfig(
-        method=method, adv_lambda=cfg.adv_lambda,
-        n_discriminators=cfg.n_discriminators, diff_lambda=cfg.diff_lambda,
-        fairbatch_alpha=cfg.fairbatch_alpha, fcl_lambda_y=cfg.fcl_lambda_y,
-        fcl_lambda_g=cfg.fcl_lambda_g, eo_cla_lambda=cfg.eo_cla_lambda,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed,
-        lr=cfg.lr, optimizer=cfg.optimizer, hidden_dims=tuple(cfg.hidden_dims),
-        activation=cfg.activation, temperature=cfg.temperature)
-    record = training.train(train_ds, dev_ds, test_ds, mcfg, run_dir=run_dir)
+    record = training.train(train_ds, dev_ds, test_ds, method_config(cfg), run_dir=run_dir)
 
     if cfg.INLP:
         run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg, run_dir)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -295,14 +295,6 @@ def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
 
 # ---------------------------------------------------------------------------
 # Balancing
-
-def _unit_of(objective: str, c: int, g: int):
-    """Balancing unit an instance belongs to; counts are equalized across
-    groups inside each unit scope."""
-    if objective == "g":
-        return g
-    return (c, g)
-
 
 def _targets(objective: str, mode: str, dataset: Dataset) -> dict:
     """target count per unit. Raises EmptyCellError if a required cell is empty."""

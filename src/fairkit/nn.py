@@ -1,8 +1,8 @@
 """Minimal feed-forward network machinery.
 
 Everything here is plain numpy: forward/backward passes with explicit
-activation traces, cross entropy, gradient reversal, SGD/Adam, and a
-supervised contrastive loss. The backward pass accepts extra gradients
+activation traces, cross entropy, SGD/Adam over any model's parameter
+list, and a supervised contrastive loss. The backward pass accepts extra gradients
 injected at any hidden activation, which is how the adversarial,
 contrastive, and gate branches feed into the encoder.
 """
@@ -21,6 +21,25 @@ from .errors import (
 )
 
 ACTIVATIONS = ("relu", "tanh")
+OPTIMIZERS = ("sgd", "adam")
+
+
+def flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenate arrays into one vector, in list order."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def unflatten_into(arrays: list[np.ndarray], flat: np.ndarray):
+    """Inverse of flatten: copy flat into the arrays in place.
+
+    Raises ShapeError unless flat is a vector of exactly their total size."""
+    total = sum(a.size for a in arrays)
+    if flat.shape != (total,):
+        raise ShapeError(f"flat vector has shape {flat.shape}, expected ({total},)")
+    i = 0
+    for a in arrays:
+        a[...] = flat[i : i + a.size].reshape(a.shape)
+        i += a.size
 
 
 @dataclass(frozen=True)
@@ -81,22 +100,24 @@ class Network:
         """Dimension of the representation entering the final layer."""
         return self.weights[-1].shape[1]
 
+    @property
+    def params(self) -> list[np.ndarray]:
+        """Every parameter array: the weights, then the biases."""
+        return self.weights + self.biases
+
+    def param_names(self) -> list[str]:
+        """A readable name for each entry of params."""
+        return ([f"layer {k} weight" for k in range(self.n_layers)]
+                + [f"layer {k} bias" for k in range(self.n_layers)])
+
     def copy(self) -> "Network":
         return Network(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.weights] + [b.ravel() for b in self.biases])
+        return flatten(self.params)
 
     def set_flat_params(self, theta: np.ndarray):
-        i = 0
-        for w in self.weights:
-            w[...] = theta[i : i + w.size].reshape(w.shape)
-            i += w.size
-        for b in self.biases:
-            b[...] = theta[i : i + b.size].reshape(b.shape)
-            i += b.size
-        if i != theta.size:
-            raise ShapeError("flat parameter vector has wrong length")
+        unflatten_into(self.params, theta)
 
 
 def init_network(spec: MlpSpec) -> Network:
@@ -131,15 +152,13 @@ class Gradients:
     d_biases: list[np.ndarray]
     d_X: np.ndarray
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.d_weights] + [g.ravel() for g in self.d_biases])
+    @property
+    def params(self) -> list[np.ndarray]:
+        """Parameter gradients in Network.params order."""
+        return self.d_weights + self.d_biases
 
-    def add_(self, other: "Gradients"):
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += b
-        self.d_X += other.d_X
+    def flat(self) -> np.ndarray:
+        return flatten(self.params)
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -195,14 +214,6 @@ def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
     return Gradients(d_weights=d_w, d_biases=d_b, d_X=d_X)
 
 
-def zero_gradients(net: Network) -> Gradients:
-    return Gradients(
-        d_weights=[np.zeros_like(w) for w in net.weights],
-        d_biases=[np.zeros_like(b) for b in net.biases],
-        d_X=np.zeros((0, net.spec.input_dim)),
-    )
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -240,23 +251,6 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray, weights: np.ndarray | None 
     return loss, grad, per_example
 
 
-@dataclass(frozen=True)
-class GradReverseGate:
-    """Identity in forward; backward multiplies the upstream gradient by -lam."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        return -self.lam * np.asarray(upstream, dtype=float)
-
-
 @dataclass
 class OptimizerState:
     kind: str  # "sgd" | "adam"
@@ -269,11 +263,12 @@ class OptimizerState:
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def make_optimizer(net: Network, kind: str = "adam", lr: float = 1e-3,
+def make_optimizer(model, kind: str = "adam", lr: float = 1e-3,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ValueError("optimizer kind must be 'sgd' or 'adam'")
-    params = net.weights + net.biases
+    """Optimizer state for every array in model.params."""
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"optimizer kind must be one of {OPTIMIZERS}")
+    params = model.params
     return OptimizerState(
         kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
         m=[np.zeros_like(p) for p in params],
@@ -281,33 +276,26 @@ def make_optimizer(net: Network, kind: str = "adam", lr: float = 1e-3,
     )
 
 
-_PARAM_NAMES = ("weight", "bias")
-
-
-def optimizer_step(net: Network, grads: Gradients, state: OptimizerState
-                   ) -> tuple[Network, OptimizerState]:
-    """In-place deterministic update; Adam applies bias correction."""
-    params = net.weights + net.biases
-    glist = grads.d_weights + grads.d_biases
-    L = net.n_layers
-    for i, g in enumerate(glist):
+def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
+    """In-place deterministic update of model.params, given one gradient
+    per parameter in the same order; Adam applies bias correction."""
+    params = model.params
+    for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            kind, layer = _PARAM_NAMES[i // L], i % L
-            raise TrainingDivergedError(f"non-finite gradient for layer {layer} {kind}")
+            raise TrainingDivergedError(f"non-finite gradient for {model.param_names()[i]}")
     if state.kind == "sgd":
-        for p, g in zip(params, glist):
+        for p, g in zip(params, grads):
             p -= state.lr * g
     else:
         state.t += 1
         bc1 = 1.0 - state.beta1 ** state.t
         bc2 = 1.0 - state.beta2 ** state.t
-        for p, g, m, v in zip(params, glist, state.m, state.v):
+        for p, g, m, v in zip(params, grads, state.m, state.v):
             m *= state.beta1
             m += (1.0 - state.beta1) * g
             v *= state.beta2
             v += (1.0 - state.beta2) * g * g
             p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return net, state
 
 
 def supervised_contrastive_loss(reprs: np.ndarray, labels: np.ndarray, temperature: float = 0.07,

@@ -11,6 +11,7 @@ initial sampling distribution instead).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,10 +29,21 @@ from .errors import (
 )
 from .evaluation import evaluate_predictions
 
-METHODS = ("Standard", "Adv", "EAdv", "DAdv", "AAdv", "ADAdv",
-           "Gate", "FairBatch", "FairSCL", "EO_CLA")
-
-_ADV_FAMILY = {"Adv", "EAdv", "DAdv", "AAdv", "ADAdv"}
+# Each method and its trade-off hyperparameters, in sweep-index order. A
+# method with adv_lambda is adversarial; each weight is used only by the
+# methods that list it, and zero weights reproduce Standard.
+METHODS = {
+    "Standard": (),
+    "Adv": ("adv_lambda",),
+    "EAdv": ("adv_lambda",),
+    "DAdv": ("adv_lambda", "diff_lambda"),
+    "AAdv": ("adv_lambda",),
+    "ADAdv": ("adv_lambda", "diff_lambda"),
+    "Gate": (),
+    "FairBatch": ("fairbatch_alpha",),
+    "FairSCL": ("fcl_lambda_y", "fcl_lambda_g"),
+    "EO_CLA": ("eo_cla_lambda",),
+}
 
 
 @dataclass
@@ -56,15 +68,25 @@ class MethodConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.n_discriminators < 1:
-            raise ValueError("n_discriminators must be >= 1")
-        for name in ("adv_lambda", "diff_lambda", "fairbatch_alpha",
-                     "fcl_lambda_y", "fcl_lambda_g", "eo_cla_lambda"):
+            raise ValueError(f"method must be one of {list(METHODS)}")
+        for name in dict.fromkeys(f for names in METHODS.values() for f in names):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name, low in (("n_discriminators", 1), ("epochs", 0), ("batch_size", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("lr", "temperature"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         self.hidden_dims = tuple(self.hidden_dims)
         self.disc_hidden_dims = tuple(self.disc_hidden_dims)
+        if any(h < 1 for h in self.hidden_dims + self.disc_hidden_dims):
+            raise ValueError("hidden dims must be >= 1")
+
+    @property
+    def adversarial(self) -> bool:
+        return "adv_lambda" in METHODS[self.method]
 
     @property
     def uses_labels(self) -> bool:
@@ -78,7 +100,7 @@ class MethodConfig:
 
     @property
     def effective_diff_lambda(self) -> float:
-        return self.diff_lambda if self.method in ("DAdv", "ADAdv") else 0.0
+        return self.diff_lambda if "diff_lambda" in METHODS[self.method] else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +115,16 @@ class GateModel:
     @property
     def num_groups(self) -> int:
         return len(self.head_weights)
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        """Base weights and biases, then head weights, then head biases."""
+        return self.base.params + self.head_weights + self.head_biases
+
+    def param_names(self) -> list[str]:
+        return (self.base.param_names()
+                + [f"group {g} head weight" for g in range(self.num_groups)]
+                + [f"group {g} head bias" for g in range(self.num_groups)])
 
 
 def init_gate_model(spec: nn.MlpSpec, num_groups: int, head_seed: int) -> GateModel:
@@ -288,10 +320,9 @@ def _disc_inputs(disc: Discriminator, hidden: np.ndarray, y: np.ndarray,
 
 
 def adversarial_hidden_grad(discs: list[Discriminator], hidden: np.ndarray, batch: Batch,
-                            num_classes: int, gate: nn.GradReverseGate
-                            ) -> tuple[float, np.ndarray]:
-    """Mean discriminator CE and its gradient w.r.t. hidden, passed through
-    gradient reversal. The main model descends CE_main - lambda * mean CE_disc."""
+                            num_classes: int, adv_lambda: float) -> tuple[float, np.ndarray]:
+    """Mean discriminator CE and its gradient w.r.t. hidden, reversed and
+    scaled by -adv_lambda. The main model descends CE_main - lambda * mean CE_disc."""
     h = hidden.shape[1]
     mean_loss = 0.0
     mean_grad = np.zeros_like(hidden)
@@ -302,7 +333,7 @@ def adversarial_hidden_grad(discs: list[Discriminator], hidden: np.ndarray, batc
         grads = nn.backward(disc.net, trace, d_logits)
         mean_loss += loss / len(discs)
         mean_grad += grads.d_X[:, :h] / len(discs)
-    return mean_loss, gate.backward(mean_grad)
+    return mean_loss, -adv_lambda * mean_grad
 
 
 def discriminator_step(discs: list[Discriminator], opt_states: list[nn.OptimizerState],
@@ -330,7 +361,7 @@ def discriminator_step(discs: list[Discriminator], opt_states: list[nn.Optimizer
         total += loss
         extra = {0: pgrad} if np.any(pgrad) else None
         grads = nn.backward(disc.net, trace, d_logits, extra_post_grads=extra)
-        nn.optimizer_step(disc.net, grads, opt)
+        nn.optimizer_step(disc.net, grads.params, opt)
     return total
 
 
@@ -354,12 +385,11 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
                         discs: list[Discriminator] | None = None,
                         num_classes: int | None = None
-                        ) -> tuple[float, nn.Gradients, np.ndarray, np.ndarray]:
-    """Returns (scalar objective, gradients for the model, per-example CE,
-    hidden representation of the batch before the update).
+                        ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Returns (scalar objective, one gradient per entry of model.params,
+    per-example CE, hidden representation of the batch before the update).
 
-    model is a Network, or a GateModel for method="Gate"; its gradients
-    then cover the base network followed by the per-group head params.
+    model is a Network, or a GateModel for method="Gate".
     """
     is_gate = isinstance(model, GateModel)
     net = model.base if is_gate else model
@@ -389,12 +419,11 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
                                           cfg.temperature)
         loss += scl_loss
         hidden_extra += scl_grad
-    if cfg.method in _ADV_FAMILY and cfg.adv_lambda > 0:
+    if cfg.adversarial and cfg.adv_lambda > 0:
         if not discs:
             raise ShapeError("adversarial method requires discriminators")
-        gate = nn.GradReverseGate(cfg.adv_lambda)
         disc_loss, rev_grad = adversarial_hidden_grad(
-            discs, hidden, batch, num_classes or int(batch.y.max()) + 1, gate)
+            discs, hidden, batch, num_classes or int(batch.y.max()) + 1, cfg.adv_lambda)
         loss -= cfg.adv_lambda * disc_loss
         hidden_extra += rev_grad
 
@@ -416,43 +445,7 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
         extra = {net.n_layers - 2: hidden_extra}
     grads = nn.backward(net, trace, d_logits, extra_post_grads=extra)
-    if is_gate:
-        grads = GateGradients(grads, head_w_grads, head_b_grads)
-    return loss, grads, per_example, hidden
-
-
-@dataclass
-class GateGradients:
-    base: nn.Gradients
-    head_weights: list[np.ndarray]
-    head_biases: list[np.ndarray]
-
-
-def gate_optimizer_step(model: GateModel, grads: GateGradients,
-                        base_opt: nn.OptimizerState, head_opt: nn.OptimizerState):
-    nn.optimizer_step(model.base, grads.base, base_opt)
-    params = model.head_weights + model.head_biases
-    glist = grads.head_weights + grads.head_biases
-    if head_opt.kind == "sgd":
-        for p, g in zip(params, glist):
-            p -= head_opt.lr * g
-    else:
-        head_opt.t += 1
-        bc1 = 1.0 - head_opt.beta1 ** head_opt.t
-        bc2 = 1.0 - head_opt.beta2 ** head_opt.t
-        for p, g, m, v in zip(params, glist, head_opt.m, head_opt.v):
-            m *= head_opt.beta1
-            m += (1.0 - head_opt.beta1) * g
-            v *= head_opt.beta2
-            v += (1.0 - head_opt.beta2) * g * g
-            p -= head_opt.lr * (m / bc1) / (np.sqrt(v / bc2) + head_opt.eps)
-
-
-def make_gate_head_optimizer(model: GateModel, kind: str, lr: float) -> nn.OptimizerState:
-    params = model.head_weights + model.head_biases
-    return nn.OptimizerState(kind=kind, lr=lr, t=0,
-                             m=[np.zeros_like(p) for p in params],
-                             v=[np.zeros_like(p) for p in params])
+    return loss, grads.params + head_w_grads + head_b_grads, per_example, hidden
 
 
 # ---------------------------------------------------------------------------
@@ -477,54 +470,45 @@ def save_checkpoint(path, model, opt_state: nn.OptimizerState, epoch: int):
         "opt_kind": np.array(opt_state.kind),
         "opt_lr": np.array(opt_state.lr),
         "opt_t": np.array(opt_state.t),
-        "opt_m": np.concatenate([m.ravel() for m in opt_state.m]) if opt_state.m else np.zeros(0),
-        "opt_v": np.concatenate([v.ravel() for v in opt_state.v]) if opt_state.v else np.zeros(0),
+        "opt_m": nn.flatten(opt_state.m),
+        "opt_v": nn.flatten(opt_state.v),
     }
     if is_gate:
         payload["num_groups"] = np.array(model.num_groups)
-        payload["head_params"] = np.concatenate(
-            [w.ravel() for w in model.head_weights] + [b.ravel() for b in model.head_biases])
+        payload["head_params"] = nn.flatten(model.head_weights + model.head_biases)
     with open(path, "wb") as f:
         np.savez(f, **payload)
 
 
 def load_checkpoint(path):
-    """Returns (model, opt_state, epoch); model is a Network or GateModel."""
-    with np.load(path, allow_pickle=False) as z:
-        if str(z["magic"]) != CHECKPOINT_MAGIC:
-            raise ParseErrorForCheckpoint(path)
-        spec = nn.MlpSpec(input_dim=int(z["input_dim"]),
-                          hidden_dims=tuple(int(h) for h in z["hidden_dims"]),
-                          output_dim=int(z["output_dim"]),
-                          activation=str(z["activation"]),
-                          seed=int(z["seed"]))
-        net = nn.init_network(spec)
-        net.set_flat_params(z["params"])
-        opt = nn.make_optimizer(net, kind=str(z["opt_kind"]), lr=float(z["opt_lr"]))
-        opt.t = int(z["opt_t"])
-        flat_m, flat_v = z["opt_m"], z["opt_v"]
-        i = 0
-        for m, v in zip(opt.m, opt.v):
-            m[...] = flat_m[i : i + m.size].reshape(m.shape)
-            v[...] = flat_v[i : i + v.size].reshape(v.shape)
-            i += m.size
-        epoch = int(z["epoch"])
-        if str(z["kind"]) == "gate":
-            num_groups = int(z["num_groups"])
-            h, out = net.hidden_dim, spec.output_dim
-            model = GateModel(base=net,
-                              head_weights=[np.zeros((out, h)) for _ in range(num_groups)],
-                              head_biases=[np.zeros(out) for _ in range(num_groups)])
-            flat = z["head_params"]
-            j = 0
-            for w in model.head_weights:
-                w[...] = flat[j : j + w.size].reshape(w.shape)
-                j += w.size
-            for b in model.head_biases:
-                b[...] = flat[j : j + b.size].reshape(b.shape)
-                j += b.size
-            return model, opt, epoch
-        return net, opt, epoch
+    """Returns (model, opt_state, epoch); model is a Network or GateModel.
+
+    A file that is not a complete checkpoint (not a zip, a missing key, the
+    wrong magic, or arrays of the wrong length) raises ParseErrorForCheckpoint."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if str(z["magic"]) != CHECKPOINT_MAGIC:
+                raise ParseErrorForCheckpoint(path)
+            spec = nn.MlpSpec(input_dim=int(z["input_dim"]),
+                              hidden_dims=tuple(int(h) for h in z["hidden_dims"]),
+                              output_dim=int(z["output_dim"]),
+                              activation=str(z["activation"]),
+                              seed=int(z["seed"]))
+            model = net = nn.init_network(spec)
+            if str(z["kind"]) == "gate":
+                model = init_gate_model(spec, int(z["num_groups"]), head_seed=0)
+                net = model.base
+                nn.unflatten_into(model.head_weights + model.head_biases, z["head_params"])
+            nn.unflatten_into(net.params, z["params"])
+            opt = nn.make_optimizer(model, kind=str(z["opt_kind"]), lr=float(z["opt_lr"]))
+            opt.t = int(z["opt_t"])
+            nn.unflatten_into(opt.m, z["opt_m"])
+            nn.unflatten_into(opt.v, z["opt_v"])
+            return model, opt, int(z["epoch"])
+    # np.load raises EOFError, ValueError or BadZipFile for a file that is not
+    # an .npz, and TypeError for an .npy, which is no context manager
+    except (EOFError, KeyError, TypeError, ValueError, ShapeError, zipfile.BadZipFile) as e:
+        raise ParseErrorForCheckpoint(path) from e
 
 
 class ParseErrorForCheckpoint(IOErrorWithStage):
@@ -575,18 +559,14 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
                       output_dim=num_classes, activation=cfg.activation, seed=cfg.seed)
     if cfg.method == "Gate":
         model = init_gate_model(spec, num_groups, head_seed=_derive_seed(cfg.seed, 21))
-        main_opt = nn.make_optimizer(model.base, kind=cfg.optimizer, lr=cfg.lr)
-        head_opt = make_gate_head_optimizer(model, cfg.optimizer, cfg.lr)
     else:
         model = nn.init_network(spec)
-        main_opt = nn.make_optimizer(model, kind=cfg.optimizer, lr=cfg.lr)
-        head_opt = None
+    main_opt = nn.make_optimizer(model, kind=cfg.optimizer, lr=cfg.lr)
 
     discs: list[Discriminator] = []
     disc_opts: list[nn.OptimizerState] = []
-    if cfg.method in _ADV_FAMILY:
-        discs = init_discriminators(cfg, model.base.hidden_dim if cfg.method == "Gate"
-                                    else model.hidden_dim, num_classes, num_groups)
+    if cfg.adversarial:
+        discs = init_discriminators(cfg, model.hidden_dim, num_classes, num_groups)
         disc_opts = [nn.make_optimizer(d.net, kind=cfg.optimizer, lr=cfg.lr) for d in discs]
 
     fb_state = init_fairbatch_state(train_ds, cfg.fairbatch_alpha) \
@@ -628,15 +608,12 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         batch_losses: list[np.ndarray] = []
         batch_cells: list[np.ndarray] = []
         for b_idx, batch in enumerate(batches):
-            if cfg.method in _ADV_FAMILY:
+            if cfg.adversarial:
                 loss = adv_joint_step(model, main_opt, discs, disc_opts, batch,
                                       cfg, num_classes)
             else:
                 loss, grads, per_example, _ = main_loss_and_grads(model, batch, cfg)
-                if cfg.method == "Gate":
-                    gate_optimizer_step(model, grads, main_opt, head_opt)
-                else:
-                    nn.optimizer_step(model, grads, main_opt)
+                nn.optimizer_step(model, grads, main_opt)
                 if fb_state is not None:
                     batch_losses.append(per_example)
                     batch_cells.append(batch.y * num_groups + batch.g)

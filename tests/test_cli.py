@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +92,129 @@ class TestParseConfig:
             cli.parse_config(["--help"])
         assert e.value.code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--BT", "Resampling", "--BTObj", "y"],
+        ["--method", "Adv", "--adv_lambda", "-1"],
+        ["--batch_size", "0"],
+        ["--hidden_dims", "0"],
+        ["--seed", "-1"],
+        ["--method", "EAdv", "--n_discriminators", "0"],
+        ["--method", "Gate", "--gate_soft", "--gate_grid_resolution", "1"],
+        ["--epochs", "-1"],
+        ["--lr", "-1"],
+        ["--INLP", "--inlp_iterations", "-1"],
+        ["--method", "FairSCL", "--fcl_lambda_y", "1", "--temperature", "0"],
+        ["--num_classes", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_invalid_value_is_config_error_before_any_work(self, tmp_path, argv, capsys):
+        results = tmp_path / "results"
+        assert cli.main([*argv, "--results_dir", str(results)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not results.exists()
+
+    def test_yaml_value_outside_choices_rejected(self, tmp_path):
+        conf = tmp_path / "c.yaml"
+        conf.write_text(yaml.safe_dump({"optimizer": "rmsprop"}))
+        with pytest.raises(ConfigError, match="optimizer"):
+            cli.parse_config(["--conf_file", str(conf)])
+
+
+# A non-default value for every TrainConfig field: (flag arguments, YAML value).
+# encoder_architecture accepts only its default.
+NON_DEFAULT = {
+    "dataset": (["toy"], "toy"),
+    "dataset_format": (["csv"], "csv"),
+    "emb_size": (["12"], 12),
+    "num_classes": (["3"], 3),
+    "num_groups": (["4"], 4),
+    "encoder_architecture": (["vector"], "vector"),
+    "BT": (["Reweighting"], "Reweighting"),
+    "BTObj": (["g"], "g"),
+    "adv_debiasing": ([], True),
+    "INLP": ([], True),
+    "gate_soft": ([], True),
+    "method": (["FairSCL"], "FairSCL"),
+    "adv_lambda": (["0.25"], 0.25),
+    "n_discriminators": (["3"], 3),
+    "diff_lambda": (["0.5"], 0.5),
+    "fairbatch_alpha": (["0.05"], 0.05),
+    "fcl_lambda_y": (["0.3"], 0.3),
+    "fcl_lambda_g": (["0.2"], 0.2),
+    "eo_cla_lambda": (["1.5"], 1.5),
+    "inlp_iterations": (["4"], 4),
+    "gate_grid_resolution": (["5"], 5),
+    "epochs": (["3"], 3),
+    "batch_size": (["16"], 16),
+    "lr": (["0.01"], 0.01),
+    "optimizer": (["sgd"], "sgd"),
+    "hidden_dims": (["8", "4"], [8, 4]),
+    "activation": (["tanh"], "tanh"),
+    "temperature": (["0.2"], 0.2),
+    "seed": (["7"], 7),
+    "results_dir": (["out"], "out"),
+    "data_dir": (["inputs"], "inputs"),
+    "synthetic_spec": (["spec.yaml"], "spec.yaml"),
+}
+# fields that are only valid together with another one
+COMPANIONS = {"BT": {"BTObj": "joint"}, "BTObj": {"BT": "Downsampling"}}
+
+
+class TestGeneratedParser:
+    def test_every_field_has_a_case(self):
+        assert set(NON_DEFAULT) == {f.name for f in fields(cli.TrainConfig)} - {"conf_file"}
+
+    @pytest.mark.parametrize("name", list(NON_DEFAULT))
+    def test_flag_and_yaml_give_equal_configs(self, tmp_path, name):
+        flag_args, yaml_value = NON_DEFAULT[name]
+        companions = COMPANIONS.get(name, {})
+        argv = [f"--{name}", *flag_args]
+        for key, value in companions.items():
+            argv += [f"--{key}", value]
+        by_flag = cli.parse_config(argv)
+        conf = tmp_path / "c.yaml"
+        conf.write_text(yaml.safe_dump({name: yaml_value, **companions}))
+        by_yaml = cli.parse_config(["--conf_file", str(conf)])
+        assert getattr(by_flag, name) == yaml_value
+        if name != "encoder_architecture":
+            assert getattr(cli.TrainConfig(), name) != yaml_value
+        assert by_flag.to_dict() == by_yaml.to_dict()
+        assert cli.config_hash(by_flag) == cli.config_hash(by_yaml)
+
+
+# The sweep index of each method, for --adv_lambda 0.5 --diff_lambda 0.1
+# --fairbatch_alpha 0.05 --fcl_lambda_y 0.3 --fcl_lambda_g 0.2 --eo_cla_lambda 0.7
+INDEX_OF_METHOD = {
+    "Standard": {},
+    "Adv": {"adv_lambda": 0.5},
+    "EAdv": {"adv_lambda": 0.5},
+    "DAdv": {"adv_lambda": 0.5, "diff_lambda": 0.1},
+    "AAdv": {"adv_lambda": 0.5},
+    "ADAdv": {"adv_lambda": 0.5, "diff_lambda": 0.1},
+    "Gate": {},
+    "FairBatch": {"fairbatch_alpha": 0.05},
+    "FairSCL": {"fcl_lambda_y": 0.3, "fcl_lambda_g": 0.2},
+    "EO_CLA": {"eo_cla_lambda": 0.7},
+}
+
 
 class TestMethodIndex:
+    @pytest.mark.parametrize("inlp", [False, True])
+    @pytest.mark.parametrize("method", list(INDEX_OF_METHOD))
+    def test_index_of_every_method(self, method, inlp):
+        argv = ["--method", method, "--adv_lambda", "0.5", "--diff_lambda", "0.1",
+                "--fairbatch_alpha", "0.05", "--fcl_lambda_y", "0.3",
+                "--fcl_lambda_g", "0.2", "--eo_cla_lambda", "0.7", "--inlp_iterations", "3"]
+        expected = dict(INDEX_OF_METHOD[method])
+        if inlp:
+            argv.append("--INLP")
+            expected["inlp_iterations"] = 3
+        index = cli.method_index(cli.parse_config(argv))
+        assert index == expected
+        assert list(index) == list(expected)  # key order is the sweep-index order
+
+    def test_table_covers_every_method(self):
+        assert list(INDEX_OF_METHOD) == list(training.METHODS)
+
     def test_adv_debiasing_flag_maps_to_adv(self):
         cfg = cli.parse_config(["--adv_debiasing", "--adv_lambda", "0.8"])
         assert cli.effective_method(cfg) == "Adv"
@@ -223,6 +345,19 @@ class TestTrain:
         argv = fast_args(tmp_path, small_spec_file)
         argv[argv.index("--emb_size") + 1] = "16"
         assert cli.main(argv) == 2
+
+    def test_test_split_missing_top_class_shares_label_domain(self, tmp_path, small_spec_file):
+        out = tmp_path / "data"
+        cli.main(["generate", "--synthetic_spec", str(small_spec_file),
+                  "--out_dir", str(out), "--name", "toy"])
+        test_file = out / "toy_test.jsonl"
+        rows = [l for l in test_file.read_text().splitlines() if json.loads(l)["y"] == 0]
+        test_file.write_text("\n".join(rows) + "\n")
+        argv = ["--dataset", "toy", "--data_dir", str(out), "--epochs", "1",
+                "--results_dir", str(tmp_path / "r")]
+        assert cli.main(argv) == 0
+        train_ds, dev_ds, test_ds = cli.resolve_datasets(cli.parse_config(argv))
+        assert {(ds.num_classes, ds.num_groups) for ds in (train_ds, dev_ds, test_ds)} == {(2, 2)}
 
     def test_missing_dataset_io_error(self, tmp_path, capsys):
         rc = cli.main(["--dataset", "nope", "--data_dir", str(tmp_path),

@@ -20,6 +20,10 @@ def small_net(dims, activation="relu", seed=0):
     return nn.init_network(spec)
 
 
+def zero_grads(model):
+    return [np.zeros_like(p) for p in model.params]
+
+
 def finite_diff_grad(f, theta, step=1e-5):
     g = np.zeros_like(theta)
     for i in range(theta.size):
@@ -154,26 +158,21 @@ class TestCrossEntropy:
         assert loss == pytest.approx(float(w @ per / w.sum()), abs=1e-10)
 
 
-class TestGradReverse:
-    def test_definition(self):
-        gate = nn.GradReverseGate(1.0)
-        assert gate.backward(np.array(2.0)) == -2.0
+class TestFlatten:
+    def test_roundtrip_in_params_order(self):
+        net = small_net([2, 3, 2], seed=1)
+        theta = net.flat_params()
+        assert theta.size == sum(p.size for p in net.params)
+        np.testing.assert_array_equal(theta[:6], net.weights[0].ravel())
+        other = small_net([2, 3, 2], seed=2)
+        nn.unflatten_into(other.params, theta)
+        np.testing.assert_array_equal(other.flat_params(), theta)
 
-    def test_lambda_zero_degrades(self):
-        gate = nn.GradReverseGate(0.0)
-        assert gate.backward(np.array(5.0)) == 0.0
-
-    def test_vector(self):
-        gate = nn.GradReverseGate(0.5)
-        np.testing.assert_array_equal(gate.backward(np.array([1.0, -4.0])), [-0.5, 2.0])
-
-    def test_forward_bit_exact_identity(self):
-        x = np.random.default_rng(0).normal(size=(3, 4))
-        assert nn.GradReverseGate(0.7).forward(x) is x
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            nn.GradReverseGate(-0.1)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_rejected(self, delta):
+        net = small_net([2, 3, 2])
+        with pytest.raises(ShapeError):
+            net.set_flat_params(np.zeros(net.flat_params().size + delta))
 
 
 class TestOptimizer:
@@ -181,8 +180,8 @@ class TestOptimizer:
         net = small_net([1, 1])
         net.weights[0][...] = [[1.0]]
         state = nn.make_optimizer(net, kind="sgd", lr=0.1)
-        grads = nn.zero_gradients(net)
-        grads.d_weights[0][...] = [[1.0]]
+        grads = zero_grads(net)
+        grads[0][...] = [[1.0]]
         nn.optimizer_step(net, grads, state)
         assert net.weights[0][0, 0] == pytest.approx(0.9, abs=1e-15)
 
@@ -191,7 +190,7 @@ class TestOptimizer:
         net = small_net([2, 3, 2], seed=4)
         before = net.flat_params()
         state = nn.make_optimizer(net, kind=kind, lr=0.1)
-        nn.optimizer_step(net, nn.zero_gradients(net), state)
+        nn.optimizer_step(net, zero_grads(net), state)
         np.testing.assert_array_equal(net.flat_params(), before)
 
     def test_adam_first_step_magnitude_is_lr(self):
@@ -200,8 +199,8 @@ class TestOptimizer:
             net = small_net([1, 1])
             w0 = net.weights[0][0, 0]
             state = nn.make_optimizer(net, kind="adam", lr=1e-3)
-            grads = nn.zero_gradients(net)
-            grads.d_weights[0][...] = [[g_val]]
+            grads = zero_grads(net)
+            grads[0][...] = [[g_val]]
             nn.optimizer_step(net, grads, state)
             update = abs(net.weights[0][0, 0] - w0)
             assert update == pytest.approx(1e-3, abs=1e-6)
@@ -209,8 +208,8 @@ class TestOptimizer:
     def test_non_finite_gradient_names_parameter(self):
         net = small_net([2, 3, 2])
         state = nn.make_optimizer(net, kind="sgd", lr=0.1)
-        grads = nn.zero_gradients(net)
-        grads.d_weights[1][0, 0] = np.nan
+        grads = zero_grads(net)
+        grads[1][0, 0] = np.nan  # layer 1 weight
         with pytest.raises(TrainingDivergedError, match="layer 1 weight"):
             nn.optimizer_step(net, grads, state)
 
@@ -221,8 +220,8 @@ class TestOptimizer:
             state = nn.make_optimizer(net, kind="adam", lr=1e-2)
             rng = np.random.default_rng(6)
             for _ in range(5):
-                grads = nn.zero_gradients(net)
-                for g in grads.d_weights + grads.d_biases:
+                grads = zero_grads(net)
+                for g in grads:
                     g[...] = rng.normal(size=g.shape)
                 nn.optimizer_step(net, grads, state)
             results.append(net.flat_params())

@@ -3,7 +3,7 @@ import pytest
 
 from fairkit import data, nn, training
 from fairkit.errors import IOErrorWithStage, LabelDomainError, TrainingDivergedError
-from test_nn import finite_diff_grad, rel_err, scl_brute_force
+from test_nn import finite_diff_grad, rel_err, scl_brute_force, zero_grads
 
 
 def biased_bundle(seed=0, group_shift=2.5, n=150):
@@ -22,37 +22,6 @@ def random_batch(rng, n=8, d=5, num_classes=2, num_groups=2):
     return data.Batch(X=rng.normal(size=(n, d)), y=y, g=g, weights=np.ones(n))
 
 
-def flat_model_params(model):
-    if isinstance(model, training.GateModel):
-        return np.concatenate([model.base.flat_params()]
-                              + [w.ravel() for w in model.head_weights]
-                              + [b.ravel() for b in model.head_biases])
-    return model.flat_params()
-
-
-def set_flat_model_params(model, theta):
-    if isinstance(model, training.GateModel):
-        base_n = model.base.flat_params().size
-        model.base.set_flat_params(theta[:base_n])
-        i = base_n
-        for w in model.head_weights:
-            w[...] = theta[i:i + w.size].reshape(w.shape)
-            i += w.size
-        for b in model.head_biases:
-            b[...] = theta[i:i + b.size].reshape(b.shape)
-            i += b.size
-    else:
-        model.set_flat_params(theta)
-
-
-def flat_grads(grads):
-    if isinstance(grads, training.GateGradients):
-        return np.concatenate([grads.base.flat()]
-                              + [g.ravel() for g in grads.head_weights]
-                              + [g.ravel() for g in grads.head_biases])
-    return grads.flat()
-
-
 def make_model(cfg, d=5, num_classes=2, num_groups=2, seed=0):
     spec = nn.MlpSpec(input_dim=d, hidden_dims=cfg.hidden_dims,
                       output_dim=num_classes, activation=cfg.activation, seed=seed)
@@ -67,16 +36,16 @@ def check_gradients(cfg, seed, discs=None, num_classes=2):
     model = make_model(cfg, seed=seed)
     loss, grads, _, _ = training.main_loss_and_grads(model, batch, cfg,
                                                      discs=discs, num_classes=num_classes)
-    theta0 = flat_model_params(model)
+    theta0 = nn.flatten(model.params)
 
     def loss_of(theta):
-        set_flat_model_params(model, theta)
+        nn.unflatten_into(model.params, theta)
         return training.main_loss_and_grads(model, batch, cfg, discs=discs,
                                             num_classes=num_classes)[0]
 
     numeric = finite_diff_grad(loss_of, theta0)
-    set_flat_model_params(model, theta0)
-    return rel_err(flat_grads(grads), numeric)
+    nn.unflatten_into(model.params, theta0)
+    return rel_err(nn.flatten(grads), numeric)
 
 
 class TestGradientCompositions:
@@ -121,7 +90,7 @@ class TestAdversarial:
         m2 = make_model(cfg_adv, seed=3)
         _, g1, _, _ = training.main_loss_and_grads(m1, batch, cfg_std)
         _, g2, _, _ = training.main_loss_and_grads(m2, batch, cfg_adv, discs=discs, num_classes=2)
-        np.testing.assert_array_equal(g1.flat(), g2.flat())
+        np.testing.assert_array_equal(nn.flatten(g1), nn.flatten(g2))
 
     def test_constant_hidden_reversed_gradient(self):
         # constant hidden rows -> identical per-row discriminator input gradient,
@@ -131,8 +100,7 @@ class TestAdversarial:
         hidden = np.tile([[0.3, -0.2, 0.9]], (5, 1))
         batch = data.Batch(X=np.zeros((5, 1)), y=np.zeros(5, dtype=int),
                            g=np.zeros(5, dtype=int), weights=np.ones(5))
-        gate = nn.GradReverseGate(2.0)
-        _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2, gate)
+        _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2, 2.0)
         inputs = hidden
         trace = nn.forward(discs[0].net, inputs)
         _, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
@@ -148,8 +116,7 @@ class TestAdversarial:
         batch = random_batch(rng, n=6, d=4)
         grads = {}
         for lam in (0.5, 1.0, 2.0):
-            _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2,
-                                                      nn.GradReverseGate(lam))
+            _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2, lam)
             grads[lam] = rev
         np.testing.assert_allclose(grads[1.0], 2.0 * grads[0.5], atol=1e-12)
         np.testing.assert_allclose(grads[2.0], 2.0 * grads[1.0], atol=1e-12)
@@ -479,3 +446,96 @@ class TestTrainLoop:
         np.testing.assert_array_equal(
             training.predict(model, dev_ds.X, dev_ds.g),
             training.predict(record.model, dev_ds.X, dev_ds.g))
+
+
+def gate_model_and_optimizer(kind="adam", steps=3):
+    """A small Gate model after a few optimizer steps on random gradients."""
+    cfg = training.MethodConfig(method="Gate", hidden_dims=(5,))
+    model = make_model(cfg, d=4, num_groups=3, seed=2)
+    opt = nn.make_optimizer(model, kind=kind, lr=0.01)
+    rng = np.random.default_rng(9)
+    for _ in range(steps):
+        nn.optimizer_step(model, [rng.normal(size=p.shape) for p in model.params], opt)
+    return model, opt
+
+
+class TestMethodConfig:
+    @pytest.mark.parametrize("name", ["adv_lambda", "diff_lambda", "fairbatch_alpha",
+                                      "fcl_lambda_y", "fcl_lambda_g", "eo_cla_lambda"])
+    def test_negative_tradeoff_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            training.MethodConfig(**{name: -0.1})
+
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", -1), ("batch_size", 0), ("seed", -1), ("lr", 0.0), ("lr", -1.0),
+        ("temperature", 0.0), ("n_discriminators", 0), ("hidden_dims", (4, 0)),
+        ("method", "Fair"),
+    ])
+    def test_invalid_value_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            training.MethodConfig(**{name: value})
+
+    def test_diff_lambda_only_for_orthogonal_adversaries(self):
+        on = {m for m in training.METHODS
+              if training.MethodConfig(method=m, diff_lambda=0.5).effective_diff_lambda}
+        assert on == {"DAdv", "ADAdv"}
+
+
+class TestOneOptimizer:
+    def test_nan_head_gradient_names_the_head(self):
+        model, opt = gate_model_and_optimizer(steps=0)
+        before = nn.flatten(model.params)
+        grads = zero_grads(model)
+        grads[len(model.base.params) + 1][0, 0] = np.nan  # group 1 head weight
+        with pytest.raises(TrainingDivergedError, match="group 1 head weight"):
+            nn.optimizer_step(model, grads, opt)
+        np.testing.assert_array_equal(nn.flatten(model.params), before)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_gate_checkpoint_restores_head_moments(self, tmp_path, kind):
+        model, opt = gate_model_and_optimizer(kind)
+        training.save_checkpoint(tmp_path / "c.npz", model, opt, epoch=3)
+        loaded, opt2, epoch = training.load_checkpoint(tmp_path / "c.npz")
+        assert epoch == 3 and (opt2.kind, opt2.lr, opt2.t) == (kind, opt.lr, opt.t)
+        np.testing.assert_array_equal(nn.flatten(loaded.params), nn.flatten(model.params))
+        for saved, restored in ((opt.m, opt2.m), (opt.v, opt2.v)):
+            assert len(restored) == len(model.params)
+            np.testing.assert_array_equal(nn.flatten(restored), nn.flatten(saved))
+
+
+# Damage to a valid Gate checkpoint's arrays z; n_base is the base network's size
+DAMAGE = {
+    "missing key": lambda z, n_base: z.pop("params"),
+    "short params": lambda z, n_base: z.update(params=z["params"][:-1]),
+    "long head_params": lambda z, n_base: z.update(head_params=np.append(z["head_params"], 0.0)),
+    "short moments": lambda z, n_base: z.update(opt_v=z["opt_v"][:-2]),
+    # the earlier Gate format, whose moments cover the base network only
+    "base-only moments": lambda z, n_base: z.update(opt_m=z["opt_m"][:n_base],
+                                                    opt_v=z["opt_v"][:n_base]),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("content", [b"", b"not a checkpoint", b"PK\x03\x04truncated"])
+    def test_not_a_zip(self, tmp_path, content):
+        path = tmp_path / "epoch_1.npz"
+        path.write_bytes(content)
+        with pytest.raises(training.ParseErrorForCheckpoint):
+            training.load_checkpoint(path)
+
+    def test_npy_file(self, tmp_path):
+        path = tmp_path / "epoch_1.npy"
+        np.save(path, np.arange(3))
+        with pytest.raises(training.ParseErrorForCheckpoint):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
+    def test_damaged_arrays(self, tmp_path, damage):
+        model, opt = gate_model_and_optimizer()
+        training.save_checkpoint(tmp_path / "good.npz", model, opt, epoch=1)
+        with np.load(tmp_path / "good.npz") as z:
+            arrays = dict(z)
+        DAMAGE[damage](arrays, nn.flatten(model.base.params).size)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(training.ParseErrorForCheckpoint):
+            training.load_checkpoint(tmp_path / "bad.npz")
