@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import EmptyInputError, IndexSchemaError
-from .evaluation import dto
+from .evaluation import UTOPIA, dto
 
 CRITERIA = ("DTO", "ConstrainedFairness", "ConstrainedPerformance")
 
@@ -23,7 +23,6 @@ CRITERIA = ("DTO", "ConstrainedFairness", "ConstrainedPerformance")
 class SelectionCriterion:
     kind: str = "DTO"
     threshold: float = 0.0
-    utopia: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in CRITERIA:
@@ -39,7 +38,7 @@ def _best_point(points: list[tuple[float, float]], criterion: SelectionCriterion
     if not points:
         raise EmptyInputError("no candidate points")
     if criterion.kind == "DTO":
-        scores = [dto(p, criterion.utopia) for p in points]
+        scores = [dto(p) for p in points]
         return min(range(len(points)), key=lambda i: (scores[i], i))
     if criterion.kind == "ConstrainedFairness":
         constrained, free = 0, 1  # performance must meet the threshold; maximize fairness
@@ -64,6 +63,12 @@ def _index_key(index: dict) -> tuple:
     return tuple(sorted(index.items()))
 
 
+def _selected_row(run: dict, criterion: SelectionCriterion) -> dict:
+    """The row of a run's best epoch by its dev trajectory."""
+    epoch = select_epoch(run["rows"], criterion)
+    return next(x for x in run["rows"] if x["epoch"] == epoch)
+
+
 def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterion) -> dict:
     """Pick one hyperparameter index from a method's sweep.
 
@@ -86,10 +91,9 @@ def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterio
     for key in index_keys:
         dev_pts, details = [], []
         for r in sorted(by_index[key], key=lambda r: r["seed"]):
-            epoch = select_epoch(r["rows"], criterion)
-            row = next(x for x in r["rows"] if x["epoch"] == epoch)
+            row = _selected_row(r, criterion)
             dev_pts.append((row["dev_performance"], row["dev_fairness"]))
-            details.append({"seed": r["seed"], "epoch": epoch,
+            details.append({"seed": r["seed"], "epoch": row["epoch"],
                             "test_performance": row["test_performance"],
                             "test_fairness": row["test_fairness"],
                             "dev_performance": row["dev_performance"],
@@ -117,8 +121,7 @@ def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, floa
     return out
 
 
-def aggregate_runs(per_seed_points: list[tuple[float, float]],
-                   utopia: tuple[float, float] = (1.0, 1.0)) -> dict:
+def aggregate_runs(per_seed_points: list[tuple[float, float]]) -> dict:
     """Mean, sample std (n-1; absent for a single seed), and DTO of the means."""
     if not per_seed_points:
         raise EmptyInputError("no per-seed results")
@@ -137,7 +140,7 @@ def aggregate_runs(per_seed_points: list[tuple[float, float]],
         "performance_std": sample_std(perf, mean_p),
         "fairness_mean": mean_f,
         "fairness_std": sample_std(fair, mean_f),
-        "dto": dto((mean_p, mean_f), utopia),
+        "dto": dto((mean_p, mean_f)),
         "n_seeds": n,
     }
 
@@ -161,13 +164,11 @@ def emit_table(table: ResultsTable, format: str = "markdown") -> str:
         raise EmptyInputError("empty results table")
     methods = sorted(table.rows)
     if format == "csv":
-        lines = ["method,performance_mean,performance_std,fairness_mean,fairness_std,dto"]
+        keys = ["performance_mean", "performance_std", "fairness_mean", "fairness_std", "dto"]
+        lines = [",".join(["method", *keys])]
         for m in methods:
-            r = table.rows[m]
-            ps = "" if r["performance_std"] is None else f"{100.0 * r['performance_std']:.4f}"
-            fs = "" if r["fairness_std"] is None else f"{100.0 * r['fairness_std']:.4f}"
-            lines.append(f"{m},{100.0 * r['performance_mean']:.4f},{ps},"
-                         f"{100.0 * r['fairness_mean']:.4f},{fs},{100.0 * r['dto']:.4f}")
+            values = [table.rows[m][key] for key in keys]
+            lines.append(",".join([m] + ["" if v is None else f"{100.0 * v:.4f}" for v in values]))
         return "\n".join(lines) + "\n"
     if format == "markdown":
         lines = ["| Method | Performance | Fairness | DTO |",
@@ -203,11 +204,10 @@ def emit_tradeoff_data(runs_by_method: dict[str, list[dict]],
         pts = []
         for r in sorted(runs_by_method[method],
                         key=lambda r: (_index_key(r["index"]), r["seed"])):
-            epoch = select_epoch(r["rows"], criterion)
-            row = next(x for x in r["rows"] if x["epoch"] == epoch)
+            row = _selected_row(r, criterion)
             pts.append({"performance": row["test_performance"],
                         "fairness": row["test_fairness"],
-                        "index": r["index"], "seed": r["seed"], "epoch": epoch})
+                        "index": r["index"], "seed": r["seed"], "epoch": row["epoch"]})
         if pareto_only:
             frontier = set(pareto_frontier([(p["performance"], p["fairness"]) for p in pts]))
             pts = [p for p in pts if (p["performance"], p["fairness"]) in frontier]
@@ -219,43 +219,64 @@ def emit_tradeoff_data(runs_by_method: dict[str, list[dict]],
             "seed": [p["seed"] for p in pts],
             "epoch": [p["epoch"] for p in pts],
         })
-    return {"series": series, "pareto_only": pareto_only,
-            "criterion": {"kind": criterion.kind, "threshold": criterion.threshold,
-                          "utopia": list(criterion.utopia)}}
+    return {"series": series, "pareto_only": pareto_only, "criterion": _criterion_json(criterion)}
+
+
+def _criterion_json(criterion: SelectionCriterion) -> dict:
+    return {"kind": criterion.kind, "threshold": criterion.threshold, "utopia": list(UTOPIA)}
 
 
 # ---------------------------------------------------------------------------
 # Run-directory ingestion
 
-def load_runs(results_dir) -> tuple[list[dict], int]:
-    """Scan a results tree for finalized runs; returns (runs, skipped count).
+def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
+    """Scan a results tree for finalized runs; returns (runs, skipped), with
+    (run directory, reason) for each run left out.
 
     A run directory holds manifest.json (with finalized=true, method, index,
-    seed) and epochs.jsonl."""
+    seed) and epochs.jsonl. A run is skipped if it is unfinalized, has no
+    epoch rows, or either file does not parse."""
     results_dir = Path(results_dir)
-    runs, skipped = [], 0
+    runs, skipped = [], []
     if not results_dir.is_dir():
         return runs, skipped
     for manifest_path in sorted(results_dir.glob("*/manifest.json")):
-        manifest = json.loads(manifest_path.read_text())
-        if not manifest.get("finalized"):
-            skipped += 1
-            continue
-        rows = []
-        epochs_path = manifest_path.parent / "epochs.jsonl"
-        if epochs_path.exists():
-            for line in epochs_path.read_text().splitlines():
-                if line.strip():
-                    row = json.loads(line)
-                    if "epoch" in row:
-                        rows.append(row)
-        if not rows:
-            skipped += 1
-            continue
-        runs.append({"method": manifest["method"], "index": manifest["index"],
-                     "seed": manifest["seed"], "rows": rows,
-                     "dir": str(manifest_path.parent)})
+        run, reason = _load_run(manifest_path.parent)
+        if run is None:
+            skipped.append((str(manifest_path.parent), reason))
+        else:
+            runs.append(run)
     return runs, skipped
+
+
+def _load_run(run_dir: Path) -> tuple[dict | None, str]:
+    """One run, or None and the reason it is skipped."""
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except ValueError as e:
+        return None, f"manifest.json does not parse: {e}"
+    if not isinstance(manifest, dict):
+        return None, "manifest.json is not a JSON object"
+    if not manifest.get("finalized"):
+        return None, "unfinalized"
+    missing = [key for key in ("method", "index", "seed") if key not in manifest]
+    if missing:
+        return None, f"manifest.json lacks {', '.join(missing)}"
+    rows = []
+    epochs_path = run_dir / "epochs.jsonl"
+    if epochs_path.exists():
+        for lineno, line in enumerate(epochs_path.read_text().splitlines(), start=1):
+            if line.strip():
+                try:
+                    row = json.loads(line)
+                except ValueError as e:
+                    return None, f"epochs.jsonl line {lineno} does not parse: {e}"
+                if isinstance(row, dict) and "epoch" in row:
+                    rows.append(row)
+    if not rows:
+        return None, "no epoch rows"
+    return {"method": manifest["method"], "index": manifest["index"],
+            "seed": manifest["seed"], "rows": rows, "dir": str(run_dir)}, ""
 
 
 def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[ResultsTable, dict]:
@@ -270,9 +291,8 @@ def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[Resul
     for method in sorted(by_method):
         chosen = select_across_hyperparameters(by_method[method], criterion)
         pts = [(d["test_performance"], d["test_fairness"]) for d in chosen["per_seed"]]
-        rows[method] = aggregate_runs(pts, criterion.utopia)
+        rows[method] = aggregate_runs(pts)
         selection[method] = {"index": chosen["index"],
                              "per_seed": chosen["per_seed"]}
-    meta = {"criterion": {"kind": criterion.kind, "threshold": criterion.threshold,
-                          "utopia": list(criterion.utopia)}}
+    meta = {"criterion": _criterion_json(criterion)}
     return ResultsTable(rows=rows, metadata=meta), {"selection": selection, **meta}

@@ -177,6 +177,11 @@ def _validate(cfg: TrainConfig):
             raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
     if cfg.BTObj == "y" and cfg.BT != "Downsampling":
         raise ConfigError("--BTObj y is defined by downsampling; use --BT Downsampling")
+    if cfg.gate_soft and cfg.method != "Gate":
+        raise ConfigError("--gate_soft needs --method Gate")
+    if cfg.adv_debiasing and cfg.method not in ("Standard", "Adv"):
+        raise ConfigError(f"--adv_debiasing works only with --method Standard or Adv, "
+                          f"not {cfg.method}")
     for key, low in (("emb_size", 0), ("num_classes", 0), ("num_groups", 0),
                      ("inlp_iterations", 0), ("gate_grid_resolution", 2)):
         if getattr(cfg, key) < low:
@@ -236,25 +241,35 @@ def resolve_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset, data
             spec = data.synthetic_spec_from_dict(yaml.safe_load(path.read_text()))
         else:
             spec = default_synthetic_spec(cfg)
-        if cfg.emb_size and spec.d != cfg.emb_size:
-            raise ConfigError(f"--emb_size {cfg.emb_size} does not match synthetic d={spec.d}")
-        return data.generate_synthetic(spec)
+        return _declared_sizes(cfg, data.generate_synthetic(spec))
     splits = []
     for split in ("train", "dev", "test"):
         path = Path(cfg.data_dir) / f"{cfg.dataset}_{split}.{cfg.dataset_format}"
         if not path.exists():
             raise IOErrorWithStage(f"dataset file not found: {path}")
-        splits.append(data.load_dataset(path, cfg.dataset_format, split=split,
-                                        num_classes=cfg.num_classes,
-                                        num_groups=cfg.num_groups))
-    # one label domain for all splits: the declared sizes, else the largest inferred
-    num_classes = max(ds.num_classes for ds in splits)
-    num_groups = max(ds.num_groups for ds in splits)
-    train_ds, dev_ds, test_ds = (replace(ds, num_classes=num_classes, num_groups=num_groups)
-                                 for ds in splits)
-    if cfg.emb_size and train_ds.dim != cfg.emb_size:
-        raise ConfigError(f"--emb_size {cfg.emb_size} does not match data dim {train_ds.dim}")
-    return train_ds, dev_ds, test_ds
+        splits.append(data.load_dataset(path, cfg.dataset_format, split=split))
+    return _declared_sizes(cfg, splits)
+
+
+def _declared_sizes(cfg: TrainConfig, splits) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
+    """One rule for every data source: the three splits share one dim, which
+    --emb_size must equal if set, and one label domain, which is --num_classes
+    and --num_groups if set (at least the largest label found + 1), else the
+    largest found. Raises ConfigError otherwise."""
+    dims = [ds.dim for ds in splits]
+    if len(set(dims)) > 1:
+        raise ConfigError(f"train, dev and test splits have dims {dims}; they must agree")
+    if cfg.emb_size and cfg.emb_size != dims[0]:
+        raise ConfigError(f"--emb_size {cfg.emb_size} does not match data dim {dims[0]}")
+    domain = {}
+    for key in ("num_classes", "num_groups"):
+        found = max(getattr(ds, key) for ds in splits)
+        declared = getattr(cfg, key)
+        if declared and declared < found:
+            raise ConfigError(f"--{key} {declared} is too small: the data has labels "
+                              f"up to {found - 1}")
+        domain[key] = declared or found
+    return tuple(replace(ds, **domain) for ds in splits)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +290,7 @@ def cmd_train(cfg: TrainConfig) -> int:
     stages.append(f"at:{method}")
     if cfg.INLP:
         stages.append("post:INLP")
-    if cfg.gate_soft and method == "Gate":
+    if cfg.gate_soft:
         stages.append("post:Gate-soft")
 
     manifest = {
@@ -298,7 +313,7 @@ def cmd_train(cfg: TrainConfig) -> int:
 
     if cfg.INLP:
         run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg, run_dir)
-    if cfg.gate_soft and method == "Gate":
+    if cfg.gate_soft:
         run_gate_soft_stage(record, dev_ds, test_ds, cfg, run_dir)
 
     manifest["finalized"] = True
@@ -328,13 +343,7 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
                                         num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies}
-    for name, ds in (("dev", dev_ds), ("test", test_ds)):
-        report = evaluate_predictions(clf.predict(ds.X), ds.y, ds.g,
-                                      ds.num_classes, ds.num_groups)
-        row[f"{name}_performance"] = report.performance
-        row[f"{name}_fairness"] = report.fairness
-    with open(run_dir / "epochs.jsonl", "a") as f:
-        f.write(json.dumps(row) + "\n")
+    _append_post_row(run_dir, row, clf.predict, dev_ds, test_ds)
     return clf, row
 
 
@@ -344,14 +353,20 @@ def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path
                                                grid_resolution=cfg.gate_grid_resolution)
     p = list(prior.prior)
     row = {"post": "Gate-soft", "prior": p, "dev_dto": dev_dto}
+    _append_post_row(run_dir, row,
+                     lambda X: training.gate_soft_logits(model, X, np.array(p)).argmax(axis=1),
+                     dev_ds, test_ds)
+    return prior, row
+
+
+def _append_post_row(run_dir: Path, row: dict, predict, dev_ds, test_ds):
+    """Add the dev and test scores of predict to row; append row to epochs.jsonl."""
     for name, ds in (("dev", dev_ds), ("test", test_ds)):
-        preds = training.gate_soft_logits(model, ds.X, np.array(p)).argmax(axis=1)
-        report = evaluate_predictions(preds, ds.y, ds.g, ds.num_classes, ds.num_groups)
+        report = evaluate_predictions(predict(ds.X), ds.y, ds.g, ds.num_classes, ds.num_groups)
         row[f"{name}_performance"] = report.performance
         row[f"{name}_fairness"] = report.fairness
     with open(run_dir / "epochs.jsonl", "a") as f:
         f.write(json.dumps(row) + "\n")
-    return prior, row
 
 
 def cmd_analyze(argv: list[str]) -> int:
@@ -366,7 +381,9 @@ def cmd_analyze(argv: list[str]) -> int:
 
     runs, skipped = analysis.load_runs(args.results_dir)
     if skipped:
-        print(f"warning: skipped {skipped} unfinalized or empty run(s)", file=sys.stderr)
+        print(f"warning: skipped {len(skipped)} run(s):", file=sys.stderr)
+        for run_dir, reason in skipped:
+            print(f"  {run_dir}: {reason}", file=sys.stderr)
     criterion = analysis.SelectionCriterion(kind=args.selection_criterion,
                                             threshold=args.threshold)
     table, selection = analysis.analyze_runs(runs, criterion)

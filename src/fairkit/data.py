@@ -296,59 +296,34 @@ def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
 # ---------------------------------------------------------------------------
 # Balancing
 
-def _targets(objective: str, mode: str, dataset: Dataset) -> dict:
-    """target count per unit. Raises EmptyCellError if a required cell is empty."""
-    counts = dataset.cell_counts()
-    nc, ng = dataset.num_classes, dataset.num_groups
-    if objective == "g":
-        marg = {g: sum(counts.get((c, g), 0) for c in range(nc)) for g in range(ng)}
-        for g, n in marg.items():
-            if n == 0:
-                raise EmptyCellError(f"group {g} is empty")
-        if mode == "Downsampling":
-            t = min(marg.values())
-        elif mode == "Resampling":
-            t = max(marg.values())
-        else:
-            t = sum(marg.values()) / len(marg)
-        return {g: t for g in marg}
-    if objective == "joint":
-        for c in range(nc):
-            for g in range(ng):
-                if counts.get((c, g), 0) == 0:
-                    raise EmptyCellError(f"cell (y={c}, g={g}) is empty")
-        if mode == "Downsampling":
-            t = min(counts.values())
-        elif mode == "Resampling":
-            t = max(counts.values())
-        else:
-            t = sum(counts.values()) / len(counts)
-        return {cell: t for cell in counts}
-    # "eo" and "y": per-class balancing across groups
-    targets = {}
-    for c in range(nc):
-        per_class = {g: counts.get((c, g), 0) for g in range(ng)}
-        if sum(per_class.values()) == 0:
-            continue
-        for g, n in per_class.items():
-            if n == 0:
-                raise EmptyCellError(f"cell (y={c}, g={g}) is empty")
-        if mode == "Downsampling":
-            t = min(per_class.values())
-        elif mode == "Resampling":
-            t = max(per_class.values())
-        else:
-            t = sum(per_class.values()) / len(per_class)
-        for g in per_class:
-            targets[(c, g)] = t
-    return targets
+# The target count of every unit in a set of units that share one target
+_TARGET = {
+    "Downsampling": min,
+    "Resampling": max,
+    "Reweighting": lambda sizes: sum(sizes) / len(sizes),
+}
 
 
-def _unit_indices(objective: str, dataset: Dataset) -> dict:
+def _unit_sets(objective: str, dataset: Dataset) -> list[list[tuple[str, np.ndarray]]]:
+    """The sets of units that share one target, each unit as (name, row
+    indices), in ascending unit order: all groups for "g", all cells for
+    "joint", the cells of each class that has rows for "eo" and "y".
+    Raises EmptyCellError for the first empty unit."""
     if objective == "g":
-        return {g: np.flatnonzero(dataset.g == g) for g in range(dataset.num_groups)
-                if np.any(dataset.g == g)}
-    return dataset.cell_indices()
+        sets = [[(f"group {gr}", np.flatnonzero(dataset.g == gr))
+                 for gr in range(dataset.num_groups)]]
+    else:
+        sets = [[(f"cell (y={c}, g={gr})", np.flatnonzero((dataset.y == c) & (dataset.g == gr)))
+                 for gr in range(dataset.num_groups)] for c in range(dataset.num_classes)]
+        if objective == "joint":
+            sets = [[unit for units in sets for unit in units]]
+        else:
+            sets = [units for units in sets if any(idx.size for _, idx in units)]
+    for units in sets:
+        for name, idx in units:
+            if idx.size == 0:
+                raise EmptyCellError(f"{name} is empty")
+    return sets
 
 
 def balance(dataset: Dataset, objective: str, mode: str, seed: int = 0) -> Dataset:
@@ -362,28 +337,22 @@ def balance(dataset: Dataset, objective: str, mode: str, seed: int = 0) -> Datas
     if objective == "y" and mode != "Downsampling":
         raise ValueError("the per-class majority-downsampling objective is downsampling-only")
 
-    targets = _targets(objective, mode, dataset)
-    units = _unit_indices(objective, dataset)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
-
-    if mode == "Reweighting":
-        w = np.ones(dataset.n)
-        for unit, idx in units.items():
-            w[idx] = targets[unit] / idx.size
-        w = w / w.mean()
-        return replace(dataset, weights=w)
-
+    w = np.ones(dataset.n)
     keep = []
-    for unit in sorted(units):
-        idx = units[unit]
-        t = int(targets[unit])
-        if mode == "Downsampling":
-            chosen = rng.choice(idx, size=t, replace=False) if t < idx.size else idx
-            keep.append(np.sort(chosen))
-        else:  # Resampling: keep originals, add extras with replacement
-            keep.append(idx)
-            if t > idx.size:
-                keep.append(rng.choice(idx, size=t - idx.size, replace=True))
+    for units in _unit_sets(objective, dataset):
+        t = _TARGET[mode]([idx.size for _, idx in units])
+        for _, idx in units:
+            if mode == "Reweighting":
+                w[idx] = t / idx.size
+            elif mode == "Downsampling":
+                keep.append(rng.choice(idx, size=t, replace=False) if t < idx.size else idx)
+            else:  # Resampling: keep originals, add extras with replacement
+                keep.append(idx)
+                if t > idx.size:
+                    keep.append(rng.choice(idx, size=t - idx.size, replace=True))
+    if mode == "Reweighting":
+        return replace(dataset, weights=w / w.mean())
     sel = np.concatenate(keep)
     sel.sort()
     return replace(dataset, X=dataset.X[sel], y=dataset.y[sel], g=dataset.g[sel],

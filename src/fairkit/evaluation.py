@@ -10,13 +10,14 @@ within a class, root-mean-square across classes. 0/0 metric cells are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationDegenerateError, LabelDomainError, ShapeError
 
 METRICS = ("positive_rate", "tpr", "fpr", "precision", "npv")
+UTOPIA = (1.0, 1.0)  # the (performance, fairness) corner DTO is measured from
 
 Counts = tuple[int, int, int, int]  # TP, FP, TN, FN
 
@@ -87,22 +88,18 @@ def gap_and_fairness(gc: GroupedConfusion, kind="tpr"
     """(GAP, fairness = 1 - GAP, per-(class, group) metric over defined cells)."""
     per_group: dict[tuple[int, int], float] = {}
     class_gaps = []
-    any_defined = False
     for c in range(gc.num_classes):
         m_overall = cm_metric(gc.overall[c], kind)
-        gap_c = 0.0
-        defined_here = False
+        deviations = []
         for gr in range(gc.num_groups):
             m = cm_metric(gc.counts[(c, gr)], kind)
             if m is None or m_overall is None:
                 continue
             per_group[(c, gr)] = m
-            gap_c += abs(m - m_overall)
-            defined_here = True
-        if defined_here:
-            class_gaps.append(gap_c)
-            any_defined = True
-    if not any_defined:
+            deviations.append(abs(m - m_overall))
+        if deviations:
+            class_gaps.append(sum(deviations))
+    if not class_gaps:
         raise EvaluationDegenerateError("no defined (class, group) metric cell")
     gap = math.sqrt(sum(v * v for v in class_gaps) / len(class_gaps))
     return gap, 1.0 - gap, per_group
@@ -114,38 +111,21 @@ def rawlsian_min(per_group_performance: dict) -> float:
     return min(per_group_performance.values())
 
 
+def _max_violation(gc: GroupedConfusion, per_group: dict[tuple[int, int], float], kind) -> float:
+    """Largest |per-(class, group) metric - per-class overall metric| over
+    the defined cells that gap_and_fairness returned."""
+    overall = {c: cm_metric(gc.overall[c], kind) for c in range(gc.num_classes)}
+    return max(abs(m - overall[c]) for (c, _), m in per_group.items())
+
+
 def max_violation(gc: GroupedConfusion, kind="tpr") -> float:
     """Largest single |per-(class, group) metric - per-class overall metric|."""
-    worst = None
-    for c in range(gc.num_classes):
-        m_overall = cm_metric(gc.overall[c], kind)
-        if m_overall is None:
-            continue
-        for gr in range(gc.num_groups):
-            m = cm_metric(gc.counts[(c, gr)], kind)
-            if m is None:
-                continue
-            dev = abs(m - m_overall)
-            if worst is None or dev > worst:
-                worst = dev
-    if worst is None:
-        raise EvaluationDegenerateError("no defined (class, group) metric cell")
-    return worst
+    return _max_violation(gc, gap_and_fairness(gc, kind)[2], kind)
 
 
-@dataclass
-class TradeoffPoint:
-    performance: float
-    fairness: float
-    origin: str = ""
-
-
-def dto(point, utopia: tuple[float, float] = (1.0, 1.0)) -> float:
-    """Euclidean distance to the utopia corner; lower is better."""
-    if isinstance(point, TradeoffPoint):
-        perf, fair = point.performance, point.fairness
-    else:
-        perf, fair = point
+def dto(point, utopia: tuple[float, float] = UTOPIA) -> float:
+    """Euclidean distance of (performance, fairness) to the utopia corner; lower is better."""
+    perf, fair = point
     return math.hypot(utopia[0] - perf, utopia[1] - fair)
 
 
@@ -188,6 +168,6 @@ def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int,
         gap=gap,
         fairness=fairness,
         rawlsian_min=rawlsian_min(groups_acc),
-        max_violation=max_violation(gc, kind),
+        max_violation=_max_violation(gc, per_group, kind),
         metric_kind=kind if isinstance(kind, str) else "custom",
     )

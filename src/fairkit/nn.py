@@ -22,6 +22,7 @@ from .errors import (
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZERS = ("sgd", "adam")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def flatten(arrays: list[np.ndarray]) -> np.ndarray:
@@ -109,9 +110,6 @@ class Network:
         """A readable name for each entry of params."""
         return ([f"layer {k} weight" for k in range(self.n_layers)]
                 + [f"layer {k} bias" for k in range(self.n_layers)])
-
-    def copy(self) -> "Network":
-        return Network(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def flat_params(self) -> np.ndarray:
         return flatten(self.params)
@@ -255,25 +253,18 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray, weights: np.ndarray | None 
 class OptimizerState:
     kind: str  # "sgd" | "adam"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def make_optimizer(model, kind: str = "adam", lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
+def make_optimizer(model, kind: str = "adam", lr: float = 1e-3) -> OptimizerState:
     """Optimizer state for every array in model.params."""
     if kind not in OPTIMIZERS:
         raise ValueError(f"optimizer kind must be one of {OPTIMIZERS}")
     params = model.params
-    return OptimizerState(
-        kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+    return OptimizerState(kind=kind, lr=lr, m=[np.zeros_like(p) for p in params],
+                          v=[np.zeros_like(p) for p in params])
 
 
 def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
@@ -288,14 +279,14 @@ def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
             p -= state.lr * g
     else:
         state.t += 1
-        bc1 = 1.0 - state.beta1 ** state.t
-        bc2 = 1.0 - state.beta2 ** state.t
+        bc1 = 1.0 - ADAM_BETA1 ** state.t
+        bc2 = 1.0 - ADAM_BETA2 ** state.t
         for p, g, m, v in zip(params, grads, state.m, state.v):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def supervised_contrastive_loss(reprs: np.ndarray, labels: np.ndarray, temperature: float = 0.07,

@@ -18,12 +18,14 @@ from .errors import DegenerateProbeError, MethodInapplicableError, ShapeError
 from .evaluation import dto, evaluate_predictions
 from .training import GateModel, gate_head_logits, mix_gate_heads
 
+# Full-batch gradient descent of every linear probe and refit head
+PROBE_STEPS, PROBE_LR = 500, 0.1
 
 # ---------------------------------------------------------------------------
 # Linear probes (multinomial logistic regression, full-batch GD)
 
-def fit_softmax_head(H: np.ndarray, labels: np.ndarray, num_classes: int,
-                     steps: int = 500, lr: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
+                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-initialized multinomial logistic regression; returns (W, b).
 
     Zero init keeps the class rows of W summing to zero throughout, so for
@@ -35,16 +37,15 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray, num_classes: int,
     b = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
-    for _ in range(steps):
+    for _ in range(PROBE_STEPS):
         probs = nn.softmax(H @ W.T + b)
         err = (probs - onehot) / n
-        W -= lr * err.T @ H
-        b -= lr * err.sum(axis=0)
+        W -= PROBE_LR * err.T @ H
+        b -= PROBE_LR * err.sum(axis=0)
     return W, b
 
 
-def fit_linear_probe(H: np.ndarray, g: np.ndarray,
-                     steps: int = 500, lr: float = 0.1) -> tuple[np.ndarray, float]:
+def fit_linear_probe(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     """Protected-attribute probe; returns (W [num_groups x h], train accuracy)."""
     g = np.asarray(g, dtype=int)
     groups = np.unique(g)
@@ -53,7 +54,7 @@ def fit_linear_probe(H: np.ndarray, g: np.ndarray,
     num_groups = int(g.max()) + 1
     if H.shape[0] < num_groups:
         raise DegenerateProbeError("fewer instances than groups")
-    W, b = fit_softmax_head(H, g, num_groups, steps=steps, lr=lr)
+    W, b = fit_softmax_head(H, g, num_groups)
     preds = (H @ W.T + b).argmax(axis=1)
     return W, float(np.mean(preds == g))
 
@@ -98,26 +99,23 @@ class Projection:
     probe_accuracies: list[float] = field(default_factory=list)
 
 
-def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int,
-         probe_steps: int = 500, probe_lr: float = 0.1) -> Projection:
+def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Projection:
     """Iterative nullspace projection over frozen representations.
 
     Each iteration probes the projected data, records the probe accuracy,
     and removes the probe's row space (accumulated in the original space, so
     the returned P is an exact symmetric idempotent projection)."""
     H_train = np.asarray(H_train, dtype=float)
-    h = H_train.shape[1]
-    P = np.eye(h)
+    P = np.eye(H_train.shape[1])
     rows: list[np.ndarray] = []
     accs: list[float] = []
     for _ in range(max_iterations):
-        W, acc = fit_linear_probe(H_train @ P, g_train, steps=probe_steps, lr=probe_lr)
+        W, acc = fit_linear_probe(H_train @ P, g_train)
         accs.append(acc)
         if np.linalg.norm(W) < 1e-12:
             break
         rows.extend(W @ P)  # probe directions mapped back to the original space
-        B = _orthonormal_rows(np.array(rows))
-        P = np.eye(h) - B.T @ B
+        P = nullspace_projection(np.array(rows))
     return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs)
 
 
@@ -143,14 +141,13 @@ class ProjectedClassifier:
         return self.logits(X).argmax(axis=1)
 
 
-def apply_inlp_and_refit(model, P: np.ndarray, train_ds, num_classes: int,
-                         steps: int = 500, lr: float = 0.1) -> ProjectedClassifier:
+def apply_inlp_and_refit(model, P: np.ndarray, train_ds, num_classes: int) -> ProjectedClassifier:
     """Fit a fresh final layer on P-projected hidden states; the original
     model is untouched."""
     H = hidden_representations(model, train_ds.X)
     if P.shape != (H.shape[1], H.shape[1]):
         raise ShapeError(f"projection shape {P.shape} does not match hidden dim {H.shape[1]}")
-    W, b = fit_softmax_head(H @ P.T, train_ds.y, num_classes, steps=steps, lr=lr)
+    W, b = fit_softmax_head(H @ P.T, train_ds.y, num_classes)
     return ProjectedClassifier(model=model, P=P, W=W, b=b)
 
 
@@ -196,8 +193,7 @@ def _simplex_grid(num_groups: int, resolution: int):
         yield tuple(k / total for k in combo)
 
 
-def gate_soft_search(model: GateModel, dev_ds, grid_resolution: int = 11,
-                     utopia: tuple[float, float] = (1.0, 1.0)) -> tuple[GatePrior, float]:
+def gate_soft_search(model: GateModel, dev_ds, grid_resolution: int = 11) -> tuple[GatePrior, float]:
     """Grid search over the group simplex minimizing dev DTO; ties broken
     toward the uniform prior. Returns (prior, best DTO). The encoder runs
     once; each prior mixes the cached logits exactly as gate_soft_logits does."""
@@ -214,7 +210,7 @@ def gate_soft_search(model: GateModel, dev_ds, grid_resolution: int = 11,
         preds = mix_gate_heads(trace.logits, heads, p).argmax(axis=1)
         report = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
                                       dev_ds.num_classes, dev_ds.num_groups)
-        d = dto((report.performance, report.fairness), utopia)
+        d = dto((report.performance, report.fairness))
         tie_break = float(np.linalg.norm(p - uniform))
         key = (d, tie_break)
         if best is None or key < best[0]:

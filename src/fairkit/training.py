@@ -154,6 +154,16 @@ def gate_forward(shared_hidden: np.ndarray, g: np.ndarray, shared_logits: np.nda
     return logits
 
 
+def _forward(model, X: np.ndarray, g: np.ndarray | None) -> tuple[nn.ActivationTrace, np.ndarray]:
+    """The encoder's activation trace and the model's logits; a GateModel
+    adds the head of each row's group."""
+    if not isinstance(model, GateModel):
+        trace = nn.forward(model, X)
+        return trace, trace.logits
+    trace = nn.forward(model.base, X)
+    return trace, gate_forward(trace.hidden, g, trace.logits, model.head_weights, model.head_biases)
+
+
 def gate_head_logits(model: GateModel, hidden: np.ndarray) -> list[np.ndarray]:
     """Each group head's logits h @ W_g.T + b_g, in group order."""
     return [hidden @ w.T + b for w, b in zip(model.head_weights, model.head_biases)]
@@ -235,21 +245,15 @@ def fairscl_loss(reprs: np.ndarray, y: np.ndarray, g: np.ndarray,
     g = np.asarray(g, dtype=int)
     total = 0.0
     grad = np.zeros_like(np.asarray(reprs, dtype=float))
-    if fcl_lambda_y > 0:
-        try:
-            loss, d = nn.supervised_contrastive_loss(reprs, y, temperature)
-            total += fcl_lambda_y * loss
-            grad += fcl_lambda_y * d
-        except ContrastiveDegenerateError:
-            pass
-    if fcl_lambda_g > 0:
-        mask = (y[:, None] == y[None, :]) & (g[:, None] != g[None, :])
-        try:
-            loss, d = nn.supervised_contrastive_loss(reprs, y, temperature, positive_mask=mask)
-            total += fcl_lambda_g * loss
-            grad += fcl_lambda_g * d
-        except ContrastiveDegenerateError:
-            pass
+    for lam, other_group in ((fcl_lambda_y, False), (fcl_lambda_g, True)):
+        if lam > 0:
+            mask = (y[:, None] == y[None, :]) & (g[:, None] != g[None, :]) if other_group else None
+            try:
+                loss, d = nn.supervised_contrastive_loss(reprs, y, temperature, positive_mask=mask)
+                total += lam * loss
+                grad += lam * d
+            except ContrastiveDegenerateError:
+                pass
     return total, grad
 
 
@@ -367,13 +371,12 @@ def discriminator_step(discs: list[Discriminator], opt_states: list[nn.Optimizer
 
 def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
                    discs: list[Discriminator], disc_opts: list[nn.OptimizerState],
-                   batch: Batch, cfg: MethodConfig, num_classes: int) -> float:
+                   batch: Batch, cfg: MethodConfig) -> float:
     """One joint update: main model gets CE plus the reversed adversarial
     gradient; each discriminator minimizes its own CE (plus orthogonality)."""
-    loss, grads, _, hidden = main_loss_and_grads(main, batch, cfg, discs=discs,
-                                                 num_classes=num_classes)
+    loss, grads, _, hidden = main_loss_and_grads(main, batch, cfg, discs=discs)
     nn.optimizer_step(main, grads, main_opt)
-    discriminator_step(discs, disc_opts, hidden, batch, num_classes,
+    discriminator_step(discs, disc_opts, hidden, batch, main.spec.output_dim,
                        cfg.effective_diff_lambda)
     return loss
 
@@ -383,8 +386,7 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 # finite-difference gradient checks; discriminator parameters are frozen here)
 
 def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
-                        discs: list[Discriminator] | None = None,
-                        num_classes: int | None = None
+                        discs: list[Discriminator] | None = None
                         ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Returns (scalar objective, one gradient per entry of model.params,
     per-example CE, hidden representation of the batch before the update).
@@ -393,13 +395,8 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
     """
     is_gate = isinstance(model, GateModel)
     net = model.base if is_gate else model
-    trace = nn.forward(net, batch.X)
+    trace, logits = _forward(model, batch.X, batch.g)
     hidden = trace.hidden
-    if is_gate:
-        logits = gate_forward(hidden, batch.g, trace.logits,
-                              model.head_weights, model.head_biases)
-    else:
-        logits = trace.logits
 
     loss, d_logits, per_example = nn.cross_entropy(logits, batch.y, batch.weights)
 
@@ -423,21 +420,18 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
         if not discs:
             raise ShapeError("adversarial method requires discriminators")
         disc_loss, rev_grad = adversarial_hidden_grad(
-            discs, hidden, batch, num_classes or int(batch.y.max()) + 1, cfg.adv_lambda)
+            discs, hidden, batch, net.spec.output_dim, cfg.adv_lambda)
         loss -= cfg.adv_lambda * disc_loss
         hidden_extra += rev_grad
 
     head_w_grads: list[np.ndarray] = []
     head_b_grads: list[np.ndarray] = []
-    if is_gate:
+    if is_gate:  # a group with no rows in the batch gets exact zero head gradients
         for gr in range(model.num_groups):
             mask = batch.g == gr
-            dW = d_logits[mask].T @ hidden[mask] if mask.any() else np.zeros_like(model.head_weights[gr])
-            db = d_logits[mask].sum(axis=0) if mask.any() else np.zeros_like(model.head_biases[gr])
-            head_w_grads.append(dW)
-            head_b_grads.append(db)
-            if mask.any():
-                hidden_extra[mask] += d_logits[mask] @ model.head_weights[gr]
+            head_w_grads.append(d_logits[mask].T @ hidden[mask])
+            head_b_grads.append(d_logits[mask].sum(axis=0))
+            hidden_extra[mask] += d_logits[mask] @ model.head_weights[gr]
 
     extra = None
     if np.any(hidden_extra):
@@ -521,21 +515,13 @@ class ParseErrorForCheckpoint(IOErrorWithStage):
 
 @dataclass
 class RunRecord:
-    config: dict
     rows: list[dict] = field(default_factory=list)
     model: object = None
-    discriminators: list[Discriminator] = field(default_factory=list)
     fairbatch_state: FairBatchState | None = None
 
 
 def predict(model, X: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    if isinstance(model, GateModel):
-        trace = nn.forward(model.base, X)
-        logits = gate_forward(trace.hidden, g, trace.logits,
-                              model.head_weights, model.head_biases)
-    else:
-        logits = nn.forward(model, X).logits
-    return logits.argmax(axis=1)
+    return _forward(model, X, g)[1].argmax(axis=1)
 
 
 def _evaluate_split(model, ds: Dataset) -> tuple[float, float]:
@@ -579,8 +565,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         epochs_file = run_dir / "epochs.jsonl"
         epochs_file.write_text("")
 
-    record = RunRecord(config={"method": cfg.method, "seed": cfg.seed},
-                       model=model, discriminators=discs, fairbatch_state=fb_state)
+    record = RunRecord(model=model, fairbatch_state=fb_state)
 
     def emit(epoch: int):
         dev_p, dev_f = _evaluate_split(model, dev_ds)
@@ -609,8 +594,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         batch_cells: list[np.ndarray] = []
         for b_idx, batch in enumerate(batches):
             if cfg.adversarial:
-                loss = adv_joint_step(model, main_opt, discs, disc_opts, batch,
-                                      cfg, num_classes)
+                loss = adv_joint_step(model, main_opt, discs, disc_opts, batch, cfg)
             else:
                 loss, grads, per_example, _ = main_loss_and_grads(model, batch, cfg)
                 nn.optimizer_step(model, grads, main_opt)

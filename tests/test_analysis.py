@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestAggregateRuns:
         assert out["fairness_std"] is None
 
     def test_dto_of_means_on_reported_values(self):
-        out = an.aggregate_runs([(0.822512, 0.851071)], utopia=(1.0, 1.0))
+        out = an.aggregate_runs([(0.822512, 0.851071)])
         assert 100 * out["dto"] == pytest.approx(23.1694, abs=0.01)
 
     def test_empty_raises(self):
@@ -249,12 +250,36 @@ class TestLoadAndAnalyzeRuns:
         self.write_run(tmp_path, "c", {"finalized": True, "method": "Adv",
                                        "index": {"lam": 1.0}, "seed": 0}, [])
         runs, skipped = an.load_runs(tmp_path)
-        assert len(runs) == 1 and skipped == 2
+        assert len(runs) == 1
+        assert skipped == [(str(tmp_path / "b"), "unfinalized"),
+                           (str(tmp_path / "c"), "no epoch rows")]
         assert runs[0]["method"] == "Standard"
+
+    def test_load_skips_damaged_runs_and_names_each(self, tmp_path):
+        manifest = {"finalized": True, "method": "Standard", "index": {}, "seed": 0}
+        rows = rows_from_points([(0.7, 0.7), (0.8, 0.6)])
+        self.write_run(tmp_path, "good", manifest, rows)
+        self.write_run(tmp_path, "manifest", manifest, rows)
+        (tmp_path / "manifest" / "manifest.json").write_text('{"finalized": tr')
+        self.write_run(tmp_path, "truncated", {**manifest, "seed": 1}, rows)
+        epochs = tmp_path / "truncated" / "epochs.jsonl"
+        epochs.write_bytes(epochs.read_bytes()[:-20])
+        self.write_run(tmp_path, "nokeys", {"finalized": True, "index": {}}, rows)
+        self.write_run(tmp_path, "notadict", manifest, rows)
+        (tmp_path / "notadict" / "manifest.json").write_text("[1, 2]")
+        runs, skipped = an.load_runs(tmp_path)
+        assert [r["dir"] for r in runs] == [str(tmp_path / "good")]
+        assert runs[0]["rows"] == rows
+        reasons = {Path(d).name: reason for d, reason in skipped}
+        assert sorted(reasons) == ["manifest", "nokeys", "notadict", "truncated"]
+        assert reasons["manifest"].startswith("manifest.json does not parse")
+        assert reasons["truncated"].startswith("epochs.jsonl line 2 does not parse")
+        assert reasons["nokeys"] == "manifest.json lacks method, seed"
+        assert reasons["notadict"] == "manifest.json is not a JSON object"
 
     def test_missing_dir(self, tmp_path):
         runs, skipped = an.load_runs(tmp_path / "nope")
-        assert runs == [] and skipped == 0
+        assert runs == [] and skipped == []
 
     def test_analyze_runs_end_to_end(self, tmp_path):
         for seed, (p, f) in [(0, (0.8, 0.6)), (1, (0.82, 0.62))]:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -156,7 +157,8 @@ NON_DEFAULT = {
     "synthetic_spec": (["spec.yaml"], "spec.yaml"),
 }
 # fields that are only valid together with another one
-COMPANIONS = {"BT": {"BTObj": "joint"}, "BTObj": {"BT": "Downsampling"}}
+COMPANIONS = {"BT": {"BTObj": "joint"}, "BTObj": {"BT": "Downsampling"},
+              "gate_soft": {"method": "Gate"}}
 
 
 class TestGeneratedParser:
@@ -397,3 +399,115 @@ class TestAnalyzeCommand:
             {"finalized": False, "method": "Adv", "index": {}, "seed": 0}))
         assert cli.main(["analyze", "--results_dir", str(results)]) == 0
         assert "skipped 1" in capsys.readouterr().err
+
+
+def _generated(tmp_path, spec_file):
+    """Files written by `fairkit generate` from the 2-class, 2-group, d=4 spec."""
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--synthetic_spec", str(spec_file),
+                     "--out_dir", str(out), "--name", "toy"]) == 0
+    return ["--dataset", "toy", "--data_dir", str(out)]
+
+
+def _narrow_dev(tmp_path, spec_file):
+    """Generated files whose dev split has one column fewer than train."""
+    argv = _generated(tmp_path, spec_file)
+    dev = tmp_path / "data" / "toy_dev.jsonl"
+    rows = [json.loads(line) for line in dev.read_text().splitlines()]
+    dev.write_text("".join(json.dumps({**r, "X": r["X"][:-1]}) + "\n" for r in rows))
+    return argv
+
+
+def _spec(tmp_path, spec_file):
+    return ["--synthetic_spec", str(spec_file)]
+
+
+# (data source, extra flags, exit code) for the declared sizes and the flags
+# that change nothing
+TRAIN_EXIT_CODES = {
+    "files, --num_classes below the labels": (_generated, ["--num_classes", "1"], 2),
+    "files, --num_groups below the labels": (_generated, ["--num_groups", "1"], 2),
+    "files, --emb_size mismatch": (_generated, ["--emb_size", "5"], 2),
+    "files, dev split narrower than train": (_narrow_dev, [], 2),
+    "files, declared sizes above the labels": (
+        _generated, ["--num_classes", "3", "--num_groups", "3"], 0),
+    "spec, --num_classes below the labels": (_spec, ["--num_classes", "1"], 2),
+    "spec, --emb_size mismatch": (_spec, ["--emb_size", "5"], 2),
+    "spec, declared sizes above the labels": (
+        _spec, ["--num_classes", "5", "--num_groups", "3"], 0),
+    "generator, --num_classes 1": (lambda *_: [], ["--num_classes", "1"], 2),
+    "Adv with --gate_soft": (_spec, ["--method", "Adv", "--gate_soft"], 2),
+    "Standard with --gate_soft": (_spec, ["--gate_soft"], 2),
+    "--adv_debiasing --gate_soft": (_spec, ["--adv_debiasing", "--gate_soft"], 2),
+    "Gate with --gate_soft": (_spec, ["--method", "Gate", "--gate_soft"], 0),
+    **{f"{m} with --adv_debiasing": (_spec, ["--method", m, "--adv_debiasing"], 2)
+       for m in training.METHODS if m not in ("Standard", "Adv")},
+    "Adv with --adv_debiasing": (_spec, ["--method", "Adv", "--adv_debiasing"], 0),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", list(TRAIN_EXIT_CODES))
+    def test_train(self, tmp_path, small_spec_file, case, capsys):
+        source, flags, code = TRAIN_EXIT_CODES[case]
+        results = tmp_path / "results"
+        argv = [*source(tmp_path, small_spec_file), *flags, "--epochs", "1",
+                "--results_dir", str(results)]
+        assert cli.main(argv) == code
+        if code == 2:
+            assert "config error" in capsys.readouterr().err
+            assert not results.exists()
+
+    @pytest.mark.parametrize("declared", [[], ["--num_classes", "5", "--num_groups", "3"]])
+    def test_declared_sizes_are_the_label_domain_of_every_split(
+            self, tmp_path, small_spec_file, declared):
+        for source in (_generated, _spec):
+            argv = [*source(tmp_path, small_spec_file), *declared, "--epochs", "1",
+                    "--results_dir", str(tmp_path / "results")]
+            cfg = cli.parse_config(argv)
+            expected = (5, 3) if declared else (2, 2)
+            assert {(ds.num_classes, ds.num_groups)
+                    for ds in cli.resolve_datasets(cfg)} == {expected}
+            assert cli.main(argv) == 0
+            ckpt = Path(cfg.results_dir) / cli.config_hash(cfg) / "checkpoints" / "epoch_1.npz"
+            model, _, _ = training.load_checkpoint(ckpt)
+            assert model.spec.output_dim == expected[0]
+
+    def _results_with_good_run(self, tmp_path, spec_file):
+        results = tmp_path / "results"
+        assert cli.main(fast_args(tmp_path, spec_file)) == 0
+        (good,) = [p for p in results.iterdir()]
+        return results, good
+
+    def _damaged_copy(self, good, name, damage):
+        bad = good.parent / name
+        shutil.copytree(good, bad)
+        damage(bad)
+        return bad
+
+    @staticmethod
+    def _truncate_manifest(run_dir):
+        (run_dir / "manifest.json").write_text('{"finalized": tr')
+
+    @staticmethod
+    def _truncate_epochs(run_dir):
+        path = run_dir / "epochs.jsonl"
+        path.write_bytes(path.read_bytes()[:-20])
+
+    @pytest.mark.parametrize("damage", ["_truncate_manifest", "_truncate_epochs"])
+    def test_analyze_skips_damaged_run(self, tmp_path, small_spec_file, damage, capsys):
+        results, good = self._results_with_good_run(tmp_path, small_spec_file)
+        bad = self._damaged_copy(good, "damaged", getattr(self, damage))
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped 1 run(s)" in err
+        assert f"{bad}: " in err and "does not parse" in err
+        selection = json.loads((results / "selection.json").read_text())
+        assert len(selection["selection"]["Standard"]["per_seed"]) == 1
+
+    def test_analyze_with_only_damaged_runs_exits_5(self, tmp_path, small_spec_file, capsys):
+        results, good = self._results_with_good_run(tmp_path, small_spec_file)
+        self._damaged_copy(good, "damaged", self._truncate_epochs)
+        self._truncate_manifest(good)
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 5
+        assert "skipped 2 run(s)" in capsys.readouterr().err

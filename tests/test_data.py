@@ -214,6 +214,59 @@ class TestBalance:
                 np.testing.assert_allclose(again.weights, out.weights, atol=1e-12)
 
 
+# A fixed table with unequal group marginals (7, 6, 4); row i has X = [i]
+PINNED_COUNTS = {(0, 0): 5, (0, 1): 2, (0, 2): 3, (1, 0): 2, (1, 1): 4, (1, 2): 1}
+# For each valid (objective, mode) at seed 7: the kept rows, in order, or the weights
+PINNED_DRAWS = {
+    ("g", "Downsampling"): [0, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 16],
+    ("g", "Resampling"): [
+        0, 1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15, 16, 16, 16],
+    ("g", "Reweighting"): [
+        0.8095238095238095, 0.8095238095238095, 0.8095238095238095, 0.8095238095238095,
+        0.8095238095238095, 0.9444444444444445, 0.9444444444444445, 1.4166666666666667,
+        1.4166666666666667, 1.4166666666666667, 0.8095238095238095, 0.8095238095238095,
+        0.9444444444444445, 0.9444444444444445, 0.9444444444444445, 0.9444444444444445,
+        1.4166666666666667],
+    ("joint", "Downsampling"): [4, 6, 9, 10, 13, 16],
+    ("joint", "Resampling"): [
+        0, 1, 2, 3, 4, 5, 6, 6, 6, 6, 7, 7, 7, 8, 9, 10, 10, 10, 10, 11, 12, 13, 14, 14, 15,
+        16, 16, 16, 16, 16],
+    ("joint", "Reweighting"): [
+        0.5666666666666667, 0.5666666666666667, 0.5666666666666667, 0.5666666666666667,
+        0.5666666666666667, 1.4166666666666667, 1.4166666666666667, 0.9444444444444445,
+        0.9444444444444445, 0.9444444444444445, 1.4166666666666667, 1.4166666666666667,
+        0.7083333333333334, 0.7083333333333334, 0.7083333333333334, 0.7083333333333334,
+        2.8333333333333335],
+    ("eo", "Downsampling"): [3, 4, 5, 6, 7, 9, 10, 12, 16],
+    ("eo", "Resampling"): [
+        0, 1, 2, 3, 4, 5, 6, 6, 6, 6, 7, 7, 7, 8, 9, 10, 10, 10, 11, 12, 13, 14, 15, 16, 16,
+        16, 16],
+    ("eo", "Reweighting"): [
+        0.6666666666666667, 0.6666666666666667, 0.6666666666666667, 0.6666666666666667,
+        0.6666666666666667, 1.6666666666666667, 1.6666666666666667, 1.1111111111111112,
+        1.1111111111111112, 1.1111111111111112, 1.1666666666666667, 1.1666666666666667,
+        0.5833333333333334, 0.5833333333333334, 0.5833333333333334, 0.5833333333333334,
+        2.3333333333333335],
+    ("y", "Downsampling"): [3, 4, 5, 6, 7, 9, 10, 12, 16],
+}
+
+
+@pytest.mark.parametrize("objective,mode", list(PINNED_DRAWS))
+def test_balance_seeded_draws_pinned(objective, mode):
+    ys, gs = [], []
+    for (c, g), n in sorted(PINNED_COUNTS.items()):
+        ys += [c] * n
+        gs += [g] * n
+    ds = data.dataset_from_arrays(np.arange(len(ys), dtype=float)[:, None], ys, gs)
+    out = data.balance(ds, objective, mode, seed=7)
+    if mode == "Reweighting":
+        assert out.weights.tolist() == PINNED_DRAWS[objective, mode]
+    else:
+        assert out.X[:, 0].astype(int).tolist() == PINNED_DRAWS[objective, mode]
+        np.testing.assert_array_equal(out.y, ds.y[out.X[:, 0].astype(int)])
+        np.testing.assert_array_equal(out.g, ds.g[out.X[:, 0].astype(int)])
+
+
 def _assert_equality(objective, counts):
     if objective == "g":
         groups = sorted({g for _, g in counts})

@@ -258,10 +258,6 @@ class TestDto:
     def test_utopia_point_is_zero(self):
         assert ev.dto((1.0, 1.0)) == 0.0
 
-    def test_accepts_tradeoff_point(self):
-        p = ev.TradeoffPoint(performance=0.8, fairness=0.4, origin="run0/e3")
-        assert ev.dto(p) == pytest.approx(math.hypot(0.2, 0.6))
-
 
 class TestEvaluatePredictions:
     def test_report_fields_and_json(self):

@@ -43,7 +43,7 @@ class TestProbes:
     def test_softmax_head_rows_sum_to_zero(self):
         # zero init + softmax gradient keeps sum over class rows at zero
         H, g = leaky_hidden()
-        W, b = postproc.fit_softmax_head(H, g, 2, steps=50)
+        W, b = postproc.fit_softmax_head(H, g, 2)
         np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
         assert b.sum() == pytest.approx(0.0, abs=1e-12)
 

@@ -30,18 +30,16 @@ def make_model(cfg, d=5, num_classes=2, num_groups=2, seed=0):
     return nn.init_network(spec)
 
 
-def check_gradients(cfg, seed, discs=None, num_classes=2):
+def check_gradients(cfg, seed, discs=None):
     rng = np.random.default_rng(seed)
     batch = random_batch(rng)
     model = make_model(cfg, seed=seed)
-    loss, grads, _, _ = training.main_loss_and_grads(model, batch, cfg,
-                                                     discs=discs, num_classes=num_classes)
+    loss, grads, _, _ = training.main_loss_and_grads(model, batch, cfg, discs=discs)
     theta0 = nn.flatten(model.params)
 
     def loss_of(theta):
         nn.unflatten_into(model.params, theta)
-        return training.main_loss_and_grads(model, batch, cfg, discs=discs,
-                                            num_classes=num_classes)[0]
+        return training.main_loss_and_grads(model, batch, cfg, discs=discs)[0]
 
     numeric = finite_diff_grad(loss_of, theta0)
     nn.unflatten_into(model.params, theta0)
@@ -89,7 +87,7 @@ class TestAdversarial:
         m1 = make_model(cfg_std, seed=3)
         m2 = make_model(cfg_adv, seed=3)
         _, g1, _, _ = training.main_loss_and_grads(m1, batch, cfg_std)
-        _, g2, _, _ = training.main_loss_and_grads(m2, batch, cfg_adv, discs=discs, num_classes=2)
+        _, g2, _, _ = training.main_loss_and_grads(m2, batch, cfg_adv, discs=discs)
         np.testing.assert_array_equal(nn.flatten(g1), nn.flatten(g2))
 
     def test_constant_hidden_reversed_gradient(self):
