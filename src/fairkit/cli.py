@@ -24,9 +24,11 @@ import yaml
 from . import analysis, data, nn, postproc, training
 from .errors import (
     ConfigError,
+    EmptyCellError,
     EmptyInputError,
     FairkitError,
     IOErrorWithStage,
+    SpecError,
     TrainingDivergedError,
 )
 from .evaluation import evaluate_predictions
@@ -177,11 +179,8 @@ def _validate(cfg: TrainConfig):
             raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
     if cfg.BTObj == "y" and cfg.BT != "Downsampling":
         raise ConfigError("--BTObj y is defined by downsampling; use --BT Downsampling")
-    if cfg.gate_soft and cfg.method != "Gate":
+    if cfg.gate_soft and not training.METHODS[cfg.method].group_heads:
         raise ConfigError("--gate_soft needs --method Gate")
-    if cfg.adv_debiasing and cfg.method not in ("Standard", "Adv"):
-        raise ConfigError(f"--adv_debiasing works only with --method Standard or Adv, "
-                          f"not {cfg.method}")
     for key, low in (("emb_size", 0), ("num_classes", 0), ("num_groups", 0),
                      ("inlp_iterations", 0), ("gate_grid_resolution", 2)):
         if getattr(cfg, key) < low:
@@ -193,14 +192,20 @@ def _validate(cfg: TrainConfig):
 
 
 def effective_method(cfg: TrainConfig) -> str:
-    if cfg.adv_debiasing and cfg.method == "Standard":
-        return "Adv"
-    return cfg.method
+    """The method, with --adv_debiasing an alias of --method Adv that only
+    Standard and Adv accept."""
+    if not cfg.adv_debiasing:
+        return cfg.method
+    if cfg.method not in ("Standard", "Adv"):
+        raise ConfigError(f"--adv_debiasing works only with --method Standard or Adv, "
+                          f"not {cfg.method}")
+    return "Adv"
 
 
 def method_config(cfg: TrainConfig) -> training.MethodConfig:
     """The training settings: every field the two configs share, with the
-    effective method. Raises ValueError for an invalid value."""
+    effective method. Raises ValueError for an invalid value, ConfigError for
+    --adv_debiasing with a method it does not alias."""
     shared = {f.name: getattr(cfg, f.name) for f in fields(training.MethodConfig)
               if f.name in _CONFIG_FIELDS}
     return training.MethodConfig(**{**shared, "method": effective_method(cfg)})
@@ -208,7 +213,8 @@ def method_config(cfg: TrainConfig) -> training.MethodConfig:
 
 def method_index(cfg: TrainConfig) -> dict:
     """Trade-off hyperparameter index identifying a sweep point."""
-    index = {name: getattr(cfg, name) for name in training.METHODS[effective_method(cfg)]}
+    index = {name: getattr(cfg, name)
+             for name in training.METHODS[effective_method(cfg)].tradeoffs}
     if cfg.INLP:
         index["inlp_iterations"] = cfg.inlp_iterations
     return index
@@ -232,15 +238,27 @@ def default_synthetic_spec(cfg: TrainConfig) -> data.SyntheticSpec:
                               noise_sigma=1.0, seed=cfg.seed)
 
 
+def load_synthetic_spec(path, seed: int | None = None) -> data.SyntheticSpec:
+    """The generator spec in a YAML file, with seed overriding its own if given.
+    A file that is empty, not a mapping or not a valid spec is a ConfigError."""
+    path = Path(path)
+    if not path.exists():
+        raise IOErrorWithStage(f"synthetic spec not found: {path}")
+    try:
+        raw = yaml.safe_load(path.read_text())
+        if not isinstance(raw, dict):
+            raise SpecError("expected a mapping of spec keys at top level")
+        if seed is not None:
+            raw["seed"] = seed
+        return data.synthetic_spec_from_dict(raw)
+    except (SpecError, yaml.YAMLError) as e:
+        raise ConfigError(f"synthetic spec {path}: {e}") from None
+
+
 def resolve_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
     if cfg.dataset == "synthetic":
-        if cfg.synthetic_spec:
-            path = Path(cfg.synthetic_spec)
-            if not path.exists():
-                raise IOErrorWithStage(f"synthetic spec not found: {path}")
-            spec = data.synthetic_spec_from_dict(yaml.safe_load(path.read_text()))
-        else:
-            spec = default_synthetic_spec(cfg)
+        spec = (load_synthetic_spec(cfg.synthetic_spec) if cfg.synthetic_spec
+                else default_synthetic_spec(cfg))
         return _declared_sizes(cfg, data.generate_synthetic(spec))
     splits = []
     for split in ("train", "dev", "test"):
@@ -276,8 +294,13 @@ def _declared_sizes(cfg: TrainConfig, splits) -> tuple[data.Dataset, data.Datase
 # Commands
 
 def cmd_train(cfg: TrainConfig) -> int:
-    bundle = resolve_datasets(cfg)
-    train_ds, dev_ds, test_ds = bundle
+    train_ds, dev_ds, test_ds = resolve_datasets(cfg)
+    if cfg.BT is not None:  # before the run directory, so an impossible balancing makes none
+        try:
+            train_ds = data.balance(train_ds, BTOBJ_TO_OBJECTIVE[cfg.BTObj], cfg.BT,
+                                    seed=cfg.seed)
+        except EmptyCellError as e:
+            raise ConfigError(f"--BT {cfg.BT} --BTObj {cfg.BTObj}: {e}") from None
 
     run_dir = Path(cfg.results_dir) / config_hash(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -304,10 +327,6 @@ def cmd_train(cfg: TrainConfig) -> int:
     }
     manifest_path = run_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
-
-    if cfg.BT is not None:
-        train_ds = data.balance(train_ds, BTOBJ_TO_OBJECTIVE[cfg.BTObj], cfg.BT,
-                                seed=cfg.seed)
 
     record = training.train(train_ds, dev_ds, test_ds, method_config(cfg), run_dir=run_dir)
 
@@ -411,24 +430,14 @@ def cmd_generate(argv: list[str]) -> int:
     p.add_argument("--seed", type=int, default=None)
     args = p.parse_args(argv)
 
-    if args.synthetic_spec:
-        raw = yaml.safe_load(Path(args.synthetic_spec).read_text())
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        spec = data.synthetic_spec_from_dict(raw)
-    else:
-        cfg = TrainConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        spec = default_synthetic_spec(cfg)
+    spec = (load_synthetic_spec(args.synthetic_spec, args.seed) if args.synthetic_spec
+            else default_synthetic_spec(TrainConfig(seed=args.seed or 0)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = data.generate_synthetic(spec)
     for ds in bundle:
         data.save_jsonl(ds, out_dir / f"{args.name}_{ds.split}.jsonl")
-    echo = {"d": spec.d, "class_separation": spec.class_separation,
-            "group_shift": spec.group_shift, "noise_sigma": spec.noise_sigma,
-            "seed": spec.seed,
+    echo = {**asdict(spec),
             "n_per_cell": {f"{c},{g}": n for (c, g), n in sorted(spec.n_per_cell.items())}}
     (out_dir / f"{args.name}_spec.yaml").write_text(yaml.safe_dump(echo, sort_keys=True))
     return 0

@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import EvaluationDegenerateError, LabelDomainError, ShapeError
 
-METRICS = ("positive_rate", "tpr", "fpr", "precision", "npv")
+# Each named metric as (numerator, denominator) of (TP, FP, TN, FN)
+_RATIOS = {
+    "positive_rate": (lambda tp, fp, tn, fn: tp + fp, lambda tp, fp, tn, fn: tp + fp + tn + fn),
+    "tpr": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fn),
+    "fpr": (lambda tp, fp, tn, fn: fp, lambda tp, fp, tn, fn: fp + tn),
+    "precision": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fp),
+    "npv": (lambda tp, fp, tn, fn: tn, lambda tp, fp, tn, fn: tn + fn),
+}
+METRICS = tuple(_RATIOS)
 UTOPIA = (1.0, 1.0)  # the (performance, fairness) corner DTO is measured from
 
 Counts = tuple[int, int, int, int]  # TP, FP, TN, FN
@@ -63,21 +71,11 @@ def cm_metric(counts: Counts, kind) -> float | None:
     """Confusion-matrix metric; returns None (undefined) on 0/0.
 
     kind is a registry name or a callable of (TP, FP, TN, FN)."""
-    tp, fp, tn, fn = counts
     if callable(kind):
-        return kind(tp, fp, tn, fn)
-    if kind == "positive_rate":
-        num, den = tp + fp, tp + fp + tn + fn
-    elif kind == "tpr":
-        num, den = tp, tp + fn
-    elif kind == "fpr":
-        num, den = fp, fp + tn
-    elif kind == "precision":
-        num, den = tp, tp + fp
-    elif kind == "npv":
-        num, den = tn, tn + fn
-    else:
+        return kind(*counts)
+    if kind not in _RATIOS:
         raise ValueError(f"unknown metric kind {kind!r}; known: {METRICS}")
+    num, den = (f(*counts) for f in _RATIOS[kind])
     if den == 0:
         return None
     return num / den

@@ -3,9 +3,12 @@
 Methods: Standard, the adversarial family (Adv, EAdv, DAdv, AAdv, ADAdv),
 Gate (group-specific additive heads), FairBatch (dynamic batch
 distribution), FairSCL (contrastive terms), and EO_CLA (loss-gap penalty).
-Setting a method's trade-off hyperparameter to zero reproduces the
-Standard trajectory bit-exactly under the same seed (FairBatch keeps its
-initial sampling distribution instead).
+Each method is one record in METHODS: its trade-off weights, whether it
+trains an ensemble of discriminators, whether they read the class, and
+whether it trains group heads. MethodConfig zeroes every weight its method
+does not list, and each loss term runs only when its own weight is > 0, so
+a zero weight reproduces the Standard trajectory bit-exactly under the same
+seed (FairBatch keeps its initial sampling distribution instead).
 """
 
 from __future__ import annotations
@@ -29,20 +32,29 @@ from .errors import (
 )
 from .evaluation import evaluate_predictions
 
-# Each method and its trade-off hyperparameters, in sweep-index order. A
-# method with adv_lambda is adversarial; each weight is used only by the
-# methods that list it, and zero weights reproduce Standard.
+
+# What one debiasing method does beyond Standard; METHODS holds one per method
+@dataclass(frozen=True)
+class Method:
+    tradeoffs: tuple[str, ...] = ()  # trade-off weights, in sweep-index order
+    ensemble: bool = False           # n_discriminators is honoured
+    disc_sees_y: bool = False        # discriminators also read the one-hot class
+    group_heads: bool = False        # Gate: group-specific additive heads
+
+
+# A method that lists adv_lambda trains discriminators; one that lists
+# fairbatch_alpha draws its batches by FairBatch.
 METHODS = {
-    "Standard": (),
-    "Adv": ("adv_lambda",),
-    "EAdv": ("adv_lambda",),
-    "DAdv": ("adv_lambda", "diff_lambda"),
-    "AAdv": ("adv_lambda",),
-    "ADAdv": ("adv_lambda", "diff_lambda"),
-    "Gate": (),
-    "FairBatch": ("fairbatch_alpha",),
-    "FairSCL": ("fcl_lambda_y", "fcl_lambda_g"),
-    "EO_CLA": ("eo_cla_lambda",),
+    "Standard": Method(),
+    "Adv": Method(("adv_lambda",)),
+    "EAdv": Method(("adv_lambda",), ensemble=True),
+    "DAdv": Method(("adv_lambda", "diff_lambda"), ensemble=True),
+    "AAdv": Method(("adv_lambda",), disc_sees_y=True),
+    "ADAdv": Method(("adv_lambda", "diff_lambda"), ensemble=True, disc_sees_y=True),
+    "Gate": Method(group_heads=True),
+    "FairBatch": Method(("fairbatch_alpha",)),
+    "FairSCL": Method(("fcl_lambda_y", "fcl_lambda_g")),
+    "EO_CLA": Method(("eo_cla_lambda",)),
 }
 
 
@@ -69,7 +81,8 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {list(METHODS)}")
-        for name in dict.fromkeys(f for names in METHODS.values() for f in names):
+        tradeoffs = dict.fromkeys(f for m in METHODS.values() for f in m.tradeoffs)
+        for name in tradeoffs:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         for name, low in (("n_discriminators", 1), ("epochs", 0), ("batch_size", 1),
@@ -83,24 +96,15 @@ class MethodConfig:
         self.disc_hidden_dims = tuple(self.disc_hidden_dims)
         if any(h < 1 for h in self.hidden_dims + self.disc_hidden_dims):
             raise ValueError("hidden dims must be >= 1")
+        # a weight the method does not list, or an ensemble it does not train, is off
+        for name in set(tradeoffs) - set(METHODS[self.method].tradeoffs):
+            setattr(self, name, 0.0)
+        if not METHODS[self.method].ensemble:
+            self.n_discriminators = 1
 
     @property
     def adversarial(self) -> bool:
-        return "adv_lambda" in METHODS[self.method]
-
-    @property
-    def uses_labels(self) -> bool:
-        return self.method in ("AAdv", "ADAdv")
-
-    @property
-    def effective_n_discriminators(self) -> int:
-        if self.method in ("Adv", "AAdv"):
-            return 1
-        return self.n_discriminators
-
-    @property
-    def effective_diff_lambda(self) -> float:
-        return self.diff_lambda if "diff_lambda" in METHODS[self.method] else 0.0
+        return "adv_lambda" in METHODS[self.method].tradeoffs
 
 
 # ---------------------------------------------------------------------------
@@ -289,67 +293,59 @@ def eo_cla_adjusted_loss(per_example_losses: np.ndarray, y: np.ndarray, g: np.nd
 
 
 # ---------------------------------------------------------------------------
-# Discriminators
-
-@dataclass
-class Discriminator:
-    net: nn.Network
-    uses_labels: bool
-
+# Discriminators: plain networks; one whose input is wider than the hidden
+# state also reads the one-hot class
 
 def init_discriminators(cfg: MethodConfig, hidden_dim: int, num_classes: int,
-                        num_groups: int) -> list[Discriminator]:
-    discs = []
-    in_dim = hidden_dim + (num_classes if cfg.uses_labels else 0)
-    for k in range(cfg.effective_n_discriminators):
-        # hidden layer required: the orthogonality penalty reads it
-        spec = nn.MlpSpec(input_dim=in_dim, hidden_dims=cfg.disc_hidden_dims or (hidden_dim,),
-                          output_dim=num_groups, activation=cfg.activation,
-                          seed=_derive_seed(cfg.seed, 11 + k))
-        discs.append(Discriminator(net=nn.init_network(spec), uses_labels=cfg.uses_labels))
-    return discs
+                        num_groups: int) -> list[nn.Network]:
+    in_dim = hidden_dim + (num_classes if METHODS[cfg.method].disc_sees_y else 0)
+    # hidden layer required: the orthogonality penalty reads it
+    return [nn.init_network(nn.MlpSpec(input_dim=in_dim,
+                                       hidden_dims=cfg.disc_hidden_dims or (hidden_dim,),
+                                       output_dim=num_groups, activation=cfg.activation,
+                                       seed=_derive_seed(cfg.seed, 11 + k)))
+            for k in range(cfg.n_discriminators)]
 
 
 def _derive_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, stream)).generate_state(1)[0])
 
 
-def _disc_inputs(disc: Discriminator, hidden: np.ndarray, y: np.ndarray,
-                 num_classes: int) -> np.ndarray:
-    if not disc.uses_labels:
+def _disc_inputs(discs: list[nn.Network], hidden: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The discriminators' shared input: hidden, then the one-hot class if
+    their input is wider than hidden."""
+    num_classes = discs[0].spec.input_dim - hidden.shape[1]
+    if num_classes == 0:
         return hidden
     onehot = np.zeros((hidden.shape[0], num_classes))
     onehot[np.arange(hidden.shape[0]), y] = 1.0
     return np.concatenate([hidden, onehot], axis=1)
 
 
-def adversarial_hidden_grad(discs: list[Discriminator], hidden: np.ndarray, batch: Batch,
-                            num_classes: int, adv_lambda: float) -> tuple[float, np.ndarray]:
+def adversarial_hidden_grad(discs: list[nn.Network], hidden: np.ndarray, batch: Batch,
+                            adv_lambda: float) -> tuple[float, np.ndarray]:
     """Mean discriminator CE and its gradient w.r.t. hidden, reversed and
     scaled by -adv_lambda. The main model descends CE_main - lambda * mean CE_disc."""
     h = hidden.shape[1]
     mean_loss = 0.0
     mean_grad = np.zeros_like(hidden)
+    inputs = _disc_inputs(discs, hidden, batch.y)
     for disc in discs:
-        inputs = _disc_inputs(disc, hidden, batch.y, num_classes)
-        trace = nn.forward(disc.net, inputs)
+        trace = nn.forward(disc, inputs)
         loss, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
-        grads = nn.backward(disc.net, trace, d_logits)
+        grads = nn.backward(disc, trace, d_logits)
         mean_loss += loss / len(discs)
         mean_grad += grads.d_X[:, :h] / len(discs)
     return mean_loss, -adv_lambda * mean_grad
 
 
-def discriminator_step(discs: list[Discriminator], opt_states: list[nn.OptimizerState],
-                       hidden: np.ndarray, batch: Batch, num_classes: int,
-                       diff_lambda: float) -> float:
+def discriminator_step(discs: list[nn.Network], opt_states: list[nn.OptimizerState],
+                       hidden: np.ndarray, batch: Batch, diff_lambda: float) -> float:
     """Update each discriminator on its own CE; with several discriminators
     and diff_lambda > 0, add the pairwise first-layer orthogonality penalty
     diff_lambda * sum_{i<j} ||H_i^T H_j||_F^2."""
-    traces = []
-    for disc in discs:
-        inputs = _disc_inputs(disc, hidden, batch.y, num_classes)
-        traces.append(nn.forward(disc.net, inputs))
+    inputs = _disc_inputs(discs, hidden, batch.y)
+    traces = [nn.forward(disc, inputs) for disc in discs]
     first_layer = [t.post[0] for t in traces]
     total = 0.0
     penalty_grads = [np.zeros_like(H) for H in first_layer]
@@ -364,20 +360,19 @@ def discriminator_step(discs: list[Discriminator], opt_states: list[nn.Optimizer
         loss, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
         total += loss
         extra = {0: pgrad} if np.any(pgrad) else None
-        grads = nn.backward(disc.net, trace, d_logits, extra_post_grads=extra)
-        nn.optimizer_step(disc.net, grads.params, opt)
+        grads = nn.backward(disc, trace, d_logits, extra_post_grads=extra)
+        nn.optimizer_step(disc, grads.params, opt)
     return total
 
 
 def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
-                   discs: list[Discriminator], disc_opts: list[nn.OptimizerState],
+                   discs: list[nn.Network], disc_opts: list[nn.OptimizerState],
                    batch: Batch, cfg: MethodConfig) -> float:
     """One joint update: main model gets CE plus the reversed adversarial
     gradient; each discriminator minimizes its own CE (plus orthogonality)."""
     loss, grads, _, hidden = main_loss_and_grads(main, batch, cfg, discs=discs)
     nn.optimizer_step(main, grads, main_opt)
-    discriminator_step(discs, disc_opts, hidden, batch, main.spec.output_dim,
-                       cfg.effective_diff_lambda)
+    discriminator_step(discs, disc_opts, hidden, batch, cfg.diff_lambda)
     return loss
 
 
@@ -386,7 +381,7 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 # finite-difference gradient checks; discriminator parameters are frozen here)
 
 def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
-                        discs: list[Discriminator] | None = None
+                        discs: list[nn.Network] | None = None
                         ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Returns (scalar objective, one gradient per entry of model.params,
     per-example CE, hidden representation of the batch before the update).
@@ -400,7 +395,7 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
 
     loss, d_logits, per_example = nn.cross_entropy(logits, batch.y, batch.weights)
 
-    if cfg.method == "EO_CLA" and cfg.eo_cla_lambda > 0:
+    if cfg.eo_cla_lambda > 0:
         addition, scale = eo_cla_adjusted_loss(per_example, batch.y, batch.g,
                                                cfg.eo_cla_lambda)
         loss += addition
@@ -410,17 +405,16 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
         d_logits = d_logits + scale[:, None] * unweighted
 
     hidden_extra = np.zeros_like(hidden)
-    if cfg.method == "FairSCL" and (cfg.fcl_lambda_y > 0 or cfg.fcl_lambda_g > 0):
+    if cfg.fcl_lambda_y > 0 or cfg.fcl_lambda_g > 0:
         scl_loss, scl_grad = fairscl_loss(hidden, batch.y, batch.g,
                                           cfg.fcl_lambda_y, cfg.fcl_lambda_g,
                                           cfg.temperature)
         loss += scl_loss
         hidden_extra += scl_grad
-    if cfg.adversarial and cfg.adv_lambda > 0:
+    if cfg.adv_lambda > 0:
         if not discs:
             raise ShapeError("adversarial method requires discriminators")
-        disc_loss, rev_grad = adversarial_hidden_grad(
-            discs, hidden, batch, net.spec.output_dim, cfg.adv_lambda)
+        disc_loss, rev_grad = adversarial_hidden_grad(discs, hidden, batch, cfg.adv_lambda)
         loss -= cfg.adv_lambda * disc_loss
         hidden_extra += rev_grad
 
@@ -543,20 +537,18 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
     num_groups = train_ds.num_groups
     spec = nn.MlpSpec(input_dim=train_ds.dim, hidden_dims=cfg.hidden_dims,
                       output_dim=num_classes, activation=cfg.activation, seed=cfg.seed)
-    if cfg.method == "Gate":
+    if METHODS[cfg.method].group_heads:
         model = init_gate_model(spec, num_groups, head_seed=_derive_seed(cfg.seed, 21))
     else:
         model = nn.init_network(spec)
     main_opt = nn.make_optimizer(model, kind=cfg.optimizer, lr=cfg.lr)
 
-    discs: list[Discriminator] = []
-    disc_opts: list[nn.OptimizerState] = []
-    if cfg.adversarial:
-        discs = init_discriminators(cfg, model.hidden_dim, num_classes, num_groups)
-        disc_opts = [nn.make_optimizer(d.net, kind=cfg.optimizer, lr=cfg.lr) for d in discs]
+    discs = init_discriminators(cfg, model.hidden_dim, num_classes, num_groups) \
+        if cfg.adversarial else []
+    disc_opts = [nn.make_optimizer(d, kind=cfg.optimizer, lr=cfg.lr) for d in discs]
 
     fb_state = init_fairbatch_state(train_ds, cfg.fairbatch_alpha) \
-        if cfg.method == "FairBatch" else None
+        if "fairbatch_alpha" in METHODS[cfg.method].tradeoffs else None
 
     run_dir = Path(run_dir) if run_dir is not None else None
     epochs_file = None

@@ -422,6 +422,23 @@ def _spec(tmp_path, spec_file):
     return ["--synthetic_spec", str(spec_file)]
 
 
+def _spec_text(text):
+    """A source whose --synthetic_spec file holds text."""
+    def source(tmp_path, spec_file):
+        path = tmp_path / "spec_text.yaml"
+        path.write_text(text)
+        return ["--synthetic_spec", str(path)]
+    return source
+
+
+BAD_SPECS = {
+    "empty": "",
+    "a YAML list": "- 1\n",
+    "not YAML": "n_per_cell: [\n",
+    "one class": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,1": 5}}),
+}
+
+
 # (data source, extra flags, exit code) for the declared sizes and the flags
 # that change nothing
 TRAIN_EXIT_CODES = {
@@ -436,6 +453,11 @@ TRAIN_EXIT_CODES = {
     "spec, declared sizes above the labels": (
         _spec, ["--num_classes", "5", "--num_groups", "3"], 0),
     "generator, --num_classes 1": (lambda *_: [], ["--num_classes", "1"], 2),
+    **{f"spec file {name}": (_spec_text(text), [], 2) for name, text in BAD_SPECS.items()},
+    "spec, --num_classes 3 empties a joint cell": (
+        _spec, ["--num_classes", "3", "--BT", "Downsampling", "--BTObj", "joint"], 2),
+    "spec, --num_classes 3 with EO downsampling": (
+        _spec, ["--num_classes", "3", "--BT", "Downsampling", "--BTObj", "EO"], 0),
     "Adv with --gate_soft": (_spec, ["--method", "Adv", "--gate_soft"], 2),
     "Standard with --gate_soft": (_spec, ["--gate_soft"], 2),
     "--adv_debiasing --gate_soft": (_spec, ["--adv_debiasing", "--gate_soft"], 2),
@@ -457,6 +479,15 @@ class TestExitCodes:
         if code == 2:
             assert "config error" in capsys.readouterr().err
             assert not results.exists()
+
+    @pytest.mark.parametrize("name", list(BAD_SPECS))
+    def test_generate_with_bad_spec(self, tmp_path, name, capsys):
+        path = tmp_path / "spec.yaml"
+        path.write_text(BAD_SPECS[name])
+        out = tmp_path / "data"
+        assert cli.main(["generate", "--synthetic_spec", str(path), "--out_dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("declared", [[], ["--num_classes", "5", "--num_groups", "3"]])
     def test_declared_sizes_are_the_label_domain_of_every_split(

@@ -117,6 +117,7 @@ class TestCmMetric:
     def test_direct_formulas(self):
         counts = (2, 2, 4, 2)
         assert ev.cm_metric(counts, "positive_rate") == pytest.approx(0.4)
+        assert ev.cm_metric(counts, "fpr") == pytest.approx(1 / 3)
         assert ev.cm_metric(counts, "precision") == pytest.approx(0.5)
         assert ev.cm_metric(counts, "npv") == pytest.approx(2 / 3)
 

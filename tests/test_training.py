@@ -98,11 +98,11 @@ class TestAdversarial:
         hidden = np.tile([[0.3, -0.2, 0.9]], (5, 1))
         batch = data.Batch(X=np.zeros((5, 1)), y=np.zeros(5, dtype=int),
                            g=np.zeros(5, dtype=int), weights=np.ones(5))
-        _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2, 2.0)
+        _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2.0)
         inputs = hidden
-        trace = nn.forward(discs[0].net, inputs)
+        trace = nn.forward(discs[0], inputs)
         _, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
-        raw = nn.backward(discs[0].net, trace, d_logits).d_X
+        raw = nn.backward(discs[0], trace, d_logits).d_X
         np.testing.assert_allclose(raw[0], raw[1], atol=1e-12)
         np.testing.assert_allclose(rev, -2.0 * raw, atol=1e-12)
 
@@ -114,7 +114,7 @@ class TestAdversarial:
         batch = random_batch(rng, n=6, d=4)
         grads = {}
         for lam in (0.5, 1.0, 2.0):
-            _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2, lam)
+            _, rev = training.adversarial_hidden_grad(discs, hidden, batch, lam)
             grads[lam] = rev
         np.testing.assert_allclose(grads[1.0], 2.0 * grads[0.5], atol=1e-12)
         np.testing.assert_allclose(grads[2.0], 2.0 * grads[1.0], atol=1e-12)
@@ -140,19 +140,19 @@ class TestAdversarial:
 
         def objective(thetas):
             for d_, th in zip(discs, thetas):
-                d_.net.set_flat_params(th)
+                d_.set_flat_params(th)
             total = 0.0
             firsts = []
             for d_ in discs:
-                trace = nn.forward(d_.net, hidden)
+                trace = nn.forward(d_, hidden)
                 total += nn.cross_entropy(trace.logits, batch.g, batch.weights)[0]
                 firsts.append(trace.post[0])
             total += cfg.diff_lambda * np.sum((firsts[0].T @ firsts[1]) ** 2)
             return total
 
-        thetas0 = [d_.net.flat_params() for d_ in discs]
+        thetas0 = [d_.flat_params() for d_ in discs]
         # analytic grads: replicate discriminator_step's gradient computation
-        traces = [nn.forward(d_.net, hidden) for d_ in discs]
+        traces = [nn.forward(d_, hidden) for d_ in discs]
         firsts = [t.post[0] for t in traces]
         M = firsts[0].T @ firsts[1]
         pgrads = [2 * cfg.diff_lambda * firsts[1] @ M.T,
@@ -160,7 +160,7 @@ class TestAdversarial:
         analytic = []
         for d_, t, pg in zip(discs, traces, pgrads):
             _, dl, _ = nn.cross_entropy(t.logits, batch.g, batch.weights)
-            analytic.append(nn.backward(d_.net, t, dl, extra_post_grads={0: pg}).flat())
+            analytic.append(nn.backward(d_, t, dl, extra_post_grads={0: pg}).flat())
 
         for k in range(2):
             def f(th, k=k):
@@ -170,25 +170,25 @@ class TestAdversarial:
             numeric = finite_diff_grad(f, thetas0[k])
             assert rel_err(analytic[k], numeric) < 1e-4
         for d_, th in zip(discs, thetas0):
-            d_.net.set_flat_params(th)
+            d_.set_flat_params(th)
 
     def test_discriminator_descends_own_loss(self):
         cfg = training.MethodConfig(method="Adv", adv_lambda=1.0, lr=0.05,
                                     optimizer="sgd", disc_hidden_dims=(6,))
         discs = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
-        opts = [nn.make_optimizer(d_.net, kind="sgd", lr=0.05) for d_ in discs]
+        opts = [nn.make_optimizer(d_, kind="sgd", lr=0.05) for d_ in discs]
         rng = np.random.default_rng(3)
         hidden = rng.normal(size=(40, 4))
         g = (hidden[:, 0] > 0).astype(int)
         batch = data.Batch(X=hidden, y=np.zeros(40, dtype=int), g=g, weights=np.ones(40))
 
         def disc_ce():
-            trace = nn.forward(discs[0].net, hidden)
+            trace = nn.forward(discs[0], hidden)
             return nn.cross_entropy(trace.logits, batch.g, batch.weights)[0]
 
         before = disc_ce()
         for _ in range(20):
-            training.discriminator_step(discs, opts, hidden, batch, 2, 0.0)
+            training.discriminator_step(discs, opts, hidden, batch, 0.0)
         assert disc_ce() < before
 
 
@@ -388,6 +388,10 @@ class TestTrainLoop:
         ("ADAdv", {"adv_lambda": 0.0, "n_discriminators": 2, "diff_lambda": 0.5}),
         ("FairSCL", {"fcl_lambda_y": 0.0, "fcl_lambda_g": 0.0}),
         ("EO_CLA", {"eo_cla_lambda": 0.0}),
+        # Standard carrying every other method's weights: none of them is its own
+        ("Standard", {"adv_lambda": 0.5, "n_discriminators": 3, "diff_lambda": 0.5,
+                      "fairbatch_alpha": 0.1, "fcl_lambda_y": 0.5, "fcl_lambda_g": 0.5,
+                      "eo_cla_lambda": 0.5}),
     ])
     def test_zero_tradeoff_reproduces_standard_trajectory(self, method, zeroed):
         train_ds, dev_ds, test_ds = biased_bundle(n=60)
@@ -397,6 +401,15 @@ class TestTrainLoop:
         other = training.train(train_ds, dev_ds, test_ds,
                                training.MethodConfig(method=method, **zeroed, **base))
         np.testing.assert_array_equal(std.model.flat_params(), other.model.flat_params())
+
+    @pytest.mark.parametrize("method", ["Adv", "AAdv"])
+    def test_single_discriminator_methods_ignore_n_discriminators(self, method):
+        train_ds, dev_ds, test_ds = biased_bundle(n=60)
+        base = dict(method=method, adv_lambda=0.5, epochs=2, batch_size=32, seed=7)
+        one, three = (training.train(train_ds, dev_ds, test_ds,
+                                     training.MethodConfig(n_discriminators=k, **base))
+                      for k in (1, 3))
+        np.testing.assert_array_equal(one.model.flat_params(), three.model.flat_params())
 
     def test_fairbatch_alpha_zero_keeps_initial_distribution(self):
         train_ds, dev_ds, test_ds = biased_bundle(n=60)
@@ -475,7 +488,7 @@ class TestMethodConfig:
 
     def test_diff_lambda_only_for_orthogonal_adversaries(self):
         on = {m for m in training.METHODS
-              if training.MethodConfig(method=m, diff_lambda=0.5).effective_diff_lambda}
+              if training.MethodConfig(method=m, diff_lambda=0.5).diff_lambda}
         assert on == {"DAdv", "ADAdv"}
 
 
