@@ -32,6 +32,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .evaluation import evaluate_predictions
+from .files import write_atomic
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -126,7 +127,10 @@ def parse_config(argv: list[str]) -> TrainConfig:
         path = Path(ns.conf_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        raw = yaml.safe_load(path.read_text()) or {}
+        try:
+            raw = yaml.safe_load(path.read_text()) or {}
+        except yaml.YAMLError as e:
+            raise ConfigError(f"{path}: not valid YAML: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a mapping at top level")
         for key, value in raw.items():
@@ -221,7 +225,11 @@ def method_index(cfg: TrainConfig) -> dict:
 
 
 def config_hash(cfg: TrainConfig) -> str:
-    return hashlib.sha256(cfg.to_yaml().encode()).hexdigest()[:12]
+    return _text_hash(cfg.to_yaml())
+
+
+def _text_hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +310,10 @@ def cmd_train(cfg: TrainConfig) -> int:
         except EmptyCellError as e:
             raise ConfigError(f"--BT {cfg.BT} --BTObj {cfg.BTObj}: {e}") from None
 
-    run_dir = Path(cfg.results_dir) / config_hash(cfg)
+    opt_yaml = cfg.to_yaml()
+    run_dir = Path(cfg.results_dir) / _text_hash(opt_yaml)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "opt.yaml").write_text(cfg.to_yaml())
+    (run_dir / "opt.yaml").write_text(opt_yaml)
 
     stages = []
     if cfg.BT is not None:
@@ -326,7 +335,7 @@ def cmd_train(cfg: TrainConfig) -> int:
         "finalized": False,
     }
     manifest_path = run_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode())
 
     record = training.train(train_ds, dev_ds, test_ds, method_config(cfg), run_dir=run_dir)
 
@@ -339,7 +348,7 @@ def cmd_train(cfg: TrainConfig) -> int:
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest["files"] = sorted(str(p.relative_to(run_dir))
                                for p in run_dir.rglob("*") if p.is_file())
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode())
     return 0
 
 

@@ -122,7 +122,7 @@ def load_dataset(path, format: str, split: str = "train",
         rows_X, rows_y, rows_g = _read_jsonl(path)
     else:
         raise ParseError(f"unknown format {format!r}")
-    if not rows_X:
+    if len(rows_y) == 0:
         raise ParseError(f"{path}: empty file")
     X = np.asarray(rows_X, dtype=float)
     return dataset_from_arrays(X, rows_y, rows_g, split=split,
@@ -151,42 +151,91 @@ def _read_csv(path: Path):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
                 rows_X.append([float(row[i]) for i in x_cols])
-                rows_y.append(_int_label(row[y_col], "y"))
-                rows_g.append(_int_label(row[g_col], "protected_label"))
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
+            try:
+                rows_y.append(_int_label(row[y_col], "y"))
+                rows_g.append(_int_label(row[g_col], "protected_label"))
+            except LabelDomainError as e:
+                raise LabelDomainError(f"{path}:{lineno}: {e}") from None
     return rows_X, rows_y, rows_g
 
 
 def _read_jsonl(path: Path):
+    """X, y and g of a JSONL file, parsed by one json.loads over its
+    non-blank lines joined into an array. A file that does not give
+    well-formed rows that way is read again line by line, which names the
+    first bad line."""
+    lines = path.read_text().split("\n")
+    body = [s for s in map(str.strip, lines) if s]
+    text = "[" + ",".join(body) + "]"
+    # Every line opens with the only "{" it holds and closes with the only
+    # "}", so each array element is exactly one line's object
+    if (text.count("{") == text.count("}") == len(body)
+            and all(s[0] == "{" and s[-1] == "}" for s in body)):
+        try:
+            objs = json.loads(text)
+            X = np.array([o["X"] for o in objs])
+            y = np.array([o["y"] for o in objs])
+            g = np.array([o["protected_label"] for o in objs])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            pass
+        else:
+            if (X.ndim == 2 and X.dtype.kind in "biuf" and y.ndim == g.ndim == 1
+                    and y.dtype.kind in "iu" and g.dtype.kind in "iu"
+                    and y.min() >= 0 and g.min() >= 0):
+                return X.astype(float), y, g
+    return _read_jsonl_lines(path, lines)
+
+
+def _read_jsonl_lines(path: Path, lines: list[str]):
+    """The line-by-line reading of _read_jsonl; raises for the first bad
+    line, naming it as path:lineno."""
     rows_X, rows_y, rows_g = [], [], []
     arity = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            for key in ("X", "y", "protected_label"):
-                if key not in obj:
-                    raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
-            x = obj["X"]
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            x, y, g = _jsonl_row(json.loads(line))
             if arity is None:
                 arity = len(x)
             elif len(x) != arity:
-                raise ParseError(f"{path}:{lineno}: X has {len(x)} values, expected {arity}")
-            rows_X.append([float(v) for v in x])
-            rows_y.append(_int_label(obj["y"], "y"))
-            rows_g.append(_int_label(obj["protected_label"], "protected_label"))
+                raise ParseError(f"X has {len(x)} values, expected {arity}")
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        except (SchemaError, ParseError, LabelDomainError) as e:
+            raise type(e)(f"{path}:{lineno}: {e}") from None
+        rows_X.append(x)
+        rows_y.append(y)
+        rows_g.append(g)
     return rows_X, rows_y, rows_g
 
 
+def _jsonl_row(obj) -> tuple[list[float], int, int]:
+    """(X, y, protected_label) of one decoded JSONL line."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in ("X", "y", "protected_label"):
+        if key not in obj:
+            raise SchemaError(f"missing key {key!r}")
+    if not isinstance(obj["X"], list):
+        raise ParseError(f"X must be a list of numbers, got {obj['X']!r}")
+    try:
+        x = [float(v) for v in obj["X"]]
+    except (TypeError, ValueError):
+        raise ParseError(f"X must be a list of numbers, got {obj['X']!r}") from None
+    return x, _int_label(obj["y"], "y"), _int_label(obj["protected_label"], "protected_label")
+
+
 def _int_label(value, name: str) -> int:
-    iv = int(value)
-    if iv != float(value) or iv < 0:
+    try:
+        iv = int(value)
+        valid = iv == float(value) and iv >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise LabelDomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return iv
 
@@ -278,14 +327,16 @@ def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
     cells_raw = raw.pop("n_per_cell", None)
     if not cells_raw:
         raise SpecError("synthetic spec needs n_per_cell")
+    if not isinstance(cells_raw, dict):
+        raise SpecError(f"n_per_cell must map 'y,g' to a count, got {cells_raw!r}")
     cells = {}
     for key, count in cells_raw.items():
-        if isinstance(key, str):
-            parts = key.split(",")
-            if len(parts) != 2:
-                raise SpecError(f"cell key {key!r} is not 'y,g'")
-            key = (int(parts[0]), int(parts[1]))
-        cells[tuple(key)] = int(count)
+        try:
+            c, g = key.split(",") if isinstance(key, str) else key
+            cells[(int(c), int(g))] = int(count)
+        except (TypeError, ValueError):
+            raise SpecError(f"n_per_cell entry {key!r}: {count!r} is not an integer "
+                            "'y,g' key with an integer count") from None
     known = {"d", "class_separation", "group_shift", "noise_sigma", "seed"}
     unknown = set(raw) - known
     if unknown:
@@ -395,11 +446,15 @@ def make_batches(dataset: Dataset, plan: BatchPlan) -> list[Batch]:
         for cell, p in zip(cells, probs):
             if p > 0 and cell not in cell_idx:
                 raise EmptyCellError(f"cell (y={cell[0]}, g={cell[1]}) has mass but no instances")
+        # every cell's rows, end to end; a row drawn from cell k is
+        # flat[starts[k] + rng.integers(sizes[k])]
+        members = [cell_idx.get(cell, np.empty(0, dtype=int)) for cell in cells]
+        flat = np.concatenate(members)
+        sizes = np.array([idx.size for idx in members])
+        starts = np.cumsum(sizes) - sizes
         chunks = []
         for _ in range(n_batches):
             which = rng.choice(len(cells), size=plan.batch_size, p=probs)
-            rows = np.array([cell_idx[cells[k]][rng.integers(cell_idx[cells[k]].size)]
-                             for k in which])
-            chunks.append(rows)
+            chunks.append(flat[starts[which] + rng.integers(sizes[which])])
     return [Batch(X=dataset.X[ix], y=dataset.y[ix], g=dataset.g[ix],
                   weights=dataset.weights[ix]) for ix in chunks]

@@ -37,10 +37,18 @@ def unflatten_into(arrays: list[np.ndarray], flat: np.ndarray):
     total = sum(a.size for a in arrays)
     if flat.shape != (total,):
         raise ShapeError(f"flat vector has shape {flat.shape}, expected ({total},)")
-    i = 0
-    for a in arrays:
-        a[...] = flat[i : i + a.size].reshape(a.shape)
-        i += a.size
+    for a, part in zip(arrays, _views(flat, arrays)):
+        a[...] = part
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive slices of flat shaped like each array of like; writing
+    to a slice writes to flat."""
+    views, end = [], 0
+    for a in like:
+        end += a.size
+        views.append(flat[end - a.size:end].reshape(a.shape))
+    return views
 
 
 @dataclass(frozen=True)
@@ -251,9 +259,14 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray, weights: np.ndarray | None 
 
 @dataclass
 class OptimizerState:
+    """Adam's moments are one flat vector each, flat_m and flat_v, in
+    params order; m and v hold one reshaped view of them per parameter."""
+
     kind: str  # "sgd" | "adam"
     lr: float = 1e-3
     t: int = 0
+    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
@@ -263,30 +276,38 @@ def make_optimizer(model, kind: str = "adam", lr: float = 1e-3) -> OptimizerStat
     if kind not in OPTIMIZERS:
         raise ValueError(f"optimizer kind must be one of {OPTIMIZERS}")
     params = model.params
-    return OptimizerState(kind=kind, lr=lr, m=[np.zeros_like(p) for p in params],
-                          v=[np.zeros_like(p) for p in params])
+    total = sum(p.size for p in params)
+    flat_m, flat_v = np.zeros(total), np.zeros(total)
+    return OptimizerState(kind=kind, lr=lr, flat_m=flat_m, flat_v=flat_v,
+                          m=_views(flat_m, params), v=_views(flat_v, params))
 
 
 def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
     """In-place deterministic update of model.params, given one gradient
-    per parameter in the same order; Adam applies bias correction."""
+    per parameter in the same order; Adam applies bias correction. Adam
+    updates the flat moments in one pass and subtracts each parameter's
+    slice of the flat step."""
     params = model.params
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for {model.param_names()[i]}")
+    g = flatten(grads)
+    if not np.isfinite(g).all():
+        for i, gi in enumerate(grads):
+            if not np.all(np.isfinite(gi)):
+                raise TrainingDivergedError(f"non-finite gradient for {model.param_names()[i]}")
     if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            p -= state.lr * g
-    else:
-        state.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** state.t
-        bc2 = 1.0 - ADAM_BETA2 ** state.t
-        for p, g, m, v in zip(params, grads, state.m, state.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        for p, gi in zip(params, grads):
+            p -= state.lr * gi
+        return
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    m, v = state.flat_m, state.flat_v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    for p, s in zip(params, _views(step, params)):
+        p -= s
 
 
 def supervised_contrastive_loss(reprs: np.ndarray, labels: np.ndarray, temperature: float = 0.07,

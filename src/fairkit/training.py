@@ -13,6 +13,7 @@ seed (FairBatch keeps its initial sampling distribution instead).
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .evaluation import evaluate_predictions
+from .files import write_atomic
 
 
 # What one debiasing method does beyond Standard; METHODS holds one per method
@@ -458,14 +460,15 @@ def save_checkpoint(path, model, opt_state: nn.OptimizerState, epoch: int):
         "opt_kind": np.array(opt_state.kind),
         "opt_lr": np.array(opt_state.lr),
         "opt_t": np.array(opt_state.t),
-        "opt_m": nn.flatten(opt_state.m),
-        "opt_v": nn.flatten(opt_state.v),
+        "opt_m": opt_state.flat_m,
+        "opt_v": opt_state.flat_v,
     }
     if is_gate:
         payload["num_groups"] = np.array(model.num_groups)
         payload["head_params"] = nn.flatten(model.head_weights + model.head_biases)
-    with open(path, "wb") as f:
-        np.savez(f, **payload)
+    buf = io.BytesIO()
+    np.savez(buf, **payload)
+    write_atomic(path, buf.getbuffer())
 
 
 def load_checkpoint(path):
@@ -474,7 +477,7 @@ def load_checkpoint(path):
     A file that is not a complete checkpoint (not a zip, a missing key, the
     wrong magic, or arrays of the wrong length) raises ParseErrorForCheckpoint."""
     try:
-        with np.load(path, allow_pickle=False) as z:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
             if str(z["magic"]) != CHECKPOINT_MAGIC:
                 raise ParseErrorForCheckpoint(path)
             spec = nn.MlpSpec(input_dim=int(z["input_dim"]),

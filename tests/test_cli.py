@@ -436,7 +436,18 @@ BAD_SPECS = {
     "a YAML list": "- 1\n",
     "not YAML": "n_per_cell: [\n",
     "one class": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,1": 5}}),
+    "n_per_cell a list": yaml.safe_dump({"n_per_cell": [1, 2]}),
+    "cell key not integers": yaml.safe_dump({"n_per_cell": {"a,b": 1}}),
 }
+
+
+def _conf_text(text):
+    """A source with the small spec and a --conf_file that holds text."""
+    def source(tmp_path, spec_file):
+        path = tmp_path / "conf.yaml"
+        path.write_text(text)
+        return ["--synthetic_spec", str(spec_file), "--conf_file", str(path)]
+    return source
 
 
 # (data source, extra flags, exit code) for the declared sizes and the flags
@@ -454,6 +465,7 @@ TRAIN_EXIT_CODES = {
         _spec, ["--num_classes", "5", "--num_groups", "3"], 0),
     "generator, --num_classes 1": (lambda *_: [], ["--num_classes", "1"], 2),
     **{f"spec file {name}": (_spec_text(text), [], 2) for name, text in BAD_SPECS.items()},
+    "--conf_file not YAML": (_conf_text("epochs: [\n"), [], 2),
     "spec, --num_classes 3 empties a joint cell": (
         _spec, ["--num_classes", "3", "--BT", "Downsampling", "--BTObj", "joint"], 2),
     "spec, --num_classes 3 with EO downsampling": (

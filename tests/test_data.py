@@ -1,11 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkit import data
 from fairkit.errors import (
     EmptyCellError,
+    FairkitError,
     LabelDomainError,
     ParseError,
     SchemaError,
@@ -79,6 +83,128 @@ class TestLoadDataset:
         np.testing.assert_allclose(back.X, ds.X)
         np.testing.assert_array_equal(back.y, ds.y)
         np.testing.assert_array_equal(back.g, ds.g)
+
+    def test_generated_file_takes_the_one_pass_path(self, tmp_path, monkeypatch):
+        ds = make_counts_dataset({(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 5})
+        p = tmp_path / "out.jsonl"
+        data.save_jsonl(ds, p)
+
+        def no_fallback(*args):
+            raise AssertionError("read line by line")
+        monkeypatch.setattr(data, "_read_jsonl_lines", no_fallback)
+        back = data.load_dataset(p, "jsonl")
+        np.testing.assert_array_equal(back.X, ds.X)
+        np.testing.assert_array_equal(back.y, ds.y)
+
+
+# One malformed value per row, each appended as line 3 after two valid rows
+GOOD_JSONL = ('{"X": [0.1, 0.2], "y": 0, "protected_label": 1}\n'
+              '{"X": [0.3, 0.4], "y": 1, "protected_label": 0}\n')
+MALFORMED_JSONL = {
+    "X a number": ({"X": 5, "y": 0, "protected_label": 0}, ParseError),
+    "X holds a list": ({"X": [[1], 2], "y": 0, "protected_label": 0}, ParseError),
+    "y a string": ({"X": [1, 2], "y": "a", "protected_label": 0}, LabelDomainError),
+    "y null": ({"X": [1, 2], "y": None, "protected_label": 0}, LabelDomainError),
+    "a JSON string": ("X, y and protected_label", SchemaError),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_JSONL))
+def test_jsonl_malformed_value_names_its_line(tmp_path, name):
+    row, error = MALFORMED_JSONL[name]
+    p = tmp_path / "toy_train.jsonl"
+    p.write_text(GOOD_JSONL + json.dumps(row) + "\n")
+    with pytest.raises(error, match=re.escape(f"{p}:3: ")):
+        data.load_dataset(p, "jsonl")
+
+
+def _outcome(read, *args):
+    """The arrays read returns, or the type and message of what it raises."""
+    try:
+        X, y, g = read(*args)
+    except FairkitError as e:
+        return type(e), str(e)
+    return np.asarray(X, dtype=float), np.asarray(y), np.asarray(g)
+
+
+_numbers = st.one_of(st.floats(width=64), st.integers(-10**6, 10**6), st.booleans())
+_rows = st.integers(1, 4).flatmap(lambda arity: st.lists(st.fixed_dictionaries(
+    {"X": st.lists(_numbers, min_size=arity, max_size=arity), "y": st.integers(0, 5),
+     "protected_label": st.integers(0, 5)}), min_size=3, max_size=8))
+# Valid rows that the one-pass reading leaves to the line-by-line one
+VARIANTS = {
+    "plain": lambda row: row,
+    "float labels": lambda row: {**row, "y": float(row["y"])},
+    "an extra key with braces": lambda row: {**row, "extra": {"k": [1, {"a": "}"}]}},
+}
+
+
+def _dump(row, compact):
+    return json.dumps(row, separators=(",", ":") if compact else None)
+
+
+def _splice(lines, i, count, *new):
+    """lines with the count lines from line i replaced by new."""
+    return lines[:i] + list(new) + lines[i + count:]
+
+
+def _changed(rows, i, **values):
+    """Row i with values set, dumped compactly."""
+    return _dump({**rows[i], **values}, True)
+
+
+# Damage to row i of a file, as (rows, lines, i) -> lines. The last case keeps
+# as many lines as rows, and joining its lines with commas gives valid rows.
+DAMAGE = {
+    "missing key": lambda rows, lines, i: _splice(lines, i, 1, _dump(
+        {k: v for k, v in rows[i].items() if k != "y"}, True)),
+    "X a number": lambda rows, lines, i: _splice(lines, i, 1, _changed(rows, i, X=5)),
+    "X holds a string": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, X=["a"] + rows[i]["X"][1:])),
+    "X one value too many": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, X=rows[i]["X"] + [1.0])),
+    "negative label": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, protected_label=-1)),
+    "fractional label": lambda rows, lines, i: _splice(lines, i, 1, _changed(rows, i, y=1.5)),
+    "a JSON list": lambda rows, lines, i: _splice(lines, i, 1, "[1, 2]"),
+    "truncated line": lambda rows, lines, i: _splice(lines, i, 1, lines[i][:-1]),
+    "two rows on one line": lambda rows, lines, i: _splice(
+        lines, i, 2, lines[i] + ", " + lines[i + 1]),
+    "one row on two lines and two on one": lambda rows, lines, i: _splice(
+        lines, i, 3, *lines[i].split(",", 1), lines[i + 1] + ", " + lines[i + 2]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_rows, variant=st.sampled_from(list(VARIANTS)), compact=st.booleans(),
+       blank=st.booleans(), crlf=st.booleans(), damage=st.sampled_from([None, *DAMAGE]),
+       at=st.integers(0, 5))
+def test_jsonl_one_pass_matches_line_by_line(tmp_path_factory, rows, variant, compact, blank,
+                                             crlf, damage, at):
+    rows = [VARIANTS[variant](row) for row in rows]
+    lines = [_dump(row, compact) for row in rows]
+    if damage is not None:
+        lines = DAMAGE[damage](rows, lines, at % (len(rows) - 2))
+    if blank:
+        lines = ["  "] + lines[:1] + [""] + lines[1:]
+    p = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
+    p.write_bytes((("\r\n" if crlf else "\n").join(lines) + "\n").encode())
+    fast = _outcome(data._read_jsonl, p)
+    by_line = _outcome(data._read_jsonl_lines, p, p.read_text().split("\n"))
+    if damage is not None:
+        assert by_line[0] in (ParseError, SchemaError, LabelDomainError)
+        assert fast == by_line
+    else:
+        assert len(fast) == 3 and len(by_line) == 3, (fast, by_line)
+        for a, b in zip(fast, by_line):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("cells", [[1, 2], {"a,b": 1}, {"0,0,1": 1}, {5: 1}, {"0,0": "x"}])
+def test_malformed_n_per_cell_is_spec_error(cells):
+    with pytest.raises(SpecError, match="n_per_cell"):
+        data.synthetic_spec_from_dict({"n_per_cell": cells})
 
 
 BAL = {(0, 0): 200, (0, 1): 200, (1, 0): 200, (1, 1): 200}
@@ -337,3 +463,27 @@ class TestMakeBatches:
         b = data.make_batches(ds, plan)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.X, y.X)
+
+
+# A 3 x 2 table (row i has X = [i]) and its FairBatch draws at shuffle seed 11,
+# recorded from the per-row draws that one vectorized draw per batch replaced
+FAIRBATCH_COUNTS = {(0, 0): 5, (0, 1): 2, (1, 0): 3, (1, 1): 4, (2, 0): 1, (2, 1): 6}
+FAIRBATCH_PROBS = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.15, (1, 1): 0.05, (2, 0): 0.3,
+                   (2, 1): 0.2}
+FAIRBATCH_DRAWS = [[20, 9, 14, 6], [7, 19, 4, 7], [8, 6, 7, 5], [6, 5, 6, 6], [8, 15, 8, 18],
+                   [3, 15, 14, 6]]
+
+
+def test_fairbatch_draws_pinned():
+    ys, gs = [], []
+    for (c, g), n in sorted(FAIRBATCH_COUNTS.items()):
+        ys += [c] * n
+        gs += [g] * n
+    ds = data.dataset_from_arrays(np.arange(len(ys), dtype=float)[:, None], ys, gs)
+    plan = data.BatchPlan(batch_size=4, shuffle_seed=11, group_sampling_probs=FAIRBATCH_PROBS)
+    batches = data.make_batches(ds, plan)
+    assert [b.X[:, 0].astype(int).tolist() for b in batches] == FAIRBATCH_DRAWS
+    for b in batches:
+        rows = b.X[:, 0].astype(int)
+        np.testing.assert_array_equal(b.y, ds.y[rows])
+        np.testing.assert_array_equal(b.g, ds.g[rows])

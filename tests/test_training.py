@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fairkit import data, nn, training
+from fairkit import cli, data, files, nn, training
 from fairkit.errors import IOErrorWithStage, LabelDomainError, TrainingDivergedError
 from test_nn import finite_diff_grad, rel_err, scl_brute_force, zero_grads
 
@@ -512,6 +514,93 @@ class TestOneOptimizer:
         for saved, restored in ((opt.m, opt2.m), (opt.v, opt2.v)):
             assert len(restored) == len(model.params)
             np.testing.assert_array_equal(nn.flatten(restored), nn.flatten(saved))
+
+
+def per_parameter_adam(params, grads, m, v, t, lr):
+    """Adam as one loop over the parameters, each array on its own."""
+    bc1 = 1.0 - nn.ADAM_BETA1 ** t
+    bc2 = 1.0 - nn.ADAM_BETA2 ** t
+    for p, g, m_p, v_p in zip(params, grads, m, v):
+        m_p *= nn.ADAM_BETA1
+        m_p += (1.0 - nn.ADAM_BETA1) * g
+        v_p *= nn.ADAM_BETA2
+        v_p += (1.0 - nn.ADAM_BETA2) * g * g
+        p -= lr * (m_p / bc1) / (np.sqrt(v_p / bc2) + nn.ADAM_EPS)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("method", ["Standard", "Gate"])
+    def test_equals_per_parameter_loop(self, method):
+        cfg = training.MethodConfig(method=method, hidden_dims=(6, 5))
+        model = make_model(cfg, d=4, num_groups=3, seed=3)
+        reference = make_model(cfg, d=4, num_groups=3, seed=3)
+        opt = nn.make_optimizer(model, kind="adam", lr=0.01)
+        m = [np.zeros_like(p) for p in reference.params]
+        v = [np.zeros_like(p) for p in reference.params]
+        rng = np.random.default_rng(4)
+        for t in range(1, 51):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-4, 3), size=p.shape)
+                     for p in model.params]
+            nn.optimizer_step(model, grads, opt)
+            per_parameter_adam(reference.params, grads, m, v, t, 0.01)
+        assert opt.t == 50
+        for got, want in ((model.params, reference.params), (opt.m, m), (opt.v, v)):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(nn.flatten(opt.m), opt.flat_m)
+        assert all(np.shares_memory(part, opt.flat_v) for part in opt.v)
+
+
+class HalfWrite:
+    """A file whose first write stores half the data, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(bytes(data)[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+class TestCrashSafeWrites:
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        model, opt = gate_model_and_optimizer()
+        path = tmp_path / "epoch_1.npz"
+        training.save_checkpoint(path, model, opt, epoch=1)
+        before = path.read_bytes()
+        nn.optimizer_step(model, zero_grads(model), opt)
+        monkeypatch.setattr(files, "open", lambda p, mode: HalfWrite(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            training.save_checkpoint(path, model, opt, epoch=2)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+        assert training.load_checkpoint(path)[2] == 1
+
+    def test_failed_final_manifest_write_leaves_run_unfinalized(self, tmp_path, monkeypatch):
+        real_open = open
+        manifest_writes = []
+
+        def open_failing_second_manifest(p, mode):
+            if p.name == "manifest.json.tmp":
+                manifest_writes.append(p)
+                if len(manifest_writes) == 2:
+                    return HalfWrite(real_open(p, mode))
+            return real_open(p, mode)
+
+        monkeypatch.setattr(files, "open", open_failing_second_manifest, raising=False)
+        results = tmp_path / "results"
+        argv = ["--epochs", "1", "--results_dir", str(results)]
+        assert cli.main(argv) == 3
+        (run_dir,) = results.iterdir()
+        assert json.loads((run_dir / "manifest.json").read_text())["finalized"] is False
+        assert not list(run_dir.rglob("*.tmp"))
 
 
 # Damage to a valid Gate checkpoint's arrays z; n_base is the base network's size
