@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyInputError, IndexSchemaError
@@ -51,22 +51,21 @@ def _best_point(points: list[tuple[float, float]], criterion: SelectionCriterion
                key=lambda i: (criterion.threshold - points[i][constrained], i))
 
 
-def select_epoch(rows: list[dict], criterion: SelectionCriterion) -> int:
-    """Best epoch of one run by its dev trajectory; returns the epoch index."""
+def select_row(rows: list[dict], criterion: SelectionCriterion) -> dict:
+    """The row of one run's best epoch by its dev trajectory."""
     if not rows:
         raise EmptyInputError("run has no epochs")
     points = [(r["dev_performance"], r["dev_fairness"]) for r in rows]
-    return rows[_best_point(points, criterion)]["epoch"]
+    return rows[_best_point(points, criterion)]
+
+
+def select_epoch(rows: list[dict], criterion: SelectionCriterion) -> int:
+    """Best epoch of one run by its dev trajectory; returns the epoch index."""
+    return select_row(rows, criterion)["epoch"]
 
 
 def _index_key(index: dict) -> tuple:
     return tuple(sorted(index.items()))
-
-
-def _selected_row(run: dict, criterion: SelectionCriterion) -> dict:
-    """The row of a run's best epoch by its dev trajectory."""
-    epoch = select_epoch(run["rows"], criterion)
-    return next(x for x in run["rows"] if x["epoch"] == epoch)
 
 
 def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterion) -> dict:
@@ -91,7 +90,7 @@ def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterio
     for key in index_keys:
         dev_pts, details = [], []
         for r in sorted(by_index[key], key=lambda r: r["seed"]):
-            row = _selected_row(r, criterion)
+            row = select_row(r["rows"], criterion)
             dev_pts.append((row["dev_performance"], row["dev_fairness"]))
             details.append({"seed": r["seed"], "epoch": row["epoch"],
                             "test_performance": row["test_performance"],
@@ -145,12 +144,6 @@ def aggregate_runs(per_seed_points: list[tuple[float, float]]) -> dict:
     }
 
 
-@dataclass
-class ResultsTable:
-    rows: dict[str, dict]  # method -> aggregate_runs output
-    metadata: dict = field(default_factory=dict)
-
-
 def _fmt(mean: float, std: float | None) -> str:
     s = f"{100.0 * mean:.2f}"
     if std is not None:
@@ -158,36 +151,31 @@ def _fmt(mean: float, std: float | None) -> str:
     return s
 
 
-def emit_table(table: ResultsTable, format: str = "markdown") -> str:
-    """Percent scale, two decimals; csv carries raw numeric columns."""
-    if not table.rows:
+def emit_table(rows: dict[str, dict], format: str = "markdown") -> str:
+    """One row per method (method -> aggregate_runs output), sorted; percent
+    scale, two decimals; csv carries raw numeric columns."""
+    if not rows:
         raise EmptyInputError("empty results table")
-    methods = sorted(table.rows)
+    methods = sorted(rows)
     if format == "csv":
         keys = ["performance_mean", "performance_std", "fairness_mean", "fairness_std", "dto"]
         lines = [",".join(["method", *keys])]
         for m in methods:
-            values = [table.rows[m][key] for key in keys]
+            values = [rows[m][key] for key in keys]
             lines.append(",".join([m] + ["" if v is None else f"{100.0 * v:.4f}" for v in values]))
         return "\n".join(lines) + "\n"
+    cells = [["Method", "Performance", "Fairness", "DTO"]]
+    for m in methods:
+        r = rows[m]
+        cells.append([m, _fmt(r["performance_mean"], r["performance_std"]),
+                      _fmt(r["fairness_mean"], r["fairness_std"]), f"{100.0 * r['dto']:.2f}"])
     if format == "markdown":
-        lines = ["| Method | Performance | Fairness | DTO |",
-                 "| --- | --- | --- | --- |"]
-        for m in methods:
-            r = table.rows[m]
-            lines.append(f"| {m} | {_fmt(r['performance_mean'], r['performance_std'])} "
-                         f"| {_fmt(r['fairness_mean'], r['fairness_std'])} "
-                         f"| {100.0 * r['dto']:.2f} |")
-        return "\n".join(lines) + "\n"
+        head, *body = ["| " + " | ".join(row) + " |" for row in cells]
+        return "\n".join([head, "| --- | --- | --- | --- |", *body]) + "\n"
     if format == "latex":
-        lines = [r"\begin{tabular}{lccc}", r"\toprule",
-                 r"Method & Performance & Fairness & DTO \\", r"\midrule"]
-        for m in methods:
-            r = table.rows[m]
-            lines.append(f"{m} & {_fmt(r['performance_mean'], r['performance_std'])} & "
-                         f"{_fmt(r['fairness_mean'], r['fairness_std'])} & "
-                         f"{100.0 * r['dto']:.2f} " + r"\\")
-        lines += [r"\bottomrule", r"\end{tabular}"]
+        head, *body = [" & ".join(row) + r" \\" for row in cells]
+        lines = [r"\begin{tabular}{lccc}", r"\toprule", head, r"\midrule", *body,
+                 r"\bottomrule", r"\end{tabular}"]
         return "\n".join(lines).replace("±", r"$\pm$") + "\n"
     raise ValueError(f"unknown table format {format!r}")
 
@@ -204,7 +192,7 @@ def emit_tradeoff_data(runs_by_method: dict[str, list[dict]],
         pts = []
         for r in sorted(runs_by_method[method],
                         key=lambda r: (_index_key(r["index"]), r["seed"])):
-            row = _selected_row(r, criterion)
+            row = select_row(r["rows"], criterion)
             pts.append({"performance": row["test_performance"],
                         "fairness": row["test_fairness"],
                         "index": r["index"], "seed": r["seed"], "epoch": row["epoch"]})
@@ -279,9 +267,9 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
             "seed": manifest["seed"], "rows": rows, "dir": str(run_dir)}, ""
 
 
-def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[ResultsTable, dict]:
+def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[dict[str, dict], dict]:
     """Full pipeline over loaded runs: per-method sweep selection, cross-seed
-    aggregation, and selection metadata."""
+    aggregation (the table's rows), and selection metadata."""
     if not runs:
         raise EmptyInputError("no finalized runs to analyze")
     by_method: dict[str, list[dict]] = {}
@@ -294,5 +282,4 @@ def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[Resul
         rows[method] = aggregate_runs(pts)
         selection[method] = {"index": chosen["index"],
                              "per_seed": chosen["per_seed"]}
-    meta = {"criterion": _criterion_json(criterion)}
-    return ResultsTable(rows=rows, metadata=meta), {"selection": selection, **meta}
+    return rows, {"selection": selection, "criterion": _criterion_json(criterion)}

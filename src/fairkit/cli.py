@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,8 @@ BTOBJ_TO_OBJECTIVE = {"joint": "joint", "y": "y", "g": "g", "EO": "eo"}
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(training.Settings):
+    """The training settings, then the data, pipeline and output fields."""
     dataset: str = "synthetic"
     dataset_format: str = "jsonl"
     emb_size: int = 0
@@ -52,24 +53,8 @@ class TrainConfig:
     adv_debiasing: bool = False
     INLP: bool = False
     gate_soft: bool = False
-    method: str = "Standard"
-    adv_lambda: float = 1.0
-    n_discriminators: int = 1
-    diff_lambda: float = 0.0
-    fairbatch_alpha: float = 0.0
-    fcl_lambda_y: float = 0.0
-    fcl_lambda_g: float = 0.0
-    eo_cla_lambda: float = 0.0
     inlp_iterations: int = 10
     gate_grid_resolution: int = 11
-    epochs: int = 10
-    batch_size: int = 64
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    hidden_dims: list[int] = field(default_factory=lambda: [16])
-    activation: str = "relu"
-    temperature: float = 0.07
-    seed: int = 0
     results_dir: str = "results"
     data_dir: str = "data"
     synthetic_spec: str | None = None
@@ -207,12 +192,11 @@ def effective_method(cfg: TrainConfig) -> str:
 
 
 def method_config(cfg: TrainConfig) -> training.MethodConfig:
-    """The training settings: every field the two configs share, with the
-    effective method. Raises ValueError for an invalid value, ConfigError for
-    --adv_debiasing with a method it does not alias."""
-    shared = {f.name: getattr(cfg, f.name) for f in fields(training.MethodConfig)
-              if f.name in _CONFIG_FIELDS}
-    return training.MethodConfig(**{**shared, "method": effective_method(cfg)})
+    """The training settings of cfg, with the effective method. Raises
+    ValueError for an invalid value, ConfigError for --adv_debiasing with a
+    method it does not alias."""
+    settings = {f.name: getattr(cfg, f.name) for f in fields(training.Settings)}
+    return training.MethodConfig(**{**settings, "method": effective_method(cfg)})
 
 
 def method_index(cfg: TrainConfig) -> dict:
@@ -354,12 +338,8 @@ def cmd_train(cfg: TrainConfig) -> int:
 
 def _select_model(record: training.RunRecord) -> object:
     """Checkpoint at the dev-DTO-best epoch, reloaded from disk."""
-    best_epoch = analysis.select_epoch(record.rows, analysis.SelectionCriterion())
-    row = next(r for r in record.rows if r["epoch"] == best_epoch)
-    if row["checkpoint"]:
-        model, _, _ = training.load_checkpoint(row["checkpoint"])
-        return model
-    return record.model
+    row = analysis.select_row(record.rows, analysis.SelectionCriterion())
+    return training.load_checkpoint(row["checkpoint"])[0]
 
 
 def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
@@ -372,19 +352,16 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies}
     _append_post_row(run_dir, row, clf.predict, dev_ds, test_ds)
-    return clf, row
 
 
 def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
     model = _select_model(record)
     prior, dev_dto = postproc.gate_soft_search(model, dev_ds,
                                                grid_resolution=cfg.gate_grid_resolution)
-    p = list(prior.prior)
-    row = {"post": "Gate-soft", "prior": p, "dev_dto": dev_dto}
+    row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}
     _append_post_row(run_dir, row,
-                     lambda X: training.gate_soft_logits(model, X, np.array(p)).argmax(axis=1),
+                     lambda X: training.gate_soft_logits(model, X, np.array(prior)).argmax(axis=1),
                      dev_ds, test_ds)
-    return prior, row
 
 
 def _append_post_row(run_dir: Path, row: dict, predict, dev_ds, test_ds):
@@ -407,13 +384,16 @@ def cmd_analyze(argv: list[str]) -> int:
     p.add_argument("--pareto_only", action="store_true")
     args = p.parse_args(argv)
 
+    try:
+        criterion = analysis.SelectionCriterion(kind=args.selection_criterion,
+                                                threshold=args.threshold)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     runs, skipped = analysis.load_runs(args.results_dir)
     if skipped:
         print(f"warning: skipped {len(skipped)} run(s):", file=sys.stderr)
         for run_dir, reason in skipped:
             print(f"  {run_dir}: {reason}", file=sys.stderr)
-    criterion = analysis.SelectionCriterion(kind=args.selection_criterion,
-                                            threshold=args.threshold)
     table, selection = analysis.analyze_runs(runs, criterion)
 
     out_dir = Path(args.output_dir or args.results_dir)
@@ -439,8 +419,11 @@ def cmd_generate(argv: list[str]) -> int:
     p.add_argument("--seed", type=int, default=None)
     args = p.parse_args(argv)
 
-    spec = (load_synthetic_spec(args.synthetic_spec, args.seed) if args.synthetic_spec
-            else default_synthetic_spec(TrainConfig(seed=args.seed or 0)))
+    try:
+        spec = (load_synthetic_spec(args.synthetic_spec, args.seed) if args.synthetic_spec
+                else default_synthetic_spec(TrainConfig(seed=args.seed or 0)))
+    except SpecError as e:
+        raise ConfigError(f"--seed {args.seed}: {e}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = data.generate_synthetic(spec)

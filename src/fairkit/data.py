@@ -13,7 +13,10 @@ except "y" which is defined by downsampling.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,12 +44,13 @@ class Batch:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable vector dataset with target and protected labels."""
+    """Immutable vector dataset with target and protected labels; weights
+    default to ones."""
 
     X: np.ndarray
     y: np.ndarray
     g: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
     split: str = "train"
     num_classes: int = 0
     num_groups: int = 0
@@ -55,11 +59,7 @@ class Dataset:
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=int)
         g = np.asarray(self.g, dtype=int)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "weights", w)
+        w = np.ones(X.shape[0]) if self.weights is None else np.asarray(self.weights, dtype=float)
         n = X.shape[0]
         if n < 1:
             raise SpecError("dataset must have at least one instance")
@@ -67,8 +67,9 @@ class Dataset:
             raise SpecError("X, y, g, weights lengths disagree")
         nc = self.num_classes or int(y.max()) + 1
         ng = self.num_groups or int(g.max()) + 1
-        object.__setattr__(self, "num_classes", nc)
-        object.__setattr__(self, "num_groups", ng)
+        for name, value in (("X", X), ("y", y), ("g", g), ("weights", w),
+                            ("num_classes", nc), ("num_groups", ng)):
+            object.__setattr__(self, name, value)
         if y.min() < 0 or y.max() >= nc:
             raise LabelDomainError(f"class label outside [0, {nc})")
         if g.min() < 0 or g.max() >= ng:
@@ -97,24 +98,13 @@ class Dataset:
         return {k: v.size for k, v in self.cell_indices().items()}
 
 
-def dataset_from_arrays(X, y, g, weights=None, split="train",
-                        num_classes=0, num_groups=0) -> Dataset:
-    X = np.asarray(X, dtype=float)
-    if weights is None:
-        weights = np.ones(X.shape[0])
-    return Dataset(X=X, y=y, g=g, weights=weights, split=split,
-                   num_classes=num_classes, num_groups=num_groups)
-
-
 # ---------------------------------------------------------------------------
 # File ingestion
 
-def load_dataset(path, format: str, split: str = "train",
-                 num_classes: int = 0, num_groups: int = 0) -> Dataset:
+def load_dataset(path, format: str, split: str = "train") -> Dataset:
     """Load csv (header row, reserved columns y / protected_label) or jsonl
     (keys X, y, protected_label). Remaining numeric csv columns form X in
-    file order. num_classes/num_groups are inferred as max index + 1 unless
-    overridden."""
+    file order. num_classes/num_groups are inferred as max index + 1."""
     path = Path(path)
     if format == "csv":
         rows_X, rows_y, rows_g = _read_csv(path)
@@ -124,40 +114,47 @@ def load_dataset(path, format: str, split: str = "train",
         raise ParseError(f"unknown format {format!r}")
     if len(rows_y) == 0:
         raise ParseError(f"{path}: empty file")
-    X = np.asarray(rows_X, dtype=float)
-    return dataset_from_arrays(X, rows_y, rows_g, split=split,
-                               num_classes=num_classes, num_groups=num_groups)
+    return Dataset(np.asarray(rows_X, dtype=float), rows_y, rows_g, split=split)
+
+
+def _open_text(path: Path, newline: str | None = None) -> io.StringIO:
+    """The file's UTF-8 text as open() reads it; a bad byte raises ParseError naming its line."""
+    raw = path.read_bytes()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}:{lineno}: not valid UTF-8: {e.reason}") from None
 
 
 def _read_csv(path: Path):
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(_open_text(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    for required in ("y", "protected_label"):
+        if required not in header:
+            raise SchemaError(f"{path}: missing column {required!r}")
+    y_col = header.index("y")
+    g_col = header.index("protected_label")
+    x_cols = [i for i in range(len(header)) if i not in (y_col, g_col)]
+    rows_X, rows_y, rows_g = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for required in ("y", "protected_label"):
-            if required not in header:
-                raise SchemaError(f"{path}: missing column {required!r}")
-        y_col = header.index("y")
-        g_col = header.index("protected_label")
-        x_cols = [i for i in range(len(header)) if i not in (y_col, g_col)]
-        rows_X, rows_y, rows_g = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows_X.append([float(row[i]) for i in x_cols])
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            try:
-                rows_y.append(_int_label(row[y_col], "y"))
-                rows_g.append(_int_label(row[g_col], "protected_label"))
-            except LabelDomainError as e:
-                raise LabelDomainError(f"{path}:{lineno}: {e}") from None
+            rows_X.append([float(row[i]) for i in x_cols])
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        try:
+            rows_y.append(_int_label(row[y_col], "y"))
+            rows_g.append(_int_label(row[g_col], "protected_label"))
+        except LabelDomainError as e:
+            raise LabelDomainError(f"{path}:{lineno}: {e}") from None
     return rows_X, rows_y, rows_g
 
 
@@ -166,7 +163,7 @@ def _read_jsonl(path: Path):
     non-blank lines joined into an array. A file that does not give
     well-formed rows that way is read again line by line, which names the
     first bad line."""
-    lines = path.read_text().split("\n")
+    lines = _open_text(path).read().split("\n")
     body = [s for s in map(str.strip, lines) if s]
     text = "[" + ",".join(body) + "]"
     # Every line opens with the only "{" it holds and closes with the only
@@ -182,7 +179,7 @@ def _read_jsonl(path: Path):
             pass
         else:
             if (X.ndim == 2 and X.dtype.kind in "biuf" and y.ndim == g.ndim == 1
-                    and y.dtype.kind in "iu" and g.dtype.kind in "iu"
+                    and y.dtype.kind == "i" and g.dtype.kind == "i"
                     and y.min() >= 0 and g.min() >= 0):
                 return X.astype(float), y, g
     return _read_jsonl_lines(path, lines)
@@ -232,7 +229,7 @@ def _jsonl_row(obj) -> tuple[list[float], int, int]:
 def _int_label(value, name: str) -> int:
     try:
         iv = int(value)
-        valid = iv == float(value) and iv >= 0
+        valid = iv == float(value) and 0 <= iv <= np.iinfo(np.int64).max
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -266,6 +263,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # d >= 2: a class axis and a group axis
+        for name, low in (("d", 2), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise SpecError(f"{name} must be an integer >= {low}, got {v!r}")
+        for name in ("class_separation", "group_shift", "noise_sigma"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise SpecError(f"{name} must be a finite number, got {v!r}")
         cells = {(int(c), int(g)): int(n) for (c, g), n in self.n_per_cell.items()}
         object.__setattr__(self, "n_per_cell", cells)
         classes = {c for c, _ in cells}
@@ -280,8 +286,6 @@ class SyntheticSpec:
         for g in groups:
             if sum(cells.get((c, g), 0) for c in classes) == 0:
                 raise SpecError(f"group {g} has no instances")
-        if self.d < 2:
-            raise SpecError("need d >= 2 (class axis and group axis)")
         if self.noise_sigma <= 0:
             raise SpecError("noise_sigma must be positive")
 
@@ -316,7 +320,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
             xs.append(mean + rng.normal(0.0, spec.noise_sigma, size=(n, spec.d)))
             ys.append(np.full(n, c))
             gs.append(np.full(n, g))
-        datasets.append(dataset_from_arrays(
+        datasets.append(Dataset(
             np.vstack(xs), np.concatenate(ys), np.concatenate(gs), split=split,
             num_classes=spec.num_classes, num_groups=spec.num_groups))
     return tuple(datasets)
@@ -419,13 +423,9 @@ class BatchPlan:
     shuffle_seed: int = 0
     group_sampling_probs: dict[tuple[int, int], float] | None = None
 
-    def __post_init__(self):
+    def __post_init__(self):  # FairBatchState checks group_sampling_probs
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.group_sampling_probs is not None:
-            vals = np.array(list(self.group_sampling_probs.values()))
-            if np.any(vals < 0) or abs(vals.sum() - 1.0) > 1e-9:
-                raise ValueError("sampling probs must be nonnegative and sum to 1")
 
 
 def make_batches(dataset: Dataset, plan: BatchPlan) -> list[Batch]:

@@ -116,11 +116,6 @@ def _max_violation(gc: GroupedConfusion, per_group: dict[tuple[int, int], float]
     return max(abs(m - overall[c]) for (c, _), m in per_group.items())
 
 
-def max_violation(gc: GroupedConfusion, kind="tpr") -> float:
-    """Largest single |per-(class, group) metric - per-class overall metric|."""
-    return _max_violation(gc, gap_and_fairness(gc, kind)[2], kind)
-
-
 def dto(point, utopia: tuple[float, float] = UTOPIA) -> float:
     """Euclidean distance of (performance, fairness) to the utopia corner; lower is better."""
     perf, fair = point

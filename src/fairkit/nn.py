@@ -122,9 +122,6 @@ class Network:
     def flat_params(self) -> np.ndarray:
         return flatten(self.params)
 
-    def set_flat_params(self, theta: np.ndarray):
-        unflatten_into(self.params, theta)
-
 
 def init_network(spec: MlpSpec) -> Network:
     """Glorot-uniform init (+zero biases) from the spec's seeded generator."""
@@ -162,9 +159,6 @@ class Gradients:
     def params(self) -> list[np.ndarray]:
         """Parameter gradients in Network.params order."""
         return self.d_weights + self.d_biases
-
-    def flat(self) -> np.ndarray:
-        return flatten(self.params)
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:

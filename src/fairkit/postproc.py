@@ -158,24 +158,8 @@ def save_projection(path, projection: Projection):
                  probe_accuracies=np.array(projection.probe_accuracies))
 
 
-def load_projection(path) -> Projection:
-    with np.load(path, allow_pickle=False) as z:
-        return Projection(P=z["P"], iterations_applied=int(z["iterations"]),
-                          probe_accuracies=[float(a) for a in z["probe_accuracies"]])
-
-
 # ---------------------------------------------------------------------------
 # Gate-soft prior search
-
-@dataclass(frozen=True)
-class GatePrior:
-    prior: tuple[float, ...]
-
-    def __post_init__(self):
-        p = np.array(self.prior)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("prior must be a probability vector")
-
 
 def _simplex_grid(num_groups: int, resolution: int):
     """All points with coordinates k/(resolution-1) summing to 1."""
@@ -193,7 +177,8 @@ def _simplex_grid(num_groups: int, resolution: int):
         yield tuple(k / total for k in combo)
 
 
-def gate_soft_search(model: GateModel, dev_ds, grid_resolution: int = 11) -> tuple[GatePrior, float]:
+def gate_soft_search(model: GateModel, dev_ds,
+                     grid_resolution: int = 11) -> tuple[tuple[float, ...], float]:
     """Grid search over the group simplex minimizing dev DTO; ties broken
     toward the uniform prior. Returns (prior, best DTO). The encoder runs
     once; each prior mixes the cached logits exactly as gate_soft_logits does."""
@@ -215,4 +200,4 @@ def gate_soft_search(model: GateModel, dev_ds, grid_resolution: int = 11) -> tup
         key = (d, tie_break)
         if best is None or key < best[0]:
             best = (key, prior)
-    return GatePrior(prior=best[1]), best[0][0]
+    return best[1], best[0][0]

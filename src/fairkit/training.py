@@ -5,10 +5,12 @@ Gate (group-specific additive heads), FairBatch (dynamic batch
 distribution), FairSCL (contrastive terms), and EO_CLA (loss-gap penalty).
 Each method is one record in METHODS: its trade-off weights, whether it
 trains an ensemble of discriminators, whether they read the class, and
-whether it trains group heads. MethodConfig zeroes every weight its method
-does not list, and each loss term runs only when its own weight is > 0, so
-a zero weight reproduces the Standard trajectory bit-exactly under the same
-seed (FairBatch keeps its initial sampling distribution instead).
+whether it trains group heads. MethodConfig checks the shared Settings and
+zeroes every weight its method does not list; each loss term runs only when
+its own weight is > 0, so a zero weight reproduces the Standard trajectory
+bit-exactly under the same seed (FairBatch keeps its initial sampling
+distribution instead). One backward pass per discriminator gives both its
+own gradient and the hidden gradient the encoder receives reversed.
 """
 
 from __future__ import annotations
@@ -60,10 +62,15 @@ METHODS = {
 }
 
 
+# Hidden layers of every discriminator; the orthogonality penalty reads the first
+DISC_HIDDEN_DIMS = (16,)
+
+
 @dataclass
-class MethodConfig:
+class Settings:
+    """The training settings, with the CLI's defaults; MethodConfig checks them."""
     method: str = "Standard"
-    adv_lambda: float = 0.0
+    adv_lambda: float = 1.0
     n_discriminators: int = 1
     diff_lambda: float = 0.0
     fairbatch_alpha: float = 0.0
@@ -75,11 +82,13 @@ class MethodConfig:
     seed: int = 0
     lr: float = 1e-3
     optimizer: str = "adam"
-    hidden_dims: tuple[int, ...] = (16,)
-    disc_hidden_dims: tuple[int, ...] = (16,)
+    hidden_dims: list[int] = field(default_factory=lambda: [16])
     activation: str = "relu"
     temperature: float = 0.07
 
+
+@dataclass
+class MethodConfig(Settings):
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {list(METHODS)}")
@@ -95,8 +104,7 @@ class MethodConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         self.hidden_dims = tuple(self.hidden_dims)
-        self.disc_hidden_dims = tuple(self.disc_hidden_dims)
-        if any(h < 1 for h in self.hidden_dims + self.disc_hidden_dims):
+        if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden dims must be >= 1")
         # a weight the method does not list, or an ensemble it does not train, is off
         for name in set(tradeoffs) - set(METHODS[self.method].tradeoffs):
@@ -206,9 +214,8 @@ class FairBatchState:
 
 
 def init_fairbatch_state(train: Dataset, alpha: float) -> FairBatchState:
-    counts = train.cell_counts()
-    n = train.n
-    return FairBatchState(probs={cell: c / n for cell, c in counts.items()}, alpha=alpha)
+    probs = {cell: c / train.n for cell, c in train.cell_counts().items()}
+    return FairBatchState(probs=probs, alpha=alpha)
 
 
 def fairbatch_epoch_update(state: FairBatchState,
@@ -301,9 +308,7 @@ def eo_cla_adjusted_loss(per_example_losses: np.ndarray, y: np.ndarray, g: np.nd
 def init_discriminators(cfg: MethodConfig, hidden_dim: int, num_classes: int,
                         num_groups: int) -> list[nn.Network]:
     in_dim = hidden_dim + (num_classes if METHODS[cfg.method].disc_sees_y else 0)
-    # hidden layer required: the orthogonality penalty reads it
-    return [nn.init_network(nn.MlpSpec(input_dim=in_dim,
-                                       hidden_dims=cfg.disc_hidden_dims or (hidden_dim,),
+    return [nn.init_network(nn.MlpSpec(input_dim=in_dim, hidden_dims=DISC_HIDDEN_DIMS,
                                        output_dim=num_groups, activation=cfg.activation,
                                        seed=_derive_seed(cfg.seed, 11 + k)))
             for k in range(cfg.n_discriminators)]
@@ -324,47 +329,35 @@ def _disc_inputs(discs: list[nn.Network], hidden: np.ndarray, y: np.ndarray) -> 
     return np.concatenate([hidden, onehot], axis=1)
 
 
-def adversarial_hidden_grad(discs: list[nn.Network], hidden: np.ndarray, batch: Batch,
-                            adv_lambda: float) -> tuple[float, np.ndarray]:
-    """Mean discriminator CE and its gradient w.r.t. hidden, reversed and
-    scaled by -adv_lambda. The main model descends CE_main - lambda * mean CE_disc."""
-    h = hidden.shape[1]
-    mean_loss = 0.0
-    mean_grad = np.zeros_like(hidden)
-    inputs = _disc_inputs(discs, hidden, batch.y)
-    for disc in discs:
-        trace = nn.forward(disc, inputs)
-        loss, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
-        grads = nn.backward(disc, trace, d_logits)
-        mean_loss += loss / len(discs)
-        mean_grad += grads.d_X[:, :h] / len(discs)
-    return mean_loss, -adv_lambda * mean_grad
-
-
-def discriminator_step(discs: list[nn.Network], opt_states: list[nn.OptimizerState],
-                       hidden: np.ndarray, batch: Batch, diff_lambda: float) -> float:
-    """Update each discriminator on its own CE; with several discriminators
-    and diff_lambda > 0, add the pairwise first-layer orthogonality penalty
-    diff_lambda * sum_{i<j} ||H_i^T H_j||_F^2."""
+def adversarial_pass(discs: list[nn.Network], hidden: np.ndarray, batch: Batch,
+                     diff_lambda: float) -> tuple[float, np.ndarray, list[list[np.ndarray]]]:
+    """One forward and one backward per discriminator. Returns their mean CE,
+    its gradient w.r.t. hidden, and each discriminator's parameter gradients
+    of its own CE. With several discriminators and diff_lambda > 0 those
+    also carry the pairwise first-layer orthogonality penalty
+    diff_lambda * sum_{i<j} ||H_i^T H_j||_F^2, from a second backward."""
     inputs = _disc_inputs(discs, hidden, batch.y)
     traces = [nn.forward(disc, inputs) for disc in discs]
     first_layer = [t.post[0] for t in traces]
-    total = 0.0
     penalty_grads = [np.zeros_like(H) for H in first_layer]
     if diff_lambda > 0 and len(discs) > 1:
         for i in range(len(discs)):
             for j in range(i + 1, len(discs)):
                 M = first_layer[i].T @ first_layer[j]
-                total += diff_lambda * float(np.sum(M * M))
                 penalty_grads[i] += 2.0 * diff_lambda * first_layer[j] @ M.T
                 penalty_grads[j] += 2.0 * diff_lambda * first_layer[i] @ M
-    for disc, opt, trace, pgrad in zip(discs, opt_states, traces, penalty_grads):
+    mean_loss = 0.0
+    mean_grad = np.zeros_like(hidden)
+    disc_grads = []
+    for disc, trace, pgrad in zip(discs, traces, penalty_grads):
         loss, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
-        total += loss
-        extra = {0: pgrad} if np.any(pgrad) else None
-        grads = nn.backward(disc, trace, d_logits, extra_post_grads=extra)
-        nn.optimizer_step(disc, grads.params, opt)
-    return total
+        grads = nn.backward(disc, trace, d_logits)
+        mean_loss += loss / len(discs)
+        mean_grad += grads.d_X[:, :hidden.shape[1]] / len(discs)
+        if np.any(pgrad):
+            grads = nn.backward(disc, trace, d_logits, extra_post_grads={0: pgrad})
+        disc_grads.append(grads.params)
+    return mean_loss, mean_grad, disc_grads
 
 
 def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
@@ -372,9 +365,10 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
                    batch: Batch, cfg: MethodConfig) -> float:
     """One joint update: main model gets CE plus the reversed adversarial
     gradient; each discriminator minimizes its own CE (plus orthogonality)."""
-    loss, grads, _, hidden = main_loss_and_grads(main, batch, cfg, discs=discs)
+    loss, grads, _, disc_grads = main_loss_and_grads(main, batch, cfg, discs=discs)
     nn.optimizer_step(main, grads, main_opt)
-    discriminator_step(discs, disc_opts, hidden, batch, cfg.diff_lambda)
+    for disc, opt, d_grads in zip(discs, disc_opts, disc_grads):
+        nn.optimizer_step(disc, d_grads, opt)
     return loss
 
 
@@ -384,9 +378,10 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 
 def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
                         discs: list[nn.Network] | None = None
-                        ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+                        ) -> tuple[float, list[np.ndarray], np.ndarray, list[list[np.ndarray]]]:
     """Returns (scalar objective, one gradient per entry of model.params,
-    per-example CE, hidden representation of the batch before the update).
+    per-example CE, each discriminator's parameter gradients from
+    adversarial_pass, empty without discriminators).
 
     model is a Network, or a GateModel for method="Gate".
     """
@@ -413,12 +408,15 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
                                           cfg.temperature)
         loss += scl_loss
         hidden_extra += scl_grad
-    if cfg.adv_lambda > 0:
-        if not discs:
-            raise ShapeError("adversarial method requires discriminators")
-        disc_loss, rev_grad = adversarial_hidden_grad(discs, hidden, batch, cfg.adv_lambda)
-        loss -= cfg.adv_lambda * disc_loss
-        hidden_extra += rev_grad
+    if cfg.adv_lambda > 0 and not discs:
+        raise ShapeError("adversarial method requires discriminators")
+    disc_grads = []
+    if discs:  # the discriminators train even when adv_lambda is 0
+        disc_loss, disc_hidden_grad, disc_grads = adversarial_pass(discs, hidden, batch,
+                                                                   cfg.diff_lambda)
+        if cfg.adv_lambda > 0:
+            loss -= cfg.adv_lambda * disc_loss
+            hidden_extra += -cfg.adv_lambda * disc_hidden_grad
 
     head_w_grads: list[np.ndarray] = []
     head_b_grads: list[np.ndarray] = []
@@ -435,7 +433,7 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
         extra = {net.n_layers - 2: hidden_extra}
     grads = nn.backward(net, trace, d_logits, extra_post_grads=extra)
-    return loss, grads.params + head_w_grads + head_b_grads, per_example, hidden
+    return loss, grads.params + head_w_grads + head_b_grads, per_example, disc_grads
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_4_gradient_suite(capsys):
     configs = [
         training.MethodConfig(method="Standard", hidden_dims=(6,), activation="tanh"),
         training.MethodConfig(method="Adv", adv_lambda=0.8, hidden_dims=(6,),
-                              activation="tanh", disc_hidden_dims=(4,)),
+                              activation="tanh"),
         training.MethodConfig(method="FairSCL", fcl_lambda_y=0.5, fcl_lambda_g=0.3,
                               hidden_dims=(6,), activation="tanh", temperature=0.3),
         training.MethodConfig(method="EO_CLA", eo_cla_lambda=0.7,
@@ -248,7 +248,7 @@ def _random_count_dataset(rng):
         ys += [c] * n
         gs += [g] * n
     X = rng.normal(size=(len(ys), 3))
-    return data.dataset_from_arrays(X, np.array(ys), np.array(gs))
+    return data.Dataset(X, np.array(ys), np.array(gs))
 
 
 def _balance_constraints_hold(out, objective, mode):

@@ -168,11 +168,10 @@ class TestAggregateRuns:
 
 class TestEmitTable:
     def make_table(self):
-        rows = {
+        return {
             "Standard": an.aggregate_runs([(0.7198, 0.6072), (0.7262, 0.6164)]),
             "Solo": an.aggregate_runs([(0.81, 0.91)]),
         }
-        return an.ResultsTable(rows=rows)
 
     def test_markdown_formatting(self):
         text = an.emit_table(self.make_table(), "markdown")
@@ -202,7 +201,7 @@ class TestEmitTable:
 
     def test_empty_table(self):
         with pytest.raises(EmptyInputError):
-            an.emit_table(an.ResultsTable(rows={}), "markdown")
+            an.emit_table({}, "markdown")
 
 
 class TestEmitTradeoffData:
@@ -289,7 +288,7 @@ class TestLoadAndAnalyzeRuns:
                            rows_from_points([(p, f)]))
         runs, _ = an.load_runs(tmp_path)
         table, selection = an.analyze_runs(runs, an.SelectionCriterion())
-        agg = table.rows["Standard"]
+        agg = table["Standard"]
         assert agg["performance_mean"] == pytest.approx(0.81)
         assert agg["n_seeds"] == 2
         assert selection["selection"]["Standard"]["index"] == {}

@@ -438,6 +438,10 @@ BAD_SPECS = {
     "one class": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,1": 5}}),
     "n_per_cell a list": yaml.safe_dump({"n_per_cell": [1, 2]}),
     "cell key not integers": yaml.safe_dump({"n_per_cell": {"a,b": 1}}),
+    **{f"{key} {value!r}": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,1": 5, "1,0": 5, "1,1": 5},
+                                           key: value})
+       for key, value in (("d", "x"), ("d", 4.5), ("seed", -1), ("noise_sigma", "x"),
+                          ("group_shift", float("nan")))},
 }
 
 
@@ -498,6 +502,22 @@ class TestExitCodes:
         path.write_text(BAD_SPECS[name])
         out = tmp_path / "data"
         assert cli.main(["generate", "--synthetic_spec", str(path), "--out_dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_with_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli.main(["generate", "--out_dir", str(out), "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1"])
+    def test_analyze_threshold_out_of_range(self, tmp_path, small_spec_file, threshold, capsys):
+        results, _ = self._results_with_good_run(tmp_path, small_spec_file)
+        out = tmp_path / "tables"
+        argv = ["analyze", "--results_dir", str(results), "--output_dir", str(out),
+                "--selection_criterion", "ConstrainedFairness", "--threshold", threshold]
+        assert cli.main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -26,7 +26,7 @@ def make_counts_dataset(counts, d=3, seed=0):
         ys += [c] * n
         gs += [g] * n
     n_total = len(ys)
-    return data.dataset_from_arrays(rng.normal(size=(n_total, d)), ys, gs)
+    return data.Dataset(rng.normal(size=(n_total, d)), ys, gs)
 
 
 class TestLoadDataset:
@@ -105,6 +105,8 @@ MALFORMED_JSONL = {
     "X holds a list": ({"X": [[1], 2], "y": 0, "protected_label": 0}, ParseError),
     "y a string": ({"X": [1, 2], "y": "a", "protected_label": 0}, LabelDomainError),
     "y null": ({"X": [1, 2], "y": None, "protected_label": 0}, LabelDomainError),
+    "y above int64": ({"X": [1, 2], "y": 10**20, "protected_label": 0}, LabelDomainError),
+    "protected_label 2**63": ({"X": [1, 2], "y": 0, "protected_label": 2**63}, LabelDomainError),
     "a JSON string": ("X, y and protected_label", SchemaError),
 }
 
@@ -116,6 +118,23 @@ def test_jsonl_malformed_value_names_its_line(tmp_path, name):
     p.write_text(GOOD_JSONL + json.dumps(row) + "\n")
     with pytest.raises(error, match=re.escape(f"{p}:3: ")):
         data.load_dataset(p, "jsonl")
+
+
+def test_csv_label_above_int64_names_its_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x0,y,protected_label\n0.1,0,0\n0.2,100000000000000000000,1\n")
+    with pytest.raises(LabelDomainError, match=re.escape(f"{p}:3: ")):
+        data.load_dataset(p, "csv")
+
+
+@pytest.mark.parametrize("fmt,good", [("jsonl", GOOD_JSONL),
+                                      ("csv", "x0,x1,y,protected_label\n0.1,0.2,0,1\n")])
+def test_non_utf8_bytes_name_their_line(tmp_path, fmt, good):
+    p = tmp_path / f"toy_dev.{fmt}"
+    p.write_bytes(good.encode() + b"\xff\xfe\n")
+    line = good.count("\n") + 1
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: not valid UTF-8")):
+        data.load_dataset(p, fmt)
 
 
 def _outcome(read, *args):
@@ -308,7 +327,7 @@ class TestBalance:
 
     def test_train_split_only(self):
         ds = make_counts_dataset(SPEC_COUNTS)
-        dev = data.dataset_from_arrays(ds.X, ds.y, ds.g, split="dev")
+        dev = data.Dataset(ds.X, ds.y, ds.g, split="dev")
         with pytest.raises(ValueError):
             data.balance(dev, "joint", "Downsampling", seed=0)
 
@@ -383,7 +402,7 @@ def test_balance_seeded_draws_pinned(objective, mode):
     for (c, g), n in sorted(PINNED_COUNTS.items()):
         ys += [c] * n
         gs += [g] * n
-    ds = data.dataset_from_arrays(np.arange(len(ys), dtype=float)[:, None], ys, gs)
+    ds = data.Dataset(np.arange(len(ys), dtype=float)[:, None], ys, gs)
     out = data.balance(ds, objective, mode, seed=7)
     if mode == "Reweighting":
         assert out.weights.tolist() == PINNED_DRAWS[objective, mode]
@@ -479,7 +498,7 @@ def test_fairbatch_draws_pinned():
     for (c, g), n in sorted(FAIRBATCH_COUNTS.items()):
         ys += [c] * n
         gs += [g] * n
-    ds = data.dataset_from_arrays(np.arange(len(ys), dtype=float)[:, None], ys, gs)
+    ds = data.Dataset(np.arange(len(ys), dtype=float)[:, None], ys, gs)
     plan = data.BatchPlan(batch_size=4, shuffle_seed=11, group_sampling_probs=FAIRBATCH_PROBS)
     batches = data.make_batches(ds, plan)
     assert [b.X[:, 0].astype(int).tolist() for b in batches] == FAIRBATCH_DRAWS

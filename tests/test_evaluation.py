@@ -209,8 +209,7 @@ class TestRawlsianAndViolation:
     def test_max_violation_parity(self):
         y = np.array([0, 1, 0, 1])
         g = np.array([0, 0, 1, 1])
-        gc = ev.confusion_by_group(y, y, g, 2, 2)
-        assert ev.max_violation(gc, "tpr") == pytest.approx(0.0)
+        assert ev.evaluate_predictions(y, y, g, 2, 2).max_violation == pytest.approx(0.0)
 
     def test_max_violation_dominates_all_gaps(self):
         rng = np.random.default_rng(4)
@@ -218,7 +217,7 @@ class TestRawlsianAndViolation:
         g = rng.integers(0, 3, 80)
         preds = rng.integers(0, 2, 80)
         gc = ev.confusion_by_group(preds, y, g, 2, 3)
-        mv = ev.max_violation(gc, "tpr")
+        mv = ev.evaluate_predictions(preds, y, g, 2, 3).max_violation
         for c in range(2):
             m_overall = ev.cm_metric(gc.overall[c], "tpr")
             for gr in range(3):

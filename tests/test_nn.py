@@ -100,16 +100,16 @@ class TestBackward:
         y = rng.integers(0, 2, size=7)
 
         def loss_of(theta):
-            net.set_flat_params(theta)
+            nn.unflatten_into(net.params, theta)
             logits = nn.forward(net, X).logits
             return nn.cross_entropy(logits, y)[0]
 
         theta0 = net.flat_params()
         trace = nn.forward(net, X)
         _, d_logits, _ = nn.cross_entropy(trace.logits, y)
-        analytic = nn.backward(net, trace, d_logits).flat()
+        analytic = nn.flatten(nn.backward(net, trace, d_logits).params)
         numeric = finite_diff_grad(loss_of, theta0)
-        net.set_flat_params(theta0)
+        nn.unflatten_into(net.params, theta0)
         assert rel_err(analytic, numeric) < 1e-4
 
 
@@ -172,7 +172,7 @@ class TestFlatten:
     def test_wrong_length_rejected(self, delta):
         net = small_net([2, 3, 2])
         with pytest.raises(ShapeError):
-            net.set_flat_params(np.zeros(net.flat_params().size + delta))
+            nn.unflatten_into(net.params, np.zeros(net.flat_params().size + delta))
 
 
 class TestOptimizer:

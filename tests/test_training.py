@@ -57,7 +57,7 @@ class TestGradientCompositions:
     @pytest.mark.parametrize("seed", range(4))
     def test_ce_plus_adversarial(self, seed):
         cfg = training.MethodConfig(method="Adv", adv_lambda=0.8, hidden_dims=(6,),
-                                    activation="tanh", disc_hidden_dims=(4,))
+                                    activation="tanh")
         discs = training.init_discriminators(cfg, hidden_dim=6, num_classes=2, num_groups=2)
         assert check_gradients(cfg, seed, discs=discs) < 1e-4
 
@@ -94,30 +94,35 @@ class TestAdversarial:
 
     def test_constant_hidden_reversed_gradient(self):
         # constant hidden rows -> identical per-row discriminator input gradient,
-        # and the main model receives -lambda times the mean of it
-        cfg = training.MethodConfig(method="Adv", adv_lambda=2.0, disc_hidden_dims=(4,))
+        # and the pass returns the mean of it over the discriminators
+        cfg = training.MethodConfig(method="Adv", adv_lambda=2.0)
         discs = training.init_discriminators(cfg, hidden_dim=3, num_classes=2, num_groups=2)
         hidden = np.tile([[0.3, -0.2, 0.9]], (5, 1))
         batch = data.Batch(X=np.zeros((5, 1)), y=np.zeros(5, dtype=int),
                            g=np.zeros(5, dtype=int), weights=np.ones(5))
-        _, rev = training.adversarial_hidden_grad(discs, hidden, batch, 2.0)
+        _, grad, _ = training.adversarial_pass(discs, hidden, batch, cfg.diff_lambda)
         inputs = hidden
         trace = nn.forward(discs[0], inputs)
         _, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
         raw = nn.backward(discs[0], trace, d_logits).d_X
         np.testing.assert_allclose(raw[0], raw[1], atol=1e-12)
-        np.testing.assert_allclose(rev, -2.0 * raw, atol=1e-12)
+        np.testing.assert_allclose(grad, raw, atol=1e-12)
 
     def test_reversed_gradient_scales_linearly_in_lambda(self):
-        cfg = training.MethodConfig(method="Adv", adv_lambda=1.0, disc_hidden_dims=(4,))
-        discs = training.init_discriminators(cfg, 4, 2, 2)
+        # the main model's gradient is the CE gradient plus lambda times a
+        # fixed reversed term
         rng = np.random.default_rng(1)
-        hidden = rng.normal(size=(6, 4))
         batch = random_batch(rng, n=6, d=4)
+        std = training.MethodConfig(method="Standard", hidden_dims=(4,))
+        model = make_model(std, d=4, seed=1)
+        discs = training.init_discriminators(training.MethodConfig(method="Adv"), 4, 2, 2)
+        base = nn.flatten(training.main_loss_and_grads(model, batch, std)[1])
         grads = {}
         for lam in (0.5, 1.0, 2.0):
-            _, rev = training.adversarial_hidden_grad(discs, hidden, batch, lam)
-            grads[lam] = rev
+            cfg = training.MethodConfig(method="Adv", adv_lambda=lam, hidden_dims=(4,))
+            _, rev, _, _ = training.main_loss_and_grads(model, batch, cfg, discs=discs)
+            grads[lam] = nn.flatten(rev) - base
+        assert np.any(grads[1.0])
         np.testing.assert_allclose(grads[1.0], 2.0 * grads[0.5], atol=1e-12)
         np.testing.assert_allclose(grads[2.0], 2.0 * grads[1.0], atol=1e-12)
 
@@ -131,52 +136,46 @@ class TestAdversarial:
         B = np.array([[0.0, 0.0], [0.0, 1.0]])
         assert np.sum((A.T @ B) ** 2) == 0.0
 
-    def test_discriminator_step_with_orthogonality_matches_fd(self):
+    def test_adversarial_pass_with_orthogonality_matches_fd(self):
         cfg = training.MethodConfig(method="DAdv", adv_lambda=1.0, n_discriminators=2,
-                                    diff_lambda=0.4, disc_hidden_dims=(3,),
-                                    activation="tanh")
+                                    diff_lambda=0.4, activation="tanh")
         discs = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
         rng = np.random.default_rng(2)
         hidden = rng.normal(size=(6, 4))
         batch = random_batch(rng, n=6, d=4)
 
-        def objective(thetas):
+        def objective(thetas, hidden=hidden):
             for d_, th in zip(discs, thetas):
-                d_.set_flat_params(th)
-            total = 0.0
+                nn.unflatten_into(d_.params, th)
+            ces = []
             firsts = []
             for d_ in discs:
                 trace = nn.forward(d_, hidden)
-                total += nn.cross_entropy(trace.logits, batch.g, batch.weights)[0]
+                ces.append(nn.cross_entropy(trace.logits, batch.g, batch.weights)[0])
                 firsts.append(trace.post[0])
-            total += cfg.diff_lambda * np.sum((firsts[0].T @ firsts[1]) ** 2)
-            return total
+            penalty = cfg.diff_lambda * np.sum((firsts[0].T @ firsts[1]) ** 2)
+            return sum(ces) + penalty, np.mean(ces)
 
         thetas0 = [d_.flat_params() for d_ in discs]
-        # analytic grads: replicate discriminator_step's gradient computation
-        traces = [nn.forward(d_, hidden) for d_ in discs]
-        firsts = [t.post[0] for t in traces]
-        M = firsts[0].T @ firsts[1]
-        pgrads = [2 * cfg.diff_lambda * firsts[1] @ M.T,
-                  2 * cfg.diff_lambda * firsts[0] @ M]
-        analytic = []
-        for d_, t, pg in zip(discs, traces, pgrads):
-            _, dl, _ = nn.cross_entropy(t.logits, batch.g, batch.weights)
-            analytic.append(nn.backward(d_, t, dl, extra_post_grads={0: pg}).flat())
-
+        mean_ce, hidden_grad, disc_grads = training.adversarial_pass(
+            discs, hidden, batch, cfg.diff_lambda)
+        assert mean_ce == pytest.approx(objective(thetas0)[1], abs=1e-12)
         for k in range(2):
             def f(th, k=k):
                 ts = [t.copy() for t in thetas0]
                 ts[k] = th
-                return objective(ts)
+                return objective(ts)[0]
             numeric = finite_diff_grad(f, thetas0[k])
-            assert rel_err(analytic[k], numeric) < 1e-4
+            assert rel_err(nn.flatten(disc_grads[k]), numeric) < 1e-4
+        # the hidden gradient is that of the mean CE alone, without the penalty
+        numeric = finite_diff_grad(
+            lambda h: objective(thetas0, h.reshape(hidden.shape))[1], hidden.ravel())
+        assert rel_err(hidden_grad.ravel(), numeric) < 1e-4
         for d_, th in zip(discs, thetas0):
-            d_.set_flat_params(th)
+            nn.unflatten_into(d_.params, th)
 
     def test_discriminator_descends_own_loss(self):
-        cfg = training.MethodConfig(method="Adv", adv_lambda=1.0, lr=0.05,
-                                    optimizer="sgd", disc_hidden_dims=(6,))
+        cfg = training.MethodConfig(method="Adv", adv_lambda=1.0, lr=0.05, optimizer="sgd")
         discs = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
         opts = [nn.make_optimizer(d_, kind="sgd", lr=0.05) for d_ in discs]
         rng = np.random.default_rng(3)
@@ -190,8 +189,29 @@ class TestAdversarial:
 
         before = disc_ce()
         for _ in range(20):
-            training.discriminator_step(discs, opts, hidden, batch, 0.0)
+            _, _, disc_grads = training.adversarial_pass(discs, hidden, batch, 0.0)
+            for d_, opt, grads in zip(discs, opts, disc_grads):
+                nn.optimizer_step(d_, grads, opt)
         assert disc_ce() < before
+
+    @pytest.mark.parametrize("method,flags,scores", [
+        # dev/test (performance, fairness) of epochs 1 and 2, at seed 0 on the
+        # CLI's default data, as the two-pass adversarial step produced them
+        ("AAdv", [], [(0.58125, 0.8750778019903765, 0.615, 0.872939209649694),
+                      (0.62875, 0.8004867033113945, 0.67375, 0.8137355523873532)]),
+        ("DAdv", ["--n_discriminators", "3", "--diff_lambda", "0.1"],
+         [(0.585, 0.8681330637009834, 0.62, 0.8731580160637303),
+          (0.63125, 0.8049928776229499, 0.67875, 0.8188769601747046)]),
+    ])
+    def test_epoch_scores_pinned(self, tmp_path, method, flags, scores):
+        results = tmp_path / "results"
+        argv = ["--method", method, *flags, "--epochs", "2", "--seed", "0",
+                "--results_dir", str(results)]
+        assert cli.main(argv) == 0
+        (run_dir,) = results.iterdir()
+        rows = [json.loads(line) for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+        keys = ("dev_performance", "dev_fairness", "test_performance", "test_fairness")
+        assert [tuple(r[k] for k in keys) for r in rows[1:]] == scores
 
 
 class TestFairBatch:
@@ -362,7 +382,7 @@ class TestTrainLoop:
         assert converged  # oracle: linearly separable
 
         g = rng.integers(0, 2, n)
-        ds = data.dataset_from_arrays(X, y, g)
+        ds = data.Dataset(X, y, g)
         cfg = training.MethodConfig(method="Standard", epochs=50, batch_size=32,
                                     lr=0.01, hidden_dims=(8,), seed=0)
         record = training.train(ds, ds, ds, cfg)
