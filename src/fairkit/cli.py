@@ -347,7 +347,7 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
     H_train = postproc.hidden_representations(model, train_ds.X)
     projection = postproc.inlp(H_train, train_ds.g, max_iterations=cfg.inlp_iterations)
     postproc.save_projection(run_dir / "inlp_projection.bin", projection)
-    clf = postproc.apply_inlp_and_refit(model, projection.P, train_ds,
+    clf = postproc.apply_inlp_and_refit(model, projection.P, H_train, train_ds.y,
                                         num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies}

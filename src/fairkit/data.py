@@ -147,9 +147,12 @@ def _read_csv(path: Path):
         if len(row) != len(header):
             raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            rows_X.append([float(row[i]) for i in x_cols])
+            x = [float(row[i]) for i in x_cols]
         except ValueError as e:
             raise ParseError(f"{path}:{lineno}: {e}") from None
+        if not all(map(math.isfinite, x)):
+            raise ParseError(f"{path}:{lineno}: feature values must be finite, got {x}")
+        rows_X.append(x)
         try:
             rows_y.append(_int_label(row[y_col], "y"))
             rows_g.append(_int_label(row[g_col], "protected_label"))
@@ -178,8 +181,8 @@ def _read_jsonl(path: Path):
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             pass
         else:
-            if (X.ndim == 2 and X.dtype.kind in "biuf" and y.ndim == g.ndim == 1
-                    and y.dtype.kind == "i" and g.dtype.kind == "i"
+            if (X.ndim == 2 and X.dtype.kind in "biuf" and np.isfinite(X).all()
+                    and y.ndim == g.ndim == 1 and y.dtype.kind == "i" and g.dtype.kind == "i"
                     and y.min() >= 0 and g.min() >= 0):
                 return X.astype(float), y, g
     return _read_jsonl_lines(path, lines)
@@ -221,8 +224,10 @@ def _jsonl_row(obj) -> tuple[list[float], int, int]:
         raise ParseError(f"X must be a list of numbers, got {obj['X']!r}")
     try:
         x = [float(v) for v in obj["X"]]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"X must be a list of numbers, got {obj['X']!r}") from None
+    if not all(map(math.isfinite, x)):
+        raise ParseError(f"X values must be finite, got {obj['X']!r}")
     return x, _int_label(obj["y"], "y"), _int_label(obj["protected_label"], "protected_label")
 
 

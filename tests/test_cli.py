@@ -418,6 +418,39 @@ def _narrow_dev(tmp_path, spec_file):
     return argv
 
 
+def _appended_row(split, literal):
+    """Generated files with one more row in split, whose first feature is
+    the JSON text literal."""
+    def source(tmp_path, spec_file):
+        argv = _generated(tmp_path, spec_file)
+        path = tmp_path / "data" / f"toy_{split}.jsonl"
+        row = json.loads(path.read_text().splitlines()[0])
+        line = json.dumps({**row, "X": ["@", *row["X"][1:]]}).replace('"@"', literal)
+        with open(path, "a") as f:
+            f.write(line + "\n")
+        return argv
+    return source
+
+
+def _csv_files(split=None, literal=None):
+    """The generated splits rewritten as CSV files; if split is given, the
+    first feature of its first row is the text literal."""
+    def source(tmp_path, spec_file):
+        _generated(tmp_path, spec_file)
+        data_dir = tmp_path / "data"
+        for name in ("train", "dev", "test"):
+            rows = [json.loads(line) for line in
+                    (data_dir / f"toy_{name}.jsonl").read_text().splitlines()]
+            lines = [",".join([*(f"x{i}" for i in range(len(rows[0]["X"]))),
+                               "y", "protected_label"])]
+            lines += [",".join(map(str, [*r["X"], r["y"], r["protected_label"]])) for r in rows]
+            if name == split:
+                lines[1] = literal + lines[1][lines[1].index(","):]
+            (data_dir / f"toy_{name}.csv").write_text("\n".join(lines) + "\n")
+        return ["--dataset", "toy", "--data_dir", str(data_dir), "--dataset_format", "csv"]
+    return source
+
+
 def _spec(tmp_path, spec_file):
     return ["--synthetic_spec", str(spec_file)]
 
@@ -463,6 +496,12 @@ TRAIN_EXIT_CODES = {
     "files, dev split narrower than train": (_narrow_dev, [], 2),
     "files, declared sizes above the labels": (
         _generated, ["--num_classes", "3", "--num_groups", "3"], 0),
+    "files, NaN in a train feature": (_appended_row("train", "NaN"), [], 1),
+    "files, -Infinity in a train feature": (_appended_row("train", "-Infinity"), [], 1),
+    "files, 1e400 in a dev feature": (_appended_row("dev", "1e400"), [], 1),
+    "csv files": (_csv_files(), [], 0),
+    "csv files, nan in a train feature": (_csv_files("train", "nan"), [], 1),
+    "csv files, 1e400 in a test feature": (_csv_files("test", "1e400"), [], 1),
     "spec, --num_classes below the labels": (_spec, ["--num_classes", "1"], 2),
     "spec, --emb_size mismatch": (_spec, ["--emb_size", "5"], 2),
     "spec, declared sizes above the labels": (
@@ -494,6 +533,7 @@ class TestExitCodes:
         assert cli.main(argv) == code
         if code == 2:
             assert "config error" in capsys.readouterr().err
+        if code != 0:
             assert not results.exists()
 
     @pytest.mark.parametrize("name", list(BAD_SPECS))

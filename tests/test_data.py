@@ -108,6 +108,10 @@ MALFORMED_JSONL = {
     "y above int64": ({"X": [1, 2], "y": 10**20, "protected_label": 0}, LabelDomainError),
     "protected_label 2**63": ({"X": [1, 2], "y": 0, "protected_label": 2**63}, LabelDomainError),
     "a JSON string": ("X, y and protected_label", SchemaError),
+    "X holds NaN": ({"X": [float("nan"), 2], "y": 0, "protected_label": 0}, ParseError),
+    "X holds -Infinity": ({"X": [1, float("-inf")], "y": 0, "protected_label": 0}, ParseError),
+    "X holds an integer beyond float": ({"X": [10**400, 2], "y": 0, "protected_label": 0},
+                                        ParseError),
 }
 
 
@@ -125,6 +129,19 @@ def test_csv_label_above_int64_names_its_line(tmp_path):
     p.write_text("x0,y,protected_label\n0.1,0,0\n0.2,100000000000000000000,1\n")
     with pytest.raises(LabelDomainError, match=re.escape(f"{p}:3: ")):
         data.load_dataset(p, "csv")
+
+
+@pytest.mark.parametrize("fmt,good,bad", [
+    ("jsonl", GOOD_JSONL, '{"X": [1e400, 0.2], "y": 0, "protected_label": 1}\n'),
+    *(("csv", "x0,x1,y,protected_label\n0.1,0.2,0,1\n", f"0.1,{v},0,1\n")
+      for v in ("nan", "-inf", "1e400")),
+])
+def test_non_finite_feature_names_its_line(tmp_path, fmt, good, bad):
+    p = tmp_path / f"toy_train.{fmt}"
+    p.write_text(good + bad)
+    line = good.count("\n") + 1
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: ")):
+        data.load_dataset(p, fmt)
 
 
 @pytest.mark.parametrize("fmt,good", [("jsonl", GOOD_JSONL),
@@ -146,7 +163,8 @@ def _outcome(read, *args):
     return np.asarray(X, dtype=float), np.asarray(y), np.asarray(g)
 
 
-_numbers = st.one_of(st.floats(width=64), st.integers(-10**6, 10**6), st.booleans())
+_numbers = st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                     st.integers(-10**6, 10**6), st.booleans())
 _rows = st.integers(1, 4).flatmap(lambda arity: st.lists(st.fixed_dictionaries(
     {"X": st.lists(_numbers, min_size=arity, max_size=arity), "y": st.integers(0, 5),
      "protected_label": st.integers(0, 5)}), min_size=3, max_size=8))
@@ -185,6 +203,10 @@ DAMAGE = {
     "negative label": lambda rows, lines, i: _splice(
         lines, i, 1, _changed(rows, i, protected_label=-1)),
     "fractional label": lambda rows, lines, i: _splice(lines, i, 1, _changed(rows, i, y=1.5)),
+    "X holds NaN": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, X=[float("nan")] + rows[i]["X"][1:])),
+    "X holds 1e400": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, X=["@"] + rows[i]["X"][1:]).replace('"@"', "1e400")),
     "a JSON list": lambda rows, lines, i: _splice(lines, i, 1, "[1, 2]"),
     "truncated line": lambda rows, lines, i: _splice(lines, i, 1, lines[i][:-1]),
     "two rows on one line": lambda rows, lines, i: _splice(

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+import yaml
 
-from fairkit import data, nn, postproc, training
+from fairkit import cli, data, nn, postproc, training
 from fairkit.errors import DegenerateProbeError, MethodInapplicableError, ShapeError
 
 
@@ -15,6 +18,58 @@ def leaky_hidden(n_per_group=60, h=6, shift=3.0, seed=0):
     H = np.vstack([H0, H1])
     g = np.array([0] * n_per_group + [1] * n_per_group)
     return H, g
+
+
+def random_problem(K, seed):
+    """Seeded labels that depend on H through a random linear map plus noise."""
+    rng = np.random.default_rng(seed)
+    n, h = int(rng.integers(40, 200)), int(rng.integers(1, 21))
+    H = rng.normal(size=(n, h)) * rng.uniform(0.2, 3.0, size=h)
+    labels = (H @ rng.normal(size=(h, K)) + rng.gumbel(size=(n, K))).argmax(axis=1)
+    return H, labels
+
+
+def _design(H, labels, K):
+    X = np.hstack([H, np.ones((len(H), 1))])
+    return X, np.eye(K)[labels]
+
+
+def ridge_objective(H, labels, K, W, b):
+    """Mean cross-entropy plus PROBE_L2/2 * ||[W b]||^2, and its gradient in [W b]."""
+    X, Y = _design(H, labels, K)
+    Wb = np.hstack([W, b[:, None]])
+    Z = X @ Wb.T
+    Z = Z - Z.max(axis=1, keepdims=True)
+    log_p = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+    value = -(Y * log_p).sum() / len(X) + 0.5 * postproc.PROBE_L2 * (Wb ** 2).sum()
+    return value, (np.exp(log_p) - Y).T @ X / len(X) + postproc.PROBE_L2 * Wb
+
+
+def newton_softmax_head(H, labels, K):
+    """Reference: damped Newton on the full K*(h+1) ridge objective, with
+    backtracking on the objective, run to a gradient norm of 1e-12."""
+    X, _ = _design(H, labels, K)
+    n, d = X.shape
+    lam = postproc.PROBE_L2
+
+    def objective(Wb):
+        return ridge_objective(H, labels, K, Wb[:, :-1], Wb[:, -1])
+
+    Wb = np.zeros((K, d))
+    for _ in range(100):
+        f0, G = objective(Wb)
+        if np.linalg.norm(G) < 1e-12:
+            break
+        P = nn.softmax(X @ Wb.T)
+        # Hessian[(k, j), (l, m)] = mean_i (P_ik [k == l] - P_ik P_il) X_ij X_im + lam
+        D = np.einsum("ik,kl->ikl", P, np.eye(K)) - np.einsum("ik,il->ikl", P, P)
+        hess = np.einsum("ikl,ij,im->kjlm", D, X, X).reshape(K * d, K * d) / n
+        step = np.linalg.solve(hess + lam * np.eye(K * d), G.ravel()).reshape(K, d)
+        t = 1.0
+        while objective(Wb - t * step)[0] > f0 - 0.25 * t * (G * step).sum():
+            t /= 2
+        Wb = Wb - t * step
+    return Wb[:, :-1], Wb[:, -1]
 
 
 class TestProbes:
@@ -44,6 +99,25 @@ class TestProbes:
         # zero init + softmax gradient keeps sum over class rows at zero
         H, g = leaky_hidden()
         W, b = postproc.fit_softmax_head(H, g, 2)
+        np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
+        assert b.sum() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_softmax_head_solves_the_ridge_problem(self, K, seed):
+        H, labels = random_problem(K, seed)
+        W, b = postproc.fit_softmax_head(H, labels, K)
+        value, G = ridge_objective(H, labels, K, W, b)
+        grad_norm = np.linalg.norm(G)
+        assert grad_norm <= 10 * postproc.PROBE_TOL
+        W_ref, b_ref = newton_softmax_head(H, labels, K)
+        value_ref, _ = ridge_objective(H, labels, K, W_ref, b_ref)
+        assert value == pytest.approx(value_ref, rel=0, abs=1e-6)
+        # the objective is PROBE_L2-strongly convex, so a gradient norm of
+        # grad_norm puts [W b] within grad_norm / PROBE_L2 of the minimizer
+        dist = np.linalg.norm(np.hstack([W - W_ref, (b - b_ref)[:, None]]))
+        assert dist <= grad_norm / postproc.PROBE_L2
+        # class rows sum to zero: for K = 2, W[1] == -W[0] (a rank-1 probe)
         np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
         assert b.sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -160,7 +234,8 @@ class TestApplyInlpAndRefit:
     def test_identity_projection_close_to_original(self):
         model, train_ds, dev_ds = trained_standard()
         h = model.hidden_dim
-        clf = postproc.apply_inlp_and_refit(model, np.eye(h), train_ds, 2)
+        H_train = postproc.hidden_representations(model, train_ds.X)
+        clf = postproc.apply_inlp_and_refit(model, np.eye(h), H_train, train_ds.y, 2)
         orig = np.mean(training.predict(model, dev_ds.X) == dev_ds.y)
         refit = np.mean(clf.predict(dev_ds.X) == dev_ds.y)
         assert abs(refit - orig) <= 0.02
@@ -168,7 +243,8 @@ class TestApplyInlpAndRefit:
     def test_zero_projection_collapses_to_majority(self):
         model, train_ds, dev_ds = trained_standard()
         h = model.hidden_dim
-        clf = postproc.apply_inlp_and_refit(model, np.zeros((h, h)), train_ds, 2)
+        H_train = postproc.hidden_representations(model, train_ds.X)
+        clf = postproc.apply_inlp_and_refit(model, np.zeros((h, h)), H_train, train_ds.y, 2)
         preds = clf.predict(dev_ds.X)
         assert len(np.unique(preds)) == 1  # constant classifier
         acc = np.mean(preds == dev_ds.y)
@@ -176,16 +252,47 @@ class TestApplyInlpAndRefit:
 
     def test_shape_mismatch(self):
         model, train_ds, _ = trained_standard()
+        H_train = postproc.hidden_representations(model, train_ds.X)
         with pytest.raises(ShapeError):
-            postproc.apply_inlp_and_refit(model, np.eye(3), train_ds, 2)
+            postproc.apply_inlp_and_refit(model, np.eye(3), H_train, train_ds.y, 2)
 
     def test_original_model_untouched(self):
         model, train_ds, _ = trained_standard()
         before = model.flat_params()
-        P = postproc.inlp(postproc.hidden_representations(model, train_ds.X),
-                          train_ds.g, max_iterations=2).P
-        postproc.apply_inlp_and_refit(model, P, train_ds, 2)
+        H_train = postproc.hidden_representations(model, train_ds.X)
+        P = postproc.inlp(H_train, train_ds.g, max_iterations=2).P
+        postproc.apply_inlp_and_refit(model, P, H_train, train_ds.y, 2)
         np.testing.assert_array_equal(model.flat_params(), before)
+
+
+# 3 classes x 2 groups, group g = c mod 2 over-represented in class c
+THREE_CLASS_SPEC = {
+    "n_per_cell": {f"{c},{g}": 60 if g == c % 2 else 25 for c in range(3) for g in range(2)},
+    "d": 6, "class_separation": 2.0, "group_shift": 3.0, "seed": 0}
+
+
+@pytest.mark.parametrize("flags,row", [
+    # the INLP row (probe accuracies, then dev/test performance and fairness)
+    # at seed 0 after 2 epochs, as the ridge bound-iteration solver writes it
+    (["--method", "Standard", "--INLP"],
+     ([0.98125, 0.7775, 0.6775, 0.615, 0.545, 0.55, 0.55125, 0.495, 0.525, 0.5],
+      0.58125, 0.7991545646799787, 0.60375, 0.8090229798582504)),
+    (["--synthetic_spec", "SPEC", "--method", "Adv", "--INLP", "--inlp_iterations", "3"],
+     ([1.0, 0.8431372549019608, 0.8274509803921568],
+      0.6901960784313725, 0.8284493380087689, 0.6235294117647059, 0.8361346532916375)),
+])
+def test_inlp_row_pinned(tmp_path, flags, row):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(THREE_CLASS_SPEC))
+    results = tmp_path / "results"
+    argv = [str(spec) if f == "SPEC" else f for f in flags]
+    assert cli.main([*argv, "--epochs", "2", "--seed", "0", "--results_dir", str(results)]) == 0
+    (run_dir,) = results.iterdir()
+    last = json.loads((run_dir / "epochs.jsonl").read_text().splitlines()[-1])
+    assert last["post"] == "INLP"
+    keys = ("probe_accuracies", "dev_performance", "dev_fairness",
+            "test_performance", "test_fairness")
+    assert tuple(last[k] for k in keys) == row
 
 
 def trained_gate(seed=0, num_groups=2):
