@@ -59,11 +59,6 @@ def select_row(rows: list[dict], criterion: SelectionCriterion) -> dict:
     return rows[_best_point(points, criterion)]
 
 
-def select_epoch(rows: list[dict], criterion: SelectionCriterion) -> int:
-    """Best epoch of one run by its dev trajectory; returns the epoch index."""
-    return select_row(rows, criterion)["epoch"]
-
-
 def _index_key(index: dict) -> tuple:
     return tuple(sorted(index.items()))
 
@@ -223,7 +218,7 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
 
     A run directory holds manifest.json (with finalized=true, method, index,
     seed) and epochs.jsonl. A run is skipped if it is unfinalized, has no
-    epoch rows, or either file does not parse."""
+    epoch rows, or either file does not parse or has a mistyped field."""
     results_dir = Path(results_dir)
     runs, skipped = [], []
     if not results_dir.is_dir():
@@ -235,6 +230,13 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
         else:
             runs.append(run)
     return runs, skipped
+
+
+_SCORES = ("dev_performance", "dev_fairness", "test_performance", "test_fairness")
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON number; a bool is not one
 
 
 def _load_run(run_dir: Path) -> tuple[dict | None, str]:
@@ -250,6 +252,13 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
     missing = [key for key in ("method", "index", "seed") if key not in manifest]
     if missing:
         return None, f"manifest.json lacks {', '.join(missing)}"
+    method, index, seed = manifest["method"], manifest["index"], manifest["seed"]
+    for key, kind, ok in (("method", "a string", type(method) is str),
+                          ("index", "an object of numbers", type(index) is dict
+                           and all(map(_is_number, index.values()))),
+                          ("seed", "an integer", type(seed) is int)):
+        if not ok:
+            return None, f"manifest.json {key} is not {kind}: {manifest[key]!r}"
     rows = []
     epochs_path = run_dir / "epochs.jsonl"
     if epochs_path.exists():
@@ -260,11 +269,14 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
                 except ValueError as e:
                     return None, f"epochs.jsonl line {lineno} does not parse: {e}"
                 if isinstance(row, dict) and "epoch" in row:
+                    bad = [key for key in _SCORES if not _is_number(row.get(key))]
+                    if bad:
+                        return None, f"epochs.jsonl line {lineno} has no numeric {', '.join(bad)}"
                     rows.append(row)
     if not rows:
         return None, "no epoch rows"
-    return {"method": manifest["method"], "index": manifest["index"],
-            "seed": manifest["seed"], "rows": rows, "dir": str(run_dir)}, ""
+    return {"method": method, "index": index, "seed": seed, "rows": rows,
+            "dir": str(run_dir)}, ""
 
 
 def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[dict[str, dict], dict]:

@@ -31,7 +31,6 @@ from .errors import (
     SpecError,
     TrainingDivergedError,
 )
-from .evaluation import evaluate_predictions
 from .files import write_atomic
 
 TOOLKIT_VERSION = "0.1.0"
@@ -351,7 +350,8 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
                                         num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies}
-    _append_post_row(run_dir, row, clf.predict, dev_ds, test_ds)
+    training._append_row(run_dir / "epochs.jsonl", row, lambda ds: clf.predict(ds.X),
+                         dev_ds, test_ds)
 
 
 def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
@@ -359,19 +359,10 @@ def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path
     prior, dev_dto = postproc.gate_soft_search(model, dev_ds,
                                                grid_resolution=cfg.gate_grid_resolution)
     row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}
-    _append_post_row(run_dir, row,
-                     lambda X: training.gate_soft_logits(model, X, np.array(prior)).argmax(axis=1),
-                     dev_ds, test_ds)
-
-
-def _append_post_row(run_dir: Path, row: dict, predict, dev_ds, test_ds):
-    """Add the dev and test scores of predict to row; append row to epochs.jsonl."""
-    for name, ds in (("dev", dev_ds), ("test", test_ds)):
-        report = evaluate_predictions(predict(ds.X), ds.y, ds.g, ds.num_classes, ds.num_groups)
-        row[f"{name}_performance"] = report.performance
-        row[f"{name}_fairness"] = report.fairness
-    with open(run_dir / "epochs.jsonl", "a") as f:
-        f.write(json.dumps(row) + "\n")
+    mix = np.array(prior)
+    training._append_row(run_dir / "epochs.jsonl", row,
+                         lambda ds: training.gate_soft_logits(model, ds.X, mix).argmax(axis=1),
+                         dev_ds, test_ds)
 
 
 def cmd_analyze(argv: list[str]) -> int:

@@ -27,6 +27,7 @@ from .errors import (
     LabelDomainError,
     ParseError,
     SchemaError,
+    ShapeError,
     SpecError,
 )
 
@@ -84,18 +85,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def cell_indices(self) -> dict[tuple[int, int], np.ndarray]:
-        out = {}
-        for c in range(self.num_classes):
-            for gr in range(self.num_groups):
-                idx = np.flatnonzero((self.y == c) & (self.g == gr))
-                if idx.size:
-                    out[(c, gr)] = idx
-        return out
-
-    def cell_counts(self) -> dict[tuple[int, int], int]:
-        return {k: v.size for k, v in self.cell_indices().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -422,44 +411,39 @@ def balance(dataset: Dataset, objective: str, mode: str, seed: int = 0) -> Datas
 # ---------------------------------------------------------------------------
 # Batching
 
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int
-    shuffle_seed: int = 0
-    group_sampling_probs: dict[tuple[int, int], float] | None = None
-
-    def __post_init__(self):  # FairBatchState checks group_sampling_probs
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-
-
-def make_batches(dataset: Dataset, plan: BatchPlan) -> list[Batch]:
-    """Seeded permutation chunking, or cell-distribution sampling with
-    replacement when group_sampling_probs is set (dynamic-batch mode)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(plan.shuffle_seed, 2)))
+def make_batches(dataset: Dataset, batch_size: int, shuffle_seed: int = 0,
+                 probs: np.ndarray | None = None) -> list[Batch]:
+    """Seeded permutation chunking, or, when probs is a [C, G] table of cell
+    probabilities (dynamic-batch mode), batches of cells drawn by probs and
+    rows drawn uniformly with replacement within each cell."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(shuffle_seed, 2)))
     n = dataset.n
-    n_batches = -(-n // plan.batch_size)
-    if plan.group_sampling_probs is None:
-        if plan.batch_size > n:
+    n_batches = -(-n // batch_size)
+    if probs is None:
+        if batch_size > n:
             raise ValueError("batch_size exceeds dataset size")
         perm = rng.permutation(n)
-        chunks = [perm[i * plan.batch_size:(i + 1) * plan.batch_size] for i in range(n_batches)]
+        chunks = [perm[i * batch_size:(i + 1) * batch_size] for i in range(n_batches)]
     else:
-        cells = sorted(plan.group_sampling_probs)
-        probs = np.array([plan.group_sampling_probs[c] for c in cells])
-        cell_idx = dataset.cell_indices()
-        for cell, p in zip(cells, probs):
-            if p > 0 and cell not in cell_idx:
-                raise EmptyCellError(f"cell (y={cell[0]}, g={cell[1]}) has mass but no instances")
-        # every cell's rows, end to end; a row drawn from cell k is
-        # flat[starts[k] + rng.integers(sizes[k])]
-        members = [cell_idx.get(cell, np.empty(0, dtype=int)) for cell in cells]
-        flat = np.concatenate(members)
-        sizes = np.array([idx.size for idx in members])
+        C, G = dataset.num_classes, dataset.num_groups
+        if np.shape(probs) != (C, G):
+            raise ShapeError(f"probs has shape {np.shape(probs)}, expected {(C, G)}")
+        p = np.asarray(probs, dtype=float).ravel()
+        cell = dataset.y * G + dataset.g
+        sizes = np.bincount(cell, minlength=C * G)
+        empty = np.flatnonzero((p > 0) & (sizes == 0))
+        if empty.size:
+            c, gr = divmod(int(empty[0]), G)
+            raise EmptyCellError(f"cell (y={c}, g={gr}) has mass but no instances")
+        # every cell's rows in cell order, each cell's in row order; a row
+        # drawn from cell k is flat[starts[k] + rng.integers(sizes[k])]
+        flat = np.argsort(cell, kind="stable")
         starts = np.cumsum(sizes) - sizes
         chunks = []
         for _ in range(n_batches):
-            which = rng.choice(len(cells), size=plan.batch_size, p=probs)
+            which = rng.choice(p.size, size=batch_size, p=p)
             chunks.append(flat[starts[which] + rng.integers(sizes[which])])
     return [Batch(X=dataset.X[ix], y=dataset.y[ix], g=dataset.g[ix],
                   weights=dataset.weights[ix]) for ix in chunks]

@@ -1,10 +1,11 @@
 """Group fairness evaluation from confusion matrices.
 
 All metrics are one-vs-rest per class, computed per protected group and
-overall. The fairness score is 1 - GAP, where GAP aggregates per-group
-deviations from the per-class overall metric: sum of absolute deviations
-within a class, root-mean-square across classes. 0/0 metric cells are
-"undefined" and excluded rather than imputed.
+overall, as [num_classes, num_groups] tables: the [C, G, 4] (TP, FP, TN, FN)
+counts of confusion_by_group, and the metric cells cm_metric maps them to,
+NaN where a metric is 0/0 ("undefined", excluded rather than imputed). The
+fairness score is 1 - GAP: the sum over groups of each cell's absolute
+deviation from its class's overall metric, root-mean-square over classes.
 """
 
 from __future__ import annotations
@@ -16,31 +17,20 @@ import numpy as np
 
 from .errors import EvaluationDegenerateError, LabelDomainError, ShapeError
 
-# Each named metric as (numerator, denominator) of (TP, FP, TN, FN)
+# Each named metric as the (numerator, denominator) weights of (TP, FP, TN, FN)
 _RATIOS = {
-    "positive_rate": (lambda tp, fp, tn, fn: tp + fp, lambda tp, fp, tn, fn: tp + fp + tn + fn),
-    "tpr": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fn),
-    "fpr": (lambda tp, fp, tn, fn: fp, lambda tp, fp, tn, fn: fp + tn),
-    "precision": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fp),
-    "npv": (lambda tp, fp, tn, fn: tn, lambda tp, fp, tn, fn: tn + fn),
+    "positive_rate": ((1, 1, 0, 0), (1, 1, 1, 1)),
+    "tpr": ((1, 0, 0, 0), (1, 0, 0, 1)),
+    "fpr": ((0, 1, 0, 0), (0, 1, 1, 0)),
+    "precision": ((1, 0, 0, 0), (1, 1, 0, 0)),
+    "npv": ((0, 0, 1, 0), (0, 0, 1, 1)),
 }
 METRICS = tuple(_RATIOS)
 UTOPIA = (1.0, 1.0)  # the (performance, fairness) corner DTO is measured from
 
-Counts = tuple[int, int, int, int]  # TP, FP, TN, FN
 
-
-@dataclass
-class GroupedConfusion:
-    """One-vs-rest counts per (class, group) and per class overall."""
-
-    counts: dict[tuple[int, int], Counts]
-    overall: dict[int, Counts]
-    num_classes: int
-    num_groups: int
-
-
-def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> GroupedConfusion:
+def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> np.ndarray:
+    """One-vs-rest counts per (class, group): a [C, G, 4] (TP, FP, TN, FN) array."""
     predictions = np.asarray(predictions, dtype=int)
     y = np.asarray(y, dtype=int)
     g = np.asarray(g, dtype=int)
@@ -59,61 +49,49 @@ def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> 
     fp = cube.sum(axis=1) - tp
     fn = cube.sum(axis=0) - tp
     tn = cube.sum(axis=(0, 1)) - tp - fp - fn
-    cells = np.stack([tp, fp, tn, fn], axis=-1)  # [class, group, (TP, FP, TN, FN)]
-    by_cell, by_class = cells.tolist(), cells.sum(axis=1).tolist()
-    return GroupedConfusion(
-        counts={(c, gr): tuple(by_cell[c][gr]) for c in range(C) for gr in range(G)},
-        overall={c: tuple(by_class[c]) for c in range(C)},
-        num_classes=C, num_groups=G)
+    return np.stack([tp, fp, tn, fn], axis=-1)
 
 
-def cm_metric(counts: Counts, kind) -> float | None:
-    """Confusion-matrix metric; returns None (undefined) on 0/0.
+def cm_metric(counts, kind) -> np.ndarray:
+    """Confusion-matrix metric of counts [..., 4], elementwise; NaN (undefined) on 0/0.
 
-    kind is a registry name or a callable of (TP, FP, TN, FN)."""
-    if callable(kind):
-        return kind(*counts)
+    kind is a registry name or a callable of (TP, FP, TN, FN), called once
+    per cell with ints; a callable's None is undefined too."""
+    counts = np.asarray(counts)
+    if callable(kind):  # as a float array, None is NaN
+        return np.array([kind(*cell) for cell in counts.reshape(-1, 4).tolist()],
+                        dtype=float).reshape(counts.shape[:-1])
     if kind not in _RATIOS:
         raise ValueError(f"unknown metric kind {kind!r}; known: {METRICS}")
-    num, den = (f(*counts) for f in _RATIOS[kind])
-    if den == 0:
-        return None
-    return num / den
+    num, den = (counts @ np.array(weights) for weights in _RATIOS[kind])
+    return np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0)
 
 
-def gap_and_fairness(gc: GroupedConfusion, kind="tpr"
-                     ) -> tuple[float, float, dict[tuple[int, int], float]]:
-    """(GAP, fairness = 1 - GAP, per-(class, group) metric over defined cells)."""
-    per_group: dict[tuple[int, int], float] = {}
-    class_gaps = []
-    for c in range(gc.num_classes):
-        m_overall = cm_metric(gc.overall[c], kind)
-        deviations = []
-        for gr in range(gc.num_groups):
-            m = cm_metric(gc.counts[(c, gr)], kind)
-            if m is None or m_overall is None:
-                continue
-            per_group[(c, gr)] = m
-            deviations.append(abs(m - m_overall))
-        if deviations:
-            class_gaps.append(sum(deviations))
-    if not class_gaps:
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right as Python's sum() would;
+    ndarray.sum adds 8 or more terms pairwise, which rounds differently."""
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
+def gap_and_fairness(deviations: np.ndarray) -> tuple[float, float]:
+    """(GAP, fairness = 1 - GAP) of the [C, G] |cell metric - class metric|
+    table, NaN where undefined: the sum over the groups, then the RMS over
+    the classes that have a defined cell."""
+    defined = ~np.isnan(deviations)
+    has_cell = defined.any(axis=1)
+    if not has_cell.any():
         raise EvaluationDegenerateError("no defined (class, group) metric cell")
-    gap = math.sqrt(sum(v * v for v in class_gaps) / len(class_gaps))
-    return gap, 1.0 - gap, per_group
+    class_gaps = _row_sums(np.where(defined, deviations, 0.0))[has_cell]
+    gap = math.sqrt(_row_sums(class_gaps * class_gaps) / len(class_gaps))
+    return gap, 1.0 - gap
 
 
-def rawlsian_min(per_group_performance: dict) -> float:
-    if not per_group_performance:
+def rawlsian_min(per_group_performance: np.ndarray) -> float:
+    """The worst group's performance; NaN marks a group without rows."""
+    worst = float(np.fmin.reduce(per_group_performance, initial=np.nan))
+    if math.isnan(worst):
         raise EvaluationDegenerateError("no groups to take the minimum over")
-    return min(per_group_performance.values())
-
-
-def _max_violation(gc: GroupedConfusion, per_group: dict[tuple[int, int], float], kind) -> float:
-    """Largest |per-(class, group) metric - per-class overall metric| over
-    the defined cells that gap_and_fairness returned."""
-    overall = {c: cm_metric(gc.overall[c], kind) for c in range(gc.num_classes)}
-    return max(abs(m - overall[c]) for (c, _), m in per_group.items())
+    return worst
 
 
 def dto(point, utopia: tuple[float, float] = UTOPIA) -> float:
@@ -125,7 +103,7 @@ def dto(point, utopia: tuple[float, float] = UTOPIA) -> float:
 @dataclass
 class FairnessReport:
     performance: float
-    per_group_metric: dict[tuple[int, int], float]
+    per_group_metric: np.ndarray  # [C, G], NaN where undefined
     gap: float
     fairness: float
     rawlsian_min: float
@@ -140,27 +118,29 @@ class FairnessReport:
             "rawlsian_min": self.rawlsian_min,
             "max_violation": self.max_violation,
         }
-        for (c, gr), v in sorted(self.per_group_metric.items()):
-            d[f"{self.metric_kind}_class{c}_group{gr}"] = v
+        for (c, gr), v in np.ndenumerate(self.per_group_metric):
+            if not np.isnan(v):
+                d[f"{self.metric_kind}_class{c}_group{gr}"] = float(v)
         return d
 
 
 def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int,
                          kind: str = "tpr") -> FairnessReport:
     """Accuracy + group fairness in one report (the standard per-epoch eval)."""
-    gc = confusion_by_group(predictions, y, g, num_classes, num_groups)
-    gap, fairness, per_group = gap_and_fairness(gc, kind)
+    counts = confusion_by_group(predictions, y, g, num_classes, num_groups)
+    cells = cm_metric(counts, kind)
+    deviations = np.abs(cells - cm_metric(counts.sum(axis=1), kind)[:, None])
+    gap, fairness = gap_and_fairness(deviations)
     # correct rows are the TPs summed over classes; one division = np.mean's float
-    correct = [sum(gc.counts[(c, gr)][0] for c in range(num_classes))
-               for gr in range(num_groups)]
-    rows = [sum(gc.counts[(0, gr)]) for gr in range(num_groups)]
-    groups_acc = {gr: correct[gr] / rows[gr] for gr in range(num_groups) if rows[gr]}
+    correct = counts[:, :, 0].sum(axis=0)
+    rows = counts[0].sum(axis=-1)
     return FairnessReport(
-        performance=sum(correct) / sum(rows),
-        per_group_metric=per_group,
+        performance=int(correct.sum()) / int(rows.sum()),
+        per_group_metric=np.where(np.isnan(deviations), np.nan, cells),
         gap=gap,
         fairness=fairness,
-        rawlsian_min=rawlsian_min(groups_acc),
-        max_violation=_max_violation(gc, per_group, kind),
+        rawlsian_min=rawlsian_min(
+            np.divide(correct, rows, out=np.full(num_groups, np.nan), where=rows > 0)),
+        max_violation=float(np.fmax.reduce(deviations, axis=None)),
         metric_kind=kind if isinstance(kind, str) else "custom",
     )

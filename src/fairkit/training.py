@@ -2,7 +2,9 @@
 
 Methods: Standard, the adversarial family (Adv, EAdv, DAdv, AAdv, ADAdv),
 Gate (group-specific additive heads), FairBatch (dynamic batch
-distribution), FairSCL (contrastive terms), and EO_CLA (loss-gap penalty).
+distribution over (class, group) cells, kept as [C, G] tables of sampling
+probabilities and latest mean losses, NaN until a cell is observed),
+FairSCL (contrastive terms), and EO_CLA (loss-gap penalty).
 Each method is one record in METHODS: its trade-off weights, whether it
 trains an ensemble of discriminators, whether they read the class, and
 whether it trains group heads. MethodConfig checks the shared Settings and
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Batch, BatchPlan, Dataset, make_batches
+from .data import Batch, Dataset, make_batches
 from .errors import (
     ContrastiveDegenerateError,
     FairbatchCollapseError,
@@ -33,7 +35,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .evaluation import evaluate_predictions
+from .evaluation import _row_sums, evaluate_predictions
 from .files import write_atomic
 
 
@@ -201,49 +203,23 @@ def gate_soft_logits(model: GateModel, X: np.ndarray, prior: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 # FairBatch
 
-@dataclass
-class FairBatchState:
-    probs: dict[tuple[int, int], float]
-    alpha: float
-    per_cell_losses: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        vals = np.array(list(self.probs.values()))
-        if np.any(vals < 0) or abs(vals.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be nonnegative and sum to 1")
-
-
-def init_fairbatch_state(train: Dataset, alpha: float) -> FairBatchState:
-    probs = {cell: c / train.n for cell, c in train.cell_counts().items()}
-    return FairBatchState(probs=probs, alpha=alpha)
-
-
-def fairbatch_epoch_update(state: FairBatchState,
-                           epoch_cell_losses: dict[tuple[int, int], float]) -> FairBatchState:
+def fairbatch_epoch_update(probs: np.ndarray, losses: np.ndarray, alpha: float) -> np.ndarray:
     """Shift mass toward higher-loss cells: probs[y,g] += alpha * sign(L[y,g] - mean_g L[y,.]),
-    clip at 0, renormalize within each class so class marginals are preserved."""
-    losses = dict(state.per_cell_losses)
-    losses.update(epoch_cell_losses)  # unobserved cells carry over
-    classes = sorted({c for c, _ in state.probs})
-    new_probs: dict[tuple[int, int], float] = {}
-    for c in classes:
-        cells = sorted(cell for cell in state.probs if cell[0] == c)
-        marginal = sum(state.probs[cell] for cell in cells)
-        known = [losses[cell] for cell in cells if cell in losses]
-        mean_loss = sum(known) / len(known) if known else 0.0
-        raw = {}
-        for cell in cells:
-            step = 0.0
-            if cell in losses:
-                diff = losses[cell] - mean_loss
-                step = state.alpha * float(np.sign(diff))
-            raw[cell] = max(0.0, state.probs[cell] + step)
-        total = sum(raw.values())
-        if total <= 0.0:
-            raise FairbatchCollapseError(f"all sampling probs for class {c} clipped to zero")
-        for cell in cells:
-            new_probs[cell] = raw[cell] * marginal / total
-    return FairBatchState(probs=new_probs, alpha=state.alpha, per_cell_losses=losses)
+    clip at 0, renormalize within each class so class marginals are preserved.
+
+    probs and losses are [C, G] tables; losses holds each cell's latest mean
+    loss, NaN for a cell never observed, which keeps its mass and is left
+    out of the class mean. A class with no mass (no rows) stays at zero."""
+    known = ~np.isnan(losses)
+    mean_loss = _row_sums(np.where(known, losses, 0.0)) / np.maximum(known.sum(axis=1), 1)
+    step = alpha * np.sign(np.where(known, losses - mean_loss[:, None], 0.0))
+    raw = np.maximum(0.0, probs + step)
+    marginal, total = _row_sums(probs), _row_sums(raw)
+    live = marginal > 0
+    collapsed = np.flatnonzero(live & (total <= 0.0))
+    if collapsed.size:
+        raise FairbatchCollapseError(f"all sampling probs for class {collapsed[0]} clipped to zero")
+    return raw * marginal[:, None] / np.where(live, total, 1.0)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +488,26 @@ class ParseErrorForCheckpoint(IOErrorWithStage):
 class RunRecord:
     rows: list[dict] = field(default_factory=list)
     model: object = None
-    fairbatch_state: FairBatchState | None = None
+    fairbatch_probs: np.ndarray | None = None  # [C, G], FairBatch's last distribution
 
 
 def predict(model, X: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     return _forward(model, X, g)[1].argmax(axis=1)
 
 
-def _evaluate_split(model, ds: Dataset) -> tuple[float, float]:
-    preds = predict(model, ds.X, ds.g)
-    report = evaluate_predictions(preds, ds.y, ds.g, ds.num_classes, ds.num_groups)
-    return report.performance, report.fairness
+def _append_row(epochs_file, row: dict, predict_split, dev_ds: Dataset, test_ds: Dataset,
+                tail: dict | None = None) -> dict:
+    """Add the dev and test scores of predict_split(dataset), then tail, to
+    row; append row to epochs_file unless it is None. Returns row."""
+    for name, ds in (("dev", dev_ds), ("test", test_ds)):
+        report = evaluate_predictions(predict_split(ds), ds.y, ds.g, ds.num_classes, ds.num_groups)
+        row[f"{name}_performance"] = report.performance
+        row[f"{name}_fairness"] = report.fairness
+    row.update(tail or {})
+    if epochs_file is not None:
+        with open(epochs_file, "a") as f:
+            f.write(json.dumps(row) + "\n")
+    return row
 
 
 def _shuffle_seed(seed: int, epoch: int) -> int:
@@ -534,8 +519,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
     """Train one model; records per-epoch dev/test (performance, fairness)
     with epoch 0 being the untouched initialization. When run_dir is given,
     epochs.jsonl and checkpoints/epoch_<k> are written as training goes."""
-    num_classes = train_ds.num_classes
-    num_groups = train_ds.num_groups
+    num_classes, num_groups = train_ds.num_classes, train_ds.num_groups
     spec = nn.MlpSpec(input_dim=train_ds.dim, hidden_dims=cfg.hidden_dims,
                       output_dim=num_classes, activation=cfg.activation, seed=cfg.seed)
     if METHODS[cfg.method].group_heads:
@@ -548,64 +532,57 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         if cfg.adversarial else []
     disc_opts = [nn.make_optimizer(d, kind=cfg.optimizer, lr=cfg.lr) for d in discs]
 
-    fb_state = init_fairbatch_state(train_ds, cfg.fairbatch_alpha) \
-        if "fairbatch_alpha" in METHODS[cfg.method].tradeoffs else None
+    record = RunRecord(model=model)
+    fairbatch = "fairbatch_alpha" in METHODS[cfg.method].tradeoffs
+    if fairbatch:  # start at each cell's share of the rows
+        n_cells = num_classes * num_groups
+        counts = np.bincount(train_ds.y * num_groups + train_ds.g, minlength=n_cells)
+        record.fairbatch_probs = (counts / train_ds.n).reshape(num_classes, num_groups)
+        cell_losses = np.full(n_cells, np.nan)  # each cell's latest mean loss
 
-    run_dir = Path(run_dir) if run_dir is not None else None
     epochs_file = None
     if run_dir is not None:
+        run_dir = Path(run_dir)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
         epochs_file = run_dir / "epochs.jsonl"
         epochs_file.write_text("")
 
-    record = RunRecord(model=model, fairbatch_state=fb_state)
-
     def emit(epoch: int):
-        dev_p, dev_f = _evaluate_split(model, dev_ds)
-        test_p, test_f = _evaluate_split(model, test_ds)
         ckpt = None
         if run_dir is not None:
             ckpt = str(run_dir / "checkpoints" / f"epoch_{epoch}.npz")
             save_checkpoint(ckpt, model, main_opt, epoch)
-        row = {"epoch": epoch, "dev_performance": dev_p, "dev_fairness": dev_f,
-               "test_performance": test_p, "test_fairness": test_f,
-               "checkpoint": ckpt}
-        record.rows.append(row)
-        if epochs_file is not None:
-            with open(epochs_file, "a") as f:
-                f.write(json.dumps(row) + "\n")
+        record.rows.append(_append_row(epochs_file, {"epoch": epoch},
+                                       lambda ds: predict(model, ds.X, ds.g),
+                                       dev_ds, test_ds, tail={"checkpoint": ckpt}))
 
     emit(0)
 
     for epoch in range(1, cfg.epochs + 1):
-        probs = fb_state.probs if fb_state is not None else None
-        plan = BatchPlan(batch_size=min(cfg.batch_size, train_ds.n),
-                         shuffle_seed=_shuffle_seed(cfg.seed, epoch),
-                         group_sampling_probs=probs)
-        batches = make_batches(train_ds, plan)
-        batch_losses: list[np.ndarray] = []
-        batch_cells: list[np.ndarray] = []
+        batches = make_batches(train_ds, min(cfg.batch_size, train_ds.n),
+                               _shuffle_seed(cfg.seed, epoch), probs=record.fairbatch_probs)
+        batch_losses, batch_cells = [], []  # FairBatch's per-row losses and cells
         for b_idx, batch in enumerate(batches):
             if cfg.adversarial:
                 loss = adv_joint_step(model, main_opt, discs, disc_opts, batch, cfg)
             else:
                 loss, grads, per_example, _ = main_loss_and_grads(model, batch, cfg)
                 nn.optimizer_step(model, grads, main_opt)
-                if fb_state is not None:
+                if fairbatch:
                     batch_losses.append(per_example)
                     batch_cells.append(batch.y * num_groups + batch.g)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}")
-        if fb_state is not None and cfg.fairbatch_alpha > 0:
+        if fairbatch and cfg.fairbatch_alpha > 0:
             # bincount adds the weights in row order, as a running sum per cell would
             cells = np.concatenate(batch_cells)
-            sums = np.bincount(cells, weights=np.concatenate(batch_losses))
-            counts = np.bincount(cells)
-            epoch_losses = {divmod(k, num_groups): float(sums[k]) / int(counts[k])
-                            for k in np.flatnonzero(counts).tolist()}
-            fb_state = fairbatch_epoch_update(fb_state, epoch_losses)
-            record.fairbatch_state = fb_state
+            sums = np.bincount(cells, weights=np.concatenate(batch_losses), minlength=n_cells)
+            counts = np.bincount(cells, minlength=n_cells)
+            np.divide(sums, counts, out=cell_losses, where=counts > 0)  # the rest carry over
+            record.fairbatch_probs = fairbatch_epoch_update(
+                record.fairbatch_probs, cell_losses.reshape(num_classes, num_groups),
+                cfg.fairbatch_alpha)
         emit(epoch)
 
     return record

@@ -7,6 +7,7 @@ follow the toolkit's stated guarantees.
 import json
 import math
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,7 @@ def _efficacy_run(seed, method, bt=None, **kw):
     cfg = training.MethodConfig(method=method, epochs=20, batch_size=64,
                                 lr=3e-3, hidden_dims=(16,), seed=seed, **kw)
     record = training.train(train_ds, dev_ds, test_ds, cfg)
-    epoch = analysis.select_epoch(record.rows, analysis.SelectionCriterion())
+    epoch = analysis.select_row(record.rows, analysis.SelectionCriterion())["epoch"]
     row = next(r for r in record.rows if r["epoch"] == epoch)
     return row["test_performance"], row["test_fairness"], record
 
@@ -203,12 +204,12 @@ def test_criterion_6_pareto_and_selection_oracles(capsys):
 
     crit = analysis.SelectionCriterion()
     for _ in range(50):
-        # select_epoch against exhaustive evaluation
+        # select_row against exhaustive evaluation
         rows = [{"epoch": e, "dev_performance": float(rng.uniform()),
                  "dev_fairness": float(rng.uniform()),
                  "test_performance": 0.0, "test_fairness": 0.0}
                 for e in range(6)]
-        got = analysis.select_epoch(rows, crit)
+        got = analysis.select_row(rows, crit)["epoch"]
         dists = [math.hypot(1 - r["dev_performance"], 1 - r["dev_fairness"])
                  for r in rows]
         ok = ok and dists[got] == min(dists)
@@ -228,7 +229,7 @@ def test_criterion_6_pareto_and_selection_oracles(capsys):
             devs = []
             for r in runs:
                 if r["index"]["lam"] == float(i):
-                    e = analysis.select_epoch(r["rows"], crit)
+                    e = analysis.select_row(r["rows"], crit)["epoch"]
                     row = r["rows"][e]
                     devs.append((row["dev_performance"], row["dev_fairness"]))
             mp = sum(p for p, _ in devs) / len(devs)
@@ -252,7 +253,7 @@ def _random_count_dataset(rng):
 
 
 def _balance_constraints_hold(out, objective, mode):
-    counts = out.cell_counts()
+    counts = dict(Counter(zip(out.y.tolist(), out.g.tolist())))
     tol = 1e-9
     if mode == "Reweighting":
         totals = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairkit import analysis as an
+from fairkit import cli
 from fairkit.errors import EmptyInputError, IndexSchemaError
 
 
@@ -19,31 +20,31 @@ class TestSelectEpoch:
     def test_dto_picks_closer_to_utopia(self):
         # dto(0.8, 0.6) = hypot(.2, .4) ~ 0.447; dto(0.7, 0.9) ~ 0.316
         rows = rows_from_points([(0.8, 0.6), (0.7, 0.9)])
-        assert an.select_epoch(rows, an.SelectionCriterion()) == 1
+        assert an.select_row(rows, an.SelectionCriterion())["epoch"] == 1
 
     def test_constrained_fairness(self):
         # performance must be >= 0.75; among feasible maximize fairness
         rows = rows_from_points([(0.8, 0.6), (0.7, 0.9), (0.76, 0.8)])
         crit = an.SelectionCriterion(kind="ConstrainedFairness", threshold=0.75)
-        assert an.select_epoch(rows, crit) == 2
+        assert an.select_row(rows, crit)["epoch"] == 2
 
     def test_constrained_performance(self):
         rows = rows_from_points([(0.8, 0.6), (0.7, 0.9), (0.76, 0.8)])
         crit = an.SelectionCriterion(kind="ConstrainedPerformance", threshold=0.7)
-        assert an.select_epoch(rows, crit) == 2  # fairness >= 0.7: epochs 1 and 2
+        assert an.select_row(rows, crit)["epoch"] == 2  # fairness >= 0.7: epochs 1 and 2
 
     def test_constrained_fallback_nearest_to_threshold(self):
         rows = rows_from_points([(0.5, 0.9), (0.6, 0.3)])
         crit = an.SelectionCriterion(kind="ConstrainedFairness", threshold=0.9)
-        assert an.select_epoch(rows, crit) == 1  # no feasible point; 0.6 closest
+        assert an.select_row(rows, crit)["epoch"] == 1  # no feasible point; 0.6 closest
 
     def test_tie_goes_to_earliest_epoch(self):
         rows = rows_from_points([(0.7, 0.7), (0.7, 0.7), (0.7, 0.7)])
-        assert an.select_epoch(rows, an.SelectionCriterion()) == 0
+        assert an.select_row(rows, an.SelectionCriterion())["epoch"] == 0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
-            an.select_epoch([], an.SelectionCriterion())
+            an.select_row([], an.SelectionCriterion())
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
@@ -54,7 +55,7 @@ class TestSelectEpoch:
         for _ in range(50):
             pts = [(float(rng.uniform()), float(rng.uniform())) for _ in range(10)]
             rows = rows_from_points(pts)
-            got = an.select_epoch(rows, an.SelectionCriterion())
+            got = an.select_row(rows, an.SelectionCriterion())["epoch"]
             dists = [math.hypot(1 - p, 1 - f) for p, f in pts]
             assert dists[got] == min(dists)
 
@@ -107,7 +108,7 @@ class TestSelectAcrossHyperparameters:
                 devs = []
                 for r in runs:
                     if r["index"]["lam"] == float(i):
-                        e = an.select_epoch(r["rows"], crit)
+                        e = an.select_row(r["rows"], crit)["epoch"]
                         row = r["rows"][e]
                         devs.append((row["dev_performance"], row["dev_fairness"]))
                 mp = sum(p for p, _ in devs) / len(devs)
@@ -233,6 +234,32 @@ class TestEmitTradeoffData:
         json.dumps(an.emit_tradeoff_data(self.make_runs()))
 
 
+def _drop_dev_performance(manifest, rows):
+    del rows[1]["dev_performance"]
+
+
+def _text_fairness(manifest, rows):
+    rows[0]["dev_fairness"] = "x"
+
+
+def _list_index(manifest, rows):
+    manifest["index"] = [1]
+
+
+def _null_seed(manifest, rows):
+    manifest["seed"] = None
+
+
+# Runs that parse but hold a field of the wrong type, and the reason each is skipped
+MISTYPED_RUNS = {
+    "row without dev_performance": (_drop_dev_performance,
+                                    "epochs.jsonl line 2 has no numeric dev_performance"),
+    "text dev_fairness": (_text_fairness, "epochs.jsonl line 1 has no numeric dev_fairness"),
+    "list index": (_list_index, "manifest.json index is not an object of numbers: [1]"),
+    "null seed": (_null_seed, "manifest.json seed is not an integer: None"),
+}
+
+
 class TestLoadAndAnalyzeRuns:
     def write_run(self, root, name, manifest, rows):
         d = root / name
@@ -275,6 +302,20 @@ class TestLoadAndAnalyzeRuns:
         assert reasons["truncated"].startswith("epochs.jsonl line 2 does not parse")
         assert reasons["nokeys"] == "manifest.json lacks method, seed"
         assert reasons["notadict"] == "manifest.json is not a JSON object"
+
+    @pytest.mark.parametrize("damage", list(MISTYPED_RUNS))
+    def test_analyze_skips_mistyped_run_and_names_it(self, tmp_path, damage, capsys):
+        manifest = {"finalized": True, "method": "Standard", "index": {}, "seed": 0}
+        self.write_run(tmp_path, "good", manifest, rows_from_points([(0.7, 0.7), (0.8, 0.6)]))
+        damage_run, reason = MISTYPED_RUNS[damage]
+        manifest, rows = {**manifest, "seed": 1}, rows_from_points([(0.6, 0.9), (0.9, 0.5)])
+        damage_run(manifest, rows)
+        self.write_run(tmp_path, "damaged", manifest, rows)
+        assert cli.main(["analyze", "--results_dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: skipped 1 run(s):\n  {tmp_path / 'damaged'}: {reason}\n" in err
+        selection = json.loads((tmp_path / "selection.json").read_text())
+        assert [d["seed"] for d in selection["selection"]["Standard"]["per_seed"]] == [0]
 
     def test_missing_dir(self, tmp_path):
         runs, skipped = an.load_runs(tmp_path / "nope")

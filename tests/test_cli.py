@@ -608,6 +608,28 @@ class TestExitCodes:
         selection = json.loads((results / "selection.json").read_text())
         assert len(selection["selection"]["Standard"]["per_seed"]) == 1
 
+    def test_analyze_with_only_mistyped_runs_exits_5(self, tmp_path, small_spec_file, capsys):
+        results, good = self._results_with_good_run(tmp_path, small_spec_file)
+        bad = self._damaged_copy(good, "damaged", self._null_seed)
+        self._text_fairness(good)
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 5
+        err = capsys.readouterr().err
+        assert "skipped 2 run(s)" in err
+        assert f"{bad}: manifest.json seed is not an integer: None" in err
+        assert f"{good}: epochs.jsonl line 1 has no numeric dev_fairness" in err
+
+    @staticmethod
+    def _null_seed(run_dir):
+        path = run_dir / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "seed": None}))
+
+    @staticmethod
+    def _text_fairness(run_dir):
+        path = run_dir / "epochs.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0]["dev_fairness"] = "x"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
     def test_analyze_with_only_damaged_runs_exits_5(self, tmp_path, small_spec_file, capsys):
         results, good = self._results_with_good_run(tmp_path, small_spec_file)
         self._damaged_copy(good, "damaged", self._truncate_epochs)

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,19 @@ from fairkit.errors import (
     SpecError,
 )
 from fairkit.postproc import fit_linear_probe, majority_baseline
+
+
+def cell_counts(ds):
+    """{(class, group): rows} over the cells that have rows."""
+    return dict(Counter(zip(ds.y.tolist(), ds.g.tolist())))
+
+
+def cell_table(values, num_classes, num_groups):
+    """A [C, G] probability table from a {(class, group): p} dict; 0 elsewhere."""
+    table = np.zeros((num_classes, num_groups))
+    for cell, p in values.items():
+        table[cell] = p
+    return table
 
 
 def make_counts_dataset(counts, d=3, seed=0):
@@ -256,7 +270,7 @@ class TestSyntheticGenerator:
         spec = data.SyntheticSpec(n_per_cell={(0, 0): 5, (0, 1): 3, (1, 0): 2, (1, 1): 7},
                                   d=4, seed=3)
         for ds in data.generate_synthetic(spec):
-            assert ds.cell_counts() == spec.n_per_cell
+            assert cell_counts(ds) == spec.n_per_cell
 
     def test_no_group_shift_probe_near_baseline(self):
         spec = data.SyntheticSpec(n_per_cell=BAL, d=6, class_separation=1.0,
@@ -297,7 +311,7 @@ class TestBalance:
         ds = make_counts_dataset(SPEC_COUNTS)
         out = data.balance(ds, "joint", "Downsampling", seed=0)
         assert out.n == 4
-        assert all(v == 1 for v in out.cell_counts().values())
+        assert all(v == 1 for v in cell_counts(out).values())
         np.testing.assert_array_equal(out.weights, np.ones(4))
 
     def test_eo_reweighting_hand_table(self):
@@ -319,13 +333,13 @@ class TestBalance:
     def test_already_balanced_fixed_point(self, objective, mode):
         ds = make_counts_dataset({(0, 0): 5, (0, 1): 5, (1, 0): 5, (1, 1): 5})
         out = data.balance(ds, objective, mode, seed=1)
-        assert out.cell_counts() == ds.cell_counts()
+        assert cell_counts(out) == cell_counts(ds)
         np.testing.assert_allclose(out.weights, np.ones(out.n), atol=1e-12)
 
     def test_cb_downsamples_majority_within_class(self):
         ds = make_counts_dataset(SPEC_COUNTS)
         out = data.balance(ds, "y", "Downsampling", seed=0)
-        assert out.cell_counts() == {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1}
+        assert cell_counts(out) == {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1}
 
     def test_cb_requires_downsampling(self):
         ds = make_counts_dataset(SPEC_COUNTS)
@@ -338,7 +352,7 @@ class TestBalance:
         assert out.n == 10
         skewed = make_counts_dataset({(0, 0): 6, (0, 1): 1, (1, 0): 2, (1, 1): 3})
         out = data.balance(skewed, "g", "Downsampling", seed=0)
-        counts = out.cell_counts()
+        counts = cell_counts(out)
         for g in (0, 1):
             assert sum(counts.get((c, g), 0) for c in (0, 1)) == 4
 
@@ -363,13 +377,13 @@ class TestBalance:
                       for c in range(nc) for g in range(ng)}
             ds = make_counts_dataset(counts, seed=trial)
             out = data.balance(ds, objective, mode, seed=trial)
-            before = ds.cell_counts()
-            after = out.cell_counts()
+            before = cell_counts(ds)
+            after = cell_counts(out)
             if mode == "Downsampling":
                 assert all(after.get(k, 0) <= v for k, v in before.items())
                 _assert_equality(objective, after)
                 again = data.balance(out, objective, mode, seed=trial + 1)
-                assert again.cell_counts() == after  # idempotent
+                assert cell_counts(again) == after  # idempotent
             elif mode == "Resampling":
                 assert all(after[k] >= v for k, v in before.items())
                 _assert_equality(objective, after)
@@ -454,7 +468,7 @@ def _assert_weight_equality(objective, ds):
         assert max(totals) - min(totals) < 1e-9
     elif objective == "joint":
         totals = [ds.weights[(ds.y == c) & (ds.g == g)].sum()
-                  for (c, g) in ds.cell_counts()]
+                  for (c, g) in cell_counts(ds)]
         assert max(totals) - min(totals) < 1e-9
     else:
         for c in range(ds.num_classes):
@@ -467,23 +481,23 @@ def _assert_weight_equality(objective, ds):
 class TestMakeBatches:
     def test_permutation_chunking(self):
         ds = make_counts_dataset({(0, 0): 3, (1, 1): 2})
-        batches = data.make_batches(ds, data.BatchPlan(batch_size=2, shuffle_seed=0))
+        batches = data.make_batches(ds, batch_size=2, shuffle_seed=0)
         assert [len(b.y) for b in batches] == [2, 2, 1]
         seen = np.concatenate([b.X[:, 0] for b in batches])
         assert sorted(seen.tolist()) == sorted(ds.X[:, 0].tolist())
 
     def test_degenerate_distribution(self):
         ds = make_counts_dataset({(0, 0): 3, (0, 1): 3, (1, 0): 3, (1, 1): 3})
-        plan = data.BatchPlan(batch_size=4, shuffle_seed=1,
-                              group_sampling_probs={(1, 0): 1.0})
-        for b in data.make_batches(ds, plan):
+        for b in data.make_batches(ds, batch_size=4, shuffle_seed=1,
+                                   probs=cell_table({(1, 0): 1.0}, 2, 2)):
             assert np.all(b.y == 1) and np.all(b.g == 0)
 
     def test_uniform_probs_monte_carlo(self):
         ds = make_counts_dataset({(0, 0): 2500, (0, 1): 2500, (1, 0): 2500, (1, 1): 2500})
-        probs = {cell: 0.25 for cell in ds.cell_counts()}
-        plan = data.BatchPlan(batch_size=100, shuffle_seed=2, group_sampling_probs=probs)
-        batches = data.make_batches(ds, plan)  # 100 batches of 100 -> 10k draws
+        probs = {cell: 0.25 for cell in cell_counts(ds)}
+        # 100 batches of 100 -> 10k draws
+        batches = data.make_batches(ds, batch_size=100, shuffle_seed=2,
+                                    probs=cell_table(probs, 2, 2))
         ys = np.concatenate([b.y for b in batches])
         gs = np.concatenate([b.g for b in batches])
         for cell in probs:
@@ -492,16 +506,14 @@ class TestMakeBatches:
 
     def test_probs_on_empty_cell_rejected(self):
         ds = make_counts_dataset({(0, 0): 3, (0, 1): 3, (1, 1): 3})
-        plan = data.BatchPlan(batch_size=2, shuffle_seed=0,
-                              group_sampling_probs={(1, 0): 0.5, (0, 0): 0.5})
         with pytest.raises(EmptyCellError):
-            data.make_batches(ds, plan)
+            data.make_batches(ds, batch_size=2, shuffle_seed=0,
+                              probs=cell_table({(1, 0): 0.5, (0, 0): 0.5}, 2, 2))
 
     def test_seeded_purity(self):
         ds = make_counts_dataset({(0, 0): 7, (1, 1): 6})
-        plan = data.BatchPlan(batch_size=3, shuffle_seed=5)
-        a = data.make_batches(ds, plan)
-        b = data.make_batches(ds, plan)
+        a = data.make_batches(ds, batch_size=3, shuffle_seed=5)
+        b = data.make_batches(ds, batch_size=3, shuffle_seed=5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.X, y.X)
 
@@ -521,8 +533,8 @@ def test_fairbatch_draws_pinned():
         ys += [c] * n
         gs += [g] * n
     ds = data.Dataset(np.arange(len(ys), dtype=float)[:, None], ys, gs)
-    plan = data.BatchPlan(batch_size=4, shuffle_seed=11, group_sampling_probs=FAIRBATCH_PROBS)
-    batches = data.make_batches(ds, plan)
+    batches = data.make_batches(ds, batch_size=4, shuffle_seed=11,
+                                probs=cell_table(FAIRBATCH_PROBS, 3, 2))
     assert [b.X[:, 0].astype(int).tolist() for b in batches] == FAIRBATCH_DRAWS
     for b in batches:
         rows = b.X[:, 0].astype(int)

@@ -1,4 +1,5 @@
-"""The package's runtime dependencies are numpy and PyYAML only."""
+"""The package's runtime dependencies are numpy and PyYAML only, and every
+public top-level function and class in it is used."""
 
 import ast
 import sys
@@ -35,3 +36,38 @@ def test_foreign_import_is_caught():
     source = ("from . import nn\nimport numpy as np\n"
               "def f():\n    import scipy.linalg\n    from sklearn import svm\n")
     assert foreign_imports(ast.parse(source)) == ["scipy.linalg", "sklearn"]
+
+
+# Public names nothing in src/ uses, each kept on purpose
+UNREFERENCED_ALLOWED = {
+    "cli.config_hash": "the run-directory name of a config, for callers locating its outputs",
+    "postproc.majority_baseline": "the probe accuracy INLP drives toward, for probe checks",
+}
+
+
+def unreferenced(modules: dict[str, ast.Module]) -> list[str]:
+    """module.name of each public top-level function or class that no other
+    top-level statement of any module names (as a name or an attribute)."""
+    statements = [(mod, node) for mod, tree in modules.items() for node in tree.body]
+    used = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            for _, node in statements]
+    return [f"{mod}.{node.name}" for (mod, node), _ in zip(statements, used)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in names for (_, other), names in zip(statements, used)
+                        if other is not node)]
+
+
+def test_every_public_definition_is_used():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert sorted(unreferenced(modules)) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_unused_definition_is_caught():
+    modules = {"a": ast.parse("def used():\n    return used()\n\nclass Unused:\n    pass\n"),
+               "b": ast.parse("from .a import used\n\nx = used()\n\n"
+                              "def _private():\n    pass\n")}
+    assert unreferenced(modules) == ["a.Unused"]
+    del modules["b"]
+    assert unreferenced(modules) == ["a.used", "a.Unused"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairkit import evaluation as ev
@@ -39,12 +39,105 @@ def labelled_rows(draw):
             num_classes, num_groups)
 
 
+def as_dicts(counts):
+    """A [C, G, 4] counts table as reference_tally's (per-cell, per-class) dicts."""
+    C, G, _ = counts.shape
+    overall = counts.sum(axis=1)
+    return ({(c, gr): tuple(counts[c, gr].tolist()) for c in range(C) for gr in range(G)},
+            {c: tuple(overall[c].tolist()) for c in range(C)})
+
+
+def gap_and_cells(counts, kind="tpr"):
+    """gap_and_fairness of counts' deviation table, and the metric cells it
+    leaves defined."""
+    cells = ev.cm_metric(counts, kind)
+    deviations = np.abs(cells - ev.cm_metric(counts.sum(axis=1), kind)[:, None])
+    return (*ev.gap_and_fairness(deviations), np.where(np.isnan(deviations), np.nan, cells))
+
+
+# The reference evaluation the [C, G] arrays must equal exactly: cell by
+# cell over dicts, with every sum added left to right by Python
+REFERENCE_RATIOS = {
+    "positive_rate": (lambda tp, fp, tn, fn: tp + fp, lambda tp, fp, tn, fn: tp + fp + tn + fn),
+    "tpr": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fn),
+    "fpr": (lambda tp, fp, tn, fn: fp, lambda tp, fp, tn, fn: fp + tn),
+    "precision": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fp),
+    "npv": (lambda tp, fp, tn, fn: tn, lambda tp, fp, tn, fn: tn + fn),
+}
+
+
+def reference_metric(counts, kind):
+    num, den = (f(*counts) for f in REFERENCE_RATIOS[kind])
+    return None if den == 0 else num / den
+
+
+def reference_report(predictions, y, g, num_classes, num_groups, kind):
+    """to_json_dict() of the report, from per-cell dicts and Python sums."""
+    counts, overall = reference_tally(predictions, y, g, num_classes, num_groups)
+    per_group, class_gaps = {}, []
+    for c in range(num_classes):
+        m_overall = reference_metric(overall[c], kind)
+        deviations = []
+        for gr in range(num_groups):
+            m = reference_metric(counts[(c, gr)], kind)
+            if m is None or m_overall is None:
+                continue
+            per_group[(c, gr)] = m
+            deviations.append(abs(m - m_overall))
+        if deviations:
+            class_gaps.append(sum(deviations))
+    if not class_gaps:
+        raise EvaluationDegenerateError("no defined (class, group) metric cell")
+    gap = math.sqrt(sum(v * v for v in class_gaps) / len(class_gaps))
+    overall_m = {c: reference_metric(overall[c], kind) for c in range(num_classes)}
+    correct = [sum(counts[(c, gr)][0] for c in range(num_classes)) for gr in range(num_groups)]
+    rows = [sum(counts[(0, gr)]) for gr in range(num_groups)]
+    report = {
+        "accuracy": sum(correct) / sum(rows),
+        "TPR_GAP": gap,
+        "fairness": 1.0 - gap,
+        "rawlsian_min": min(correct[gr] / rows[gr] for gr in range(num_groups) if rows[gr]),
+        "max_violation": max(abs(m - overall_m[c]) for (c, _), m in per_group.items()),
+    }
+    for (c, gr), v in sorted(per_group.items()):
+        report[f"{kind}_class{c}_group{gr}"] = v
+    return report
+
+
+@st.composite
+def report_cases(draw):
+    """2-8 classes, 1-6 groups and up to 150 rows, drawn uniformly from a
+    seed: the orders of sums only show with many classes and defined cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_classes, num_groups = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+    n = int(rng.integers(0, 151))
+    # predictions right about half the time, so metric cells take many values
+    y = rng.integers(0, num_classes, n)
+    predictions = np.where(rng.random(n) < 0.5, y, rng.integers(0, num_classes, n))
+    return (predictions, y, rng.integers(0, num_groups, n), num_classes, num_groups,
+            draw(st.sampled_from(ev.METRICS)))
+
+
+@given(report_cases())
+@settings(max_examples=500)
+def test_report_equals_dict_reference(case):
+    """Every number of the report, GAP, max violation and Rawlsian minimum
+    included, equals the cell-by-cell reference exactly."""
+    try:
+        expected = reference_report(*case)
+    except EvaluationDegenerateError:
+        with pytest.raises(EvaluationDegenerateError):
+            ev.evaluate_predictions(*case)
+        return
+    assert ev.evaluate_predictions(*case).to_json_dict() == expected
+
+
 class TestConfusionByGroup:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 0, 1, 1])
         g = np.array([0, 0, 1, 1, 0])
         gc = ev.confusion_by_group(y, y, g, 2, 2)
-        for counts in gc.counts.values():
+        for counts in gc.reshape(-1, 4):
             _, fp, _, fn = counts
             assert fp == 0 and fn == 0
 
@@ -55,27 +148,27 @@ class TestConfusionByGroup:
         preds = np.zeros(5, dtype=int)
         gc = ev.confusion_by_group(preds, y, g, 2, 2)
         # class 1 one-vs-rest: nothing predicted positive
-        assert gc.counts[(1, 0)] == (0, 0, 2, 1)
-        assert gc.counts[(1, 1)] == (0, 0, 1, 1)
+        assert tuple(gc[1, 0]) == (0, 0, 2, 1)
+        assert tuple(gc[1, 1]) == (0, 0, 1, 1)
         # class 0 one-vs-rest: everything predicted positive
-        assert gc.counts[(0, 0)] == (2, 1, 0, 0)
-        assert gc.counts[(0, 1)] == (1, 1, 0, 0)
+        assert tuple(gc[0, 0]) == (2, 1, 0, 0)
+        assert tuple(gc[0, 1]) == (1, 1, 0, 0)
 
     def test_singleton_correct_positive(self):
         gc = ev.confusion_by_group([1], [1], [0], 2, 1)
-        assert gc.counts[(1, 0)] == (1, 0, 0, 0)
-        assert gc.counts[(0, 0)] == (0, 0, 1, 0)
+        assert tuple(gc[1, 0]) == (1, 0, 0, 0)
+        assert tuple(gc[0, 0]) == (0, 0, 1, 0)
 
     def test_group_sum_consistency(self):
         rng = np.random.default_rng(0)
         y = rng.integers(0, 3, 50)
         g = rng.integers(0, 2, 50)
         preds = rng.integers(0, 3, 50)
-        gc = ev.confusion_by_group(preds, y, g, 3, 2)
+        counts_by_cell, overall = as_dicts(ev.confusion_by_group(preds, y, g, 3, 2))
         for c in range(3):
-            summed = tuple(sum(gc.counts[(c, gr)][i] for gr in range(2)) for i in range(4))
-            assert summed == gc.overall[c]
-        for (c, gr), counts in gc.counts.items():
+            summed = tuple(sum(counts_by_cell[(c, gr)][i] for gr in range(2)) for i in range(4))
+            assert summed == overall[c]
+        for (c, gr), counts in counts_by_cell.items():
             assert sum(counts) == int(np.sum(g == gr))
 
     def test_length_mismatch(self):
@@ -97,7 +190,7 @@ class TestConfusionByGroup:
     def test_counts_match_reference_tally(self, rows):
         preds, y, g, num_classes, num_groups = rows
         gc = ev.confusion_by_group(preds, y, g, num_classes, num_groups)
-        assert (gc.counts, gc.overall) == reference_tally(preds, y, g, num_classes, num_groups)
+        assert as_dicts(gc) == reference_tally(preds, y, g, num_classes, num_groups)
         try:
             report = ev.evaluate_predictions(preds, y, g, num_classes, num_groups)
         except EvaluationDegenerateError:
@@ -112,7 +205,7 @@ class TestCmMetric:
         assert ev.cm_metric((3, 0, 0, 1), "tpr") == pytest.approx(0.75)
 
     def test_tpr_undefined(self):
-        assert ev.cm_metric((0, 5, 5, 0), "tpr") is None
+        assert np.isnan(ev.cm_metric((0, 5, 5, 0), "tpr"))
 
     def test_direct_formulas(self):
         counts = (2, 2, 4, 2)
@@ -131,7 +224,7 @@ class TestCmMetric:
             tp, fp, tn, fn = rng.integers(0, 10, 4)
             tpr = ev.cm_metric((tp, fp, tn, fn), "tpr")
             fnr = ev.cm_metric((fn, tn, fp, tp), "tpr")  # FNR = FN/(FN+TP) via relabel
-            if tpr is not None:
+            if not np.isnan(tpr):
                 assert 0.0 <= tpr <= 1.0
                 assert tpr + fnr == pytest.approx(1.0)
 
@@ -141,7 +234,7 @@ class TestGapAndFairness:
         y = np.array([0, 1, 0, 1])
         g = np.array([0, 0, 1, 1])
         gc = ev.confusion_by_group(y, y, g, 2, 2)
-        gap, fairness, _ = ev.gap_and_fairness(gc, "tpr")
+        gap, fairness, _ = gap_and_cells(gc, "tpr")
         assert gap == pytest.approx(0.0)
         assert fairness == pytest.approx(1.0)
 
@@ -151,9 +244,9 @@ class TestGapAndFairness:
         g = np.array([0] * 5 + [1] * 5 + [0] * 5 + [1] * 5)
         preds = np.array([1, 1, 1, 1, 0,  1, 1, 1, 0, 0] + [0] * 10)
         gc = ev.confusion_by_group(preds, y, g, 2, 2)
-        assert ev.cm_metric(gc.counts[(1, 0)], "tpr") == pytest.approx(0.8)
-        assert ev.cm_metric(gc.counts[(1, 1)], "tpr") == pytest.approx(0.6)
-        gap, fairness, _ = ev.gap_and_fairness(gc, "tpr")
+        assert ev.cm_metric(gc[1, 0], "tpr") == pytest.approx(0.8)
+        assert ev.cm_metric(gc[1, 1], "tpr") == pytest.approx(0.6)
+        gap, fairness, _ = gap_and_cells(gc, "tpr")
         # class 1 gap: |0.8-0.7| + |0.6-0.7| = 0.2
         # class 0 (negatives as positives): TPRs 1.0, 1.0, overall 1.0 -> gap 0
         assert gap == pytest.approx(math.sqrt((0.2 ** 2 + 0.0) / 2))
@@ -165,8 +258,8 @@ class TestGapAndFairness:
         g = np.array([0, 0, 1, 1])
         preds = np.array([1, 0, 0, 0])
         gc = ev.confusion_by_group(preds, y, g, 2, 2)
-        gap, fairness, per_group = ev.gap_and_fairness(gc, "tpr")
-        assert (1, 1) not in per_group
+        gap, fairness, per_group = gap_and_cells(gc, "tpr")
+        assert np.isnan(per_group[1, 1])
         assert np.isfinite(gap)
 
     def test_group_relabel_invariance(self):
@@ -175,10 +268,10 @@ class TestGapAndFairness:
         g = rng.integers(0, 3, 60)
         preds = rng.integers(0, 2, 60)
         gc = ev.confusion_by_group(preds, y, g, 2, 3)
-        gap1, _, _ = ev.gap_and_fairness(gc, "tpr")
+        gap1, _, _ = gap_and_cells(gc, "tpr")
         perm = np.array([2, 0, 1])
         gc2 = ev.confusion_by_group(preds, y, perm[g], 2, 3)
-        gap2, _, _ = ev.gap_and_fairness(gc2, "tpr")
+        gap2, _, _ = gap_and_cells(gc2, "tpr")
         assert gap1 == pytest.approx(gap2, abs=1e-12)
 
     def test_fairness_one_iff_parity(self):
@@ -189,22 +282,22 @@ class TestGapAndFairness:
             preds = rng.integers(0, 2, 30)
             gc = ev.confusion_by_group(preds, y, g, 2, 2)
             try:
-                gap, fairness, per_group = ev.gap_and_fairness(gc, "tpr")
+                gap, fairness, per_group = gap_and_cells(gc, "tpr")
             except EvaluationDegenerateError:
                 continue
             parity = all(
-                ev.cm_metric(gc.counts[(c, gr)], "tpr") == ev.cm_metric(gc.overall[c], "tpr")
-                for (c, gr) in per_group)
+                ev.cm_metric(gc[c, gr], "tpr") == ev.cm_metric(gc.sum(axis=1)[c], "tpr")
+                for c, gr in zip(*np.nonzero(~np.isnan(per_group))))
             assert (fairness == pytest.approx(1.0, abs=1e-12)) == parity
 
 
 class TestRawlsianAndViolation:
     def test_rawlsian_min(self):
-        assert ev.rawlsian_min({0: 0.9, 1: 0.7}) == pytest.approx(0.7)
-        assert ev.rawlsian_min({0: 0.5}) == pytest.approx(0.5)
-        assert ev.rawlsian_min({0: 0.6, 1: 0.6}) == pytest.approx(0.6)
+        assert ev.rawlsian_min(np.array([0.9, 0.7])) == pytest.approx(0.7)
+        assert ev.rawlsian_min(np.array([0.5])) == pytest.approx(0.5)
+        assert ev.rawlsian_min(np.array([0.6, 0.6])) == pytest.approx(0.6)
         with pytest.raises(EvaluationDegenerateError):
-            ev.rawlsian_min({})
+            ev.rawlsian_min(np.array([]))
 
     def test_max_violation_parity(self):
         y = np.array([0, 1, 0, 1])
@@ -219,10 +312,10 @@ class TestRawlsianAndViolation:
         gc = ev.confusion_by_group(preds, y, g, 2, 3)
         mv = ev.evaluate_predictions(preds, y, g, 2, 3).max_violation
         for c in range(2):
-            m_overall = ev.cm_metric(gc.overall[c], "tpr")
+            m_overall = ev.cm_metric(gc.sum(axis=1)[c], "tpr")
             for gr in range(3):
-                m = ev.cm_metric(gc.counts[(c, gr)], "tpr")
-                if m is not None and m_overall is not None:
+                m = ev.cm_metric(gc[c, gr], "tpr")
+                if not np.isnan(m) and not np.isnan(m_overall):
                     assert abs(m - m_overall) <= mv + 1e-12
 
 

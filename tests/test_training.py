@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkit import cli, data, files, nn, training
-from fairkit.errors import IOErrorWithStage, LabelDomainError, TrainingDivergedError
+from fairkit.errors import (
+    FairbatchCollapseError,
+    IOErrorWithStage,
+    LabelDomainError,
+    TrainingDivergedError,
+)
 from test_nn import finite_diff_grad, rel_err, scl_brute_force, zero_grads
 
 
@@ -214,64 +221,148 @@ class TestAdversarial:
         assert [tuple(r[k] for k in keys) for r in rows[1:]] == scores
 
 
+def cell_table(values, shape=(2, 2)):
+    """A [C, G] table from a {(class, group): value} dict; NaN elsewhere."""
+    table = np.full(shape, np.nan)
+    for cell, v in values.items():
+        table[cell] = v
+    return table
+
+
 class TestFairBatch:
     def make_state(self):
-        return training.FairBatchState(
-            probs={(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}, alpha=0.01)
+        return cell_table({(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}), 0.01
 
     def test_equal_losses_unchanged(self):
-        state = self.make_state()
-        losses = {cell: 0.5 for cell in state.probs}
-        new = training.fairbatch_epoch_update(state, losses)
-        assert new.probs == state.probs
+        probs, alpha = self.make_state()
+        losses = np.full(probs.shape, 0.5)
+        new = training.fairbatch_epoch_update(probs, losses, alpha)
+        assert (new == probs).all()
 
     def test_signed_step(self):
-        state = self.make_state()
-        losses = {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}
-        new = training.fairbatch_epoch_update(state, losses)
-        assert new.probs[(0, 0)] == pytest.approx(0.26)
-        assert new.probs[(0, 1)] == pytest.approx(0.24)
-        assert new.probs[(1, 0)] == pytest.approx(0.25)
-        assert new.probs[(1, 1)] == pytest.approx(0.25)
+        probs, alpha = self.make_state()
+        losses = cell_table({(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5})
+        new = training.fairbatch_epoch_update(probs, losses, alpha)
+        assert new[0, 0] == pytest.approx(0.26)
+        assert new[0, 1] == pytest.approx(0.24)
+        assert new[1, 0] == pytest.approx(0.25)
+        assert new[1, 1] == pytest.approx(0.25)
 
     def test_monotone_until_clipping(self):
-        state = self.make_state()
-        losses = {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}
-        prev = state.probs[(0, 0)]
+        probs, alpha = self.make_state()
+        losses = cell_table({(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5})
+        prev = probs[0, 0]
         for _ in range(100):
-            state = training.fairbatch_epoch_update(state, losses)
-            assert state.probs[(0, 0)] >= prev - 1e-12
-            prev = state.probs[(0, 0)]
-            total = sum(state.probs.values())
+            probs = training.fairbatch_epoch_update(probs, losses, alpha)
+            assert probs[0, 0] >= prev - 1e-12
+            prev = probs[0, 0]
+            total = probs.sum()
             assert total == pytest.approx(1.0, abs=1e-9)
-        assert state.probs[(0, 0)] == pytest.approx(0.5)  # class marginal preserved
-        assert state.probs[(0, 1)] == pytest.approx(0.0)
+        assert probs[0, 0] == pytest.approx(0.5)  # class marginal preserved
+        assert probs[0, 1] == pytest.approx(0.0)
 
     def test_class_marginals_preserved(self):
-        state = training.FairBatchState(
-            probs={(0, 0): 0.4, (0, 1): 0.2, (1, 0): 0.1, (1, 1): 0.3}, alpha=0.05)
-        losses = {(0, 0): 2.0, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 3.0}
-        new = training.fairbatch_epoch_update(state, losses)
-        assert new.probs[(0, 0)] + new.probs[(0, 1)] == pytest.approx(0.6)
-        assert new.probs[(1, 0)] + new.probs[(1, 1)] == pytest.approx(0.4)
+        probs = cell_table({(0, 0): 0.4, (0, 1): 0.2, (1, 0): 0.1, (1, 1): 0.3})
+        losses = cell_table({(0, 0): 2.0, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 3.0})
+        new = training.fairbatch_epoch_update(probs, losses, 0.05)
+        assert new[0, 0] + new[0, 1] == pytest.approx(0.6)
+        assert new[1, 0] + new[1, 1] == pytest.approx(0.4)
 
     def test_unobserved_cell_carries_over(self):
-        state = self.make_state()
-        state = training.fairbatch_epoch_update(state, {cell: 0.5 for cell in state.probs})
-        new = training.fairbatch_epoch_update(state, {(0, 0): 1.5})
+        probs, alpha = self.make_state()
+        losses = np.full(probs.shape, 0.5)
+        probs = training.fairbatch_epoch_update(probs, losses, alpha)
+        losses[0, 0] = 1.5
+        new = training.fairbatch_epoch_update(probs, losses, alpha)
         # cell (0,1) keeps its old 0.5 loss; gap appears in class 0 only
-        assert new.probs[(0, 0)] > 0.25
-        assert new.probs[(1, 0)] == pytest.approx(0.25)
+        assert new[0, 0] > 0.25
+        assert new[1, 0] == pytest.approx(0.25)
 
     def test_random_updates_stay_valid_distribution(self):
         rng = np.random.default_rng(7)
-        state = self.make_state()
+        probs, alpha = self.make_state()
         for _ in range(50):
-            losses = {cell: float(rng.uniform(0.0, 3.0)) for cell in state.probs}
-            state = training.fairbatch_epoch_update(state, losses)
-            vals = np.array(list(state.probs.values()))
+            losses = rng.uniform(0.0, 3.0, size=probs.shape)
+            probs = training.fairbatch_epoch_update(probs, losses, alpha)
+            vals = probs.ravel()
             assert np.all(vals >= 0.0)
             assert vals.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_class_without_rows_is_skipped(self):
+        probs = cell_table({(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.0, (1, 1): 0.0})
+        new = training.fairbatch_epoch_update(probs, np.full((2, 2), np.nan), 0.1)
+        assert new.tolist() == probs.tolist()
+
+
+def reference_update(state, epoch_cell_losses):
+    """The reference FairBatch update the [C, G] one must equal exactly, cell
+    by cell over dicts. state is (probs, alpha, losses), each cell's
+    probability and latest loss keyed by (class, group); probs holds the
+    cells with rows."""
+    probs, alpha, losses = state
+    losses = {**losses, **epoch_cell_losses}  # unobserved cells carry over
+    new_probs = {}
+    for c in sorted({c for c, _ in probs}):
+        cells = sorted(cell for cell in probs if cell[0] == c)
+        marginal = sum(probs[cell] for cell in cells)
+        known = [losses[cell] for cell in cells if cell in losses]
+        mean_loss = sum(known) / len(known) if known else 0.0
+        raw = {}
+        for cell in cells:
+            step = 0.0
+            if cell in losses:
+                step = alpha * float(np.sign(losses[cell] - mean_loss))
+            raw[cell] = max(0.0, probs[cell] + step)
+        total = sum(raw.values())
+        if total <= 0.0:
+            raise FairbatchCollapseError(f"all sampling probs for class {c} clipped to zero")
+        for cell in cells:
+            new_probs[cell] = raw[cell] * marginal / total
+    return new_probs, alpha, losses
+
+
+@st.composite
+def fairbatch_histories(draw):
+    """Cell counts with empty cells and maybe a class without rows, a step
+    size, and per-epoch losses of a random subset of the cells with rows;
+    sizes are drawn uniformly from a seed, as sums show their order only
+    over many groups."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C, G = int(rng.integers(2, 7)), int(rng.integers(1, 11))
+    counts = rng.integers(0, 6, size=(C, G)) * (rng.random((C, G)) < 0.8)
+    if draw(st.booleans()):
+        counts[rng.integers(C)] = 0
+    if counts.sum() == 0:
+        counts[0, 0] = 1
+    alpha = draw(st.sampled_from([0.0, 0.003, 0.02, 0.1, 0.3]))
+    epochs = [np.where((counts > 0) & (rng.random((C, G)) < 0.7),
+                       rng.uniform(0.0, 3.0, (C, G)), np.nan)
+              for _ in range(draw(st.integers(1, 8)))]
+    return counts, alpha, epochs
+
+
+@given(fairbatch_histories())
+@settings(max_examples=300, deadline=None)
+def test_fairbatch_update_equals_dict_reference(history):
+    counts, alpha, epochs = history
+    probs = counts / counts.sum()
+    state = ({cell: p for cell, p in np.ndenumerate(probs) if counts[cell]}, alpha, {})
+    losses = np.full(counts.shape, np.nan)
+    for epoch_losses in epochs:
+        observed = ~np.isnan(epoch_losses)
+        losses[observed] = epoch_losses[observed]
+        try:
+            state = reference_update(state, {cell: float(epoch_losses[cell])
+                                             for cell in zip(*np.nonzero(observed))})
+        except FairbatchCollapseError:
+            with pytest.raises(FairbatchCollapseError):
+                training.fairbatch_epoch_update(probs, losses, alpha)
+            return
+        probs = training.fairbatch_epoch_update(probs, losses, alpha)
+        expected = np.zeros(counts.shape)
+        for cell, p in state[0].items():
+            expected[cell] = p
+        assert probs.tolist() == expected.tolist()
 
 
 class TestFairScl:
@@ -438,8 +529,8 @@ class TestTrainLoop:
         cfg = training.MethodConfig(method="FairBatch", fairbatch_alpha=0.0,
                                     epochs=2, seed=3)
         record = training.train(train_ds, dev_ds, test_ds, cfg)
-        init = training.init_fairbatch_state(train_ds, 0.0)
-        assert record.fairbatch_state.probs == init.probs
+        counts = np.bincount(train_ds.y * 2 + train_ds.g).reshape(2, 2)
+        assert (record.fairbatch_probs == counts / train_ds.n).all()
 
     def test_determinism_same_seed_identical_trajectory(self):
         train_ds, dev_ds, test_ds = biased_bundle(n=60)
