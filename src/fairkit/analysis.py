@@ -1,15 +1,16 @@
 """Post-hoc model selection and result reporting.
 
-Works over per-run epoch trajectories: select the best epoch per run on dev
-metrics, pick the best hyperparameter index per method on seed-averaged dev
-metrics, aggregate test metrics across seeds (mean, sample std, DTO of the
-means), and emit tables and trade-off plot data.
+Works over runs keyed by pipeline: a run's point is its last post-stage row,
+else its best epoch on dev metrics. Picks the best hyperparameter index per
+pipeline on seed-averaged dev metrics, aggregates test metrics across seeds
+(mean, sample std, DTO of the means), and emits tables and trade-off plot data.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,17 +60,23 @@ def select_row(rows: list[dict], criterion: SelectionCriterion) -> dict:
     return rows[_best_point(points, criterion)]
 
 
+def _run_point(run: dict, criterion: SelectionCriterion) -> dict:
+    """The row that scores a run: its last post-stage row, else its best epoch."""
+    return run["post"][-1] if run.get("post") else select_row(run["rows"], criterion)
+
+
 def _index_key(index: dict) -> tuple:
     return tuple(sorted(index.items()))
 
 
 def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterion) -> dict:
-    """Pick one hyperparameter index from a method's sweep.
+    """Pick one hyperparameter index from a pipeline's sweep.
 
-    Each run dict needs: index (dict), seed, rows. Per index, each seed's
-    best epoch is chosen on dev; the criterion is applied to dev metrics
-    averaged over seeds. Returns the chosen index plus per-seed test points
-    at each run's selected epoch."""
+    Each run dict needs: index (dict), seed, rows, and optionally post (its
+    post-stage rows). Per index, each seed's point is chosen on dev; the
+    criterion is applied to dev metrics averaged over seeds. Returns the
+    chosen index plus per-seed test points at each run's point, naming its
+    epoch or post stage."""
     if not runs:
         raise EmptyInputError("no runs")
     schemas = {tuple(sorted(r["index"].keys())) for r in runs}
@@ -85,9 +92,10 @@ def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterio
     for key in index_keys:
         dev_pts, details = [], []
         for r in sorted(by_index[key], key=lambda r: r["seed"]):
-            row = select_row(r["rows"], criterion)
+            row = _run_point(r, criterion)
             dev_pts.append((row["dev_performance"], row["dev_fairness"]))
-            details.append({"seed": r["seed"], "epoch": row["epoch"],
+            stage = {k: row[k] for k in ("epoch", "post") if k in row}
+            details.append({"seed": r["seed"], **stage,
                             "test_performance": row["test_performance"],
                             "test_fairness": row["test_fairness"],
                             "dev_performance": row["dev_performance"],
@@ -167,8 +175,9 @@ def emit_table(rows: dict[str, dict], format: str = "markdown") -> str:
     if format == "markdown":
         head, *body = ["| " + " | ".join(row) + " |" for row in cells]
         return "\n".join([head, "| --- | --- | --- | --- |", *body]) + "\n"
-    if format == "latex":
-        head, *body = [" & ".join(row) + r" \\" for row in cells]
+    if format == "latex":  # the name cell escapes LaTeX's special characters
+        head, *body = [" & ".join([re.sub(r"([_&%#])", r"\\\1", row[0]), *row[1:]]) + r" \\"
+                       for row in cells]
         lines = [r"\begin{tabular}{lccc}", r"\toprule", head, r"\midrule", *body,
                  r"\bottomrule", r"\end{tabular}"]
         return "\n".join(lines).replace("±", r"$\pm$") + "\n"
@@ -178,19 +187,20 @@ def emit_table(rows: dict[str, dict], format: str = "markdown") -> str:
 def emit_tradeoff_data(runs_by_method: dict[str, list[dict]],
                        pareto_only: bool = False,
                        criterion: SelectionCriterion | None = None) -> dict:
-    """Structured plot data: one named series per method (sorted), each a
-    parallel list of test performance/fairness at the dev-selected epoch,
-    plus the hyperparameter index and seed of every point."""
+    """Structured plot data: one named series per pipeline (sorted), each a
+    parallel list of test performance/fairness at each run's point, plus the
+    hyperparameter index, seed and epoch (null for a post-stage row) of
+    every point."""
     criterion = criterion or SelectionCriterion()
     series = []
     for method in sorted(runs_by_method):
         pts = []
         for r in sorted(runs_by_method[method],
                         key=lambda r: (_index_key(r["index"]), r["seed"])):
-            row = select_row(r["rows"], criterion)
+            row = _run_point(r, criterion)
             pts.append({"performance": row["test_performance"],
                         "fairness": row["test_fairness"],
-                        "index": r["index"], "seed": r["seed"], "epoch": row["epoch"]})
+                        "index": r["index"], "seed": r["seed"], "epoch": row.get("epoch")})
         if pareto_only:
             frontier = set(pareto_frontier([(p["performance"], p["fairness"]) for p in pts]))
             pts = [p for p in pts if (p["performance"], p["fairness"]) in frontier]
@@ -217,8 +227,10 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
     (run directory, reason) for each run left out.
 
     A run directory holds manifest.json (with finalized=true, method, index,
-    seed) and epochs.jsonl. A run is skipped if it is unfinalized, has no
-    epoch rows, or either file does not parse or has a mistyped field."""
+    seed and stages) and epochs.jsonl. A run is named by its method when its
+    stages are that method alone (or absent), else by its stages joined with
+    " / ". A run is skipped if it is unfinalized, has no epoch rows, or
+    either file does not parse or has a mistyped or non-finite field."""
     results_dir = Path(results_dir)
     runs, skipped = [], []
     if not results_dir.is_dir():
@@ -236,7 +248,8 @@ _SCORES = ("dev_performance", "dev_fairness", "test_performance", "test_fairness
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a JSON number; a bool is not one
+    # a finite JSON number; a bool is not one
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _load_run(run_dir: Path) -> tuple[dict | None, str]:
@@ -253,13 +266,16 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
     if missing:
         return None, f"manifest.json lacks {', '.join(missing)}"
     method, index, seed = manifest["method"], manifest["index"], manifest["seed"]
+    stages = manifest.setdefault("stages", [f"at:{method}"])
     for key, kind, ok in (("method", "a string", type(method) is str),
                           ("index", "an object of numbers", type(index) is dict
                            and all(map(_is_number, index.values()))),
-                          ("seed", "an integer", type(seed) is int)):
+                          ("seed", "an integer", type(seed) is int),
+                          ("stages", "a list of strings", type(stages) is list
+                           and all(type(s) is str for s in stages))):
         if not ok:
             return None, f"manifest.json {key} is not {kind}: {manifest[key]!r}"
-    rows = []
+    rows, post = [], []
     epochs_path = run_dir / "epochs.jsonl"
     if epochs_path.exists():
         for lineno, line in enumerate(epochs_path.read_text().splitlines(), start=1):
@@ -268,19 +284,20 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
                     row = json.loads(line)
                 except ValueError as e:
                     return None, f"epochs.jsonl line {lineno} does not parse: {e}"
-                if isinstance(row, dict) and "epoch" in row:
+                if isinstance(row, dict) and ("epoch" in row or "post" in row):
                     bad = [key for key in _SCORES if not _is_number(row.get(key))]
                     if bad:
                         return None, f"epochs.jsonl line {lineno} has no numeric {', '.join(bad)}"
-                    rows.append(row)
+                    (rows if "epoch" in row else post).append(row)
     if not rows:
         return None, "no epoch rows"
-    return {"method": method, "index": index, "seed": seed, "rows": rows,
+    name = method if stages == [f"at:{method}"] else " / ".join(stages)
+    return {"method": name, "index": index, "seed": seed, "rows": rows, "post": post,
             "dir": str(run_dir)}, ""
 
 
 def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[dict[str, dict], dict]:
-    """Full pipeline over loaded runs: per-method sweep selection, cross-seed
+    """Full pipeline over loaded runs: per-pipeline sweep selection, cross-seed
     aggregation (the table's rows), and selection metadata."""
     if not runs:
         raise EmptyInputError("no finalized runs to analyze")

@@ -4,8 +4,8 @@ Flag precedence: command line > YAML (--conf_file) > defaults. The resolved
 config is echoed to opt.yaml inside each run directory, and reloading that
 file reproduces the run exactly.
 
-Exit codes: 0 success, 2 config error, 3 IO error, 4 training diverged,
-5 analysis found no usable runs.
+Exit codes: 0 success, 1 invalid data file, 2 config error, 3 IO error,
+4 training diverged, 5 analysis found no usable runs.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def cmd_train(cfg: TrainConfig) -> int:
     return 0
 
 
-def _select_model(record: training.RunRecord) -> object:
+def _select_model(record: training.RunRecord) -> nn.Network:
     """Checkpoint at the dev-DTO-best epoch, reloaded from disk."""
     row = analysis.select_row(record.rows, analysis.SelectionCriterion())
     return training.load_checkpoint(row["checkpoint"])[0]
@@ -361,7 +361,7 @@ def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path
     row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}
     mix = np.array(prior)
     training._append_row(run_dir / "epochs.jsonl", row,
-                         lambda ds: training.gate_soft_logits(model, ds.X, mix).argmax(axis=1),
+                         lambda ds: training._forward(model, ds.X, mix)[1].argmax(axis=1),
                          dev_ds, test_ds)
 
 

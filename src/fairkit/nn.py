@@ -3,8 +3,9 @@
 Everything here is plain numpy: forward/backward passes with explicit
 activation traces, cross entropy, SGD/Adam over any model's parameter
 list, and a supervised contrastive loss. The backward pass accepts extra gradients
-injected at any hidden activation, which is how the adversarial,
-contrastive, and gate branches feed into the encoder.
+injected at any hidden activation, which is how the adversarial and
+contrastive branches feed into the encoder. A network with group heads
+(Gate) holds them as extra rows of its output layer.
 """
 
 from __future__ import annotations
@@ -51,15 +52,24 @@ def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
+def derive_seed(seed: int, stream: int) -> int:
+    """A seed of its own for each numbered stream drawn from one seed."""
+    return int(np.random.SeedSequence(entropy=(seed, stream)).generate_state(1)[0])
+
+
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture + init seed. Same (spec, seed) -> identical parameters."""
+    """Architecture + init seed. Same (spec, seed) -> identical parameters.
+
+    With group_heads G > 0 the output layer holds output_dim rows for the
+    shared head, then output_dim rows for each of the G group heads."""
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
     activation: str = "relu"
     seed: int = 0
+    group_heads: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -69,10 +79,12 @@ class MlpSpec:
             raise ValueError("hidden dims must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if self.group_heads < 0:
+            raise ValueError("group_heads must be >= 0")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
-        dims = [self.input_dim, *self.hidden_dims, self.output_dim]
+        dims = [self.input_dim, *self.hidden_dims, self.output_dim * (1 + self.group_heads)]
         return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
 
@@ -124,14 +136,20 @@ class Network:
 
 
 def init_network(spec: MlpSpec) -> Network:
-    """Glorot-uniform init (+zero biases) from the spec's seeded generator."""
+    """Glorot-uniform init (+zero biases) from the spec's seeded generator.
+    The group heads' rows take the shared head's bound and come from a
+    stream of their own (21)."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    weights, biases = [], []
-    for out_d, in_d in spec.layer_dims:
+    dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
+    weights = []
+    for in_d, out_d in zip(dims, dims[1:]):
         bound = np.sqrt(6.0 / (in_d + out_d))
         weights.append(rng.uniform(-bound, bound, size=(out_d, in_d)))
-        biases.append(np.zeros(out_d))
-    return Network(spec, weights, biases)
+    if spec.group_heads:
+        heads = np.random.default_rng(np.random.SeedSequence((derive_seed(spec.seed, 21), 3)))
+        weights[-1] = np.vstack([weights[-1], heads.uniform(
+            -bound, bound, size=(spec.group_heads * out_d, in_d))])
+    return Network(spec, weights, [np.zeros(w.shape[0]) for w in weights])
 
 
 @dataclass

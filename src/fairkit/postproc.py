@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .errors import DegenerateProbeError, MethodInapplicableError, ShapeError
 from .evaluation import dto, evaluate_predictions
-from .training import GateModel, gate_head_logits, mix_gate_heads
+from .training import gate_logits, head_blocks
 
 # Every linear probe and refit head minimizes the mean cross-entropy plus
 # PROBE_L2/2 times the squared norm of [W b]. PROBE_L2 = 0.02 is the ridge
@@ -131,16 +131,15 @@ def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Proje
     return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs)
 
 
-def hidden_representations(model, X: np.ndarray) -> np.ndarray:
-    net = model.base if isinstance(model, GateModel) else model
-    return nn.forward(net, X).hidden
+def hidden_representations(model: nn.Network, X: np.ndarray) -> np.ndarray:
+    return nn.forward(model, X).hidden
 
 
 @dataclass
 class ProjectedClassifier:
     """Frozen encoder -> projection -> freshly fit linear softmax layer."""
 
-    model: object
+    model: nn.Network
     P: np.ndarray
     W: np.ndarray
     b: np.ndarray
@@ -190,22 +189,24 @@ def _simplex_grid(num_groups: int, resolution: int):
         yield tuple(k / total for k in combo)
 
 
-def gate_soft_search(model: GateModel, dev_ds,
+def gate_soft_search(model: nn.Network, dev_ds,
                      grid_resolution: int = 11) -> tuple[tuple[float, ...], float]:
     """Grid search over the group simplex minimizing dev DTO; ties broken
-    toward the uniform prior. Returns (prior, best DTO). The encoder runs
-    once; each prior mixes the cached logits exactly as gate_soft_logits does."""
-    if not isinstance(model, GateModel) or model.num_groups < 1:
+    toward the uniform prior. Returns (prior, best DTO). The network runs
+    once; each prior mixes contiguous copies of the head blocks, which the
+    grid loop reads faster than strided views of the logits."""
+    num_groups = model.spec.group_heads
+    if num_groups < 1:
         raise MethodInapplicableError("gate-soft needs a model with group heads")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    uniform = np.full(model.num_groups, 1.0 / model.num_groups)
-    trace = nn.forward(model.base, dev_ds.X)
-    heads = gate_head_logits(model, trace.hidden)
+    uniform = np.full(num_groups, 1.0 / num_groups)
+    logits = nn.forward(model, dev_ds.X).logits
+    heads = [np.ascontiguousarray(h) for h in head_blocks(model, logits)]
     best = None
-    for prior in _simplex_grid(model.num_groups, grid_resolution):
+    for prior in _simplex_grid(num_groups, grid_resolution):
         p = np.array(prior)
-        preds = mix_gate_heads(trace.logits, heads, p).argmax(axis=1)
+        preds = gate_logits(heads, p).argmax(axis=1)
         report = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
                                       dev_ds.num_classes, dev_ds.num_groups)
         d = dto((report.performance, report.fairness))

@@ -1,10 +1,10 @@
 """Training loop and the at-training-time debiasing methods.
 
 Methods: Standard, the adversarial family (Adv, EAdv, DAdv, AAdv, ADAdv),
-Gate (group-specific additive heads), FairBatch (dynamic batch
-distribution over (class, group) cells, kept as [C, G] tables of sampling
-probabilities and latest mean losses, NaN until a cell is observed),
-FairSCL (contrastive terms), and EO_CLA (loss-gap penalty).
+Gate (group-specific additive heads, held as rows of the output layer),
+FairBatch (dynamic batch distribution over (class, group) cells, kept as
+[C, G] tables of sampling probabilities and latest mean losses, NaN until a
+cell is observed), FairSCL (contrastive terms), and EO_CLA (loss-gap penalty).
 Each method is one record in METHODS: its trade-off weights, whether it
 trains an ensemble of discriminators, whether they read the class, and
 whether it trains group heads. MethodConfig checks the shared Settings and
@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ class Method:
     tradeoffs: tuple[str, ...] = ()  # trade-off weights, in sweep-index order
     ensemble: bool = False           # n_discriminators is honoured
     disc_sees_y: bool = False        # discriminators also read the one-hot class
-    group_heads: bool = False        # Gate: group-specific additive heads
+    group_heads: bool = False        # Gate: one additive head per group
 
 
 # A method that lists adv_lambda trains discriminators; one that lists
@@ -94,6 +95,9 @@ class MethodConfig(Settings):
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {list(METHODS)}")
+        for f in fields(Settings):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         tradeoffs = dict.fromkeys(f for m in METHODS.values() for f in m.tradeoffs)
         for name in tradeoffs:
             if getattr(self, name) < 0:
@@ -120,84 +124,37 @@ class MethodConfig(Settings):
 
 
 # ---------------------------------------------------------------------------
-# Gate: shared head plus group-specific additive heads on the hidden state
+# Gate: a row's logits add the output layer's group heads that its mix weighs
 
-@dataclass
-class GateModel:
-    base: nn.Network                 # encoder plus shared head
-    head_weights: list[np.ndarray]   # per group, [output_dim x hidden_dim]
-    head_biases: list[np.ndarray]
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.head_weights)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Base weights and biases, then head weights, then head biases."""
-        return self.base.params + self.head_weights + self.head_biases
-
-    def param_names(self) -> list[str]:
-        return (self.base.param_names()
-                + [f"group {g} head weight" for g in range(self.num_groups)]
-                + [f"group {g} head bias" for g in range(self.num_groups)])
+def head_blocks(model: nn.Network, logits: np.ndarray) -> list[np.ndarray]:
+    """The output layer's logits as 1 + G blocks of C columns (views): the
+    shared head's, then each group head's."""
+    C = model.spec.output_dim
+    return [logits[:, k * C:(k + 1) * C] for k in range(1 + model.spec.group_heads)]
 
 
-def init_gate_model(spec: nn.MlpSpec, num_groups: int, head_seed: int) -> GateModel:
-    base = nn.init_network(spec)
-    h = base.hidden_dim
-    out = spec.output_dim
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(head_seed, 3)))
-    bound = np.sqrt(6.0 / (h + out))
-    return GateModel(
-        base=base,
-        head_weights=[rng.uniform(-bound, bound, size=(out, h)) for _ in range(num_groups)],
-        head_biases=[np.zeros(out) for _ in range(num_groups)],
-    )
+def gate_logits(heads: list[np.ndarray], mix: np.ndarray) -> np.ndarray:
+    """heads[0] + sum_g mix[..., g] * heads[1 + g], added in group order. mix
+    is [n, G], each row's one-hot group, or a [G] prior (Gate-soft)."""
+    logits = heads[0]
+    for g, head in enumerate(heads[1:]):
+        logits = logits + mix[..., g, None] * head
+    return logits
 
 
-def gate_forward(shared_hidden: np.ndarray, g: np.ndarray, shared_logits: np.ndarray,
-                 head_weights: list[np.ndarray], head_biases: list[np.ndarray]) -> np.ndarray:
-    """logits = shared_logits + head_g(hidden), hard-gated by each instance's group."""
+def group_onehot(g: np.ndarray, num_groups: int) -> np.ndarray:
+    """The [n, num_groups] one-hot of each row's group label."""
     g = np.asarray(g, dtype=int)
-    if g.min() < 0 or g.max() >= len(head_weights):
-        raise LabelDomainError(f"group label outside [0, {len(head_weights)})")
-    logits = shared_logits.copy()
-    for gr in range(len(head_weights)):
-        mask = g == gr
-        if mask.any():
-            logits[mask] += shared_hidden[mask] @ head_weights[gr].T + head_biases[gr]
-    return logits
+    if num_groups and (g.min() < 0 or g.max() >= num_groups):
+        raise LabelDomainError(f"group label outside [0, {num_groups})")
+    return (g[:, None] == np.arange(num_groups)).astype(float)
 
 
-def _forward(model, X: np.ndarray, g: np.ndarray | None) -> tuple[nn.ActivationTrace, np.ndarray]:
-    """The encoder's activation trace and the model's logits; a GateModel
-    adds the head of each row's group."""
-    if not isinstance(model, GateModel):
-        trace = nn.forward(model, X)
-        return trace, trace.logits
-    trace = nn.forward(model.base, X)
-    return trace, gate_forward(trace.hidden, g, trace.logits, model.head_weights, model.head_biases)
-
-
-def gate_head_logits(model: GateModel, hidden: np.ndarray) -> list[np.ndarray]:
-    """Each group head's logits h @ W_g.T + b_g, in group order."""
-    return [hidden @ w.T + b for w, b in zip(model.head_weights, model.head_biases)]
-
-
-def mix_gate_heads(shared_logits: np.ndarray, head_logits: list[np.ndarray],
-                   prior: np.ndarray) -> np.ndarray:
-    """shared_logits + sum_g prior[g] * head_logits[g], summed in group order."""
-    logits = shared_logits.copy()
-    for gr, head in enumerate(head_logits):
-        logits += prior[gr] * head
-    return logits
-
-
-def gate_soft_logits(model: GateModel, X: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Inference logits with group heads mixed by a prior (no g needed)."""
-    trace = nn.forward(model.base, X)
-    return mix_gate_heads(trace.logits, gate_head_logits(model, trace.hidden), prior)
+def _forward(model: nn.Network, X: np.ndarray, mix: np.ndarray
+             ) -> tuple[nn.ActivationTrace, np.ndarray]:
+    """The activation trace and the logits, the group heads mixed by mix."""
+    trace = nn.forward(model, X)
+    return trace, gate_logits(head_blocks(model, trace.logits), mix)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +243,8 @@ def init_discriminators(cfg: MethodConfig, hidden_dim: int, num_classes: int,
     in_dim = hidden_dim + (num_classes if METHODS[cfg.method].disc_sees_y else 0)
     return [nn.init_network(nn.MlpSpec(input_dim=in_dim, hidden_dims=DISC_HIDDEN_DIMS,
                                        output_dim=num_groups, activation=cfg.activation,
-                                       seed=_derive_seed(cfg.seed, 11 + k)))
+                                       seed=nn.derive_seed(cfg.seed, 11 + k)))
             for k in range(cfg.n_discriminators)]
-
-
-def _derive_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence(entropy=(seed, stream)).generate_state(1)[0])
 
 
 def _disc_inputs(discs: list[nn.Network], hidden: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -352,18 +305,14 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 # The main-model objective for one batch (shared by training and the
 # finite-difference gradient checks; discriminator parameters are frozen here)
 
-def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
+def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
                         discs: list[nn.Network] | None = None
                         ) -> tuple[float, list[np.ndarray], np.ndarray, list[list[np.ndarray]]]:
     """Returns (scalar objective, one gradient per entry of model.params,
     per-example CE, each discriminator's parameter gradients from
-    adversarial_pass, empty without discriminators).
-
-    model is a Network, or a GateModel for method="Gate".
-    """
-    is_gate = isinstance(model, GateModel)
-    net = model.base if is_gate else model
-    trace, logits = _forward(model, batch.X, batch.g)
+    adversarial_pass, empty without discriminators)."""
+    mix = group_onehot(batch.g, model.spec.group_heads)
+    trace, logits = _forward(model, batch.X, mix)
     hidden = trace.hidden
 
     loss, d_logits, per_example = nn.cross_entropy(logits, batch.y, batch.weights)
@@ -394,59 +343,49 @@ def main_loss_and_grads(model, batch: Batch, cfg: MethodConfig,
             loss -= cfg.adv_lambda * disc_loss
             hidden_extra += -cfg.adv_lambda * disc_hidden_grad
 
-    head_w_grads: list[np.ndarray] = []
-    head_b_grads: list[np.ndarray] = []
-    if is_gate:  # a group with no rows in the batch gets exact zero head gradients
-        for gr in range(model.num_groups):
-            mask = batch.g == gr
-            head_w_grads.append(d_logits[mask].T @ hidden[mask])
-            head_b_grads.append(d_logits[mask].sum(axis=0))
-            hidden_extra[mask] += d_logits[mask] @ model.head_weights[gr]
-
     extra = None
     if np.any(hidden_extra):
-        if net.n_layers < 2:
+        if model.n_layers < 2:
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
-        extra = {net.n_layers - 2: hidden_extra}
-    grads = nn.backward(net, trace, d_logits, extra_post_grads=extra)
-    return loss, grads.params + head_w_grads + head_b_grads, per_example, disc_grads
+        extra = {model.n_layers - 2: hidden_extra}
+    # each group head's block of the logits gets d_logits on its group's rows
+    d_heads = [mix[:, g, None] * d_logits for g in range(mix.shape[1])]
+    grads = nn.backward(model, trace, np.concatenate([d_logits, *d_heads], axis=1),
+                        extra_post_grads=extra)
+    return loss, grads.params, per_example, disc_grads
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-CHECKPOINT_MAGIC = "fairkit-ckpt-v1"
+CHECKPOINT_MAGIC = "fairkit-ckpt-v2"
 
 
-def save_checkpoint(path, model, opt_state: nn.OptimizerState, epoch: int):
-    is_gate = isinstance(model, GateModel)
-    net = model.base if is_gate else model
+def save_checkpoint(path, model: nn.Network, opt_state: nn.OptimizerState, epoch: int):
+    spec = model.spec
     payload = {
         "magic": np.array(CHECKPOINT_MAGIC),
-        "kind": np.array("gate" if is_gate else "mlp"),
         "epoch": np.array(epoch),
-        "input_dim": np.array(net.spec.input_dim),
-        "hidden_dims": np.array(net.spec.hidden_dims, dtype=int),
-        "output_dim": np.array(net.spec.output_dim),
-        "activation": np.array(net.spec.activation),
-        "seed": np.array(net.spec.seed),
-        "params": net.flat_params(),
+        "input_dim": np.array(spec.input_dim),
+        "hidden_dims": np.array(spec.hidden_dims, dtype=int),
+        "output_dim": np.array(spec.output_dim),
+        "activation": np.array(spec.activation),
+        "seed": np.array(spec.seed),
+        "group_heads": np.array(spec.group_heads),
+        "params": model.flat_params(),
         "opt_kind": np.array(opt_state.kind),
         "opt_lr": np.array(opt_state.lr),
         "opt_t": np.array(opt_state.t),
         "opt_m": opt_state.flat_m,
         "opt_v": opt_state.flat_v,
     }
-    if is_gate:
-        payload["num_groups"] = np.array(model.num_groups)
-        payload["head_params"] = nn.flatten(model.head_weights + model.head_biases)
     buf = io.BytesIO()
     np.savez(buf, **payload)
     write_atomic(path, buf.getbuffer())
 
 
 def load_checkpoint(path):
-    """Returns (model, opt_state, epoch); model is a Network or GateModel.
+    """Returns (model, opt_state, epoch).
 
     A file that is not a complete checkpoint (not a zip, a missing key, the
     wrong magic, or arrays of the wrong length) raises ParseErrorForCheckpoint."""
@@ -458,13 +397,12 @@ def load_checkpoint(path):
                               hidden_dims=tuple(int(h) for h in z["hidden_dims"]),
                               output_dim=int(z["output_dim"]),
                               activation=str(z["activation"]),
-                              seed=int(z["seed"]))
-            model = net = nn.init_network(spec)
-            if str(z["kind"]) == "gate":
-                model = init_gate_model(spec, int(z["num_groups"]), head_seed=0)
-                net = model.base
-                nn.unflatten_into(model.head_weights + model.head_biases, z["head_params"])
-            nn.unflatten_into(net.params, z["params"])
+                              seed=int(z["seed"]),
+                              group_heads=int(z["group_heads"]))
+            if z["params"].shape != (sum(o * i + o for o, i in spec.layer_dims),):
+                raise ParseErrorForCheckpoint(path)  # before a damaged spec allocates
+            model = nn.init_network(spec)
+            nn.unflatten_into(model.params, z["params"])
             opt = nn.make_optimizer(model, kind=str(z["opt_kind"]), lr=float(z["opt_lr"]))
             opt.t = int(z["opt_t"])
             nn.unflatten_into(opt.m, z["opt_m"])
@@ -487,12 +425,13 @@ class ParseErrorForCheckpoint(IOErrorWithStage):
 @dataclass
 class RunRecord:
     rows: list[dict] = field(default_factory=list)
-    model: object = None
+    model: nn.Network | None = None
     fairbatch_probs: np.ndarray | None = None  # [C, G], FairBatch's last distribution
 
 
-def predict(model, X: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    return _forward(model, X, g)[1].argmax(axis=1)
+def predict(model: nn.Network, X: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each row's class, through the head of its group g if the model has group heads."""
+    return _forward(model, X, group_onehot(g, model.spec.group_heads))[1].argmax(axis=1)
 
 
 def _append_row(epochs_file, row: dict, predict_split, dev_ds: Dataset, test_ds: Dataset,
@@ -520,12 +459,10 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
     with epoch 0 being the untouched initialization. When run_dir is given,
     epochs.jsonl and checkpoints/epoch_<k> are written as training goes."""
     num_classes, num_groups = train_ds.num_classes, train_ds.num_groups
-    spec = nn.MlpSpec(input_dim=train_ds.dim, hidden_dims=cfg.hidden_dims,
-                      output_dim=num_classes, activation=cfg.activation, seed=cfg.seed)
-    if METHODS[cfg.method].group_heads:
-        model = init_gate_model(spec, num_groups, head_seed=_derive_seed(cfg.seed, 21))
-    else:
-        model = nn.init_network(spec)
+    model = nn.init_network(nn.MlpSpec(
+        input_dim=train_ds.dim, hidden_dims=cfg.hidden_dims, output_dim=num_classes,
+        activation=cfg.activation, seed=cfg.seed,
+        group_heads=num_groups if METHODS[cfg.method].group_heads else 0))
     main_opt = nn.make_optimizer(model, kind=cfg.optimizer, lr=cfg.lr)
 
     discs = init_discriminators(cfg, model.hidden_dim, num_classes, num_groups) \

@@ -196,6 +196,14 @@ class TestEmitTable:
         assert r"$\pm$" in text and "±" not in text
         assert text.startswith(r"\begin{tabular}")
 
+    def test_latex_escapes_special_characters_in_names(self):
+        table = {"EO_CLA": an.aggregate_runs([(0.81, 0.91)]),
+                 "A&B 50% #1": an.aggregate_runs([(0.81, 0.91)])}
+        rows = an.emit_table(table, "latex").splitlines()
+        assert r"A\&B 50\% \#1 & 81.00 & 91.00 & 21.02 \\" in rows
+        assert r"EO\_CLA & 81.00 & 91.00 & 21.02 \\" in rows
+        assert "| EO_CLA |" in an.emit_table(table, "markdown")
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             an.emit_table(self.make_table(), "html")
@@ -250,6 +258,14 @@ def _null_seed(manifest, rows):
     manifest["seed"] = None
 
 
+def _nan_dev_performance(manifest, rows):
+    rows[0]["dev_performance"] = math.nan
+
+
+def _text_stages(manifest, rows):
+    manifest["stages"] = "at:Standard"
+
+
 # Runs that parse but hold a field of the wrong type, and the reason each is skipped
 MISTYPED_RUNS = {
     "row without dev_performance": (_drop_dev_performance,
@@ -257,7 +273,40 @@ MISTYPED_RUNS = {
     "text dev_fairness": (_text_fairness, "epochs.jsonl line 1 has no numeric dev_fairness"),
     "list index": (_list_index, "manifest.json index is not an object of numbers: [1]"),
     "null seed": (_null_seed, "manifest.json seed is not an integer: None"),
+    "NaN dev_performance": (_nan_dev_performance,
+                            "epochs.jsonl line 1 has no numeric dev_performance"),
+    "text stages": (_text_stages, "manifest.json stages is not a list of strings: 'at:Standard'"),
 }
+
+
+def post_row(post, dev, test):
+    return {"post": post, "dev_performance": dev[0], "dev_fairness": dev[1],
+            "test_performance": test[0], "test_fairness": test[1]}
+
+
+# A tree as fairkit train writes it, (directory, manifest, rows), with the
+# three cases a method key merges or misreads: Adv with and without INLP (two
+# index schemas), Standard with and without balancing (two pipelines, one
+# seed each), and Gate-soft (a post row that is not the best dev epoch)
+PIPELINE_TREE = [
+    ("adv", {"method": "Adv", "index": {"adv_lambda": 1.0}, "seed": 0,
+             "stages": ["at:Adv"]},
+     rows_from_points([(0.5, 0.5), (0.8, 0.8)])),
+    ("adv_inlp", {"method": "Adv", "index": {"adv_lambda": 1.0, "inlp_iterations": 10},
+                  "seed": 0, "stages": ["at:Adv", "post:INLP"]},
+     rows_from_points([(0.5, 0.5), (0.8, 0.8)]) + [post_row("INLP", (0.75, 0.9), (0.7, 0.95))]),
+    ("std", {"method": "Standard", "index": {}, "seed": 0, "stages": ["at:Standard"]},
+     rows_from_points([(0.9, 0.6)])),
+    ("bt_std", {"method": "Standard", "index": {}, "seed": 0,
+                "stages": ["pre:EO-downsampling", "at:Standard"]},
+     rows_from_points([(0.85, 0.8)])),
+    ("gate", {"method": "Gate", "index": {}, "seed": 0, "stages": ["at:Gate", "post:Gate-soft"]},
+     rows_from_points([(0.9, 0.9), (0.6, 0.6)])
+     + [post_row("Gate-soft", (0.8, 0.85), (0.82, 0.88))]),
+    # an older run, written before manifests held stages
+    ("old", {"method": "EAdv", "index": {"adv_lambda": 2.0}, "seed": 3},
+     rows_from_points([(0.7, 0.7)])),
+]
 
 
 class TestLoadAndAnalyzeRuns:
@@ -316,6 +365,42 @@ class TestLoadAndAnalyzeRuns:
         assert f"warning: skipped 1 run(s):\n  {tmp_path / 'damaged'}: {reason}\n" in err
         selection = json.loads((tmp_path / "selection.json").read_text())
         assert [d["seed"] for d in selection["selection"]["Standard"]["per_seed"]] == [0]
+
+    def test_pipelines_are_rows_pinned(self, tmp_path, capsys):
+        for name, manifest, rows in PIPELINE_TREE:
+            self.write_run(tmp_path, name, {**manifest, "finalized": True}, rows)
+        assert cli.main(["analyze", "--results_dir", str(tmp_path)]) == 0
+        assert (tmp_path / "results_table.md").read_text() == (
+            "| Method | Performance | Fairness | DTO |\n"
+            "| --- | --- | --- | --- |\n"
+            "| Adv | 80.00 | 80.00 | 28.28 |\n"
+            "| EAdv | 70.00 | 70.00 | 42.43 |\n"
+            "| Standard | 90.00 | 60.00 | 41.23 |\n"
+            "| at:Adv / post:INLP | 70.00 | 95.00 | 30.41 |\n"
+            "| at:Gate / post:Gate-soft | 82.00 | 88.00 | 21.63 |\n"
+            "| pre:EO-downsampling / at:Standard | 85.00 | 80.00 | 25.00 |\n")
+        selection = json.loads((tmp_path / "selection.json").read_text())["selection"]
+        assert {name: s["per_seed"] for name, s in selection.items()} == {
+            "Adv": [{"seed": 0, "epoch": 1, "test_performance": 0.8, "test_fairness": 0.8,
+                     "dev_performance": 0.8, "dev_fairness": 0.8}],
+            "EAdv": [{"seed": 3, "epoch": 0, "test_performance": 0.7, "test_fairness": 0.7,
+                      "dev_performance": 0.7, "dev_fairness": 0.7}],
+            "at:Gate / post:Gate-soft": [{"seed": 0, "post": "Gate-soft",
+                                          "test_performance": 0.82, "test_fairness": 0.88,
+                                          "dev_performance": 0.8, "dev_fairness": 0.85}],
+            "Standard": [{"seed": 0, "epoch": 0, "test_performance": 0.9, "test_fairness": 0.6,
+                          "dev_performance": 0.9, "dev_fairness": 0.6}],
+            "at:Adv / post:INLP": [{"seed": 0, "post": "INLP", "test_performance": 0.7,
+                                    "test_fairness": 0.95, "dev_performance": 0.75,
+                                    "dev_fairness": 0.9}],
+            "pre:EO-downsampling / at:Standard": [
+                {"seed": 0, "epoch": 0, "test_performance": 0.85, "test_fairness": 0.8,
+                 "dev_performance": 0.85, "dev_fairness": 0.8}],
+        }
+        assert selection["at:Adv / post:INLP"]["index"] == {"adv_lambda": 1.0,
+                                                           "inlp_iterations": 10}
+        series = json.loads((tmp_path / "tradeoff.json").read_text())["series"]
+        assert {s["method"]: s["epoch"] for s in series}["at:Gate / post:Gate-soft"] == [None]
 
     def test_missing_dir(self, tmp_path):
         runs, skipped = an.load_runs(tmp_path / "nope")

@@ -113,6 +113,22 @@ class TestParseConfig:
         assert "config error" in capsys.readouterr().err
         assert not results.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "Adv", "--adv_lambda", "nan"],
+        ["--method", "FairBatch", "--fairbatch_alpha", "nan"],
+        ["--method", "FairSCL", "--fcl_lambda_y", "nan"],
+        ["--method", "DAdv", "--diff_lambda", "nan"],
+        ["--method", "FairSCL", "--fcl_lambda_y", "1", "--temperature", "inf"],
+        ["--lr", "inf"],
+        ["--method", "EO_CLA", "--eo_cla_lambda", "inf"],
+        ["--method", "Standard", "--fcl_lambda_g", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_setting_is_config_error_before_any_work(self, tmp_path, argv, capsys):
+        results = tmp_path / "results"
+        assert cli.main([*argv, "--epochs", "1", "--results_dir", str(results)]) == 2
+        assert f"config error: {argv[-2][2:]} must be finite" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_yaml_value_outside_choices_rejected(self, tmp_path):
         conf = tmp_path / "c.yaml"
         conf.write_text(yaml.safe_dump({"optimizer": "rmsprop"}))
@@ -386,6 +402,26 @@ class TestAnalyzeCommand:
         assert "Standard" in table and "Adv" in table
         selection = json.loads((results / "selection.json").read_text())
         assert len(selection["selection"]["Standard"]["per_seed"]) == 2
+
+    def test_pipelines_are_rows(self, tmp_path, small_spec_file, capsys):
+        results = tmp_path / "results"
+        for extra in (["--method", "Adv"], ["--method", "Adv", "--INLP"], [],
+                      ["--BT", "Downsampling", "--BTObj", "EO"],
+                      ["--method", "Gate", "--gate_soft", "--gate_grid_resolution", "5"]):
+            assert cli.main(fast_args(tmp_path, small_spec_file, extra=extra)) == 0
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 0
+        selection = json.loads((results / "selection.json").read_text())["selection"]
+        assert sorted(selection) == ["Adv", "Standard", "at:Adv / post:INLP",
+                                     "at:Gate / post:Gate-soft",
+                                     "pre:EO-downsampling / at:Standard"]
+        assert [d["post"] for d in selection["at:Gate / post:Gate-soft"]["per_seed"]] == [
+            "Gate-soft"]
+        (gate_dir,) = [m.parent for m in results.glob("*/manifest.json")
+                       if "post:Gate-soft" in m.read_text()]
+        post = json.loads((gate_dir / "epochs.jsonl").read_text().splitlines()[-1])
+        (chosen,) = selection["at:Gate / post:Gate-soft"]["per_seed"]
+        assert chosen["test_performance"] == post["test_performance"]
+        assert chosen["test_fairness"] == post["test_fairness"]
 
     def test_empty_results_dir_exit_code(self, tmp_path, capsys):
         assert cli.main(["analyze", "--results_dir", str(tmp_path / "none")]) == 5

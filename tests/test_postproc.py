@@ -236,7 +236,7 @@ class TestApplyInlpAndRefit:
         h = model.hidden_dim
         H_train = postproc.hidden_representations(model, train_ds.X)
         clf = postproc.apply_inlp_and_refit(model, np.eye(h), H_train, train_ds.y, 2)
-        orig = np.mean(training.predict(model, dev_ds.X) == dev_ds.y)
+        orig = np.mean(training.predict(model, dev_ds.X, dev_ds.g) == dev_ds.y)
         refit = np.mean(clf.predict(dev_ds.X) == dev_ds.y)
         assert abs(refit - orig) <= 0.02
 
@@ -306,23 +306,28 @@ def trained_gate(seed=0, num_groups=2):
     return training.train(train_ds, dev_ds, test_ds, cfg).model, dev_ds
 
 
+def soft_logits(model, X, prior):
+    """Inference logits with the group heads mixed by prior, from a fresh forward."""
+    heads = np.split(nn.forward(model, X).logits, 1 + len(prior), axis=1)
+    return training.gate_logits(heads, prior)
+
+
 class TestGateSoft:
     def test_vertex_prior_matches_single_head(self):
+        # hard gating to group 0, from the output layer's rows: shared 0-1, head 2-3
         model, dev_ds = trained_gate()
-        logits = training.gate_soft_logits(model, dev_ds.X, np.array([1.0, 0.0]))
-        forced = training.gate_forward(
-            nn.forward(model.base, dev_ds.X).hidden,
-            np.zeros(dev_ds.n, dtype=int),
-            nn.forward(model.base, dev_ds.X).logits,
-            model.head_weights, model.head_biases)
+        logits = soft_logits(model, dev_ds.X, np.array([1.0, 0.0]))
+        H = nn.forward(model, dev_ds.X).hidden
+        W, b = model.weights[-1], model.biases[-1]
+        forced = (H @ W[:2].T + b[:2]) + (H @ W[2:4].T + b[2:4])
         np.testing.assert_allclose(logits, forced, atol=1e-12)
 
     def test_uniform_prior_averages_heads(self):
         model, dev_ds = trained_gate()
         X = dev_ds.X
-        uniform = training.gate_soft_logits(model, X, np.array([0.5, 0.5]))
-        head0 = training.gate_soft_logits(model, X, np.array([1.0, 0.0]))
-        head1 = training.gate_soft_logits(model, X, np.array([0.0, 1.0]))
+        uniform = soft_logits(model, X, np.array([0.5, 0.5]))
+        head0 = soft_logits(model, X, np.array([1.0, 0.0]))
+        head1 = soft_logits(model, X, np.array([0.0, 1.0]))
         np.testing.assert_allclose(uniform, (head0 + head1) / 2, atol=1e-10)
 
     def test_search_matches_exhaustive_oracle(self):
@@ -336,7 +341,7 @@ class TestGateSoft:
             oracle = None
             for point in postproc._simplex_grid(num_groups, 11):
                 p = np.array(point)
-                preds = training.gate_soft_logits(model, dev_ds.X, p).argmax(axis=1)
+                preds = soft_logits(model, dev_ds.X, p).argmax(axis=1)
                 r = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
                                          dev_ds.num_classes, dev_ds.num_groups)
                 key = (dto((r.performance, r.fairness)), float(np.linalg.norm(p - uniform)))
@@ -346,12 +351,10 @@ class TestGateSoft:
             assert best == oracle[0][0], num_groups
 
     def test_tie_breaks_toward_uniform(self):
-        # zero heads and zero base output layer -> all priors tie
+        # zero heads -> all priors tie
         model, dev_ds = trained_gate()
-        for w in model.head_weights:
-            w[...] = 0.0
-        for b in model.head_biases:
-            b[...] = 0.0
+        model.weights[-1][2:] = 0.0
+        model.biases[-1][2:] = 0.0
         prior, _ = postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
         assert prior == (0.5, 0.5)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -32,11 +33,10 @@ def random_batch(rng, n=8, d=5, num_classes=2, num_groups=2):
 
 
 def make_model(cfg, d=5, num_classes=2, num_groups=2, seed=0):
-    spec = nn.MlpSpec(input_dim=d, hidden_dims=cfg.hidden_dims,
-                      output_dim=num_classes, activation=cfg.activation, seed=seed)
-    if cfg.method == "Gate":
-        return training.init_gate_model(spec, num_groups, head_seed=seed + 1)
-    return nn.init_network(spec)
+    heads = num_groups if training.METHODS[cfg.method].group_heads else 0
+    return nn.init_network(nn.MlpSpec(input_dim=d, hidden_dims=cfg.hidden_dims,
+                                      output_dim=num_classes, activation=cfg.activation,
+                                      seed=seed, group_heads=heads))
 
 
 def check_gradients(cfg, seed, discs=None):
@@ -427,30 +427,55 @@ class TestEoCla:
         assert rel_err(scale, numeric) < 1e-6
 
 
+def hard_gated_logits(model, X, g):
+    """The logits of each row through the shared head and its group's head."""
+    logits = nn.forward(model, X).logits
+    heads = np.split(logits, 1 + model.spec.group_heads, axis=1)
+    return training.gate_logits(heads, training.group_onehot(g, model.spec.group_heads))
+
+
 class TestGate:
     def test_zero_heads_equal_shared(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(4, 3))
-        shared = rng.normal(size=(4, 2))
-        heads_w = [np.zeros((2, 3)), np.zeros((2, 3))]
-        heads_b = [np.zeros(2), np.zeros(2)]
-        out = training.gate_forward(h, np.array([0, 1, 0, 1]), shared, heads_w, heads_b)
-        np.testing.assert_array_equal(out, shared)
+        cfg = training.MethodConfig(method="Gate", hidden_dims=(3,))
+        model = make_model(cfg, d=4, seed=0)
+        model.weights[-1][2:] = 0.0
+        model.biases[-1][2:] = 0.0
+        X = np.random.default_rng(0).normal(size=(4, 4))
+        out = hard_gated_logits(model, X, np.array([0, 1, 0, 1]))
+        np.testing.assert_array_equal(out, nn.forward(model, X).logits[:, :2])
 
     def test_group_difference_is_head_difference(self):
-        rng = np.random.default_rng(1)
-        h = np.tile(rng.normal(size=(1, 3)), (2, 1))
-        shared = np.tile(rng.normal(size=(1, 2)), (2, 1))
-        heads_w = [rng.normal(size=(2, 3)) for _ in range(2)]
-        heads_b = [rng.normal(size=2) for _ in range(2)]
-        out = training.gate_forward(h, np.array([0, 1]), shared, heads_w, heads_b)
-        expected_diff = (h[0] @ heads_w[1].T + heads_b[1]) - (h[0] @ heads_w[0].T + heads_b[0])
+        # rows 2-3 of the output layer are group 0's head, rows 4-5 group 1's
+        cfg = training.MethodConfig(method="Gate", hidden_dims=(3,))
+        model = make_model(cfg, d=4, seed=1)
+        model.biases[-1][...] = np.random.default_rng(1).normal(size=6)
+        X = np.tile(np.random.default_rng(2).normal(size=(1, 4)), (2, 1))
+        out = hard_gated_logits(model, X, np.array([0, 1]))
+        h = nn.forward(model, X).hidden[0]
+        W, b = model.weights[-1], model.biases[-1]
+        expected_diff = (h @ W[4:6].T + b[4:6]) - (h @ W[2:4].T + b[2:4])
         np.testing.assert_allclose(out[1] - out[0], expected_diff, atol=1e-12)
 
     def test_group_out_of_range(self):
         with pytest.raises(LabelDomainError):
-            training.gate_forward(np.ones((1, 2)), np.array([5]), np.ones((1, 2)),
-                                  [np.zeros((2, 2))], [np.zeros(2)])
+            training.group_onehot(np.array([5]), 1)
+
+    def test_initial_heads_from_their_own_stream(self):
+        # the shared rows are the plain network's; each head is a draw of the
+        # head stream with the shared head's Glorot bound
+        cfg = training.MethodConfig(method="Gate", hidden_dims=(5,))
+        gate = make_model(cfg, d=4, num_classes=3, num_groups=2, seed=7)
+        plain = make_model(training.MethodConfig(hidden_dims=(5,)), d=4, num_classes=3, seed=7)
+        for got, want in zip(gate.weights[:-1] + gate.biases[:-1],
+                             plain.weights[:-1] + plain.biases[:-1]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(gate.weights[-1][:3], plain.weights[-1])
+        rng = np.random.default_rng(np.random.SeedSequence((nn.derive_seed(7, 21), 3)))
+        bound = np.sqrt(6.0 / (5 + 3))
+        for g in range(2):
+            np.testing.assert_array_equal(gate.weights[-1][3 * (g + 1):3 * (g + 2)],
+                                          rng.uniform(-bound, bound, size=(3, 5)))
+        np.testing.assert_array_equal(gate.biases[-1], np.zeros(9))
 
 
 class TestTrainLoop:
@@ -566,7 +591,8 @@ class TestTrainLoop:
         cfg = training.MethodConfig(method="Gate", epochs=1, seed=5)
         record = training.train(train_ds, dev_ds, test_ds, cfg, run_dir=tmp_path)
         model, _, _ = training.load_checkpoint(record.rows[-1]["checkpoint"])
-        assert isinstance(model, training.GateModel)
+        assert model.spec.group_heads == 2
+        np.testing.assert_array_equal(model.flat_params(), record.model.flat_params())
         np.testing.assert_array_equal(
             training.predict(model, dev_ds.X, dev_ds.g),
             training.predict(record.model, dev_ds.X, dev_ds.g))
@@ -593,7 +619,7 @@ class TestMethodConfig:
     @pytest.mark.parametrize("name,value", [
         ("epochs", -1), ("batch_size", 0), ("seed", -1), ("lr", 0.0), ("lr", -1.0),
         ("temperature", 0.0), ("n_discriminators", 0), ("hidden_dims", (4, 0)),
-        ("method", "Fair"),
+        ("method", "Fair"), ("adv_lambda", float("nan")), ("lr", float("inf")),
     ])
     def test_invalid_value_rejected(self, name, value):
         with pytest.raises(ValueError):
@@ -610,8 +636,8 @@ class TestOneOptimizer:
         model, opt = gate_model_and_optimizer(steps=0)
         before = nn.flatten(model.params)
         grads = zero_grads(model)
-        grads[len(model.base.params) + 1][0, 0] = np.nan  # group 1 head weight
-        with pytest.raises(TrainingDivergedError, match="group 1 head weight"):
+        grads[1][4, 0] = np.nan  # output layer, first row of group 1's head
+        with pytest.raises(TrainingDivergedError, match="layer 1 weight"):
             nn.optimizer_step(model, grads, opt)
         np.testing.assert_array_equal(nn.flatten(model.params), before)
 
@@ -714,15 +740,22 @@ class TestCrashSafeWrites:
         assert not list(run_dir.rglob("*.tmp"))
 
 
-# Damage to a valid Gate checkpoint's arrays z; n_base is the base network's size
+# Damage to a valid Gate checkpoint's arrays z; n_base is the size of the
+# same network without group heads
 DAMAGE = {
     "missing key": lambda z, n_base: z.pop("params"),
     "short params": lambda z, n_base: z.update(params=z["params"][:-1]),
-    "long head_params": lambda z, n_base: z.update(head_params=np.append(z["head_params"], 0.0)),
+    "long params": lambda z, n_base: z.update(params=np.append(z["params"], 0.0)),
     "short moments": lambda z, n_base: z.update(opt_v=z["opt_v"][:-2]),
-    # the earlier Gate format, whose moments cover the base network only
+    # the first Gate format, whose moments cover the network without heads only
     "base-only moments": lambda z, n_base: z.update(opt_m=z["opt_m"][:n_base],
                                                     opt_v=z["opt_v"][:n_base]),
+    "group_heads not matching params": lambda z, n_base: z.update(group_heads=np.array(2)),
+    "negative group_heads": lambda z, n_base: z.update(group_heads=np.array(-1)),
+    # refused before the network of 10**15 heads is allocated
+    "huge group_heads": lambda z, n_base: z.update(group_heads=np.array(10**15)),
+    # a file of the earlier layout, with its group heads in head_params
+    "v1 magic": lambda z, n_base: z.update(magic=np.array("fairkit-ckpt-v1")),
 }
 
 
@@ -746,7 +779,8 @@ class TestMalformedCheckpoint:
         training.save_checkpoint(tmp_path / "good.npz", model, opt, epoch=1)
         with np.load(tmp_path / "good.npz") as z:
             arrays = dict(z)
-        DAMAGE[damage](arrays, nn.flatten(model.base.params).size)
+        plain = nn.init_network(dataclasses.replace(model.spec, group_heads=0))
+        DAMAGE[damage](arrays, plain.flat_params().size)
         np.savez(tmp_path / "bad.npz", **arrays)
         with pytest.raises(training.ParseErrorForCheckpoint):
             training.load_checkpoint(tmp_path / "bad.npz")
