@@ -159,9 +159,10 @@ def _read_jsonl(path: Path):
     body = [s for s in map(str.strip, lines) if s]
     text = "[" + ",".join(body) + "]"
     # Every line opens with the only "{" it holds and closes with the only
-    # "}", so each array element is exactly one line's object
-    if (text.count("{") == text.count("}") == len(body)
-            and all(s[0] == "{" and s[-1] == "}" for s in body)):
+    # "}", so each array element is exactly one line's object; a boolean
+    # would pass as a number, so the line path refuses it
+    if (text.count("{") == text.count("}") == len(body) and "true" not in text
+            and "false" not in text and all(s[0] == "{" and s[-1] == "}" for s in body)):
         try:
             objs = json.loads(text)
             X = np.array([o["X"] for o in objs])
@@ -209,7 +210,7 @@ def _jsonl_row(obj) -> tuple[list[float], int, int]:
     for key in ("X", "y", "protected_label"):
         if key not in obj:
             raise SchemaError(f"missing key {key!r}")
-    if not isinstance(obj["X"], list):
+    if not isinstance(obj["X"], list) or any(isinstance(v, bool) for v in obj["X"]):
         raise ParseError(f"X must be a list of numbers, got {obj['X']!r}")
     try:
         x = [float(v) for v in obj["X"]]
@@ -223,7 +224,8 @@ def _jsonl_row(obj) -> tuple[list[float], int, int]:
 def _int_label(value, name: str) -> int:
     try:
         iv = int(value)
-        valid = iv == float(value) and 0 <= iv <= np.iinfo(np.int64).max
+        valid = (not isinstance(value, bool) and iv == float(value)
+                 and 0 <= iv <= np.iinfo(np.int64).max)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:

@@ -322,32 +322,26 @@ def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
         p -= s
 
 
-def supervised_contrastive_loss(reprs: np.ndarray, labels: np.ndarray, temperature: float = 0.07,
-                                positive_mask: np.ndarray | None = None
-                                ) -> tuple[float, np.ndarray]:
-    """Supervised contrastive loss over L2-normalized representations.
-
-    positive_mask overrides the default same-label positive set (used by
-    the fairness variant where positives are same-class, other-group).
-    Anchors without positives contribute zero; raises if no anchor has any.
+def supervised_contrastive_loss(reprs: np.ndarray, terms: list[tuple[float, np.ndarray]],
+                                temperature: float = 0.07) -> tuple[float, np.ndarray]:
+    """Weighted sum of supervised contrastive losses over L2-normalized
+    representations, one per (weight, positive mask) term, all from one
+    similarity matrix. A row's positives in a term are the other rows its
+    mask marks. Anchors without positives contribute zero, and so does a
+    term in which no anchor has any; raises if every term is such a term.
     Returns (loss, exact gradient w.r.t. the unnormalized reprs).
     """
     R = np.asarray(reprs, dtype=float)
     n = R.shape[0]
     if n < 2:
         raise ContrastiveDegenerateError("need at least 2 instances")
-    labels = np.asarray(labels, dtype=int)
-    if positive_mask is None:
-        positive_mask = labels[:, None] == labels[None, :]
-    pos = positive_mask & ~np.eye(n, dtype=bool)
-    n_pos = pos.sum(axis=1)
-    valid = n_pos > 0
-    n_valid = int(valid.sum())
-    if n_valid == 0:
+    positives = [(weight, mask & ~np.eye(n, dtype=bool)) for weight, mask in terms]
+    # (weight, positives, positive count per anchor) of each term with a positive
+    live = [(weight, pos, pos.sum(axis=1)) for weight, pos in positives if pos.any()]
+    if not live:
         raise ContrastiveDegenerateError("no anchor has a positive")
 
-    norms = np.linalg.norm(R, axis=1, keepdims=True)
-    norms = np.maximum(norms, 1e-12)
+    norms = np.maximum(np.linalg.norm(R, axis=1, keepdims=True), 1e-12)
     Z = R / norms
     S = (Z @ Z.T) / temperature
     np.fill_diagonal(S, -np.inf)
@@ -355,18 +349,21 @@ def supervised_contrastive_loss(reprs: np.ndarray, labels: np.ndarray, temperatu
     expS = np.exp(S - smax)
     denom = expS.sum(axis=1, keepdims=True)
     log_q = (S - smax) - np.log(denom)
-
-    per_anchor = np.zeros(n)
-    pos_log_q = np.where(pos, log_q, 0.0)  # diagonal log_q is -inf; mask before summing
-    per_anchor[valid] = -pos_log_q.sum(axis=1)[valid] / n_pos[valid]
-    loss = float(per_anchor.sum() / n_valid)
-
-    # dLoss/dS for valid anchors: (q_ij - pos_ij/|P_i|) / n_valid
     q = expS / denom
-    G = np.zeros_like(q)
-    G[valid] = (q[valid] - pos[valid] / n_pos[valid, None]) / n_valid
+
+    loss = 0.0
+    G = np.zeros_like(q)  # dLoss/dS
+    for weight, pos, n_pos in live:
+        valid = n_pos > 0
+        n_valid = int(valid.sum())
+        per_anchor = np.zeros(n)
+        pos_log_q = np.where(pos, log_q, 0.0)  # diagonal log_q is -inf; mask before summing
+        per_anchor[valid] = -pos_log_q.sum(axis=1)[valid] / n_pos[valid]
+        loss += weight * float(per_anchor.sum() / n_valid)
+        # for valid anchors: (q_ij - pos_ij/|P_i|) / n_valid
+        G[valid] += weight * (q[valid] - pos[valid] / n_pos[valid, None]) / n_valid
     np.fill_diagonal(G, 0.0)
-    dZ = (G @ Z + G.T @ Z) / temperature
+    dZ = (G + G.T) @ Z / temperature
     # through the normalization: d/dR of R/||R||
     dR = (dZ - (Z * dZ).sum(axis=1, keepdims=True) * Z) / norms
     return loss, dR

@@ -11,8 +11,9 @@ whether it trains group heads. MethodConfig checks the shared Settings and
 zeroes every weight its method does not list; each loss term runs only when
 its own weight is > 0, so a zero weight reproduces the Standard trajectory
 bit-exactly under the same seed (FairBatch keeps its initial sampling
-distribution instead). One backward pass per discriminator gives both its
-own gradient and the hidden gradient the encoder receives reversed.
+distribution instead). The discriminator ensemble is one network, whose one
+backward pass per step gives every discriminator's own gradient and the
+hidden gradient the encoder receives reversed.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ METHODS = {
 }
 
 
-# Hidden layers of every discriminator; the orthogonality penalty reads the first
-DISC_HIDDEN_DIMS = (16,)
+# Hidden width of every discriminator; the orthogonality penalty reads its layer
+DISC_HIDDEN = 16
 
 
 @dataclass
@@ -150,10 +151,13 @@ def group_onehot(g: np.ndarray, num_groups: int) -> np.ndarray:
     return (g[:, None] == np.arange(num_groups)).astype(float)
 
 
-def _forward(model: nn.Network, X: np.ndarray, mix: np.ndarray
+def _forward(model: nn.Network, X: np.ndarray, mix: np.ndarray | None
              ) -> tuple[nn.ActivationTrace, np.ndarray]:
-    """The activation trace and the logits, the group heads mixed by mix."""
+    """The activation trace and the logits, the group heads mixed by mix
+    (None for a network without group heads)."""
     trace = nn.forward(model, X)
+    if mix is None:
+        return trace, trace.logits
     return trace, gate_logits(head_blocks(model, trace.logits), mix)
 
 
@@ -186,71 +190,71 @@ def fairscl_loss(reprs: np.ndarray, y: np.ndarray, g: np.ndarray,
                  fcl_lambda_y: float, fcl_lambda_g: float, temperature: float = 0.07
                  ) -> tuple[float, np.ndarray]:
     """fcl_lambda_y * SCL(same-y positives) + fcl_lambda_g * SCL(same-y,
-    other-g positives). Degenerate terms contribute zero."""
-    y = np.asarray(y, dtype=int)
-    g = np.asarray(g, dtype=int)
-    total = 0.0
-    grad = np.zeros_like(np.asarray(reprs, dtype=float))
-    for lam, other_group in ((fcl_lambda_y, False), (fcl_lambda_g, True)):
-        if lam > 0:
-            mask = (y[:, None] == y[None, :]) & (g[:, None] != g[None, :]) if other_group else None
-            try:
-                loss, d = nn.supervised_contrastive_loss(reprs, y, temperature, positive_mask=mask)
-                total += lam * loss
-                grad += lam * d
-            except ContrastiveDegenerateError:
-                pass
-    return total, grad
+    other-g positives), from one similarity matrix. Degenerate terms contribute zero."""
+    same_y = np.equal.outer(y, y)
+    terms = [(lam, mask) for lam, mask in
+             ((fcl_lambda_y, same_y), (fcl_lambda_g, same_y & np.not_equal.outer(g, g)))
+             if lam > 0]
+    try:
+        return nn.supervised_contrastive_loss(reprs, terms, temperature)
+    except ContrastiveDegenerateError:
+        return 0.0, np.zeros_like(np.asarray(reprs, dtype=float))
 
 
 def eo_cla_adjusted_loss(per_example_losses: np.ndarray, y: np.ndarray, g: np.ndarray,
                          eo_cla_lambda: float) -> tuple[float, np.ndarray]:
     """Loss-gap penalty: lambda * sum_y sum_g |mean CE of cell (y,g) - mean CE
-    of class y| over nonempty batch cells. Returns (addition, per-example
-    scale s_i such that d addition / d CE_i = s_i); sign(0) = 0 at ties."""
+    of class y| over nonempty batch cells, from [C, G] tables of cell sums
+    and counts. Returns (addition, per-example scale s_i such that
+    d addition / d CE_i = s_i); sign(0) = 0 at ties."""
     ce = np.asarray(per_example_losses, dtype=float)
     y = np.asarray(y, dtype=int)
     g = np.asarray(g, dtype=int)
-    n = ce.shape[0]
-    scale = np.zeros(n)
-    addition = 0.0
     if eo_cla_lambda == 0.0:
-        return 0.0, scale
-    for c in np.unique(y):
-        in_c = y == c
-        n_c = int(in_c.sum())
-        m_c = ce[in_c].mean()
-        sign_sum = 0.0
-        for gr in np.unique(g[in_c]):
-            in_cell = in_c & (g == gr)
-            m_cg = ce[in_cell].mean()
-            diff = m_cg - m_c
-            # treat float-noise ties as exact ties so equal losses give no step
-            s = 0.0 if abs(diff) <= 1e-12 * max(1.0, abs(m_c)) else float(np.sign(diff))
-            addition += eo_cla_lambda * abs(diff)
-            scale[in_cell] += eo_cla_lambda * s / in_cell.sum()
-            sign_sum += s
-        scale[in_c] -= eo_cla_lambda * sign_sum / n_c
-    return addition, scale
+        return 0.0, np.zeros(ce.shape[0])
+    C, G = int(y.max()) + 1, int(g.max()) + 1
+    cell = y * G + g
+    counts = np.bincount(cell, minlength=C * G).reshape(C, G)
+    sums = np.bincount(cell, weights=ce, minlength=C * G).reshape(C, G)
+    n_c = np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    m_c = sums.sum(axis=1, keepdims=True) / n_c
+    diff = np.where(counts > 0, sums / np.maximum(counts, 1) - m_c, 0.0)
+    # treat float-noise ties as exact ties so equal losses give no step
+    s = np.where(np.abs(diff) <= 1e-12 * np.maximum(1.0, np.abs(m_c)), 0.0, np.sign(diff))
+    scale = (eo_cla_lambda * s / np.maximum(counts, 1)
+             - eo_cla_lambda * s.sum(axis=1, keepdims=True) / n_c)
+    return eo_cla_lambda * float(np.abs(diff).sum()), scale.ravel()[cell]
 
 
 # ---------------------------------------------------------------------------
-# Discriminators: plain networks; one whose input is wider than the hidden
-# state also reads the one-hot class
+# Discriminators: an ensemble of k is one network, the stack. Its first layer
+# stacks their first layers ([k*16, in]); its output layer holds their output
+# layers as diagonal blocks ([k*G, k*16]), whose off-block weights stay 0. A
+# stack whose input is wider than the hidden state also reads the one-hot class.
 
 def init_discriminators(cfg: MethodConfig, hidden_dim: int, num_classes: int,
-                        num_groups: int) -> list[nn.Network]:
+                        num_groups: int) -> nn.Network:
+    """The stack of cfg.n_discriminators discriminators. Block i starts with
+    the parameters of a lone discriminator seeded from stream 11 + i."""
     in_dim = hidden_dim + (num_classes if METHODS[cfg.method].disc_sees_y else 0)
-    return [nn.init_network(nn.MlpSpec(input_dim=in_dim, hidden_dims=DISC_HIDDEN_DIMS,
-                                       output_dim=num_groups, activation=cfg.activation,
-                                       seed=nn.derive_seed(cfg.seed, 11 + k)))
-            for k in range(cfg.n_discriminators)]
+    k, H, G = cfg.n_discriminators, DISC_HIDDEN, num_groups
+    discs = [nn.init_network(nn.MlpSpec(input_dim=in_dim, hidden_dims=(H,), output_dim=G,
+                                        activation=cfg.activation,
+                                        seed=nn.derive_seed(cfg.seed, 11 + i)))
+             for i in range(k)]
+    out = np.zeros((k * G, k * H))
+    for i, disc in enumerate(discs):
+        out[i * G:(i + 1) * G, i * H:(i + 1) * H] = disc.weights[1]
+    spec = nn.MlpSpec(input_dim=in_dim, hidden_dims=(k * H,), output_dim=k * G,
+                      activation=cfg.activation, seed=cfg.seed)
+    return nn.Network(spec, [np.vstack([d.weights[0] for d in discs]), out],
+                      [np.zeros(k * H), np.zeros(k * G)])
 
 
-def _disc_inputs(discs: list[nn.Network], hidden: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The discriminators' shared input: hidden, then the one-hot class if
-    their input is wider than hidden."""
-    num_classes = discs[0].spec.input_dim - hidden.shape[1]
+def _disc_inputs(stack: nn.Network, hidden: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The stack's input: hidden, then the one-hot class if its input is
+    wider than hidden."""
+    num_classes = stack.spec.input_dim - hidden.shape[1]
     if num_classes == 0:
         return hidden
     onehot = np.zeros((hidden.shape[0], num_classes))
@@ -258,46 +262,45 @@ def _disc_inputs(discs: list[nn.Network], hidden: np.ndarray, y: np.ndarray) -> 
     return np.concatenate([hidden, onehot], axis=1)
 
 
-def adversarial_pass(discs: list[nn.Network], hidden: np.ndarray, batch: Batch,
-                     diff_lambda: float) -> tuple[float, np.ndarray, list[list[np.ndarray]]]:
-    """One forward and one backward per discriminator. Returns their mean CE,
-    its gradient w.r.t. hidden, and each discriminator's parameter gradients
-    of its own CE. With several discriminators and diff_lambda > 0 those
-    also carry the pairwise first-layer orthogonality penalty
-    diff_lambda * sum_{i<j} ||H_i^T H_j||_F^2, from a second backward."""
-    inputs = _disc_inputs(discs, hidden, batch.y)
-    traces = [nn.forward(disc, inputs) for disc in discs]
-    first_layer = [t.post[0] for t in traces]
-    penalty_grads = [np.zeros_like(H) for H in first_layer]
-    if diff_lambda > 0 and len(discs) > 1:
-        for i in range(len(discs)):
-            for j in range(i + 1, len(discs)):
-                M = first_layer[i].T @ first_layer[j]
-                penalty_grads[i] += 2.0 * diff_lambda * first_layer[j] @ M.T
-                penalty_grads[j] += 2.0 * diff_lambda * first_layer[i] @ M
-    mean_loss = 0.0
-    mean_grad = np.zeros_like(hidden)
-    disc_grads = []
-    for disc, trace, pgrad in zip(discs, traces, penalty_grads):
-        loss, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
-        grads = nn.backward(disc, trace, d_logits)
-        mean_loss += loss / len(discs)
-        mean_grad += grads.d_X[:, :hidden.shape[1]] / len(discs)
-        if np.any(pgrad):
-            grads = nn.backward(disc, trace, d_logits, extra_post_grads={0: pgrad})
-        disc_grads.append(grads.params)
-    return mean_loss, mean_grad, disc_grads
+def adversarial_pass(stack: nn.Network, hidden: np.ndarray, batch: Batch,
+                     diff_lambda: float) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """One forward and one backward of the stack. Returns the mean of the k
+    discriminators' CEs, its gradient w.r.t. hidden, and the stack's parameter
+    gradients (block i: discriminator i's own CE; off-block: 0). With k > 1
+    and diff_lambda > 0 these carry the penalty on the first-layer outputs H,
+    diff_lambda * sum_{i<j} ||H_i^T H_j||^2 = diff_lambda / 2 * (||H^T H||^2 -
+    sum_i ||H_i^T H_i||^2), with gradient 2 * diff_lambda * H @ (H^T H off its
+    diagonal blocks) at H. The hidden gradient leaves the penalty out."""
+    k = stack.spec.hidden_dims[0] // DISC_HIDDEN
+    n, G = hidden.shape[0], stack.spec.output_dim // k
+    inputs = _disc_inputs(stack, hidden, batch.y)
+    trace = nn.forward(stack, inputs)
+    # row i*k + j of the [n*k, G] logits is discriminator j on row i: their CE
+    # is the mean of the k CEs, and k times its gradient is each one's own
+    loss, d_logits, _ = nn.cross_entropy(trace.logits.reshape(n * k, G),
+                                         np.repeat(batch.g, k), np.repeat(batch.weights, k))
+    grads = nn.backward(stack, trace, k * d_logits.reshape(n, k * G))
+    if k > 1:
+        unit_block = np.arange(k * DISC_HIDDEN) // DISC_HIDDEN
+        grads.d_weights[1] *= (np.arange(k * G) // G)[:, None] == unit_block
+        if diff_lambda > 0:
+            H = trace.post[0]
+            off_block = np.where(unit_block[:, None] != unit_block, H.T @ H, 0.0)
+            d_pre = (2.0 * diff_lambda * H @ off_block
+                     * nn._act_grad(stack.spec.activation, trace.pre[0], H))
+            grads.d_weights[0] += d_pre.T @ inputs
+            grads.d_biases[0] += d_pre.sum(axis=0)
+    return loss, grads.d_X[:, :hidden.shape[1]] / k, grads.params
 
 
 def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
-                   discs: list[nn.Network], disc_opts: list[nn.OptimizerState],
+                   stack: nn.Network, stack_opt: nn.OptimizerState,
                    batch: Batch, cfg: MethodConfig) -> float:
     """One joint update: main model gets CE plus the reversed adversarial
-    gradient; each discriminator minimizes its own CE (plus orthogonality)."""
-    loss, grads, _, disc_grads = main_loss_and_grads(main, batch, cfg, discs=discs)
+    gradient; the stack descends each discriminator's own CE (plus orthogonality)."""
+    loss, grads, _, stack_grads = main_loss_and_grads(main, batch, cfg, discs=stack)
     nn.optimizer_step(main, grads, main_opt)
-    for disc, opt, d_grads in zip(discs, disc_opts, disc_grads):
-        nn.optimizer_step(disc, d_grads, opt)
+    nn.optimizer_step(stack, stack_grads, stack_opt)
     return loss
 
 
@@ -306,12 +309,13 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 # finite-difference gradient checks; discriminator parameters are frozen here)
 
 def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
-                        discs: list[nn.Network] | None = None
-                        ) -> tuple[float, list[np.ndarray], np.ndarray, list[list[np.ndarray]]]:
+                        discs: nn.Network | None = None
+                        ) -> tuple[float, list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """Returns (scalar objective, one gradient per entry of model.params,
-    per-example CE, each discriminator's parameter gradients from
+    per-example CE, the discriminator stack's parameter gradients from
     adversarial_pass, empty without discriminators)."""
-    mix = group_onehot(batch.g, model.spec.group_heads)
+    heads = model.spec.group_heads
+    mix = group_onehot(batch.g, heads) if heads else None
     trace, logits = _forward(model, batch.X, mix)
     hidden = trace.hidden
 
@@ -321,8 +325,7 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         addition, scale = eo_cla_adjusted_loss(per_example, batch.y, batch.g,
                                                cfg.eo_cla_lambda)
         loss += addition
-        probs = nn.softmax(logits)
-        unweighted = probs.copy()
+        unweighted = nn.softmax(logits)
         unweighted[np.arange(len(batch.y)), batch.y] -= 1.0
         d_logits = d_logits + scale[:, None] * unweighted
 
@@ -333,10 +336,10 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
                                           cfg.temperature)
         loss += scl_loss
         hidden_extra += scl_grad
-    if cfg.adv_lambda > 0 and not discs:
+    if cfg.adv_lambda > 0 and discs is None:
         raise ShapeError("adversarial method requires discriminators")
     disc_grads = []
-    if discs:  # the discriminators train even when adv_lambda is 0
+    if discs is not None:  # the discriminators train even when adv_lambda is 0
         disc_loss, disc_hidden_grad, disc_grads = adversarial_pass(discs, hidden, batch,
                                                                    cfg.diff_lambda)
         if cfg.adv_lambda > 0:
@@ -348,10 +351,10 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         if model.n_layers < 2:
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
         extra = {model.n_layers - 2: hidden_extra}
-    # each group head's block of the logits gets d_logits on its group's rows
-    d_heads = [mix[:, g, None] * d_logits for g in range(mix.shape[1])]
-    grads = nn.backward(model, trace, np.concatenate([d_logits, *d_heads], axis=1),
-                        extra_post_grads=extra)
+    if mix is not None:  # each group head's block gets d_logits on its group's rows
+        d_logits = np.concatenate([d_logits, *(mix[:, g, None] * d_logits
+                                               for g in range(mix.shape[1]))], axis=1)
+    grads = nn.backward(model, trace, d_logits, extra_post_grads=extra)
     return loss, grads.params, per_example, disc_grads
 
 
@@ -431,7 +434,8 @@ class RunRecord:
 
 def predict(model: nn.Network, X: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Each row's class, through the head of its group g if the model has group heads."""
-    return _forward(model, X, group_onehot(g, model.spec.group_heads))[1].argmax(axis=1)
+    heads = model.spec.group_heads
+    return _forward(model, X, group_onehot(g, heads) if heads else None)[1].argmax(axis=1)
 
 
 def _append_row(epochs_file, row: dict, predict_split, dev_ds: Dataset, test_ds: Dataset,
@@ -465,9 +469,9 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         group_heads=num_groups if METHODS[cfg.method].group_heads else 0))
     main_opt = nn.make_optimizer(model, kind=cfg.optimizer, lr=cfg.lr)
 
-    discs = init_discriminators(cfg, model.hidden_dim, num_classes, num_groups) \
-        if cfg.adversarial else []
-    disc_opts = [nn.make_optimizer(d, kind=cfg.optimizer, lr=cfg.lr) for d in discs]
+    if cfg.adversarial:
+        discs = init_discriminators(cfg, model.hidden_dim, num_classes, num_groups)
+        disc_opt = nn.make_optimizer(discs, kind=cfg.optimizer, lr=cfg.lr)
 
     record = RunRecord(model=model)
     fairbatch = "fairbatch_alpha" in METHODS[cfg.method].tradeoffs
@@ -501,7 +505,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         batch_losses, batch_cells = [], []  # FairBatch's per-row losses and cells
         for b_idx, batch in enumerate(batches):
             if cfg.adversarial:
-                loss = adv_joint_step(model, main_opt, discs, disc_opts, batch, cfg)
+                loss = adv_joint_step(model, main_opt, discs, disc_opt, batch, cfg)
             else:
                 loss, grads, per_example, _ = main_loss_and_grads(model, batch, cfg)
                 nn.optimizer_step(model, grads, main_opt)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -454,14 +455,15 @@ def _narrow_dev(tmp_path, spec_file):
     return argv
 
 
-def _appended_row(split, literal):
-    """Generated files with one more row in split, whose first feature is
-    the JSON text literal."""
+def _appended_row(split, literal, key="X"):
+    """Generated files with one more row in split, whose value of key (the
+    first feature, for X) is the JSON text literal."""
     def source(tmp_path, spec_file):
         argv = _generated(tmp_path, spec_file)
         path = tmp_path / "data" / f"toy_{split}.jsonl"
         row = json.loads(path.read_text().splitlines()[0])
-        line = json.dumps({**row, "X": ["@", *row["X"][1:]]}).replace('"@"', literal)
+        value = ["@", *row["X"][1:]] if key == "X" else "@"
+        line = json.dumps({**row, key: value}).replace('"@"', literal)
         with open(path, "a") as f:
             f.write(line + "\n")
         return argv
@@ -535,6 +537,12 @@ TRAIN_EXIT_CODES = {
     "files, NaN in a train feature": (_appended_row("train", "NaN"), [], 1),
     "files, -Infinity in a train feature": (_appended_row("train", "-Infinity"), [], 1),
     "files, 1e400 in a dev feature": (_appended_row("dev", "1e400"), [], 1),
+    "files, true in a train feature": (_appended_row("train", "true"), [], 1),
+    "files, true as a train y": (_appended_row("train", "true", "y"), [], 1),
+    "files, false as a dev protected_label": (
+        _appended_row("dev", "false", "protected_label"), [], 1),
+    "files, true as a test protected_label": (
+        _appended_row("test", "true", "protected_label"), [], 1),
     "csv files": (_csv_files(), [], 0),
     "csv files, nan in a train feature": (_csv_files("train", "nan"), [], 1),
     "csv files, 1e400 in a test feature": (_csv_files("test", "1e400"), [], 1),
@@ -569,6 +577,8 @@ class TestExitCodes:
         assert cli.main(argv) == code
         if code == 2:
             assert "config error" in capsys.readouterr().err
+        if code == 1:  # a data file names the bad line
+            assert re.search(r"\.(jsonl|csv):\d+: ", capsys.readouterr().err)
         if code != 0:
             assert not results.exists()
 

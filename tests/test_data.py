@@ -178,7 +178,7 @@ def _outcome(read, *args):
 
 
 _numbers = st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False),
-                     st.integers(-10**6, 10**6), st.booleans())
+                     st.integers(-10**6, 10**6))
 _rows = st.integers(1, 4).flatmap(lambda arity: st.lists(st.fixed_dictionaries(
     {"X": st.lists(_numbers, min_size=arity, max_size=arity), "y": st.integers(0, 5),
      "protected_label": st.integers(0, 5)}), min_size=3, max_size=8))
@@ -217,6 +217,10 @@ DAMAGE = {
     "negative label": lambda rows, lines, i: _splice(
         lines, i, 1, _changed(rows, i, protected_label=-1)),
     "fractional label": lambda rows, lines, i: _splice(lines, i, 1, _changed(rows, i, y=1.5)),
+    "boolean label": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, protected_label=False)),
+    "X holds a boolean": lambda rows, lines, i: _splice(
+        lines, i, 1, _changed(rows, i, X=[True] + rows[i]["X"][1:])),
     "X holds NaN": lambda rows, lines, i: _splice(
         lines, i, 1, _changed(rows, i, X=[float("nan")] + rows[i]["X"][1:])),
     "X holds 1e400": lambda rows, lines, i: _splice(

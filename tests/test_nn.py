@@ -249,33 +249,39 @@ def scl_brute_force(reprs, labels, temperature, positive_mask=None):
     return total / n_valid
 
 
+def scl(reprs, labels, temperature):
+    """The contrastive loss with one term of weight 1, same-label positives."""
+    return nn.supervised_contrastive_loss(reprs, [(1.0, np.equal.outer(labels, labels))],
+                                          temperature)
+
+
 class TestSupervisedContrastive:
     def test_two_identical_same_label(self):
         R = np.array([[1.0, 0.0], [1.0, 0.0]])
-        loss, _ = nn.supervised_contrastive_loss(R, np.array([1, 1]), 0.07)
+        loss, _ = scl(R, np.array([1, 1]), 0.07)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_no_positives_raises(self):
         R = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ContrastiveDegenerateError):
-            nn.supervised_contrastive_loss(R, np.array([0, 1]), 0.07)
+            scl(R, np.array([0, 1]), 0.07)
 
     def test_single_point_raises(self):
         with pytest.raises(ContrastiveDegenerateError):
-            nn.supervised_contrastive_loss(np.ones((1, 3)), np.array([0]), 0.07)
+            scl(np.ones((1, 3)), np.array([0]), 0.07)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(8)
         R = rng.normal(size=(4, 3))
         labels = np.array([0, 0, 1, 1])
-        loss, _ = nn.supervised_contrastive_loss(R, labels, 0.1)
+        loss, _ = scl(R, labels, 0.1)
         assert loss == pytest.approx(scl_brute_force(R, labels, 0.1), abs=1e-8)
 
     def test_anchor_without_positive_contributes_zero(self):
         rng = np.random.default_rng(9)
         R = rng.normal(size=(5, 3))
         labels = np.array([0, 0, 1, 1, 2])  # label 2 anchor has no positive
-        loss, _ = nn.supervised_contrastive_loss(R, labels, 0.1)
+        loss, _ = scl(R, labels, 0.1)
         assert loss == pytest.approx(scl_brute_force(R, labels, 0.1), abs=1e-8)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -285,10 +291,10 @@ class TestSupervisedContrastive:
         labels = rng.integers(0, 2, size=5)
         if len(np.unique(labels)) < 2:
             labels[0] = 1 - labels[0]
-        _, grad = nn.supervised_contrastive_loss(R, labels, 0.2)
+        _, grad = scl(R, labels, 0.2)
 
         def loss_of(flat):
-            return nn.supervised_contrastive_loss(flat.reshape(R.shape), labels, 0.2)[0]
+            return scl(flat.reshape(R.shape), labels, 0.2)[0]
 
         numeric = finite_diff_grad(loss_of, R.ravel())
         assert rel_err(grad.ravel(), numeric) < 1e-5

@@ -39,6 +39,61 @@ def make_model(cfg, d=5, num_classes=2, num_groups=2, seed=0):
                                       seed=seed, group_heads=heads))
 
 
+def stack_blocks(params, k, num_groups):
+    """For each discriminator i of a stack of k, block i of each array of
+    params (the stack's parameters or their gradients, in params order)."""
+    H, G = training.DISC_HIDDEN, num_groups
+    W0, W1, b0, b1 = params
+    return [[W0[i * H:(i + 1) * H], W1[i * G:(i + 1) * G, i * H:(i + 1) * H],
+             b0[i * H:(i + 1) * H], b1[i * G:(i + 1) * G]] for i in range(k)]
+
+
+def off_block_mask(k, num_groups):
+    """True at the entries of a stack's [k*G, k*16] output layer outside its
+    diagonal blocks."""
+    mask = np.ones((k * num_groups, k * training.DISC_HIDDEN), dtype=bool)
+    for block in stack_blocks([mask, mask, mask[0], mask[0]], k, num_groups):
+        block[1][...] = False
+    return mask
+
+
+def separate_discriminators(stack, k, num_groups):
+    """The k discriminators of a stack as networks of their own, holding
+    copies of their blocks."""
+    spec = nn.MlpSpec(input_dim=stack.spec.input_dim, hidden_dims=(training.DISC_HIDDEN,),
+                      output_dim=num_groups, activation=stack.spec.activation)
+    return [nn.Network(spec, [W0.copy(), W1.copy()], [b0.copy(), b1.copy()])
+            for W0, W1, b0, b1 in stack_blocks(stack.params, k, num_groups)]
+
+
+def loop_adversarial_pass(discs, hidden, batch, diff_lambda):
+    """Reference for training.adversarial_pass over separate discriminators:
+    one forward and one backward each, the orthogonality penalty's gradient
+    from a loop over the pairs, and a second backward that adds it."""
+    inputs = training._disc_inputs(discs[0], hidden, batch.y)
+    traces = [nn.forward(disc, inputs) for disc in discs]
+    first_layer = [t.post[0] for t in traces]
+    penalty_grads = [np.zeros_like(H) for H in first_layer]
+    if diff_lambda > 0 and len(discs) > 1:
+        for i in range(len(discs)):
+            for j in range(i + 1, len(discs)):
+                M = first_layer[i].T @ first_layer[j]
+                penalty_grads[i] += 2.0 * diff_lambda * first_layer[j] @ M.T
+                penalty_grads[j] += 2.0 * diff_lambda * first_layer[i] @ M
+    mean_loss = 0.0
+    mean_grad = np.zeros_like(hidden)
+    disc_grads = []
+    for disc, trace, pgrad in zip(discs, traces, penalty_grads):
+        loss, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
+        grads = nn.backward(disc, trace, d_logits)
+        mean_loss += loss / len(discs)
+        mean_grad += grads.d_X[:, :hidden.shape[1]] / len(discs)
+        if np.any(pgrad):
+            grads = nn.backward(disc, trace, d_logits, extra_post_grads={0: pgrad})
+        disc_grads.append(grads.params)
+    return mean_loss, mean_grad, disc_grads
+
+
 def check_gradients(cfg, seed, discs=None):
     rng = np.random.default_rng(seed)
     batch = random_batch(rng)
@@ -102,18 +157,19 @@ class TestAdversarial:
     def test_constant_hidden_reversed_gradient(self):
         # constant hidden rows -> identical per-row discriminator input gradient,
         # and the pass returns the mean of it over the discriminators
-        cfg = training.MethodConfig(method="Adv", adv_lambda=2.0)
-        discs = training.init_discriminators(cfg, hidden_dim=3, num_classes=2, num_groups=2)
+        cfg = training.MethodConfig(method="EAdv", adv_lambda=2.0, n_discriminators=3)
+        stack = training.init_discriminators(cfg, hidden_dim=3, num_classes=2, num_groups=2)
         hidden = np.tile([[0.3, -0.2, 0.9]], (5, 1))
         batch = data.Batch(X=np.zeros((5, 1)), y=np.zeros(5, dtype=int),
                            g=np.zeros(5, dtype=int), weights=np.ones(5))
-        _, grad, _ = training.adversarial_pass(discs, hidden, batch, cfg.diff_lambda)
-        inputs = hidden
-        trace = nn.forward(discs[0], inputs)
-        _, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
-        raw = nn.backward(discs[0], trace, d_logits).d_X
-        np.testing.assert_allclose(raw[0], raw[1], atol=1e-12)
-        np.testing.assert_allclose(grad, raw, atol=1e-12)
+        _, grad, _ = training.adversarial_pass(stack, hidden, batch, cfg.diff_lambda)
+        raws = []
+        for disc in separate_discriminators(stack, 3, 2):
+            trace = nn.forward(disc, hidden)
+            _, d_logits, _ = nn.cross_entropy(trace.logits, batch.g, batch.weights)
+            raws.append(nn.backward(disc, trace, d_logits).d_X)
+            np.testing.assert_allclose(raws[-1][0], raws[-1][1], atol=1e-12)
+        np.testing.assert_allclose(grad, np.mean(raws, axis=0), atol=1e-12)
 
     def test_reversed_gradient_scales_linearly_in_lambda(self):
         # the main model's gradient is the CE gradient plus lambda times a
@@ -144,62 +200,113 @@ class TestAdversarial:
         assert np.sum((A.T @ B) ** 2) == 0.0
 
     def test_adversarial_pass_with_orthogonality_matches_fd(self):
-        cfg = training.MethodConfig(method="DAdv", adv_lambda=1.0, n_discriminators=2,
-                                    diff_lambda=0.4, activation="tanh")
-        discs = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
+        for activation in ("tanh", "relu"):
+            self._check_orthogonality_pass(activation)
+
+    def _check_orthogonality_pass(self, activation):
+        cfg = training.MethodConfig(method="DAdv", adv_lambda=1.0, n_discriminators=3,
+                                    diff_lambda=0.4, activation=activation)
+        stack = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
         rng = np.random.default_rng(2)
         hidden = rng.normal(size=(6, 4))
         batch = random_batch(rng, n=6, d=4)
+        theta0 = stack.flat_params()
 
-        def objective(thetas, hidden=hidden):
-            for d_, th in zip(discs, thetas):
-                nn.unflatten_into(d_.params, th)
-            ces = []
-            firsts = []
-            for d_ in discs:
-                trace = nn.forward(d_, hidden)
-                ces.append(nn.cross_entropy(trace.logits, batch.g, batch.weights)[0])
-                firsts.append(trace.post[0])
-            penalty = cfg.diff_lambda * np.sum((firsts[0].T @ firsts[1]) ** 2)
-            return sum(ces) + penalty, np.mean(ces)
+        def objective(theta, hidden=hidden):
+            # sum of the discriminators' own CEs plus the pairwise penalty, and the mean CE
+            nn.unflatten_into(stack.params, theta)
+            discs = separate_discriminators(stack, 3, 2)
+            nn.unflatten_into(stack.params, theta0)
+            traces = [nn.forward(d_, hidden) for d_ in discs]
+            ces = [nn.cross_entropy(t.logits, batch.g, batch.weights)[0] for t in traces]
+            penalty = sum(np.sum((traces[i].post[0].T @ traces[j].post[0]) ** 2)
+                          for i in range(3) for j in range(i + 1, 3))
+            return sum(ces) + cfg.diff_lambda * penalty, np.mean(ces)
 
-        thetas0 = [d_.flat_params() for d_ in discs]
-        mean_ce, hidden_grad, disc_grads = training.adversarial_pass(
-            discs, hidden, batch, cfg.diff_lambda)
-        assert mean_ce == pytest.approx(objective(thetas0)[1], abs=1e-12)
-        for k in range(2):
-            def f(th, k=k):
-                ts = [t.copy() for t in thetas0]
-                ts[k] = th
-                return objective(ts)[0]
-            numeric = finite_diff_grad(f, thetas0[k])
-            assert rel_err(nn.flatten(disc_grads[k]), numeric) < 1e-4
+        mean_ce, hidden_grad, stack_grads = training.adversarial_pass(
+            stack, hidden, batch, cfg.diff_lambda)
+        assert mean_ce == pytest.approx(objective(theta0)[1], abs=1e-12)
+        numeric = finite_diff_grad(lambda th: objective(th)[0], theta0)
+        # each block's gradient matches on its own; the off-block ones are 0
+        numeric_params = [np.zeros_like(p) for p in stack.params]
+        nn.unflatten_into(numeric_params, numeric)
+        blocks = stack_blocks(stack_grads, 3, 2)
+        for got, want in zip(blocks, stack_blocks(numeric_params, 3, 2)):
+            assert rel_err(nn.flatten(got), nn.flatten(want)) < 1e-4
+        assert not stack_grads[1][off_block_mask(3, 2)].any()
         # the hidden gradient is that of the mean CE alone, without the penalty
         numeric = finite_diff_grad(
-            lambda h: objective(thetas0, h.reshape(hidden.shape))[1], hidden.ravel())
+            lambda h: objective(theta0, h.reshape(hidden.shape))[1], hidden.ravel())
         assert rel_err(hidden_grad.ravel(), numeric) < 1e-4
-        for d_, th in zip(discs, thetas0):
-            nn.unflatten_into(d_.params, th)
 
     def test_discriminator_descends_own_loss(self):
-        cfg = training.MethodConfig(method="Adv", adv_lambda=1.0, lr=0.05, optimizer="sgd")
-        discs = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
-        opts = [nn.make_optimizer(d_, kind="sgd", lr=0.05) for d_ in discs]
+        cfg = training.MethodConfig(method="EAdv", adv_lambda=1.0, n_discriminators=3,
+                                    lr=0.05, optimizer="sgd")
+        stack = training.init_discriminators(cfg, hidden_dim=4, num_classes=2, num_groups=2)
+        opt = nn.make_optimizer(stack, kind="sgd", lr=0.05)
         rng = np.random.default_rng(3)
         hidden = rng.normal(size=(40, 4))
         g = (hidden[:, 0] > 0).astype(int)
         batch = data.Batch(X=hidden, y=np.zeros(40, dtype=int), g=g, weights=np.ones(40))
 
-        def disc_ce():
-            trace = nn.forward(discs[0], hidden)
-            return nn.cross_entropy(trace.logits, batch.g, batch.weights)[0]
+        def disc_ces():
+            return np.array([nn.cross_entropy(nn.forward(d_, hidden).logits, g, batch.weights)[0]
+                             for d_ in separate_discriminators(stack, 3, 2)])
 
-        before = disc_ce()
+        before = disc_ces()
         for _ in range(20):
-            _, _, disc_grads = training.adversarial_pass(discs, hidden, batch, 0.0)
-            for d_, opt, grads in zip(discs, opts, disc_grads):
-                nn.optimizer_step(d_, grads, opt)
-        assert disc_ce() < before
+            _, _, stack_grads = training.adversarial_pass(stack, hidden, batch, 0.0)
+            nn.optimizer_step(stack, stack_grads, opt)
+        assert np.all(disc_ces() < before)
+
+    @pytest.mark.parametrize("method", ["EAdv", "ADAdv"])
+    def test_blocks_start_as_lone_discriminators(self, method):
+        cfg = training.MethodConfig(method=method, n_discriminators=3, seed=5)
+        stack = training.init_discriminators(cfg, hidden_dim=4, num_classes=3, num_groups=2)
+        in_dim = 4 + (3 if method == "ADAdv" else 0)
+        assert stack.spec.input_dim == in_dim
+        for i, block in enumerate(stack_blocks(stack.params, 3, 2)):
+            lone = nn.init_network(nn.MlpSpec(input_dim=in_dim, hidden_dims=(16,), output_dim=2,
+                                              seed=nn.derive_seed(5, 11 + i)))
+            for got, want in zip(block, lone.params):
+                np.testing.assert_array_equal(got, want)
+        assert not stack.weights[1][off_block_mask(3, 2)].any()
+
+    @pytest.mark.parametrize("method,diff_lambda", [("EAdv", 0.0), ("DAdv", 0.3),
+                                                    ("ADAdv", 0.3)])
+    def test_stack_equals_separate_discriminators(self, method, diff_lambda):
+        cfg = training.MethodConfig(method=method, n_discriminators=3, diff_lambda=diff_lambda)
+        stack = training.init_discriminators(cfg, hidden_dim=5, num_classes=2, num_groups=3)
+        discs = separate_discriminators(stack, 3, 3)
+        rng = np.random.default_rng(7)
+        hidden = rng.normal(size=(9, 5))
+        batch = random_batch(rng, n=9, d=5, num_groups=3)
+        batch = dataclasses.replace(batch, weights=rng.uniform(0.5, 2.0, 9))
+        loss, d_hidden, grads = training.adversarial_pass(stack, hidden, batch, cfg.diff_lambda)
+        want_loss, want_hidden, want_grads = loop_adversarial_pass(discs, hidden, batch,
+                                                                   cfg.diff_lambda)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(d_hidden, want_hidden, rtol=1e-10, atol=1e-14)
+        for got, want in zip(stack_blocks(grads, 3, 3), want_grads):
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+        assert not grads[1][off_block_mask(3, 3)].any()
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_off_block_weights_stay_zero(self, kind):
+        cfg = training.MethodConfig(method="ADAdv", n_discriminators=3, diff_lambda=0.5,
+                                    hidden_dims=(6,), optimizer=kind, lr=0.01)
+        model = make_model(cfg)
+        stack = training.init_discriminators(cfg, hidden_dim=6, num_classes=2, num_groups=2)
+        off_block = off_block_mask(3, 2)
+        main_opt = nn.make_optimizer(model, kind=kind, lr=cfg.lr)
+        stack_opt = nn.make_optimizer(stack, kind=kind, lr=cfg.lr)
+        rng = np.random.default_rng(11)
+        before = stack.flat_params()
+        for _ in range(20):
+            training.adv_joint_step(model, main_opt, stack, stack_opt, random_batch(rng), cfg)
+        assert np.all(stack.weights[1][off_block] == 0.0)
+        assert not np.array_equal(stack.flat_params(), before)
 
     @pytest.mark.parametrize("method,flags,scores", [
         # dev/test (performance, fairness) of epochs 1 and 2, at seed 0 on the
@@ -394,8 +501,81 @@ class TestFairScl:
         term_g = scl_brute_force(R, y, tau, positive_mask=mask)
         assert loss == pytest.approx(ly * term_y + lg * term_g, abs=1e-8)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merged_terms_equal_sum_of_single_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(10, 4))
+        y, g = rng.integers(0, 2, 10), rng.integers(0, 3, 10)
+        same_y = np.equal.outer(y, y)
+        terms = [(0.7, same_y), (1.3, same_y & ~np.equal.outer(g, g))]
+        loss, grad = nn.supervised_contrastive_loss(R, terms, 0.2)
+        singles = [nn.supervised_contrastive_loss(R, [(1.0, mask)], 0.2) for _, mask in terms]
+        assert loss == pytest.approx(sum(w * l for (w, _), (l, _) in zip(terms, singles)),
+                                     rel=1e-12)
+        np.testing.assert_allclose(grad, sum(w * d for (w, _), (_, d) in zip(terms, singles)),
+                                   rtol=1e-10, atol=1e-13)
+        assert training.fairscl_loss(R, y, g, 0.7, 1.3, 0.2)[0] == loss
+
+    def test_degenerate_term_contributes_zero(self):
+        rng = np.random.default_rng(3)
+        R = rng.normal(size=(6, 3))
+        y = np.array([0, 0, 0, 1, 1, 1])
+        no_positive = np.eye(6, dtype=bool)  # a row is never its own positive
+        alone = nn.supervised_contrastive_loss(R, [(0.5, np.equal.outer(y, y))], 0.1)
+        both = nn.supervised_contrastive_loss(R, [(0.5, np.equal.outer(y, y)),
+                                                  (2.0, no_positive)], 0.1)
+        assert both[0] == alone[0]
+        np.testing.assert_array_equal(both[1], alone[1])
+
+
+def loop_eo_cla(per_example_losses, y, g, eo_cla_lambda):
+    """Reference for training.eo_cla_adjusted_loss: a loop over the classes
+    and the groups present in each."""
+    ce = np.asarray(per_example_losses, dtype=float)
+    scale = np.zeros(ce.shape[0])
+    addition = 0.0
+    if eo_cla_lambda == 0.0:
+        return 0.0, scale
+    for c in np.unique(y):
+        in_c = y == c
+        n_c = int(in_c.sum())
+        m_c = ce[in_c].mean()
+        sign_sum = 0.0
+        for gr in np.unique(g[in_c]):
+            in_cell = in_c & (g == gr)
+            diff = ce[in_cell].mean() - m_c
+            s = 0.0 if abs(diff) <= 1e-12 * max(1.0, abs(m_c)) else float(np.sign(diff))
+            addition += eo_cla_lambda * abs(diff)
+            scale[in_cell] += eo_cla_lambda * s / in_cell.sum()
+            sign_sum += s
+        scale[in_c] -= eo_cla_lambda * sign_sum / n_c
+    return addition, scale
+
+
+@st.composite
+def eo_cla_batches(draw):
+    """(losses, y, g, lambda) of a batch on up to 4 x 4 cells: some cells
+    empty or holding one row, and losses drawn from a few values, so that
+    cells often tie exactly."""
+    n = draw(st.integers(1, 24))
+    C, G = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    y = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.integers(0, G - 1), min_size=n, max_size=n)))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+    ce = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    return ce, y, g, draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+
 
 class TestEoCla:
+    @settings(max_examples=300, deadline=None)
+    @given(eo_cla_batches())
+    def test_equals_loop_reference(self, batch):
+        ce, y, g, lam = batch
+        addition, scale = training.eo_cla_adjusted_loss(ce, y, g, lam)
+        want_addition, want_scale = loop_eo_cla(ce, y, g, lam)
+        assert addition == pytest.approx(want_addition, abs=1e-12)
+        np.testing.assert_allclose(scale, want_scale, rtol=0, atol=1e-12)
+
     def test_equal_losses_zero_addition(self):
         per = np.full(6, 0.8)
         y = np.array([0, 0, 0, 1, 1, 1])
