@@ -318,7 +318,7 @@ def cmd_train(cfg: TrainConfig) -> int:
         "finalized": False,
     }
     manifest_path = run_dir / "manifest.json"
-    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode())
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, allow_nan=False).encode())
 
     record = training.train(train_ds, dev_ds, test_ds, method_config(cfg), run_dir=run_dir)
 
@@ -331,7 +331,7 @@ def cmd_train(cfg: TrainConfig) -> int:
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest["files"] = sorted(str(p.relative_to(run_dir))
                                for p in run_dir.rglob("*") if p.is_file())
-    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode())
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, allow_nan=False).encode())
     return 0
 
 
@@ -343,7 +343,7 @@ def _select_model(record: training.RunRecord) -> nn.Network:
 
 def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
     model = _select_model(record)
-    H_train = postproc.hidden_representations(model, train_ds.X)
+    H_train = nn.infer(model, train_ds.X)[0]
     projection = postproc.inlp(H_train, train_ds.g, max_iterations=cfg.inlp_iterations)
     postproc.save_projection(run_dir / "inlp_projection.bin", projection)
     clf = postproc.apply_inlp_and_refit(model, projection.P, H_train, train_ds.y,
@@ -356,13 +356,17 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
 
 def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
     model = _select_model(record)
-    prior, dev_dto = postproc.gate_soft_search(model, dev_ds,
-                                               grid_resolution=cfg.gate_grid_resolution)
+    dev_logits = nn.infer(model, dev_ds.X)[1]
+    prior, dev_dto = postproc.gate_soft_search(model, dev_ds, cfg.gate_grid_resolution,
+                                               logits=dev_logits)
     row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}
     mix = np.array(prior)
-    training._append_row(run_dir / "epochs.jsonl", row,
-                         lambda ds: training._forward(model, ds.X, mix)[1].argmax(axis=1),
-                         dev_ds, test_ds)
+
+    def predict_split(ds):
+        logits = dev_logits if ds is dev_ds else nn.infer(model, ds.X)[1]
+        return training.gate_logits(training.head_blocks(model, logits), mix).argmax(axis=1)
+
+    training._append_row(run_dir / "epochs.jsonl", row, predict_split, dev_ds, test_ds)
 
 
 def cmd_analyze(argv: list[str]) -> int:
@@ -396,8 +400,8 @@ def cmd_analyze(argv: list[str]) -> int:
         by_method.setdefault(r["method"], []).append(r)
     tradeoff = analysis.emit_tradeoff_data(by_method, pareto_only=args.pareto_only,
                                            criterion=criterion)
-    (out_dir / "tradeoff.json").write_text(json.dumps(tradeoff, indent=2))
-    (out_dir / "selection.json").write_text(json.dumps(selection, indent=2))
+    (out_dir / "tradeoff.json").write_text(json.dumps(tradeoff, indent=2, allow_nan=False))
+    (out_dir / "selection.json").write_text(json.dumps(selection, indent=2, allow_nan=False))
     print(analysis.emit_table(table, "markdown"))
     return 0
 

@@ -234,9 +234,10 @@ def _int_label(value, name: str) -> int:
 
 
 def save_jsonl(dataset: Dataset, path):
+    encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps's format, NaN refused
     with open(path, "w") as f:
         for i in range(dataset.n):
-            f.write(json.dumps({
+            f.write(encode({
                 "X": [float(v) for v in dataset.X[i]],
                 "y": int(dataset.y[i]),
                 "protected_label": int(dataset.g[i]),

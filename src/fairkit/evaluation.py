@@ -11,7 +11,7 @@ deviation from its class's overall metric, root-mean-square over classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ METRICS = tuple(_RATIOS)
 UTOPIA = (1.0, 1.0)  # the (performance, fairness) corner DTO is measured from
 
 
-def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> np.ndarray:
-    """One-vs-rest counts per (class, group): a [C, G, 4] (TP, FP, TN, FN) array."""
+def confusion_cube(predictions, y, g, num_classes: int, num_groups: int) -> np.ndarray:
+    """Row counts per (predicted class, true class, group): a [C, C, G] array."""
     predictions = np.asarray(predictions, dtype=int)
     y = np.asarray(y, dtype=int)
     g = np.asarray(g, dtype=int)
@@ -43,13 +43,23 @@ def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> 
         if labels.size and (labels.min() < 0 or labels.max() >= bound):
             raise LabelDomainError(f"{name} outside [0, {bound})")
     C, G = num_classes, num_groups
-    cube = np.bincount((predictions * C + y) * G + g,
-                       minlength=C * C * G).reshape(C, C, G)  # [predicted, true, group]
-    tp = np.diagonal(cube).T  # [class, group]
-    fp = cube.sum(axis=1) - tp
-    fn = cube.sum(axis=0) - tp
-    tn = cube.sum(axis=(0, 1)) - tp - fp - fn
+    return np.bincount((predictions * C + y) * G + g,
+                       minlength=C * C * G).reshape(C, C, G)
+
+
+def cube_counts(cube: np.ndarray) -> np.ndarray:
+    """One-vs-rest counts of confusion cubes [..., C, C, G]: a [..., C, G, 4]
+    (TP, FP, TN, FN) array per (class, group)."""
+    tp = np.diagonal(cube, axis1=-3, axis2=-2).swapaxes(-1, -2)  # [..., class, group]
+    fp = cube.sum(axis=-2) - tp
+    fn = cube.sum(axis=-3) - tp
+    tn = cube.sum(axis=(-3, -2))[..., None, :] - tp - fp - fn
     return np.stack([tp, fp, tn, fn], axis=-1)
+
+
+def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> np.ndarray:
+    """One-vs-rest counts per (class, group): a [C, G, 4] (TP, FP, TN, FN) array."""
+    return cube_counts(confusion_cube(predictions, y, g, num_classes, num_groups))
 
 
 def cm_metric(counts, kind) -> np.ndarray:
@@ -73,23 +83,25 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=-1)[..., -1]
 
 
-def gap_and_fairness(deviations: np.ndarray) -> tuple[float, float]:
-    """(GAP, fairness = 1 - GAP) of the [C, G] |cell metric - class metric|
-    table, NaN where undefined: the sum over the groups, then the RMS over
-    the classes that have a defined cell."""
+def gap_and_fairness(deviations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(GAP, fairness = 1 - GAP) of each [..., C, G] |cell metric - class
+    metric| table, NaN where undefined: the sum over the groups, then the RMS
+    over the classes that have a defined cell."""
     defined = ~np.isnan(deviations)
-    has_cell = defined.any(axis=1)
-    if not has_cell.any():
+    has_cell = defined.any(axis=-1)
+    if not has_cell.any(axis=-1).all():
         raise EvaluationDegenerateError("no defined (class, group) metric cell")
-    class_gaps = _row_sums(np.where(defined, deviations, 0.0))[has_cell]
-    gap = math.sqrt(_row_sums(class_gaps * class_gaps) / len(class_gaps))
+    # adding a class without cells as 0 leaves the running sums unchanged
+    class_gaps = _row_sums(np.where(defined, deviations, 0.0))
+    gap = np.sqrt(_row_sums(np.where(has_cell, class_gaps * class_gaps, 0.0))
+                  / has_cell.sum(axis=-1))
     return gap, 1.0 - gap
 
 
-def rawlsian_min(per_group_performance: np.ndarray) -> float:
-    """The worst group's performance; NaN marks a group without rows."""
-    worst = float(np.fmin.reduce(per_group_performance, initial=np.nan))
-    if math.isnan(worst):
+def rawlsian_min(per_group_performance: np.ndarray) -> np.ndarray:
+    """The worst group's performance over the last axis; NaN marks a group without rows."""
+    worst = np.fmin.reduce(per_group_performance, axis=-1, initial=np.nan)
+    if np.isnan(worst).any():
         raise EvaluationDegenerateError("no groups to take the minimum over")
     return worst
 
@@ -98,6 +110,10 @@ def dto(point, utopia: tuple[float, float] = UTOPIA) -> float:
     """Euclidean distance of (performance, fairness) to the utopia corner; lower is better."""
     perf, fair = point
     return math.hypot(utopia[0] - perf, utopia[1] - fair)
+
+
+# The FairnessReport fields that hold one number per counts table
+_SCORES = ("performance", "gap", "fairness", "rawlsian_min", "max_violation")
 
 
 @dataclass
@@ -124,23 +140,30 @@ class FairnessReport:
         return d
 
 
-def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int,
-                         kind: str = "tpr") -> FairnessReport:
-    """Accuracy + group fairness in one report (the standard per-epoch eval)."""
-    counts = confusion_by_group(predictions, y, g, num_classes, num_groups)
+def evaluate_counts(counts: np.ndarray, kind: str = "tpr") -> FairnessReport:
+    """The report of one-vs-rest counts [..., C, G, 4]; each score is an
+    array over the leading axes (a numpy float for one [C, G, 4] table)."""
     cells = cm_metric(counts, kind)
-    deviations = np.abs(cells - cm_metric(counts.sum(axis=1), kind)[:, None])
+    deviations = np.abs(cells - cm_metric(counts.sum(axis=-2), kind)[..., None])
     gap, fairness = gap_and_fairness(deviations)
     # correct rows are the TPs summed over classes; one division = np.mean's float
-    correct = counts[:, :, 0].sum(axis=0)
-    rows = counts[0].sum(axis=-1)
+    correct = counts[..., 0].sum(axis=-2)
+    rows = counts[..., 0, :, :].sum(axis=-1)
     return FairnessReport(
-        performance=int(correct.sum()) / int(rows.sum()),
+        performance=correct.sum(axis=-1) / rows.sum(axis=-1),
         per_group_metric=np.where(np.isnan(deviations), np.nan, cells),
         gap=gap,
         fairness=fairness,
         rawlsian_min=rawlsian_min(
-            np.divide(correct, rows, out=np.full(num_groups, np.nan), where=rows > 0)),
-        max_violation=float(np.fmax.reduce(deviations, axis=None)),
+            np.divide(correct, rows, out=np.full(rows.shape, np.nan), where=rows > 0)),
+        max_violation=np.fmax.reduce(deviations.reshape(*deviations.shape[:-2], -1), axis=-1),
         metric_kind=kind if isinstance(kind, str) else "custom",
     )
+
+
+def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int,
+                         kind: str = "tpr") -> FairnessReport:
+    """Accuracy + group fairness in one report (the standard per-epoch eval)."""
+    report = evaluate_counts(confusion_by_group(predictions, y, g, num_classes, num_groups),
+                             kind)
+    return replace(report, **{name: float(getattr(report, name)) for name in _SCORES})

@@ -1,11 +1,12 @@
 """Minimal feed-forward network machinery.
 
 Everything here is plain numpy: forward/backward passes with explicit
-activation traces, cross entropy, SGD/Adam over any model's parameter
-list, and a supervised contrastive loss. The backward pass accepts extra gradients
-injected at any hidden activation, which is how the adversarial and
-contrastive branches feed into the encoder. A network with group heads
-(Gate) holds them as extra rows of its output layer.
+activation traces, a trace-free inference pass, cross entropy, SGD/Adam
+over any model's parameter list, and a supervised contrastive loss. The
+backward pass accepts extra gradients injected at any hidden activation,
+which is how the adversarial and contrastive branches feed into the
+encoder. A network with group heads (Gate) holds them as extra rows of its
+output layer.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class ActivationTrace:
 class Gradients:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
-    d_X: np.ndarray
+    d_X: np.ndarray  # [n, 0] when backward was asked not to compute it
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -187,11 +188,16 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (z > 0).astype(z.dtype) if name == "relu" else 1.0 - a * a
 
 
-def forward(net: Network, X: np.ndarray) -> ActivationTrace:
+def _checked_input(net: Network, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.spec.input_dim:
         raise ShapeError(f"layer 0: input has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
                          f"expected {net.spec.input_dim}")
+    return X
+
+
+def forward(net: Network, X: np.ndarray) -> ActivationTrace:
+    X = _checked_input(net, X)
     a = X
     pre, post = [], []
     for k in range(net.n_layers):
@@ -203,13 +209,28 @@ def forward(net: Network, X: np.ndarray) -> ActivationTrace:
     return ActivationTrace(X=X, pre=pre, post=post, logits=pre[-1])
 
 
+def infer(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, logits) of forward, bit for bit, keeping no trace: each
+    layer's bias and activation are applied in place, so at most two
+    hidden-width arrays are alive at once."""
+    a = _checked_input(net, X)
+    for k in range(net.n_layers):
+        z = a @ net.weights[k].T
+        z += net.biases[k]
+        if k == net.n_layers - 1:
+            return a, z
+        a = np.maximum(z, 0.0, out=z) if net.spec.activation == "relu" else np.tanh(z, out=z)
+
+
 def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
-             extra_post_grads: dict[int, np.ndarray] | None = None) -> Gradients:
+             extra_post_grads: dict[int, np.ndarray] | None = None,
+             input_grad: bool = True) -> Gradients:
     """Exact reverse-mode gradients of forward.
 
     extra_post_grads maps a hidden-layer index k (0..L-2) to a gradient
     added at post-activation k; injecting at index L-2 targets the
-    penultimate ("hidden") representation.
+    penultimate ("hidden") representation. Without input_grad the
+    gradient w.r.t. the input is not computed and d_X is an [n, 0] array.
     """
     if d_logits.shape != trace.logits.shape:
         raise ShapeError(f"d_logits shape {d_logits.shape} != logits shape {trace.logits.shape}")
@@ -218,17 +239,16 @@ def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
     d_w = [None] * L
     d_b = [None] * L
     dz = np.asarray(d_logits, dtype=float)
-    for k in range(L - 1, -1, -1):
-        a_prev = trace.post[k - 1] if k > 0 else trace.X
-        d_w[k] = dz.T @ a_prev
+    for k in range(L - 1, 0, -1):
+        d_w[k] = dz.T @ trace.post[k - 1]
         d_b[k] = dz.sum(axis=0)
         da = dz @ net.weights[k]
-        if k > 0:
-            if (k - 1) in extra:
-                da = da + extra[k - 1]
-            dz = da * _act_grad(net.spec.activation, trace.pre[k - 1], trace.post[k - 1])
-        else:
-            d_X = da
+        if (k - 1) in extra:
+            da = da + extra[k - 1]
+        dz = da * _act_grad(net.spec.activation, trace.pre[k - 1], trace.post[k - 1])
+    d_w[0] = dz.T @ trace.X
+    d_b[0] = dz.sum(axis=0)
+    d_X = dz @ net.weights[0] if input_grad else np.empty((dz.shape[0], 0))
     return Gradients(d_weights=d_w, d_biases=d_b, d_X=d_X)
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import nn
 from .errors import DegenerateProbeError, MethodInapplicableError, ShapeError
-from .evaluation import dto, evaluate_predictions
-from .training import gate_logits, head_blocks
+from .evaluation import confusion_cube, cube_counts, dto, evaluate_counts
+from .training import head_blocks
 
 # Every linear probe and refit head minimizes the mean cross-entropy plus
 # PROBE_L2/2 times the squared norm of [W b]. PROBE_L2 = 0.02 is the ridge
@@ -131,10 +131,6 @@ def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Proje
     return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs)
 
 
-def hidden_representations(model: nn.Network, X: np.ndarray) -> np.ndarray:
-    return nn.forward(model, X).hidden
-
-
 @dataclass
 class ProjectedClassifier:
     """Frozen encoder -> projection -> freshly fit linear softmax layer."""
@@ -145,7 +141,7 @@ class ProjectedClassifier:
     b: np.ndarray
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        H = hidden_representations(self.model, X) @ self.P.T
+        H = nn.infer(self.model, X)[0] @ self.P.T
         return H @ self.W.T + self.b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -173,45 +169,50 @@ def save_projection(path, projection: Projection):
 # ---------------------------------------------------------------------------
 # Gate-soft prior search
 
-def _simplex_grid(num_groups: int, resolution: int):
-    """All points with coordinates k/(resolution-1) summing to 1."""
-    total = resolution - 1
+def _grid_mixes(heads: list[np.ndarray], resolution: int):
+    """Yield (prior, gate_logits(heads, prior)) for every prior on the group
+    simplex with coordinates k/(resolution-1), in lexicographic order of k.
+    A prefix of the prior is mixed once for all priors sharing it: the mix
+    adds p_g * heads[1 + g] in group order, as gate_logits does."""
+    total, last = resolution - 1, len(heads) - 2
 
-    def rec(remaining, parts):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for k in range(remaining + 1):
-            for rest in rec(remaining - k, parts - 1):
-                yield (k, *rest)
+    def rec(level, mixed, remaining, prior):
+        for k in ((remaining,) if level == last else range(remaining + 1)):
+            p = k / total
+            step = mixed + p * heads[1 + level]
+            if level == last:
+                yield (*prior, p), step
+            else:
+                yield from rec(level + 1, step, remaining - k, (*prior, p))
 
-    for combo in rec(total, num_groups):
-        yield tuple(k / total for k in combo)
+    return rec(0, heads[0], total, ())
 
 
-def gate_soft_search(model: nn.Network, dev_ds,
-                     grid_resolution: int = 11) -> tuple[tuple[float, ...], float]:
+def gate_soft_search(model: nn.Network, dev_ds, grid_resolution: int = 11,
+                     logits: np.ndarray | None = None) -> tuple[tuple[float, ...], float]:
     """Grid search over the group simplex minimizing dev DTO; ties broken
-    toward the uniform prior. Returns (prior, best DTO). The network runs
-    once; each prior mixes contiguous copies of the head blocks, which the
-    grid loop reads faster than strided views of the logits."""
+    toward the uniform prior. Returns (prior, best DTO). logits are the
+    model's dev logits if the caller has them; otherwise the network runs
+    once. Each prior's predictions are counted into one confusion cube, and
+    every cube is scored at once by evaluate_counts."""
     num_groups = model.spec.group_heads
     if num_groups < 1:
         raise MethodInapplicableError("gate-soft needs a model with group heads")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    uniform = np.full(num_groups, 1.0 / num_groups)
-    logits = nn.forward(model, dev_ds.X).logits
+    if logits is None:
+        logits = nn.infer(model, dev_ds.X)[1]
+    # contiguous copies: the walk reads them faster than strided views of logits
     heads = [np.ascontiguousarray(h) for h in head_blocks(model, logits)]
-    best = None
-    for prior in _simplex_grid(num_groups, grid_resolution):
-        p = np.array(prior)
-        preds = gate_logits(heads, p).argmax(axis=1)
-        report = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
-                                      dev_ds.num_classes, dev_ds.num_groups)
-        d = dto((report.performance, report.fairness))
-        tie_break = float(np.linalg.norm(p - uniform))
-        key = (d, tie_break)
-        if best is None or key < best[0]:
-            best = (key, prior)
-    return best[1], best[0][0]
+    priors, cubes = [], []
+    for prior, mixed in _grid_mixes(heads, grid_resolution):
+        priors.append(prior)
+        cubes.append(confusion_cube(mixed.argmax(axis=1), dev_ds.y, dev_ds.g,
+                                    dev_ds.num_classes, dev_ds.num_groups))
+    report = evaluate_counts(cube_counts(np.array(cubes)))
+    dtos = [dto(point) for point in zip(report.performance.tolist(), report.fairness.tolist())]
+    uniform = np.full(num_groups, 1.0 / num_groups)
+    keys = [(d, float(np.linalg.norm(np.array(prior) - uniform)))
+            for d, prior in zip(dtos, priors)]
+    best = min(range(len(priors)), key=keys.__getitem__)  # the first of equal keys
+    return priors[best], keys[best][0]

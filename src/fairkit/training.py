@@ -125,7 +125,8 @@ class MethodConfig(Settings):
 
 
 # ---------------------------------------------------------------------------
-# Gate: a row's logits add the output layer's group heads that its mix weighs
+# Gate: a row's logits add its own group's head (training, evaluation) or
+# the group heads weighed by a prior (Gate-soft) to the shared head
 
 def head_blocks(model: nn.Network, logits: np.ndarray) -> list[np.ndarray]:
     """The output layer's logits as 1 + G blocks of C columns (views): the
@@ -136,29 +137,27 @@ def head_blocks(model: nn.Network, logits: np.ndarray) -> list[np.ndarray]:
 
 def gate_logits(heads: list[np.ndarray], mix: np.ndarray) -> np.ndarray:
     """heads[0] + sum_g mix[..., g] * heads[1 + g], added in group order. mix
-    is [n, G], each row's one-hot group, or a [G] prior (Gate-soft)."""
+    is a [G] prior (Gate-soft) or an [n, G] mix per row."""
     logits = heads[0]
     for g, head in enumerate(heads[1:]):
         logits = logits + mix[..., g, None] * head
     return logits
 
 
-def group_onehot(g: np.ndarray, num_groups: int) -> np.ndarray:
-    """The [n, num_groups] one-hot of each row's group label."""
+def _own_head(model: nn.Network, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and each row's output-layer block, 1 + its group g."""
     g = np.asarray(g, dtype=int)
-    if num_groups and (g.min() < 0 or g.max() >= num_groups):
-        raise LabelDomainError(f"group label outside [0, {num_groups})")
-    return (g[:, None] == np.arange(num_groups)).astype(float)
+    if g.size and (g.min() < 0 or g.max() >= model.spec.group_heads):
+        raise LabelDomainError(f"group label outside [0, {model.spec.group_heads})")
+    return np.arange(g.shape[0]), 1 + g
 
 
-def _forward(model: nn.Network, X: np.ndarray, mix: np.ndarray | None
-             ) -> tuple[nn.ActivationTrace, np.ndarray]:
-    """The activation trace and the logits, the group heads mixed by mix
-    (None for a network without group heads)."""
-    trace = nn.forward(model, X)
-    if mix is None:
-        return trace, trace.logits
-    return trace, gate_logits(head_blocks(model, trace.logits), mix)
+def own_head_logits(model: nn.Network, logits: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each row's logits through the shared head plus the head of its group
+    g (equal to gate_logits with each row's one-hot group as its mix)."""
+    rows, block = _own_head(model, g)
+    blocks = logits.reshape(len(rows), -1, model.spec.output_dim)
+    return blocks[:, 0] + blocks[rows, block]
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +313,10 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
     """Returns (scalar objective, one gradient per entry of model.params,
     per-example CE, the discriminator stack's parameter gradients from
     adversarial_pass, empty without discriminators)."""
-    heads = model.spec.group_heads
-    mix = group_onehot(batch.g, heads) if heads else None
-    trace, logits = _forward(model, batch.X, mix)
-    hidden = trace.hidden
+    trace = nn.forward(model, batch.X)
+    hidden, logits = trace.hidden, trace.logits
+    if model.spec.group_heads:
+        logits = own_head_logits(model, logits, batch.g)
 
     loss, d_logits, per_example = nn.cross_entropy(logits, batch.y, batch.weights)
 
@@ -351,10 +350,12 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         if model.n_layers < 2:
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
         extra = {model.n_layers - 2: hidden_extra}
-    if mix is not None:  # each group head's block gets d_logits on its group's rows
-        d_logits = np.concatenate([d_logits, *(mix[:, g, None] * d_logits
-                                               for g in range(mix.shape[1]))], axis=1)
-    grads = nn.backward(model, trace, d_logits, extra_post_grads=extra)
+    if model.spec.group_heads:  # the shared block and each row's own head's block
+        rows, block = _own_head(model, batch.g)
+        d_blocks = np.zeros((len(rows), 1 + model.spec.group_heads, model.spec.output_dim))
+        d_blocks[:, 0] = d_blocks[rows, block] = d_logits
+        d_logits = d_blocks.reshape(len(rows), -1)
+    grads = nn.backward(model, trace, d_logits, extra_post_grads=extra, input_grad=False)
     return loss, grads.params, per_example, disc_grads
 
 
@@ -434,8 +435,10 @@ class RunRecord:
 
 def predict(model: nn.Network, X: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Each row's class, through the head of its group g if the model has group heads."""
-    heads = model.spec.group_heads
-    return _forward(model, X, group_onehot(g, heads) if heads else None)[1].argmax(axis=1)
+    logits = nn.infer(model, X)[1]
+    if model.spec.group_heads:
+        logits = own_head_logits(model, logits, g)
+    return logits.argmax(axis=1)
 
 
 def _append_row(epochs_file, row: dict, predict_split, dev_ds: Dataset, test_ds: Dataset,
@@ -448,8 +451,9 @@ def _append_row(epochs_file, row: dict, predict_split, dev_ds: Dataset, test_ds:
         row[f"{name}_fairness"] = report.fairness
     row.update(tail or {})
     if epochs_file is not None:
+        line = json.dumps(row, allow_nan=False) + "\n"  # a NaN score raises, unwritten
         with open(epochs_file, "a") as f:
-            f.write(json.dumps(row) + "\n")
+            f.write(line)
     return row
 
 

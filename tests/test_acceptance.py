@@ -91,7 +91,7 @@ def _efficacy_run(seed, method, bt=None, **kw):
 def _efficacy_inlp(seed, iterations=2):
     train_ds, _, test_ds = _efficacy_bundle(seed)
     _, _, record = _efficacy_run(seed, "Standard")
-    H = postproc.hidden_representations(record.model, train_ds.X)
+    H = nn.infer(record.model, train_ds.X)[0]
     proj = postproc.inlp(H, train_ds.g, max_iterations=iterations)
     clf = postproc.apply_inlp_and_refit(record.model, proj.P, H, train_ds.y, 2)
     report = evaluate_predictions(clf.predict(test_ds.X), test_ds.y, test_ds.g, 2, 2)

@@ -132,6 +132,27 @@ def test_report_equals_dict_reference(case):
     assert ev.evaluate_predictions(*case).to_json_dict() == expected
 
 
+@given(report_cases(), st.integers(1, 4))
+@settings(max_examples=200)
+def test_counts_over_a_leading_axis_equal_each_report(case, k):
+    """evaluate_counts on k stacked cubes (Gate-soft's priors) gives, at each
+    index, the scores of evaluate_predictions on that cube's predictions."""
+    predictions, y, g, num_classes, num_groups, kind = case
+    rng = np.random.default_rng(len(y) + k)
+    batch = [np.where(rng.random(len(y)) < 0.5, predictions, rng.integers(0, num_classes, len(y)))
+             for _ in range(k)]
+    try:
+        reports = [ev.evaluate_predictions(p, y, g, num_classes, num_groups, kind) for p in batch]
+    except EvaluationDegenerateError:
+        return
+    cubes = np.array([ev.confusion_cube(p, y, g, num_classes, num_groups) for p in batch])
+    stacked = ev.evaluate_counts(ev.cube_counts(cubes), kind)
+    for i, report in enumerate(reports):
+        for name in ("performance", "gap", "fairness", "rawlsian_min", "max_violation"):
+            assert getattr(stacked, name)[i] == getattr(report, name), name
+        np.testing.assert_array_equal(stacked.per_group_metric[i], report.per_group_metric)
+
+
 class TestConfusionByGroup:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 0, 1, 1])

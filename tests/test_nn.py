@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,67 @@ class TestBackward:
         numeric = finite_diff_grad(loss_of, theta0)
         nn.unflatten_into(net.params, theta0)
         assert rel_err(analytic, numeric) < 1e-4
+
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 5, 2], [3, 5, 4, 2]])
+    def test_input_gradient_skipped(self, activation, dims):
+        rng = np.random.default_rng(len(dims))
+        net = small_net(dims, activation=activation, seed=3)
+        X = rng.normal(size=(6, 3))
+        trace = nn.forward(net, X)
+        d_logits = rng.normal(size=trace.logits.shape)
+        extra = {len(dims) - 3: rng.normal(size=(6, dims[-2]))} if len(dims) > 2 else None
+        full = nn.backward(net, trace, d_logits, extra_post_grads=extra)
+        skipped = nn.backward(net, trace, d_logits, extra_post_grads=extra, input_grad=False)
+        for got, want in zip(skipped.params, full.params):
+            assert np.array_equal(got, want)
+        assert full.d_X.shape == (6, 3)
+        assert skipped.d_X.shape == (6, 0)
+
+
+@st.composite
+def networks_and_inputs(draw):
+    depth = draw(st.integers(0, 3))
+    spec = nn.MlpSpec(input_dim=draw(st.integers(1, 6)),
+                      hidden_dims=tuple(draw(st.integers(1, 8)) for _ in range(depth)),
+                      output_dim=draw(st.integers(1, 4)),
+                      activation=draw(st.sampled_from(nn.ACTIVATIONS)),
+                      seed=draw(st.integers(0, 2**16)), group_heads=draw(st.integers(0, 3)))
+    net = nn.init_network(spec)
+    rng = np.random.default_rng(spec.seed)
+    for b in net.biases:
+        b[...] = rng.normal(size=b.shape)
+    X = rng.normal(size=(draw(st.integers(1, 300)), spec.input_dim)) * 3.0
+    return net, X
+
+
+class TestInfer:
+    @settings(max_examples=60, deadline=None)
+    @given(networks_and_inputs())
+    def test_equals_forward(self, case):
+        net, X = case
+        hidden, logits = nn.infer(net, X)
+        trace = nn.forward(net, X)
+        assert np.array_equal(hidden, trace.hidden)
+        assert np.array_equal(logits, trace.logits)
+
+    def test_dimension_mismatch_names_layer(self):
+        with pytest.raises(ShapeError, match="layer 0"):
+            nn.infer(small_net([2, 3, 2]), np.ones((1, 5)))
+
+    def test_holds_two_hidden_arrays(self):
+        # the paper's encoder: forward keeps four [n, 300] arrays, infer two
+        n = 2000
+        net = small_net([768, 300, 300, 2])
+        X = np.random.default_rng(0).normal(size=(n, 768))
+        tracemalloc.start()
+        try:
+            nn.infer(net, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * 300 * 8, peak
 
 
 class TestCrossEntropy:

@@ -1,12 +1,20 @@
-"""Every fairkit function that perfbench/tracing.py hooks by name exists.
+"""Every fairkit function that perfbench/tracing.py hooks by name exists,
+and each of its counters reads a real return value.
 
 The tracer wraps functions by looking them up as ``layer.function``; after a
 rename the lookup finds nothing and the per-layer metric it feeds reads 0
 instead of failing, so this test reads tracing.py's source and checks each
-name against the package's public functions."""
+name against the package's public functions. A counter that reads a field
+its function no longer returns would crash a traced run, so each counter is
+also called on what its function returns."""
 
 import ast
+import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from fairkit import analysis, cli, data, evaluation, nn, training
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -91,3 +99,45 @@ def test_renamed_function_is_caught(tmp_path):
     assert public == {"training.train"}
     assert [n for names in hooked.values() for n in names if n not in public] == [
         "data.make_batches", "training._forward", "cli.run_stage"]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_counter_reads_its_function_result(tmp_path):
+    train_ds, dev_ds, test_ds = data.generate_synthetic(data.SyntheticSpec(
+        n_per_cell={(c, g): 10 for c in range(2) for g in range(2)}, d=4, seed=0))
+    split_file = tmp_path / "toy_train.jsonl"
+    data.save_jsonl(train_ds, split_file)
+    cfg = training.MethodConfig(epochs=1, hidden_dims=(3,))
+    net = nn.init_network(nn.MlpSpec(4, (3,), 2))
+    trace = nn.forward(net, train_ds.X)
+    results = tmp_path / "results"
+    assert cli.main(["--results_dir", str(results), "--epochs", "1"]) == 0
+    n = train_ds.n
+    # (counter, function, args, kwargs, the count it should record)
+    calls = [
+        ("data.load_dataset", data.load_dataset, (split_file, "jsonl"), {"split": "train"}, n),
+        ("data.make_batches", data.make_batches, (train_ds, 16, 0), {}, n),
+        ("nn.forward", nn.forward, (net, train_ds.X), {}, n),
+        ("nn.backward", nn.backward, (net, trace, np.ones_like(trace.logits)), {}, n),
+        ("nn.backward", nn.backward, (net, trace, np.ones_like(trace.logits)),
+         {"input_grad": False}, n),
+        ("training.train", training.train, (train_ds, dev_ds, test_ds, cfg), {}, n),
+        ("training.save_checkpoint", training.save_checkpoint,
+         (tmp_path / "epoch_0.npz", net, nn.make_optimizer(net), 0), {},
+         lambda: (tmp_path / "epoch_0.npz").stat().st_size),
+        ("evaluation.evaluate_predictions", evaluation.evaluate_predictions,
+         (train_ds.y, train_ds.y, train_ds.g, 2, 2), {}, n),
+        ("analysis.load_runs", analysis.load_runs, (results,), {}, (1, 2)),
+    ]
+    counters = load_tracing().COUNTERS
+    assert {name for name, *_ in calls} == set(counters)
+    for name, function, args, kwargs, expected in calls:
+        result = function(*args, **kwargs)
+        count = counters[name](args, kwargs, result)
+        assert count == (expected() if callable(expected) else expected), name

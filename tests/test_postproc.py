@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import yaml
 
 from fairkit import cli, data, nn, postproc, training
 from fairkit.errors import DegenerateProbeError, MethodInapplicableError, ShapeError
+from fairkit.evaluation import dto, evaluate_predictions
 
 
 def leaky_hidden(n_per_group=60, h=6, shift=3.0, seed=0):
@@ -234,7 +236,7 @@ class TestApplyInlpAndRefit:
     def test_identity_projection_close_to_original(self):
         model, train_ds, dev_ds = trained_standard()
         h = model.hidden_dim
-        H_train = postproc.hidden_representations(model, train_ds.X)
+        H_train = nn.infer(model, train_ds.X)[0]
         clf = postproc.apply_inlp_and_refit(model, np.eye(h), H_train, train_ds.y, 2)
         orig = np.mean(training.predict(model, dev_ds.X, dev_ds.g) == dev_ds.y)
         refit = np.mean(clf.predict(dev_ds.X) == dev_ds.y)
@@ -243,7 +245,7 @@ class TestApplyInlpAndRefit:
     def test_zero_projection_collapses_to_majority(self):
         model, train_ds, dev_ds = trained_standard()
         h = model.hidden_dim
-        H_train = postproc.hidden_representations(model, train_ds.X)
+        H_train = nn.infer(model, train_ds.X)[0]
         clf = postproc.apply_inlp_and_refit(model, np.zeros((h, h)), H_train, train_ds.y, 2)
         preds = clf.predict(dev_ds.X)
         assert len(np.unique(preds)) == 1  # constant classifier
@@ -252,14 +254,14 @@ class TestApplyInlpAndRefit:
 
     def test_shape_mismatch(self):
         model, train_ds, _ = trained_standard()
-        H_train = postproc.hidden_representations(model, train_ds.X)
+        H_train = nn.infer(model, train_ds.X)[0]
         with pytest.raises(ShapeError):
             postproc.apply_inlp_and_refit(model, np.eye(3), H_train, train_ds.y, 2)
 
     def test_original_model_untouched(self):
         model, train_ds, _ = trained_standard()
         before = model.flat_params()
-        H_train = postproc.hidden_representations(model, train_ds.X)
+        H_train = nn.infer(model, train_ds.X)[0]
         P = postproc.inlp(H_train, train_ds.g, max_iterations=2).P
         postproc.apply_inlp_and_refit(model, P, H_train, train_ds.y, 2)
         np.testing.assert_array_equal(model.flat_params(), before)
@@ -306,6 +308,40 @@ def trained_gate(seed=0, num_groups=2):
     return training.train(train_ds, dev_ds, test_ds, cfg).model, dev_ds
 
 
+def simplex_grid(num_groups, resolution):
+    """All points with coordinates k/(resolution-1) summing to 1, in
+    lexicographic order of k: the loop reference of the Gate-soft walk."""
+    total = resolution - 1
+
+    def rec(remaining, parts):
+        if parts == 1:
+            yield (remaining,)
+            return
+        for k in range(remaining + 1):
+            for rest in rec(remaining - k, parts - 1):
+                yield (k, *rest)
+
+    for combo in rec(total, num_groups):
+        yield tuple(k / total for k in combo)
+
+
+def loop_search(model, dev_ds, resolution):
+    """gate_soft_search as one gate_logits, report and DTO per prior; the
+    first prior with the least (DTO, distance to uniform) wins."""
+    heads = training.head_blocks(model, nn.forward(model, dev_ds.X).logits)
+    uniform = np.full(model.spec.group_heads, 1.0 / model.spec.group_heads)
+    best = None
+    for point in simplex_grid(model.spec.group_heads, resolution):
+        p = np.array(point)
+        preds = training.gate_logits(heads, p).argmax(axis=1)
+        r = evaluate_predictions(preds, dev_ds.y, dev_ds.g, dev_ds.num_classes,
+                                 dev_ds.num_groups)
+        key = (dto((r.performance, r.fairness)), float(np.linalg.norm(p - uniform)))
+        if best is None or key < best[0]:
+            best = (key, point)
+    return best[1], best[0][0]
+
+
 def soft_logits(model, X, prior):
     """Inference logits with the group heads mixed by prior, from a fresh forward."""
     heads = np.split(nn.forward(model, X).logits, 1 + len(prior), axis=1)
@@ -333,13 +369,12 @@ class TestGateSoft:
     def test_search_matches_exhaustive_oracle(self):
         # the oracle runs the encoder again for every prior; the search must
         # pick the same prior with the same DTO, bit for bit
-        from fairkit.evaluation import dto, evaluate_predictions
         for num_groups in (2, 3, 4):
             model, dev_ds = trained_gate(num_groups=num_groups)
             prior, best = postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
             uniform = np.full(num_groups, 1.0 / num_groups)
             oracle = None
-            for point in postproc._simplex_grid(num_groups, 11):
+            for point in simplex_grid(num_groups, 11):
                 p = np.array(point)
                 preds = soft_logits(model, dev_ds.X, p).argmax(axis=1)
                 r = evaluate_predictions(preds, dev_ds.y, dev_ds.g,
@@ -350,6 +385,46 @@ class TestGateSoft:
             assert prior == oracle[1], num_groups
             assert best == oracle[0][0], num_groups
 
+    @pytest.mark.parametrize("num_groups", [2, 3, 4, 5])
+    def test_walk_equals_per_prior_loop(self, num_groups):
+        # random heads on a few rows: few distinct confusion tables, so many
+        # priors tie on DTO exactly and the tie order is checked too
+        rng = np.random.default_rng(num_groups)
+        for n_rows in (8, 60):
+            spec = nn.MlpSpec(5, (4,), 3, seed=num_groups, group_heads=num_groups)
+            model = nn.init_network(spec)
+            model.biases[-1][...] = rng.normal(size=model.biases[-1].shape)
+            g = np.arange(n_rows) % num_groups
+            dev_ds = data.Dataset(rng.normal(size=(n_rows, 5)), rng.integers(0, 3, n_rows), g,
+                                  num_classes=3, num_groups=num_groups)
+            for resolution in range(2, 12):
+                got = postproc.gate_soft_search(model, dev_ds, grid_resolution=resolution)
+                assert got == loop_search(model, dev_ds, resolution), (n_rows, resolution)
+
+    def test_walk_mixes_equal_gate_logits(self):
+        rng = np.random.default_rng(0)
+        heads = [rng.normal(size=(7, 3)) for _ in range(5)]
+        walk = list(postproc._grid_mixes(heads, 6))
+        assert [prior for prior, _ in walk] == list(simplex_grid(4, 6))
+        for prior, mixed in walk:
+            assert np.array_equal(mixed, training.gate_logits(heads, np.array(prior)))
+
+    def test_search_memory_is_bounded(self):
+        # 286 priors over 5040 rows, C = 8, G = 4: the priors are scored one
+        # at a time into the count table, never all predictions at once
+        rng = np.random.default_rng(0)
+        n, C, G = 5040, 8, 4
+        model = nn.init_network(nn.MlpSpec(6, (8,), C, seed=0, group_heads=G))
+        dev_ds = data.Dataset(rng.normal(size=(n, 6)), rng.integers(0, C, n),
+                              rng.integers(0, G, n), num_classes=C, num_groups=G)
+        tracemalloc.start()
+        try:
+            postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
     def test_tie_breaks_toward_uniform(self):
         # zero heads -> all priors tie
         model, dev_ds = trained_gate()
@@ -359,11 +434,13 @@ class TestGateSoft:
         assert prior == (0.5, 0.5)
 
     def test_grid_covers_simplex(self):
-        pts = list(postproc._simplex_grid(3, 5))
+        pts = list(simplex_grid(3, 5))
         assert len(pts) == 15  # C(4+2, 2)
         for p in pts:
             assert sum(p) == pytest.approx(1.0)
             assert all(x >= 0 for x in p)
+        heads = [np.zeros((1, 2))] * 4
+        assert [prior for prior, _ in postproc._grid_mixes(heads, 5)] == pts
 
     def test_requires_gate_model(self):
         net = nn.init_network(nn.MlpSpec(4, (4,), 2, "relu", 0))

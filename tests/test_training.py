@@ -607,11 +607,16 @@ class TestEoCla:
         assert rel_err(scale, numeric) < 1e-6
 
 
+def group_onehot(g, num_groups):
+    """The [n, num_groups] one-hot of each row's group label."""
+    return (np.asarray(g)[:, None] == np.arange(num_groups)).astype(float)
+
+
 def hard_gated_logits(model, X, g):
     """The logits of each row through the shared head and its group's head."""
     logits = nn.forward(model, X).logits
     heads = np.split(logits, 1 + model.spec.group_heads, axis=1)
-    return training.gate_logits(heads, training.group_onehot(g, model.spec.group_heads))
+    return training.gate_logits(heads, group_onehot(g, model.spec.group_heads))
 
 
 class TestGate:
@@ -636,9 +641,36 @@ class TestGate:
         expected_diff = (h @ W[4:6].T + b[4:6]) - (h @ W[2:4].T + b[2:4])
         np.testing.assert_allclose(out[1] - out[0], expected_diff, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_own_head_equals_one_hot_mix(self, seed):
+        # the one-hot mix and its gradient, the loop reference of the own-head
+        # gather and scatter: logits and parameter gradients equal under ==
+        rng = np.random.default_rng(seed)
+        G, C, n = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 30))
+        cfg = training.MethodConfig(method="Gate", hidden_dims=(4,))
+        model = make_model(cfg, d=3, num_classes=C, num_groups=G, seed=seed)
+        model.biases[-1][...] = rng.normal(size=model.biases[-1].shape)
+        batch = data.Batch(X=rng.normal(size=(n, 3)), y=rng.integers(0, C, n),
+                           g=rng.integers(0, G, n), weights=np.ones(n))
+        mix = group_onehot(batch.g, G)
+        logits = hard_gated_logits(model, batch.X, batch.g)
+        assert np.array_equal(training.predict(model, batch.X, batch.g), logits.argmax(axis=1))
+        trace = nn.forward(model, batch.X)
+        _, d_logits, _ = nn.cross_entropy(logits, batch.y, batch.weights)
+        d_all = np.concatenate([d_logits, *(mix[:, g, None] * d_logits for g in range(G))],
+                               axis=1)
+        want = nn.backward(model, trace, d_all).params
+        got = training.main_loss_and_grads(model, batch, cfg)[1]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_group_out_of_range(self):
-        with pytest.raises(LabelDomainError):
-            training.group_onehot(np.array([5]), 1)
+        cfg = training.MethodConfig(method="Gate", hidden_dims=(3,))
+        model = make_model(cfg, d=4, num_groups=1, seed=0)
+        X = np.zeros((1, 4))
+        for g in (5, -1):
+            with pytest.raises(LabelDomainError):
+                training.predict(model, X, np.array([g]))
 
     def test_initial_heads_from_their_own_stream(self):
         # the shared rows are the plain network's; each head is a draw of the
@@ -776,6 +808,15 @@ class TestTrainLoop:
         np.testing.assert_array_equal(
             training.predict(model, dev_ds.X, dev_ds.g),
             training.predict(record.model, dev_ds.X, dev_ds.g))
+
+    def test_nan_score_row_raises_unwritten(self, tmp_path):
+        _, dev_ds, test_ds = biased_bundle(n=40)
+        epochs_file = tmp_path / "epochs.jsonl"
+        epochs_file.write_text("")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            training._append_row(epochs_file, {"post": "Gate-soft"}, lambda ds: ds.y,
+                                 dev_ds, test_ds, tail={"dev_dto": float("nan")})
+        assert epochs_file.read_text() == ""
 
 
 def gate_model_and_optimizer(kind="adam", steps=3):
