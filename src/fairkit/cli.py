@@ -338,7 +338,7 @@ def cmd_train(cfg: TrainConfig) -> int:
 def _select_model(record: training.RunRecord) -> nn.Network:
     """Checkpoint at the dev-DTO-best epoch, reloaded from disk."""
     row = analysis.select_row(record.rows, analysis.SelectionCriterion())
-    return training.load_checkpoint(row["checkpoint"])[0]
+    return training.load_checkpoint(row["checkpoint"], row["epoch"])
 
 
 def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):

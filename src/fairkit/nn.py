@@ -88,6 +88,11 @@ class MlpSpec:
         dims = [self.input_dim, *self.hidden_dims, self.output_dim * (1 + self.group_heads)]
         return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
+    @property
+    def n_params(self) -> int:
+        """The number of parameters, weights and biases, of a network of this spec."""
+        return sum(o * i + o for o, i in self.layer_dims)
+
 
 class Network:
     """An MLP: weights[k] is [out x in], biases[k] is [out].
@@ -292,26 +297,21 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray, weights: np.ndarray | None 
 @dataclass
 class OptimizerState:
     """Adam's moments are one flat vector each, flat_m and flat_v, in
-    params order; m and v hold one reshaped view of them per parameter."""
+    params order."""
 
     kind: str  # "sgd" | "adam"
     lr: float = 1e-3
     t: int = 0
     flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
 
 def make_optimizer(model, kind: str = "adam", lr: float = 1e-3) -> OptimizerState:
     """Optimizer state for every array in model.params."""
     if kind not in OPTIMIZERS:
         raise ValueError(f"optimizer kind must be one of {OPTIMIZERS}")
-    params = model.params
-    total = sum(p.size for p in params)
-    flat_m, flat_v = np.zeros(total), np.zeros(total)
-    return OptimizerState(kind=kind, lr=lr, flat_m=flat_m, flat_v=flat_v,
-                          m=_views(flat_m, params), v=_views(flat_v, params))
+    total = sum(p.size for p in model.params)
+    return OptimizerState(kind=kind, lr=lr, flat_m=np.zeros(total), flat_v=np.zeros(total))
 
 
 def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):

@@ -18,11 +18,10 @@ hidden gradient the encoder receives reversed.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import zipfile
-from dataclasses import dataclass, field, fields
+import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .evaluation import _row_sums, evaluate_predictions
-from .files import write_atomic
 
 
 # What one debiasing method does beyond Standard; METHODS holds one per method
@@ -360,61 +358,56 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: one append-only store per run. A JSON header line holds the
+# magic, the MlpSpec fields and n_params; one record of n_params
+# little-endian float64 parameters follows per epoch, so record k is epoch k.
 
-CHECKPOINT_MAGIC = "fairkit-ckpt-v2"
-
-
-def save_checkpoint(path, model: nn.Network, opt_state: nn.OptimizerState, epoch: int):
-    spec = model.spec
-    payload = {
-        "magic": np.array(CHECKPOINT_MAGIC),
-        "epoch": np.array(epoch),
-        "input_dim": np.array(spec.input_dim),
-        "hidden_dims": np.array(spec.hidden_dims, dtype=int),
-        "output_dim": np.array(spec.output_dim),
-        "activation": np.array(spec.activation),
-        "seed": np.array(spec.seed),
-        "group_heads": np.array(spec.group_heads),
-        "params": model.flat_params(),
-        "opt_kind": np.array(opt_state.kind),
-        "opt_lr": np.array(opt_state.lr),
-        "opt_t": np.array(opt_state.t),
-        "opt_m": opt_state.flat_m,
-        "opt_v": opt_state.flat_v,
-    }
-    buf = io.BytesIO()
-    np.savez(buf, **payload)
-    write_atomic(path, buf.getbuffer())
+CHECKPOINT_MAGIC = "fairkit-ckpt-v3"
+CHECKPOINT_HEADER_LIMIT = 1 << 16  # bytes a header line may take, newline included
 
 
-def load_checkpoint(path):
-    """Returns (model, opt_state, epoch).
+def _checkpoint_header(spec: nn.MlpSpec) -> bytes:
+    header = {"magic": CHECKPOINT_MAGIC, **asdict(spec), "n_params": spec.n_params}
+    return (json.dumps(header) + "\n").encode()
 
-    A file that is not a complete checkpoint (not a zip, a missing key, the
-    wrong magic, or arrays of the wrong length) raises ParseErrorForCheckpoint."""
+
+def save_checkpoint(path, model: nn.Network, epoch: int):
+    """Store model's parameters as record epoch of the store at path. Epoch
+    0 starts the store afresh with its header; a later epoch appends its
+    record, so no record already written is rewritten."""
+    with open(path, "ab" if epoch else "wb") as f:
+        if not epoch:
+            f.write(_checkpoint_header(model.spec))
+        f.write(model.flat_params().astype("<f8", copy=False).tobytes())
+
+
+def load_checkpoint(path, epoch: int) -> nn.Network:
+    """The network of record epoch of the store at path.
+
+    The header must be exactly the one save_checkpoint writes for the spec
+    it names, and the file must hold all of record epoch. Anything else (a
+    damaged header, an .npz of an earlier format, a torn or missing record)
+    raises ParseErrorForCheckpoint, before any array of the header's size
+    is allocated."""
     try:
-        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
-            if str(z["magic"]) != CHECKPOINT_MAGIC:
+        with open(path, "rb") as f:
+            line = f.readline(CHECKPOINT_HEADER_LIMIT)
+            h = json.loads(line)
+            spec = nn.MlpSpec(int(h["input_dim"]), h["hidden_dims"], int(h["output_dim"]),
+                              h["activation"], int(h["seed"]), int(h["group_heads"]))
+            size = spec.n_params * 8
+            offset = len(line) + epoch * size
+            if (line != _checkpoint_header(spec) or epoch < 0
+                    or os.fstat(f.fileno()).st_size < offset + size):
                 raise ParseErrorForCheckpoint(path)
-            spec = nn.MlpSpec(input_dim=int(z["input_dim"]),
-                              hidden_dims=tuple(int(h) for h in z["hidden_dims"]),
-                              output_dim=int(z["output_dim"]),
-                              activation=str(z["activation"]),
-                              seed=int(z["seed"]),
-                              group_heads=int(z["group_heads"]))
-            if z["params"].shape != (sum(o * i + o for o, i in spec.layer_dims),):
-                raise ParseErrorForCheckpoint(path)  # before a damaged spec allocates
+            f.seek(offset)
             model = nn.init_network(spec)
-            nn.unflatten_into(model.params, z["params"])
-            opt = nn.make_optimizer(model, kind=str(z["opt_kind"]), lr=float(z["opt_lr"]))
-            opt.t = int(z["opt_t"])
-            nn.unflatten_into(opt.m, z["opt_m"])
-            nn.unflatten_into(opt.v, z["opt_v"])
-            return model, opt, int(z["epoch"])
-    # np.load raises EOFError, ValueError or BadZipFile for a file that is not
-    # an .npz, and TypeError for an .npy, which is no context manager
-    except (EOFError, KeyError, TypeError, ValueError, ShapeError, zipfile.BadZipFile) as e:
+            nn.unflatten_into(model.params, np.frombuffer(f.read(size), dtype="<f8"))
+            return model
+    # int() of an infinite float raises OverflowError, json.loads of a
+    # deeply nested header RecursionError; a record cut short since fstat
+    # makes unflatten_into raise ShapeError
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ShapeError) as e:
         raise ParseErrorForCheckpoint(path) from e
 
 
@@ -465,7 +458,8 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
           run_dir=None) -> RunRecord:
     """Train one model; records per-epoch dev/test (performance, fairness)
     with epoch 0 being the untouched initialization. When run_dir is given,
-    epochs.jsonl and checkpoints/epoch_<k> are written as training goes."""
+    epochs.jsonl and the checkpoint store checkpoints.bin are written as
+    training goes."""
     num_classes, num_groups = train_ds.num_classes, train_ds.num_groups
     model = nn.init_network(nn.MlpSpec(
         input_dim=train_ds.dim, hidden_dims=cfg.hidden_dims, output_dim=num_classes,
@@ -485,18 +479,17 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         record.fairbatch_probs = (counts / train_ds.n).reshape(num_classes, num_groups)
         cell_losses = np.full(n_cells, np.nan)  # each cell's latest mean loss
 
-    epochs_file = None
+    epochs_file = ckpt = None
     if run_dir is not None:
         run_dir = Path(run_dir)
-        (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+        run_dir.mkdir(parents=True, exist_ok=True)
         epochs_file = run_dir / "epochs.jsonl"
         epochs_file.write_text("")
+        ckpt = str(run_dir / "checkpoints.bin")
 
     def emit(epoch: int):
-        ckpt = None
         if run_dir is not None:
-            ckpt = str(run_dir / "checkpoints" / f"epoch_{epoch}.npz")
-            save_checkpoint(ckpt, model, main_opt, epoch)
+            save_checkpoint(ckpt, model, epoch)
         record.rows.append(_append_row(epochs_file, {"epoch": epoch},
                                        lambda ds: predict(model, ds.X, ds.g),
                                        dev_ds, test_ds, tail={"checkpoint": ckpt}))

@@ -325,8 +325,7 @@ def test_criterion_8_degradation_to_standard(capsys, tmp_path):
         training.train(*bundle, cfg, run_dir=run_dir)
         out = []
         for e in range(base["epochs"] + 1):
-            model, _, _ = training.load_checkpoint(
-                run_dir / "checkpoints" / f"epoch_{e}.npz")
+            model = training.load_checkpoint(run_dir / "checkpoints.bin", e)
             out.append(model.flat_params())
         return out
 
@@ -367,7 +366,7 @@ def test_criterion_9_reproducibility_roundtrip(capsys, tmp_path):
     # checkpoints reload to networks with bit-identical logits
     spec = cli.default_synthetic_spec(cfg)
     _, dev_ds, _ = data.generate_synthetic(spec)
-    model, _, _ = training.load_checkpoint(run_dir / "checkpoints" / "epoch_3.npz")
+    model = training.load_checkpoint(run_dir / "checkpoints.bin", 3)
     mcfg = training.MethodConfig(method="Standard", epochs=3,
                                  batch_size=cfg.batch_size, seed=cfg.seed,
                                  lr=cfg.lr, hidden_dims=tuple(cfg.hidden_dims))

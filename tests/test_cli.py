@@ -296,7 +296,22 @@ class TestTrain:
                 (run_dir / "epochs.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in rows] == [0, 1, 2]
         for e in range(3):
-            assert (run_dir / "checkpoints" / f"epoch_{e}.npz").exists()
+            assert rows[e]["checkpoint"] == str(run_dir / "checkpoints.bin")
+            training.load_checkpoint(run_dir / "checkpoints.bin", e)
+
+    @pytest.mark.parametrize("epochs", ["1", "4"])
+    @pytest.mark.parametrize("inlp", [False, True])
+    def test_run_files_do_not_grow_with_epochs(self, tmp_path, small_spec_file, epochs, inlp):
+        argv = fast_args(tmp_path, small_spec_file,
+                         extra=["--epochs", epochs, *(["--INLP"] if inlp else [])])
+        assert cli.main(argv) == 0
+        cfg = cli.parse_config(argv)
+        run_dir = Path(cfg.results_dir) / cli.config_hash(cfg)
+        expected = {"opt.yaml", "manifest.json", "epochs.jsonl", "checkpoints.bin",
+                    *(["inlp_projection.bin"] if inlp else [])}
+        assert {str(p.relative_to(run_dir)) for p in run_dir.rglob("*")} == expected
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert set(manifest["files"]) == expected
 
     def test_rerun_identical_epochs_jsonl(self, tmp_path, small_spec_file):
         argv = fast_args(tmp_path, small_spec_file)
@@ -350,7 +365,7 @@ class TestTrain:
         assert cli.main(argv) == 0
         cfg = cli.parse_config(argv)
         run_dir = Path(cfg.results_dir) / cli.config_hash(cfg)
-        model, _, _ = training.load_checkpoint(run_dir / "checkpoints" / "epoch_2.npz")
+        model = training.load_checkpoint(run_dir / "checkpoints.bin", 2)
         spec = data.synthetic_spec_from_dict(SMALL_SPEC)
         _, dev_ds, _ = data.generate_synthetic(spec)
         mcfg = training.MethodConfig(method="Standard", epochs=2, batch_size=32,
@@ -618,8 +633,8 @@ class TestExitCodes:
             assert {(ds.num_classes, ds.num_groups)
                     for ds in cli.resolve_datasets(cfg)} == {expected}
             assert cli.main(argv) == 0
-            ckpt = Path(cfg.results_dir) / cli.config_hash(cfg) / "checkpoints" / "epoch_1.npz"
-            model, _, _ = training.load_checkpoint(ckpt)
+            ckpt = Path(cfg.results_dir) / cli.config_hash(cfg) / "checkpoints.bin"
+            model = training.load_checkpoint(ckpt, 1)
             assert model.spec.output_dim == expected[0]
 
     def _results_with_good_run(self, tmp_path, spec_file):

@@ -129,8 +129,8 @@ def test_every_counter_reads_its_function_result(tmp_path):
          {"input_grad": False}, n),
         ("training.train", training.train, (train_ds, dev_ds, test_ds, cfg), {}, n),
         ("training.save_checkpoint", training.save_checkpoint,
-         (tmp_path / "epoch_0.npz", net, nn.make_optimizer(net), 0), {},
-         lambda: (tmp_path / "epoch_0.npz").stat().st_size),
+         (tmp_path / "checkpoints.bin", net, 0), {},
+         lambda: (tmp_path / "checkpoints.bin").stat().st_size),
         ("evaluation.evaluate_predictions", evaluation.evaluate_predictions,
          (train_ds.y, train_ds.y, train_ds.g, 2, 2), {}, n),
         ("analysis.load_runs", analysis.load_runs, (results,), {}, (1, 2)),
