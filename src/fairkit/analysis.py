@@ -226,19 +226,22 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
     """Scan a results tree for finalized runs; returns (runs, skipped), with
     (run directory, reason) for each run left out.
 
-    A run directory holds manifest.json (with finalized=true, method, index,
-    seed and stages) and epochs.jsonl. A run is named by its method when its
-    stages are that method alone (or absent), else by its stages joined with
-    " / ". A run is skipped if it is unfinalized, has no epoch rows, or
-    either file does not parse or has a mistyped or non-finite field."""
+    A run directory holds opt.yaml, manifest.json (with finalized=true,
+    method, index, seed and stages) and epochs.jsonl. A run is named by its
+    method when its stages are that method alone (or absent), else by its
+    stages joined with " / ". A run is skipped if it is unfinalized (also
+    when it has no manifest.json yet), has no epoch rows, or either file
+    does not parse or has a mistyped or non-finite field."""
     results_dir = Path(results_dir)
     runs, skipped = [], []
     if not results_dir.is_dir():
         return runs, skipped
-    for manifest_path in sorted(results_dir.glob("*/manifest.json")):
-        run, reason = _load_run(manifest_path.parent)
+    run_dirs = {p.parent for name in ("opt.yaml", "manifest.json")
+                for p in results_dir.glob(f"*/{name}")}
+    for run_dir in sorted(run_dirs):
+        run, reason = _load_run(run_dir)
         if run is None:
-            skipped.append((str(manifest_path.parent), reason))
+            skipped.append((str(run_dir), reason))
         else:
             runs.append(run)
     return runs, skipped
@@ -254,6 +257,8 @@ def _is_number(value) -> bool:
 
 def _load_run(run_dir: Path) -> tuple[dict | None, str]:
     """One run, or None and the reason it is skipped."""
+    if not (run_dir / "manifest.json").exists():
+        return None, "unfinalized"
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
     except ValueError as e:

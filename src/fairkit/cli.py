@@ -350,23 +350,23 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
                                         num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies}
-    training._append_row(run_dir / "epochs.jsonl", row, lambda ds: clf.predict(ds.X),
-                         dev_ds, test_ds)
+    # dev and test run after the fit, so their hidden states are not held through it
+    predictions = [clf.hidden_logits(H).argmax(axis=1)
+                   for H, _ in nn.infer_many(model, [dev_ds.X, test_ds.X])]
+    training._append_row(run_dir / "epochs.jsonl", row, predictions, dev_ds, test_ds)
 
 
 def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
     model = _select_model(record)
-    dev_logits = nn.infer(model, dev_ds.X)[1]
+    dev_logits, test_logits = (logits for _, logits in nn.infer_many(
+        model, [dev_ds.X, test_ds.X]))
     prior, dev_dto = postproc.gate_soft_search(model, dev_ds, cfg.gate_grid_resolution,
                                                logits=dev_logits)
     row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}
-    mix = np.array(prior)
-
-    def predict_split(ds):
-        logits = dev_logits if ds is dev_ds else nn.infer(model, ds.X)[1]
-        return training.gate_logits(training.head_blocks(model, logits), mix).argmax(axis=1)
-
-    training._append_row(run_dir / "epochs.jsonl", row, predict_split, dev_ds, test_ds)
+    predictions = [training.gate_logits(training.head_blocks(model, logits),
+                                        np.array(prior)).argmax(axis=1)
+                   for logits in (dev_logits, test_logits)]
+    training._append_row(run_dir / "epochs.jsonl", row, predictions, dev_ds, test_ds)
 
 
 def cmd_analyze(argv: list[str]) -> int:

@@ -37,10 +37,19 @@ OBJECTIVES = ("g", "y", "joint", "eo")
 
 @dataclass
 class Batch:
-    X: np.ndarray
+    """One training step's rows: their labels and weights, and X, the rows
+    of features that rows selects (all of features when rows is None). X is
+    gathered each time it is read, so the batches of an epoch hold no copy
+    of its features; a step reads it once."""
+    features: np.ndarray
     y: np.ndarray
     g: np.ndarray
     weights: np.ndarray
+    rows: np.ndarray | None = None
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.features if self.rows is None else self.features[self.rows]
 
 
 @dataclass(frozen=True)
@@ -271,6 +280,9 @@ class SyntheticSpec:
                 raise SpecError(f"{name} must be a finite number, got {v!r}")
         cells = {(int(c), int(g)): int(n) for (c, g), n in self.n_per_cell.items()}
         object.__setattr__(self, "n_per_cell", cells)
+        for c, g in cells:
+            if c < 0 or g < 0:
+                raise SpecError(f"n_per_cell key '{c},{g}': class and group must be >= 0")
         classes = {c for c, _ in cells}
         groups = {g for _, g in cells}
         if len(classes) < 2 or len(groups) < 2:
@@ -418,7 +430,8 @@ def make_batches(dataset: Dataset, batch_size: int, shuffle_seed: int = 0,
                  probs: np.ndarray | None = None) -> list[Batch]:
     """Seeded permutation chunking, or, when probs is a [C, G] table of cell
     probabilities (dynamic-batch mode), batches of cells drawn by probs and
-    rows drawn uniformly with replacement within each cell."""
+    rows drawn uniformly with replacement within each cell. Each batch
+    gathers its X rows when its step reads them."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(shuffle_seed, 2)))
@@ -448,5 +461,5 @@ def make_batches(dataset: Dataset, batch_size: int, shuffle_seed: int = 0,
         for _ in range(n_batches):
             which = rng.choice(p.size, size=batch_size, p=p)
             chunks.append(flat[starts[which] + rng.integers(sizes[which])])
-    return [Batch(X=dataset.X[ix], y=dataset.y[ix], g=dataset.g[ix],
-                  weights=dataset.weights[ix]) for ix in chunks]
+    return [Batch(features=dataset.X, y=dataset.y[ix], g=dataset.g[ix],
+                  weights=dataset.weights[ix], rows=ix) for ix in chunks]

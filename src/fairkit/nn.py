@@ -11,6 +11,8 @@ output layer.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,13 +220,132 @@ def infer(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hidden, logits) of forward, bit for bit, keeping no trace: each
     layer's bias and activation are applied in place, so at most two
     hidden-width arrays are alive at once."""
-    a = _checked_input(net, X)
+    return _infer_into(net, _checked_input(net, X))
+
+
+# infer_many runs inputs on two threads only when the smallest input's rows
+# times n_params reach this. Below it the hand-off to the worker costs more
+# than the overlap saves: on a 2-CPU host with one BLAS thread, two inputs
+# broke even at 0.7M-1.0M, and this leaves twice that for a busier host.
+PARALLEL_MIN_WORK = 2_000_000
+
+
+def infer_many(net: Network, Xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[infer(net, X) for X in Xs], bit for bit.
+
+    With two or more inputs, each of at least PARALLEL_MIN_WORK rows times
+    n_params, and two CPUs to run on, the caller runs the first input while
+    one worker thread runs the others. Each input stays one GEMM per layer,
+    because a GEMM split by rows or columns rounds differently. The caller
+    allocates every array, so the worker's thread gets no malloc arena of
+    its own, and the worker calls no public function, so a tracer that
+    wraps them sees every call on the calling thread. A wrong input width
+    raises infer's ShapeError before the worker is given anything."""
+    Xs = [_checked_input(net, X) for X in Xs]
+    if (len(Xs) < 2 or min(X.shape[0] for X in Xs) * net.spec.n_params < PARALLEL_MIN_WORK
+            or _cpus() < 2 or not _Worker.lock.acquire(blocking=False)):
+        return [infer(net, X) for X in Xs]
+    try:  # this thread holds the worker until its job is done
+        outs = _layer_outputs(net, Xs[:1]) + _layer_outputs(net, Xs[1:])
+        worker = _Worker.get()
+        worker.submit(_infer_into_all, net, Xs[1:], outs[1:])
+        try:
+            first = _infer_into(net, Xs[0], outs[0])
+        finally:
+            rest = worker.wait()
+    finally:
+        _Worker.lock.release()
+    return [first, *rest]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _layer_outputs(net: Network, Xs: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Each layer's output array for each input of Xs, for inputs run one
+    after another: each input's hidden and logits arrays are its own, and
+    the layers before share one buffer that each input overwrites."""
+    widths = [w.shape[0] for w in net.weights]
+    rows = [X.shape[0] for X in Xs]
+    shared = [np.empty(max(rows) * w) for w in widths[:-2]]
+    return [[buf[:n * w].reshape(n, w) for buf, w in zip(shared, widths)]
+            + [np.empty((n, w)) for w in widths[-2:]] for n in rows]
+
+
+def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """infer of the checked input X, layer k writing into outs[k] if outs
+    is given, else into a new array."""
+    a = X
     for k in range(net.n_layers):
-        z = a @ net.weights[k].T
+        W = net.weights[k].T
+        z = a @ W if outs is None else np.matmul(a, W, out=outs[k])  # the same bits
         z += net.biases[k]
         if k == net.n_layers - 1:
             return a, z
         a = np.maximum(z, 0.0, out=z) if net.spec.activation == "relu" else np.tanh(z, out=z)
+
+
+def _infer_into_all(net: Network, Xs: list[np.ndarray], outs: list[list[np.ndarray]]
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [_infer_into(net, X, out) for X, out in zip(Xs, outs)]
+
+
+class _Worker:
+    """One daemon thread that runs one job at a time for infer_many. It is
+    started on first use and ends after IDLE_S seconds without a job, so
+    that a worker whose module was imported afresh does not outlive it. A
+    caller holds lock from get to wait; a caller that finds it held runs
+    serially."""
+
+    IDLE_S = 0.1
+    lock = threading.Lock()
+    _instance: _Worker | None = None
+
+    @classmethod
+    def get(cls) -> _Worker:
+        if cls._instance is None:
+            cls._instance = cls()
+        return cls._instance
+
+    def __init__(self):
+        self._job = self._outcome = None
+        self._start, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        threading.Thread(target=self._loop, name="fairkit-infer", daemon=True).start()
+
+    def _loop(self):
+        cls = type(self)
+        while True:
+            if not self._start.acquire(timeout=self.IDLE_S):
+                if cls.lock.acquire(blocking=False):  # no caller holds this worker
+                    cls._instance = None
+                    cls.lock.release()
+                    return
+                continue  # a caller holds it and is about to submit
+            fn, args = self._job
+            self._job = None
+            try:
+                self._outcome = (fn(*args), None)
+            except BaseException as e:  # re-raised on the caller's thread by wait
+                self._outcome = (None, e)
+            del fn, args  # an idle worker holds none of the caller's arrays
+            self._done.release()
+
+    def submit(self, fn, *args):
+        self._job = (fn, args)
+        self._start.release()
+
+    def wait(self):
+        """Block until the job ends; return what it returned or raise what it raised."""
+        self._done.acquire()
+        (result, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return result
 
 
 def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,

@@ -140,12 +140,12 @@ class ProjectedClassifier:
     W: np.ndarray
     b: np.ndarray
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        H = nn.infer(self.model, X)[0] @ self.P.T
-        return H @ self.W.T + self.b
+    def hidden_logits(self, H: np.ndarray) -> np.ndarray:
+        """The logits of the encoder's hidden states H."""
+        return H @ self.P.T @ self.W.T + self.b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.logits(X).argmax(axis=1)
+        return self.hidden_logits(nn.infer(self.model, X)[0]).argmax(axis=1)
 
 
 def apply_inlp_and_refit(model, P: np.ndarray, H_train: np.ndarray, y_train: np.ndarray,

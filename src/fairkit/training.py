@@ -426,20 +426,24 @@ class RunRecord:
     fairbatch_probs: np.ndarray | None = None  # [C, G], FairBatch's last distribution
 
 
-def predict(model: nn.Network, X: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Each row's class, through the head of its group g if the model has group heads."""
-    logits = nn.infer(model, X)[1]
-    if model.spec.group_heads:
-        logits = own_head_logits(model, logits, g)
-    return logits.argmax(axis=1)
+def predict(model: nn.Network, Xs: list[np.ndarray], gs: list[np.ndarray]) -> list[np.ndarray]:
+    """Each row's class for each X of Xs, through the head of its group in
+    the matching g of gs if the model has group heads. Every X goes through
+    one nn.infer_many call."""
+    predictions = []
+    for (_, logits), g in zip(nn.infer_many(model, Xs), gs, strict=True):
+        if model.spec.group_heads:
+            logits = own_head_logits(model, logits, g)
+        predictions.append(logits.argmax(axis=1))
+    return predictions
 
 
-def _append_row(epochs_file, row: dict, predict_split, dev_ds: Dataset, test_ds: Dataset,
-                tail: dict | None = None) -> dict:
-    """Add the dev and test scores of predict_split(dataset), then tail, to
-    row; append row to epochs_file unless it is None. Returns row."""
-    for name, ds in (("dev", dev_ds), ("test", test_ds)):
-        report = evaluate_predictions(predict_split(ds), ds.y, ds.g, ds.num_classes, ds.num_groups)
+def _append_row(epochs_file, row: dict, predictions: list[np.ndarray], dev_ds: Dataset,
+                test_ds: Dataset, tail: dict | None = None) -> dict:
+    """Add the dev and test scores of predictions (dev's, then test's), then
+    tail, to row; append row to epochs_file unless it is None. Returns row."""
+    for name, ds, pred in zip(("dev", "test"), (dev_ds, test_ds), predictions, strict=True):
+        report = evaluate_predictions(pred, ds.y, ds.g, ds.num_classes, ds.num_groups)
         row[f"{name}_performance"] = report.performance
         row[f"{name}_fairness"] = report.fairness
     row.update(tail or {})
@@ -490,8 +494,8 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
     def emit(epoch: int):
         if run_dir is not None:
             save_checkpoint(ckpt, model, epoch)
-        record.rows.append(_append_row(epochs_file, {"epoch": epoch},
-                                       lambda ds: predict(model, ds.X, ds.g),
+        predictions = predict(model, [dev_ds.X, test_ds.X], [dev_ds.g, test_ds.g])
+        record.rows.append(_append_row(epochs_file, {"epoch": epoch}, predictions,
                                        dev_ds, test_ds, tail={"checkpoint": ckpt}))
 
     emit(0)
@@ -521,6 +525,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
             record.fairbatch_probs = fairbatch_epoch_update(
                 record.fairbatch_probs, cell_losses.reshape(num_classes, num_groups),
                 cfg.fairbatch_alpha)
+        del batches, batch  # the epoch's batches are not held while the model is scored
         emit(epoch)
 
     return record

@@ -524,6 +524,10 @@ BAD_SPECS = {
     "one class": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,1": 5}}),
     "n_per_cell a list": yaml.safe_dump({"n_per_cell": [1, 2]}),
     "cell key not integers": yaml.safe_dump({"n_per_cell": {"a,b": 1}}),
+    "negative class key": yaml.safe_dump({"n_per_cell": {"-1,0": 5, "0,1": 5, "1,0": 5,
+                                                         "1,1": 5}}),
+    "negative group key": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,-2": 5, "1,0": 5,
+                                                         "1,1": 5}}),
     **{f"{key} {value!r}": yaml.safe_dump({"n_per_cell": {"0,0": 5, "0,1": 5, "1,0": 5, "1,1": 5},
                                            key: value})
        for key, value in (("d", "x"), ("d", 4.5), ("seed", -1), ("noise_sigma", "x"),
@@ -604,6 +608,20 @@ class TestExitCodes:
         out = tmp_path / "data"
         assert cli.main(["generate", "--synthetic_spec", str(path), "--out_dir", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["-1,0", "0,-2"])
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_negative_cell_key_is_named(self, tmp_path, command, key, capsys):
+        path = tmp_path / "spec.yaml"
+        cells = {k: 5 for k in ("0,0", "0,1", "1,0", "1,1")}
+        path.write_text(yaml.safe_dump({"n_per_cell": {**cells, key: 5}}))
+        out = tmp_path / "out"
+        argv = (["--synthetic_spec", str(path), "--epochs", "1", "--results_dir", str(out)]
+                if command == "train" else
+                ["generate", "--synthetic_spec", str(path), "--out_dir", str(out)])
+        assert cli.main(argv) == 2
+        assert f"n_per_cell key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_generate_with_negative_seed(self, tmp_path, capsys):

@@ -522,6 +522,47 @@ class TestMakeBatches:
             np.testing.assert_array_equal(x.X, y.X)
 
 
+def reference_batches(dataset, batch_size, shuffle_seed, probs=None):
+    """(X, y, g, weights) of each batch as make_batches gathered them up
+    front before its batches gathered X at their step."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(shuffle_seed, 2)))
+    n = dataset.n
+    n_batches = -(-n // batch_size)
+    if probs is None:
+        perm = rng.permutation(n)
+        chunks = [perm[i * batch_size:(i + 1) * batch_size] for i in range(n_batches)]
+    else:
+        G = dataset.num_groups
+        p = np.asarray(probs, dtype=float).ravel()
+        cell = dataset.y * G + dataset.g
+        sizes = np.bincount(cell, minlength=p.size)
+        flat = np.argsort(cell, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        chunks = []
+        for _ in range(n_batches):
+            which = rng.choice(p.size, size=batch_size, p=p)
+            chunks.append(flat[starts[which] + rng.integers(sizes[which])])
+    return [(dataset.X[ix], dataset.y[ix], dataset.g[ix], dataset.weights[ix]) for ix in chunks]
+
+
+@pytest.mark.parametrize("fairbatch", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_batches_gather_the_reference_rows(fairbatch, seed):
+    rng = np.random.default_rng(seed)
+    counts = {(c, g): int(rng.integers(1, 30)) for c in range(3) for g in range(2)}
+    ds = make_counts_dataset(counts, d=5, seed=seed)
+    ds = data.Dataset(ds.X, ds.y, ds.g, weights=rng.uniform(0.5, 2.0, ds.n))
+    probs = rng.dirichlet(np.ones(6)).reshape(3, 2) if fairbatch else None
+    batch_size = int(rng.integers(1, ds.n + 1))
+    batches = data.make_batches(ds, batch_size, shuffle_seed=seed, probs=probs)
+    reference = reference_batches(ds, batch_size, seed, probs)
+    assert len(batches) == len(reference)
+    for batch, (X, y, g, w) in zip(batches, reference):
+        for got, want in ((batch.X, X), (batch.y, y), (batch.g, g), (batch.weights, w)):
+            assert np.array_equal(got, want)
+        assert batch.features is ds.X  # no rows are copied before the step reads X
+
+
 # A 3 x 2 table (row i has X = [i]) and its FairBatch draws at shuffle seed 11,
 # recorded from the per-row draws that one vectorized draw per batch replaced
 FAIRBATCH_COUNTS = {(0, 0): 5, (0, 1): 2, (1, 0): 3, (1, 1): 4, (2, 0): 1, (2, 1): 6}

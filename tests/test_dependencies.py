@@ -1,7 +1,10 @@
-"""The package's runtime dependencies are numpy and PyYAML only, and every
-public top-level function and class in it is used."""
+"""The package's runtime dependencies are numpy and PyYAML only, every
+public top-level function and class in it is used, and neither importing it
+nor a run below nn.PARALLEL_MIN_WORK starts a thread."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +74,27 @@ def test_unused_definition_is_caught():
     assert unreferenced(modules) == ["a.Unused"]
     del modules["b"]
     assert unreferenced(modules) == ["a.used", "a.Unused"]
+
+
+def _python(code: str) -> str:
+    """What code prints in a fresh interpreter that imports fairkit from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.strip()
+
+
+def test_import_starts_no_thread_and_no_executor():
+    out = _python("import sys, threading\n"
+                  "import fairkit, fairkit.cli\n"
+                  "print('concurrent.futures' in sys.modules, threading.active_count())")
+    assert out == "False 1"
+
+
+def test_a_run_below_the_parallel_threshold_starts_no_thread(tmp_path):
+    # the CLI default scale: 800 rows x 178 parameters, below nn.PARALLEL_MIN_WORK
+    out = _python("import threading\n"
+                  "from fairkit import cli\n"
+                  "before = threading.active_count()\n"
+                  f"assert cli.main(['--epochs', '2', '--results_dir', {str(tmp_path)!r}]) == 0\n"
+                  "print(before, threading.active_count())")
+    assert out == "1 1"

@@ -1,5 +1,11 @@
+import gc
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,6 +179,151 @@ class TestInfer:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * 300 * 8, peak
+
+
+@st.composite
+def networks_and_input_lists(draw):
+    """A network, 1-3 inputs of different row counts, and a PARALLEL_MIN_WORK
+    on one side or the other of the smallest input's rows x n_params."""
+    net, _ = draw(networks_and_inputs())
+    rng = np.random.default_rng(net.spec.seed + 1)
+    rows = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True))
+    Xs = [rng.normal(size=(n, net.spec.input_dim)) * 3.0 for n in rows]
+    work = min(rows) * net.spec.n_params
+    return net, Xs, draw(st.sampled_from([work, work + 1]))
+
+
+class TestInferMany:
+    @settings(max_examples=80, deadline=None)
+    @given(networks_and_input_lists())
+    def test_equals_infer_per_input(self, case):
+        net, Xs, threshold = case
+        ran_on = []
+
+        def spy(*args):
+            ran_on.append(threading.current_thread())
+            return infer_into_all(*args)
+
+        infer_into_all = nn._infer_into_all
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", threshold), \
+                mock.patch.object(nn, "_infer_into_all", spy):
+            got = nn.infer_many(net, Xs)
+        assert len(got) == len(Xs)
+        for (hidden, logits), X in zip(got, Xs):
+            want_hidden, want_logits = nn.infer(net, X)
+            assert np.array_equal(hidden, want_hidden)
+            assert np.array_equal(logits, want_logits)
+        parallel = len(Xs) > 1 and min(len(X) for X in Xs) * net.spec.n_params >= threshold
+        assert [t is not threading.main_thread() for t in ran_on] == (
+            [True] if parallel and nn._cpus() > 1 else [])
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_wrong_width_raises_infers_error_and_next_call_works(self, bad):
+        net = small_net([5, 7, 3])
+        Xs = [np.ones((40 + i, 5)) for i in range(3)]
+        Xs[bad] = np.ones((40, 4))
+        with pytest.raises(ShapeError) as serial:
+            nn.infer(net, Xs[bad])
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
+            with pytest.raises(ShapeError) as many:
+                nn.infer_many(net, Xs)
+            assert str(many.value) == str(serial.value)
+            Xs[bad] = np.ones((40, 5))
+            for (hidden, logits), X in zip(nn.infer_many(net, Xs), Xs):
+                assert np.array_equal(logits, nn.infer(net, X)[1])
+
+    def test_idle_worker_holds_no_input_or_output(self):
+        net = small_net([5, 7, 7, 3])
+        Xs = [np.ones((40, 5)), np.ones((41, 5)), np.ones((42, 5))]
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
+            results = nn.infer_many(net, Xs)
+        arrays = [weakref.ref(a) for a in Xs + [a for pair in results for a in pair]]
+        del Xs, results
+        gc.collect()
+        assert [ref() for ref in arrays if ref() is not None] == []
+
+    def test_worker_ends_when_idle_and_starts_again(self):
+        net = small_net([5, 7, 3])
+        Xs = [np.ones((40, 5)), np.ones((41, 5))]
+
+        def workers():
+            return [t for t in threading.enumerate() if t.name == "fairkit-infer"]
+
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
+            for _ in range(2):
+                nn.infer_many(net, Xs)
+                if nn._cpus() > 1:
+                    assert len(workers()) == 1
+                deadline = time.monotonic() + nn._Worker.IDLE_S + 5.0
+                while workers() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert workers() == [] and nn._Worker._instance is None
+
+    def test_caller_runs_serially_while_the_worker_is_held(self):
+        net = small_net([5, 7, 3])
+        Xs = [np.ones((40, 5)), np.ones((41, 5))]
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
+                mock.patch.object(nn, "_infer_into_all", side_effect=AssertionError):
+            with nn._Worker.lock:
+                got = nn.infer_many(net, Xs)
+        for (hidden, logits), X in zip(got, Xs):
+            assert np.array_equal(logits, nn.infer(net, X)[1])
+
+    def test_concurrent_callers_get_their_own_results(self):
+        # more calling threads than cores, a short switch interval and a
+        # worker that ends after 1 ms idle: a job given to the wrong caller,
+        # or a worker lost between its exit and the next get, shows here
+        net = small_net([5, 7, 7, 3])
+        rng = np.random.default_rng(0)
+        inputs = [[rng.normal(size=(30 + i, 5)), rng.normal(size=(31 + i, 5))] for i in range(4)]
+        wanted = [[nn.infer(net, X)[1] for X in Xs] for Xs in inputs]
+        failures, done = [], []
+
+        def call(i):
+            for _ in range(50):
+                got = [logits for _, logits in nn.infer_many(net, inputs[i])]
+                if not all(np.array_equal(a, b) for a, b in zip(got, wanted[i])):
+                    failures.append(i)
+            done.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
+                    mock.patch.object(nn._Worker, "IDLE_S", 0.001):
+                threads = [threading.Thread(target=call, args=(i,), daemon=True)
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                deadline = time.monotonic() + 60
+                for t in threads:
+                    t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3] and failures == []
+
+    def test_worker_error_is_raised_after_both_threads_finish(self):
+        net = small_net([5, 7, 3])
+        Xs = [np.ones((40, 5)), np.ones((41, 5))]
+        infer_into, finished = nn._infer_into, []
+
+        def failing_on_worker(net, X, outs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+                finished.append("worker")
+                raise ShapeError("worker failed")
+            result = infer_into(net, X, outs)
+            finished.append("caller")
+            return result
+
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
+            with mock.patch.object(nn, "_infer_into", failing_on_worker):
+                with pytest.raises(ShapeError, match="worker failed"):
+                    nn.infer_many(net, Xs)
+            assert sorted(finished) == ["caller", "worker"]
+            for (hidden, logits), X in zip(nn.infer_many(net, Xs), Xs):
+                assert np.array_equal(logits, nn.infer(net, X)[1])
 
 
 class TestCrossEntropy:

@@ -9,10 +9,15 @@ its function no longer returns would crash a traced run, so each counter is
 also called on what its function returns."""
 
 import ast
+import functools
+import importlib
 import importlib.util
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import yaml
 
 from fairkit import analysis, cli, data, evaluation, nn, training
 
@@ -141,3 +146,51 @@ def test_every_counter_reads_its_function_result(tmp_path):
         result = function(*args, **kwargs)
         count = counters[name](args, kwargs, result)
         assert count == (expected() if callable(expected) else expected), name
+
+
+def test_every_traced_call_runs_on_the_main_thread(tmp_path):
+    """nn.infer_many runs inputs on a worker thread above PARALLEL_MIN_WORK;
+    the tracer keeps one span stack for all threads, so no public function
+    may run there. Wraps every function the tracer wraps during a Gate +
+    Gate-soft run and a BT + Adv + INLP run whose scoring is above it."""
+    tracing = load_tracing()
+    modules = {layer: importlib.import_module(f"fairkit.{layer}") for layer in tracing.LAYERS}
+    calls = []
+
+    def on_thread(name, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recorded
+
+    worker_threads = []
+    infer_into_all = nn._infer_into_all
+
+    def worker_spy(*args):
+        worker_threads.append(threading.current_thread())
+        return infer_into_all(*args)
+
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"d": 256, "seed": 0, "group_shift": 2.0,
+                                    "n_per_cell": {"0,0": 140, "0,1": 60, "1,0": 60,
+                                                   "1,1": 140}}))
+    assert 400 * nn.MlpSpec(256, (64,), 2).n_params >= nn.PARALLEL_MIN_WORK
+    patches = tracing.Patches(modules)
+    for layer in tracing.LAYERS:
+        for name, fn in tracing.public_functions(layer, modules[layer]):
+            patches.wrap(fn, on_thread(name, fn))
+    try:
+        with mock.patch.object(nn, "_infer_into_all", worker_spy):
+            for flags in (["--method", "Gate", "--gate_soft"],
+                          ["--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing",
+                           "--INLP", "--inlp_iterations", "1"]):
+                assert cli.main(["--synthetic_spec", str(spec), "--hidden_dims", "64",
+                                 "--epochs", "2", "--results_dir", str(tmp_path / "results"),
+                                 *flags]) == 0
+    finally:
+        patches.restore()
+    assert {"nn.infer_many", "training.predict"} <= {name for name, _ in calls}
+    assert [name for name, t in calls if t is not threading.main_thread()] == []
+    if nn._cpus() > 1:  # the scoring did run on the worker
+        assert worker_threads and threading.main_thread() not in worker_threads

@@ -238,7 +238,7 @@ class TestApplyInlpAndRefit:
         h = model.hidden_dim
         H_train = nn.infer(model, train_ds.X)[0]
         clf = postproc.apply_inlp_and_refit(model, np.eye(h), H_train, train_ds.y, 2)
-        orig = np.mean(training.predict(model, dev_ds.X, dev_ds.g) == dev_ds.y)
+        orig = np.mean(training.predict(model, [dev_ds.X], [dev_ds.g])[0] == dev_ds.y)
         refit = np.mean(clf.predict(dev_ds.X) == dev_ds.y)
         assert abs(refit - orig) <= 0.02
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ def random_batch(rng, n=8, d=5, num_classes=2, num_groups=2):
     # make sure both classes and groups appear
     y[0], y[1] = 0, 1
     g[0], g[1] = 0, 1
-    return data.Batch(X=rng.normal(size=(n, d)), y=y, g=g, weights=np.ones(n))
+    return data.Batch(features=rng.normal(size=(n, d)), y=y, g=g, weights=np.ones(n))
 
 
 def make_model(cfg, d=5, num_classes=2, num_groups=2, seed=0):
@@ -162,7 +163,7 @@ class TestAdversarial:
         cfg = training.MethodConfig(method="EAdv", adv_lambda=2.0, n_discriminators=3)
         stack = training.init_discriminators(cfg, hidden_dim=3, num_classes=2, num_groups=2)
         hidden = np.tile([[0.3, -0.2, 0.9]], (5, 1))
-        batch = data.Batch(X=np.zeros((5, 1)), y=np.zeros(5, dtype=int),
+        batch = data.Batch(features=np.zeros((5, 1)), y=np.zeros(5, dtype=int),
                            g=np.zeros(5, dtype=int), weights=np.ones(5))
         _, grad, _ = training.adversarial_pass(stack, hidden, batch, cfg.diff_lambda)
         raws = []
@@ -249,7 +250,7 @@ class TestAdversarial:
         rng = np.random.default_rng(3)
         hidden = rng.normal(size=(40, 4))
         g = (hidden[:, 0] > 0).astype(int)
-        batch = data.Batch(X=hidden, y=np.zeros(40, dtype=int), g=g, weights=np.ones(40))
+        batch = data.Batch(features=hidden, y=np.zeros(40, dtype=int), g=g, weights=np.ones(40))
 
         def disc_ces():
             return np.array([nn.cross_entropy(nn.forward(d_, hidden).logits, g, batch.weights)[0]
@@ -652,11 +653,12 @@ class TestGate:
         cfg = training.MethodConfig(method="Gate", hidden_dims=(4,))
         model = make_model(cfg, d=3, num_classes=C, num_groups=G, seed=seed)
         model.biases[-1][...] = rng.normal(size=model.biases[-1].shape)
-        batch = data.Batch(X=rng.normal(size=(n, 3)), y=rng.integers(0, C, n),
+        batch = data.Batch(features=rng.normal(size=(n, 3)), y=rng.integers(0, C, n),
                            g=rng.integers(0, G, n), weights=np.ones(n))
         mix = group_onehot(batch.g, G)
         logits = hard_gated_logits(model, batch.X, batch.g)
-        assert np.array_equal(training.predict(model, batch.X, batch.g), logits.argmax(axis=1))
+        assert np.array_equal(training.predict(model, [batch.X], [batch.g])[0],
+                              logits.argmax(axis=1))
         trace = nn.forward(model, batch.X)
         _, d_logits, _ = nn.cross_entropy(logits, batch.y, batch.weights)
         d_all = np.concatenate([d_logits, *(mix[:, g, None] * d_logits for g in range(G))],
@@ -672,7 +674,7 @@ class TestGate:
         X = np.zeros((1, 4))
         for g in (5, -1):
             with pytest.raises(LabelDomainError):
-                training.predict(model, X, np.array([g]))
+                training.predict(model, [X], [np.array([g])])
 
     def test_initial_heads_from_their_own_stream(self):
         # the shared rows are the plain network's; each head is a draw of the
@@ -716,8 +718,27 @@ class TestTrainLoop:
         cfg = training.MethodConfig(method="Standard", epochs=50, batch_size=32,
                                     lr=0.01, hidden_dims=(8,), seed=0)
         record = training.train(ds, ds, ds, cfg)
-        preds = training.predict(record.model, ds.X, ds.g)
+        (preds,) = training.predict(record.model, [ds.X], [ds.g])
         assert np.mean(preds == y) >= 0.99
+
+    @pytest.mark.parametrize("method", ["Standard", "FairBatch"])
+    def test_a_step_holds_one_batch_of_features_not_an_epochs(self, method):
+        rng = np.random.default_rng(0)
+        n, d, batch_size = 4000, 256, 100
+        train_ds = data.Dataset(rng.normal(size=(n, d)), rng.integers(0, 2, n),
+                                rng.integers(0, 2, n))
+        scored = data.Dataset(train_ds.X[:20], train_ds.y[:20], train_ds.g[:20],
+                              num_classes=2, num_groups=2)
+        cfg = training.MethodConfig(method=method, fairbatch_alpha=0.1, epochs=1,
+                                    batch_size=batch_size, hidden_dims=(4,))
+        tracemalloc.start()
+        try:
+            training.train(train_ds, scored, scored, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an epoch's rows of X are n * d * 8 bytes (8.2 MB); one batch's, 1/40 of that
+        assert peak < n * d * 8 / 8, peak
 
     def test_epochs_zero_initialization_only(self):
         train_ds, dev_ds, test_ds = biased_bundle()
@@ -809,8 +830,8 @@ class TestTrainLoop:
         assert model.spec.group_heads == 2
         np.testing.assert_array_equal(model.flat_params(), record.model.flat_params())
         np.testing.assert_array_equal(
-            training.predict(model, dev_ds.X, dev_ds.g),
-            training.predict(record.model, dev_ds.X, dev_ds.g))
+            training.predict(model, [dev_ds.X], [dev_ds.g]),
+            training.predict(record.model, [dev_ds.X], [dev_ds.g]))
 
     def test_rerun_starts_the_store_afresh(self, tmp_path):
         train_ds, dev_ds, test_ds = biased_bundle(n=40)
@@ -829,7 +850,7 @@ class TestTrainLoop:
         epochs_file = tmp_path / "epochs.jsonl"
         epochs_file.write_text("")
         with pytest.raises(ValueError, match="not JSON compliant"):
-            training._append_row(epochs_file, {"post": "Gate-soft"}, lambda ds: ds.y,
+            training._append_row(epochs_file, {"post": "Gate-soft"}, [dev_ds.y, test_ds.y],
                                  dev_ds, test_ds, tail={"dev_dto": float("nan")})
         assert epochs_file.read_text() == ""
 
