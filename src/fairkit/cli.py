@@ -42,7 +42,7 @@ BTOBJ_TO_OBJECTIVE = {"joint": "joint", "y": "y", "g": "g", "EO": "eo"}
 class TrainConfig(training.Settings):
     """The training settings, then the data, pipeline and output fields."""
     dataset: str = "synthetic"
-    dataset_format: str = "jsonl"
+    dataset_format: str = "npz"
     emb_size: int = 0
     num_classes: int = 0
     num_groups: int = 0
@@ -73,7 +73,7 @@ _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
 
 # The allowed values of each field that has a fixed set, for flags and YAML alike
 _CHOICES = {
-    "dataset_format": ["csv", "jsonl"],
+    "dataset_format": ["npz", "jsonl", "csv"],
     "BT": list(data.MODES),
     "BTObj": list(BTOBJ_TO_OBJECTIVE),
     "method": list(training.METHODS),
@@ -255,7 +255,10 @@ def resolve_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset, data
     for split in ("train", "dev", "test"):
         path = Path(cfg.data_dir) / f"{cfg.dataset}_{split}.{cfg.dataset_format}"
         if not path.exists():
-            raise IOErrorWithStage(f"dataset file not found: {path}")
+            hint = "".join(f"; {other} exists, read it with --dataset_format {fmt}"
+                           for fmt in _CHOICES["dataset_format"]
+                           if (other := path.with_suffix(f".{fmt}")).exists())
+            raise IOErrorWithStage(f"dataset file not found: {path}{hint}")
         splits.append(data.load_dataset(path, cfg.dataset_format, split=split))
     return _declared_sizes(cfg, splits)
 
@@ -423,7 +426,7 @@ def cmd_generate(argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = data.generate_synthetic(spec)
     for ds in bundle:
-        data.save_jsonl(ds, out_dir / f"{args.name}_{ds.split}.jsonl")
+        data.save_npz(ds, out_dir / f"{args.name}_{ds.split}.npz")
     echo = {**asdict(spec),
             "n_per_cell": {f"{c},{g}": n for (c, g), n in sorted(spec.n_per_cell.items())}}
     (out_dir / f"{args.name}_spec.yaml").write_text(yaml.safe_dump(echo, sort_keys=True))

@@ -17,6 +17,8 @@ import io
 import json
 import math
 import numbers
+import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -100,11 +102,14 @@ class Dataset:
 # File ingestion
 
 def load_dataset(path, format: str, split: str = "train") -> Dataset:
-    """Load csv (header row, reserved columns y / protected_label) or jsonl
-    (keys X, y, protected_label). Remaining numeric csv columns form X in
-    file order. num_classes/num_groups are inferred as max index + 1."""
+    """Load npz (arrays X, y, protected_label), csv (header row, reserved
+    columns y / protected_label) or jsonl (keys X, y, protected_label).
+    Remaining numeric csv columns form X in file order. num_classes/num_groups
+    are inferred as max index + 1."""
     path = Path(path)
-    if format == "csv":
+    if format == "npz":
+        rows_X, rows_y, rows_g = _read_npz(path)
+    elif format == "csv":
         rows_X, rows_y, rows_g = _read_csv(path)
     elif format == "jsonl":
         rows_X, rows_y, rows_g = _read_jsonl(path)
@@ -112,7 +117,88 @@ def load_dataset(path, format: str, split: str = "train") -> Dataset:
         raise ParseError(f"unknown format {format!r}")
     if len(rows_y) == 0:
         raise ParseError(f"{path}: empty file")
-    return Dataset(np.asarray(rows_X, dtype=float), rows_y, rows_g, split=split)
+    X = np.asarray(rows_X, dtype=float)
+    if X.shape[1] == 0:
+        raise ParseError(f"{path}: X has no features")
+    return Dataset(X, rows_y, rows_g, split=split)
+
+
+def save_npz(dataset: Dataset, path):
+    """The split as load_dataset reads it in npz format: X float64 [n, d],
+    y and protected_label int64 [n], in an uncompressed archive."""
+    np.savez(path, X=dataset.X, y=dataset.y, protected_label=dataset.g)
+
+
+# Each array's allowed dtype kinds, and their name; never bool, complex or object
+_NPZ_KINDS = {"X": ("iuf", "float or integer"), "y": ("iu", "integer"),
+              "protected_label": ("iu", "integer")}
+
+
+def _read_npz(path: Path):
+    """X, y and g of an .npz split. Each member's .npy header is read first,
+    and its shape times itemsize must equal the bytes the member holds, so
+    no array is allocated at a size the data does not back."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            arrays = [_npz_member(path, archive, key) for key in _NPZ_KINDS]
+    # besides BadZipFile, zipfile raises NotImplementedError for a zip version it
+    # does not read, and UnicodeDecodeError for a member name flagged UTF-8 that is not
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
+            UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: not a readable .npz archive: {e}") from None
+    X, y, g = arrays
+    if X.ndim != 2:
+        raise ParseError(f"{path}: X must be a 2-D array, got shape {X.shape}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: X row {bad[0]} holds a non-finite value")
+    for key, a in (("y", y), ("protected_label", g)):
+        if a.ndim != 1:
+            raise ParseError(f"{path}: {key} must be a 1-D array, got shape {a.shape}")
+        if a.size and (a.min() < 0 or a.max() > np.iinfo(np.int64).max):
+            raise LabelDomainError(f"{path}: {key} must hold integers in [0, 2**63), "
+                                   f"got {a.min()} to {a.max()}")
+    if not (X.shape[0] == y.size == g.size):
+        raise ParseError(f"{path}: X, y and protected_label have {X.shape[0]}, {y.size} "
+                         f"and {g.size} rows")
+    return X, y, g
+
+
+def _npz_member(path: Path, archive: zipfile.ZipFile, key: str) -> np.ndarray:
+    """The array of archive member key.npy, a read-only view of its bytes,
+    read with numpy's public header reader and never unpickled."""
+    try:
+        info = archive.getinfo(f"{key}.npy")
+    except KeyError:
+        raise SchemaError(f"{path}: missing key {key!r}") from None
+    # zipfile seeks to the member's declared offset and reads a stored member
+    # in one call of its declared size, so both must lie inside the file
+    if (info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED) or info.flag_bits & 1
+            or not 0 <= info.header_offset <= path.stat().st_size - info.compress_size):
+        raise ParseError(f"{path}: {key}: not a plain or deflated archive member")
+    with archive.open(info) as f:
+        try:
+            # np.save writes a later version only for a header over 64 KiB,
+            # which no array of an allowed dtype and at most 2-D needs
+            version = np.lib.format.read_magic(f)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+        except ValueError as e:
+            raise ParseError(f"{path}: {key}: not a .npy array: {e}") from None
+        kinds, kind_name = _NPZ_KINDS[key]
+        if dtype.kind not in kinds:
+            raise ParseError(f"{path}: {key}: dtype {dtype} is not allowed, "
+                             f"{key} must be {kind_name}")
+        size = math.prod(shape) * dtype.itemsize
+        held = info.file_size - f.tell()
+        if size != held:
+            raise ParseError(f"{path}: {key}: header declares shape {shape} of {dtype}, "
+                             f"{size} bytes, but the member holds {held}")
+        buf = f.read(size)
+    if len(buf) != size:
+        raise ParseError(f"{path}: {key}: member ends after {len(buf)} of {size} bytes")
+    return np.frombuffer(buf, dtype=dtype).reshape(shape, order="F" if fortran_order else "C")
 
 
 def _open_text(path: Path, newline: str | None = None) -> io.StringIO:
@@ -240,17 +326,6 @@ def _int_label(value, name: str) -> int:
     if not valid:
         raise LabelDomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return iv
-
-
-def save_jsonl(dataset: Dataset, path):
-    encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps's format, NaN refused
-    with open(path, "w") as f:
-        for i in range(dataset.n):
-            f.write(encode({
-                "X": [float(v) for v in dataset.X[i]],
-                "y": int(dataset.y[i]),
-                "protected_label": int(dataset.g[i]),
-            }) + "\n")
 
 
 # ---------------------------------------------------------------------------

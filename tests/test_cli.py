@@ -10,6 +10,7 @@ import yaml
 
 from fairkit import cli, data, training
 from fairkit.errors import ConfigError
+from test_data import npy_bytes, write_jsonl, zip_bytes
 
 
 SMALL_SPEC = {
@@ -259,7 +260,11 @@ class TestGenerate:
                        "--out_dir", str(out), "--name", "toy"])
         assert rc == 0
         for split in ("train", "dev", "test"):
-            assert (out / f"toy_{split}.jsonl").exists()
+            with np.load(out / f"toy_{split}.npz", allow_pickle=False) as z:
+                assert sorted(z.files) == ["X", "protected_label", "y"]
+                assert (z["X"].dtype, z["y"].dtype, z["protected_label"].dtype) == (
+                    np.float64, np.int64, np.int64)
+                assert z["X"].shape == (110, 4) and z["y"].shape == (110,)
         echo = yaml.safe_load((out / "toy_spec.yaml").read_text())
         assert echo["n_per_cell"] == SMALL_SPEC["n_per_cell"]
 
@@ -269,7 +274,7 @@ class TestGenerate:
             out = tmp_path / name
             cli.main(["generate", "--synthetic_spec", str(small_spec_file),
                       "--out_dir", str(out)])
-            outs.append((out / "synthetic_train.jsonl").read_text())
+            outs.append((out / "synthetic_train.npz").read_bytes())
         assert outs[0] == outs[1]
 
     def test_generated_files_loadable_for_training(self, tmp_path, small_spec_file):
@@ -280,6 +285,34 @@ class TestGenerate:
                        "--num_classes", "2", "--num_groups", "2",
                        "--epochs", "1", "--results_dir", str(tmp_path / "r")])
         assert rc == 0
+
+    def test_npz_and_jsonl_splits_train_and_analyze_alike(self, tmp_path, small_spec_file):
+        """One generated dataset read as .npz and as JSONL: equal epochs.jsonl
+        bytes apart from checkpoint paths, and byte-identical analyze outputs."""
+        out = tmp_path / "data"
+        assert cli.main(["generate", "--synthetic_spec", str(small_spec_file),
+                         "--out_dir", str(out), "--name", "toy"]) == 0
+        npz_to_jsonl(out)
+        outputs = []
+        for fmt in ("npz", "jsonl"):
+            results = tmp_path / fmt
+            for pipeline in ([], ["--method", "Adv"],
+                             ["--method", "Gate", "--gate_soft", "--gate_grid_resolution", "5"]):
+                assert cli.main(["--dataset", "toy", "--data_dir", str(out),
+                                 "--dataset_format", fmt, "--epochs", "3",
+                                 "--batch_size", "32", "--results_dir", str(results),
+                                 *pipeline]) == 0
+            assert cli.main(["analyze", "--results_dir", str(results),
+                             "--output_dir", str(tmp_path / f"{fmt}-analysis")]) == 0
+            runs = {json.loads((run / "manifest.json").read_text())["method"]:
+                    re.sub(r', "checkpoint": "[^"]*"', "", (run / "epochs.jsonl").read_text())
+                    for run in results.iterdir()}
+            tables = {f.name: f.read_bytes() for f in (tmp_path / f"{fmt}-analysis").iterdir()}
+            outputs.append((runs, tables))
+        (npz_runs, npz_tables), (jsonl_runs, jsonl_tables) = outputs
+        assert sorted(npz_runs) == ["Adv", "Gate", "Standard"]
+        assert npz_runs == jsonl_runs
+        assert len(npz_tables) == 5 and npz_tables == jsonl_tables
 
 
 class TestTrain:
@@ -384,9 +417,10 @@ class TestTrain:
         out = tmp_path / "data"
         cli.main(["generate", "--synthetic_spec", str(small_spec_file),
                   "--out_dir", str(out), "--name", "toy"])
-        test_file = out / "toy_test.jsonl"
-        rows = [l for l in test_file.read_text().splitlines() if json.loads(l)["y"] == 0]
-        test_file.write_text("\n".join(rows) + "\n")
+        test_file = out / "toy_test.npz"
+        with np.load(test_file) as z:
+            keep = z["y"] == 0
+            np.savez(test_file, **{key: z[key][keep] for key in z.files})
         argv = ["--dataset", "toy", "--data_dir", str(out), "--epochs", "1",
                 "--results_dir", str(tmp_path / "r")]
         assert cli.main(argv) == 0
@@ -461,9 +495,39 @@ def _generated(tmp_path, spec_file):
     return ["--dataset", "toy", "--data_dir", str(out)]
 
 
-def _narrow_dev(tmp_path, spec_file):
-    """Generated files whose dev split has one column fewer than train."""
+def _split_arrays(path):
+    """X, y and protected_label of an .npz split."""
+    with np.load(path, allow_pickle=False) as z:
+        return z["X"], z["y"], z["protected_label"]
+
+
+def npz_to_jsonl(data_dir, name="toy"):
+    """Each generated .npz split of data_dir written again as a .jsonl split."""
+    for split in ("train", "dev", "test"):
+        write_jsonl(data_dir / f"{name}_{split}.jsonl",
+                    *_split_arrays(data_dir / f"{name}_{split}.npz"))
+
+
+def _text_only(text_files):
+    """The text splits of source text_files alone, read without --dataset_format."""
+    def source(tmp_path, spec_file):
+        argv = text_files(tmp_path, spec_file)
+        for split in ("train", "dev", "test"):
+            (tmp_path / "data" / f"toy_{split}.npz").unlink()
+        return argv[:argv.index("--dataset_format")]
+    return source
+
+
+def _jsonl_files(tmp_path, spec_file):
+    """The generated splits as JSONL files, read with --dataset_format jsonl."""
     argv = _generated(tmp_path, spec_file)
+    npz_to_jsonl(tmp_path / "data")
+    return [*argv, "--dataset_format", "jsonl"]
+
+
+def _narrow_dev(tmp_path, spec_file):
+    """JSONL files whose dev split has one column fewer than train."""
+    argv = _jsonl_files(tmp_path, spec_file)
     dev = tmp_path / "data" / "toy_dev.jsonl"
     rows = [json.loads(line) for line in dev.read_text().splitlines()]
     dev.write_text("".join(json.dumps({**r, "X": r["X"][:-1]}) + "\n" for r in rows))
@@ -471,10 +535,10 @@ def _narrow_dev(tmp_path, spec_file):
 
 
 def _appended_row(split, literal, key="X"):
-    """Generated files with one more row in split, whose value of key (the
+    """JSONL files with one more row in split, whose value of key (the
     first feature, for X) is the JSON text literal."""
     def source(tmp_path, spec_file):
-        argv = _generated(tmp_path, spec_file)
+        argv = _jsonl_files(tmp_path, spec_file)
         path = tmp_path / "data" / f"toy_{split}.jsonl"
         row = json.loads(path.read_text().splitlines()[0])
         value = ["@", *row["X"][1:]] if key == "X" else "@"
@@ -492,16 +556,66 @@ def _csv_files(split=None, literal=None):
         _generated(tmp_path, spec_file)
         data_dir = tmp_path / "data"
         for name in ("train", "dev", "test"):
-            rows = [json.loads(line) for line in
-                    (data_dir / f"toy_{name}.jsonl").read_text().splitlines()]
-            lines = [",".join([*(f"x{i}" for i in range(len(rows[0]["X"]))),
-                               "y", "protected_label"])]
-            lines += [",".join(map(str, [*r["X"], r["y"], r["protected_label"]])) for r in rows]
+            X, y, g = _split_arrays(data_dir / f"toy_{name}.npz")
+            lines = [",".join([*(f"x{i}" for i in range(X.shape[1])), "y", "protected_label"])]
+            lines += [",".join(map(str, [*map(float, x), int(label), int(group)]))
+                      for x, label, group in zip(X, y, g)]
             if name == split:
                 lines[1] = literal + lines[1][lines[1].index(","):]
             (data_dir / f"toy_{name}.csv").write_text("\n".join(lines) + "\n")
         return ["--dataset", "toy", "--data_dir", str(data_dir), "--dataset_format", "csv"]
     return source
+
+
+def _damaged_npz(split, damage):
+    """Generated files whose split's .npz holds damage(X, y, g): the arrays
+    of a dict, saved as np.savez saves them, or the file's bytes."""
+    def source(tmp_path, spec_file):
+        argv = _generated(tmp_path, spec_file)
+        path = tmp_path / "data" / f"toy_{split}.npz"
+        content = damage(*_split_arrays(path))
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_bytes(zip_bytes({f"{key}.npy": npy_bytes(a) for key, a in content.items()}))
+        return argv
+    return source
+
+
+def _with_value(a, value):
+    """a as float, its first entry value."""
+    a = a.astype(float)
+    a.flat[0] = value
+    return a
+
+
+# Damage to an .npz split, as (X, y, g) -> arrays or file bytes
+DAMAGED_NPZ = {
+    "not a zip": ("train", lambda X, y, g: b"X,y,protected_label\n0.5,0,1\n"),
+    "an empty file": ("dev", lambda X, y, g: b""),
+    "a missing y key": ("train", lambda X, y, g: {"X": X, "protected_label": g}),
+    "an object X (pickled)": ("train", lambda X, y, g: {"X": X.astype(object), "y": y,
+                                                        "protected_label": g}),
+    "a bool feature": ("train", lambda X, y, g: {"X": X > 0, "y": y, "protected_label": g}),
+    "a bool label": ("test", lambda X, y, g: {"X": X, "y": y == 1, "protected_label": g}),
+    "a float label": ("train", lambda X, y, g: {"X": X, "y": y.astype(float),
+                                               "protected_label": g}),
+    "a NaN feature": ("train", lambda X, y, g: {"X": _with_value(X, np.nan), "y": y,
+                                               "protected_label": g}),
+    "an inf feature": ("dev", lambda X, y, g: {"X": _with_value(X, np.inf), "y": y,
+                                              "protected_label": g}),
+    "a 1-D X": ("train", lambda X, y, g: {"X": X[:, 0].copy(), "y": y, "protected_label": g}),
+    "an X of no features": ("dev", lambda X, y, g: {"X": X[:, :0].copy(), "y": y,
+                                                    "protected_label": g}),
+    "X and y of different lengths": ("train", lambda X, y, g: {"X": X, "y": y[:-1],
+                                                              "protected_label": g}),
+    "a negative protected_label": ("test", lambda X, y, g: {"X": X, "y": y,
+                                                           "protected_label": g - 1}),
+    "a (10**15, 768) X header over 64 bytes": ("train", lambda X, y, g: zip_bytes({
+        "X.npy": npy_bytes(header={"descr": "<f8", "fortran_order": False,
+                              "shape": (10**15, 768)}, data=bytes(64)),
+        "y.npy": npy_bytes(y), "protected_label.npy": npy_bytes(g)})),
+}
 
 
 def _spec(tmp_path, spec_file):
@@ -547,12 +661,12 @@ def _conf_text(text):
 # (data source, extra flags, exit code) for the declared sizes and the flags
 # that change nothing
 TRAIN_EXIT_CODES = {
-    "files, --num_classes below the labels": (_generated, ["--num_classes", "1"], 2),
-    "files, --num_groups below the labels": (_generated, ["--num_groups", "1"], 2),
-    "files, --emb_size mismatch": (_generated, ["--emb_size", "5"], 2),
+    "files, --num_classes below the labels": (_jsonl_files, ["--num_classes", "1"], 2),
+    "files, --num_groups below the labels": (_jsonl_files, ["--num_groups", "1"], 2),
+    "files, --emb_size mismatch": (_jsonl_files, ["--emb_size", "5"], 2),
     "files, dev split narrower than train": (_narrow_dev, [], 2),
     "files, declared sizes above the labels": (
-        _generated, ["--num_classes", "3", "--num_groups", "3"], 0),
+        _jsonl_files, ["--num_classes", "3", "--num_groups", "3"], 0),
     "files, NaN in a train feature": (_appended_row("train", "NaN"), [], 1),
     "files, -Infinity in a train feature": (_appended_row("train", "-Infinity"), [], 1),
     "files, 1e400 in a dev feature": (_appended_row("dev", "1e400"), [], 1),
@@ -565,6 +679,10 @@ TRAIN_EXIT_CODES = {
     "csv files": (_csv_files(), [], 0),
     "csv files, nan in a train feature": (_csv_files("train", "nan"), [], 1),
     "csv files, 1e400 in a test feature": (_csv_files("test", "1e400"), [], 1),
+    **{f"npz files, {name}": (_damaged_npz(split, damage), [], 1)
+       for name, (split, damage) in DAMAGED_NPZ.items()},
+    "jsonl files only, no --dataset_format": (_text_only(_jsonl_files), [], 3),
+    "csv files only, no --dataset_format": (_text_only(_csv_files()), [], 3),
     "spec, --num_classes below the labels": (_spec, ["--num_classes", "1"], 2),
     "spec, --emb_size mismatch": (_spec, ["--emb_size", "5"], 2),
     "spec, declared sizes above the labels": (
@@ -594,10 +712,15 @@ class TestExitCodes:
         argv = [*source(tmp_path, small_spec_file), *flags, "--epochs", "1",
                 "--results_dir", str(results)]
         assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
         if code == 2:
-            assert "config error" in capsys.readouterr().err
-        if code == 1:  # a data file names the bad line
-            assert re.search(r"\.(jsonl|csv):\d+: ", capsys.readouterr().err)
+            assert "config error" in err
+        if code == 1:  # a text data file names the bad line, an .npz file itself
+            assert re.search(r"\.(jsonl:\d+|csv:\d+|npz): ", err)
+        if code == 3:  # a text split where the .npz is missing names its format flag
+            assert re.search(r"toy_train\.npz; \S+toy_train\.(jsonl|csv) exists, "
+                             r"read it with --dataset_format \1$", err.strip())
         if code != 0:
             assert not results.exists()
 

@@ -1,11 +1,16 @@
+import io
 import json
 import re
+import struct
+import tracemalloc
+import zipfile
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairkit import data
 from fairkit.errors import (
@@ -30,6 +35,35 @@ def cell_table(values, num_classes, num_groups):
     for cell, p in values.items():
         table[cell] = p
     return table
+
+
+def write_jsonl(path, X, y, g):
+    """Rows X, y, g as a JSONL split, one json.dumps object per line."""
+    with open(path, "w") as f:
+        for x, label, group in zip(X, y, g):
+            f.write(json.dumps({"X": [float(v) for v in x], "y": int(label),
+                                "protected_label": int(group)}, allow_nan=False) + "\n")
+
+
+def npy_bytes(array=None, header=None, data=b""):
+    """The bytes of a .npy member: array's, or header's (a dict of descr,
+    fortran_order and shape) followed by data."""
+    buf = io.BytesIO()
+    if array is not None:
+        np.lib.format.write_array(buf, array, allow_pickle=True)
+    else:
+        np.lib.format.write_array_header_1_0(buf, header)
+        buf.write(data)
+    return buf.getvalue()
+
+
+def zip_bytes(members):
+    """The bytes of a zip archive of {name: bytes}, stored as np.savez stores them."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as z:
+        for name, content in members.items():
+            z.writestr(name, content)
+    return buf.getvalue()
 
 
 def make_counts_dataset(counts, d=3, seed=0):
@@ -92,7 +126,7 @@ class TestLoadDataset:
     def test_jsonl_roundtrip(self, tmp_path):
         ds = make_counts_dataset({(0, 0): 3, (1, 1): 2})
         p = tmp_path / "out.jsonl"
-        data.save_jsonl(ds, p)
+        write_jsonl(p, ds.X, ds.y, ds.g)
         back = data.load_dataset(p, "jsonl")
         np.testing.assert_allclose(back.X, ds.X)
         np.testing.assert_array_equal(back.y, ds.y)
@@ -101,7 +135,7 @@ class TestLoadDataset:
     def test_generated_file_takes_the_one_pass_path(self, tmp_path, monkeypatch):
         ds = make_counts_dataset({(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 5})
         p = tmp_path / "out.jsonl"
-        data.save_jsonl(ds, p)
+        write_jsonl(p, ds.X, ds.y, ds.g)
 
         def no_fallback(*args):
             raise AssertionError("read line by line")
@@ -165,6 +199,129 @@ def test_non_utf8_bytes_name_their_line(tmp_path, fmt, good):
     p.write_bytes(good.encode() + b"\xff\xfe\n")
     line = good.count("\n") + 1
     with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: not valid UTF-8")):
+        data.load_dataset(p, fmt)
+
+
+def _loaded(path):
+    """X, y and g of the npz split at path, as load_dataset returns them."""
+    ds = data.load_dataset(path, "npz")
+    return ds.X, ds.y, ds.g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.integers(2, 16).flatmap(lambda d: st.one_of(
+        hnp.arrays(np.float64, (n, d), elements=st.floats(allow_nan=False,
+                                                          allow_infinity=False)),
+        hnp.arrays(np.float64, (n, d), elements=st.integers(-2**53, 2**53).map(float)))),
+    hnp.arrays(np.int64, n, elements=st.integers(0, 5)),
+    hnp.arrays(np.int64, n, elements=st.integers(0, 5)))))
+def test_npz_round_trip_is_bytewise(tmp_path_factory, arrays):
+    X, y, g = arrays
+    path = tmp_path_factory.mktemp("npz") / "toy_train.npz"
+    data.save_npz(data.Dataset(X, y, g), path)
+    for written, read in zip((X, y, g), _loaded(path)):
+        assert read.dtype == written.dtype and read.shape == written.shape
+        assert read.tobytes() == written.tobytes()
+
+
+def test_compressed_and_integer_npz_load_as_the_plain_one(tmp_path):
+    ds = make_counts_dataset({(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 5})
+    plain, compressed, fortran, narrow = (tmp_path / f"{name}.npz" for name in
+                                          ("plain", "compressed", "fortran", "narrow"))
+    data.save_npz(ds, plain)
+    np.savez_compressed(compressed, X=ds.X, y=ds.y, protected_label=ds.g)
+    np.savez(fortran, X=np.asfortranarray(ds.X), y=ds.y, protected_label=ds.g)
+    integral = ds.X.round()
+    np.savez(narrow, X=integral.astype(np.int16), y=ds.y.astype(np.uint8),
+             protected_label=ds.g.astype(">i4"))
+    with zipfile.ZipFile(compressed) as z:
+        assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_DEFLATED}
+    expected = _loaded(plain)
+    for path, X in ((compressed, ds.X), (fortran, ds.X), (narrow, integral)):
+        for want, got in zip((X, *expected[1:]), _loaded(path)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_npz_member_declaring_more_than_its_file_is_refused_unread(tmp_path):
+    """A stored member whose zip directory and .npy header both declare 256
+    MiB over 64 bytes of data: nothing of the declared size is allocated."""
+    ds = make_counts_dataset({(0, 0): 2, (1, 1): 2})
+    X = npy_bytes(header={"descr": "<f8", "fortran_order": False, "shape": (2**25, 1)},
+                  data=bytes(64))
+    archive = zip_bytes({"X.npy": X, "y.npy": npy_bytes(ds.y),
+                         "protected_label.npy": npy_bytes(ds.g)})
+    # the member's sizes in its central-directory record, which zipfile reads
+    record = archive.rindex(b"PK\x01\x02", 0, archive.rindex(b"X.npy"))
+    declared = len(X) - 64 + 2**28
+    archive = (archive[:record + 20] + struct.pack("<II", declared, declared)
+               + archive[record + 28:])
+    path = tmp_path / "toy_train.npz"
+    path.write_bytes(archive)
+    with zipfile.ZipFile(path) as z:
+        assert z.getinfo("X.npy").file_size == declared
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=re.escape(f"{path}: X: ")):
+            data.load_dataset(path, "npz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_npz_member_with_bytes_beyond_its_header_is_refused(tmp_path):
+    ds = make_counts_dataset({(0, 0): 2, (1, 1): 2})
+    path = tmp_path / "toy_dev.npz"
+    path.write_bytes(zip_bytes({"X.npy": npy_bytes(ds.X) + bytes(8), "y.npy": npy_bytes(ds.y),
+                                "protected_label.npy": npy_bytes(ds.g)}))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: X: header declares shape (4, 3)")):
+        data.load_dataset(path, "npz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(compressed=st.booleans(),
+       changes=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 2**20))
+# the 1072-byte stored file: the end record's directory offset moved, which
+# gives X a negative offset; X's directory record flagged UTF-8, with a name
+# that is not
+@example(compressed=False, changes=[(1067, 4)], cut=None)
+@example(compressed=False, changes=[(883 + 9, 0x08), (883 + 46, 0xff)], cut=None)
+def test_damaged_npz_raises_a_data_error_or_loads_unchanged(tmp_path_factory, compressed,
+                                                            changes, cut):
+    """Up to three bytes of a valid split set, then the file maybe cut: a
+    data error (exit 1) naming the file, or, where zipfile ignores the
+    bytes, the same arrays."""
+    ds = make_counts_dataset({(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 2})
+    path = tmp_path_factory.mktemp("npz") / "toy_train.npz"
+    (np.savez_compressed if compressed else np.savez)(path, X=ds.X, y=ds.y,
+                                                      protected_label=ds.g)
+    raw = bytearray(path.read_bytes())
+    for at, value in changes:
+        raw[at % len(raw)] = value
+    if cut is not None:
+        del raw[cut % len(raw):]
+    path.write_bytes(bytes(raw))
+    try:
+        back = data.load_dataset(path, "npz")
+    except FairkitError as e:
+        assert str(e).startswith(f"{path}: ")
+        return
+    for want, got in zip((ds.X, ds.y, ds.g), (back.X, back.y, back.g)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("jsonl", '{"X": [], "y": 0, "protected_label": 1}\n'
+              '{"X": [], "y": 1, "protected_label": 0}\n'),
+    ("csv", "y,protected_label\n0,1\n1,0\n"),
+])
+def test_rows_without_features_are_a_parse_error(tmp_path, fmt, text):
+    p = tmp_path / f"toy_train.{fmt}"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{p}: X has no features")):
         data.load_dataset(p, fmt)
 
 

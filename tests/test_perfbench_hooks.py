@@ -116,8 +116,8 @@ def load_tracing():
 def test_every_counter_reads_its_function_result(tmp_path):
     train_ds, dev_ds, test_ds = data.generate_synthetic(data.SyntheticSpec(
         n_per_cell={(c, g): 10 for c in range(2) for g in range(2)}, d=4, seed=0))
-    split_file = tmp_path / "toy_train.jsonl"
-    data.save_jsonl(train_ds, split_file)
+    split_file = tmp_path / "toy_train.npz"
+    data.save_npz(train_ds, split_file)
     cfg = training.MethodConfig(epochs=1, hidden_dims=(3,))
     net = nn.init_network(nn.MlpSpec(4, (3,), 2))
     trace = nn.forward(net, train_ds.X)
@@ -126,7 +126,7 @@ def test_every_counter_reads_its_function_result(tmp_path):
     n = train_ds.n
     # (counter, function, args, kwargs, the count it should record)
     calls = [
-        ("data.load_dataset", data.load_dataset, (split_file, "jsonl"), {"split": "train"}, n),
+        ("data.load_dataset", data.load_dataset, (split_file, "npz"), {"split": "train"}, n),
         ("data.make_batches", data.make_batches, (train_ds, 16, 0), {}, n),
         ("nn.forward", nn.forward, (net, train_ds.X), {}, n),
         ("nn.backward", nn.backward, (net, trace, np.ones_like(trace.logits)), {}, n),
