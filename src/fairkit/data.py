@@ -389,23 +389,29 @@ def _axis_position(index: int, count: int) -> float:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Three splits with identical cell counts, drawn from derived seeds."""
+    """Three splits with identical cell counts, drawn from derived seeds.
+    Each cell's rows are drawn in place into its block of the split's X."""
+    cells = sorted(spec.n_per_cell.items())
+    counts = [n for _, n in cells]
     datasets = []
     for k, split in enumerate(("train", "dev", "test")):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, k)))
-        xs, ys, gs = [], [], []
-        for (c, g) in sorted(spec.n_per_cell):
-            n = spec.n_per_cell[(c, g)]
+        X = np.empty((sum(counts), spec.d))
+        start = 0
+        for (c, g), n in cells:
             if n == 0:
                 continue
             mean = np.zeros(spec.d)
             mean[0] = spec.class_separation * _axis_position(c, spec.num_classes)
             mean[1] = spec.group_shift * _axis_position(g, spec.num_groups)
-            xs.append(mean + rng.normal(0.0, spec.noise_sigma, size=(n, spec.d)))
-            ys.append(np.full(n, c))
-            gs.append(np.full(n, g))
+            block = X[start:start + n]
+            rng.standard_normal(out=block)  # the draws of rng.normal(0, sigma)
+            block *= spec.noise_sigma
+            block += mean
+            start += n
         datasets.append(Dataset(
-            np.vstack(xs), np.concatenate(ys), np.concatenate(gs), split=split,
+            X, np.repeat([c for (c, _), _ in cells], counts),
+            np.repeat([g for (_, g), _ in cells], counts), split=split,
             num_classes=spec.num_classes, num_groups=spec.num_groups))
     return tuple(datasets)
 

@@ -2,11 +2,13 @@
 
 Everything here is plain numpy: forward/backward passes with explicit
 activation traces, a trace-free inference pass, cross entropy, SGD/Adam
-over any model's parameter list, and a supervised contrastive loss. The
-backward pass accepts extra gradients injected at any hidden activation,
-which is how the adversarial and contrastive branches feed into the
-encoder. A network with group heads (Gate) holds them as extra rows of its
-output layer.
+over any model's parameter list, and a supervised contrastive loss. A
+trace keeps each hidden layer's post-activation only: forward applies the
+activation in place, and backward reads each slope from the
+post-activation. The backward pass accepts extra gradients injected at any
+hidden activation, which is how the adversarial and contrastive branches
+feed into the encoder. A network with group heads (Gate) holds them as
+extra rows of its output layer.
 """
 
 from __future__ import annotations
@@ -162,10 +164,9 @@ def init_network(spec: MlpSpec) -> Network:
 
 @dataclass
 class ActivationTrace:
-    """Everything the backward pass needs: inputs and per-layer pre/post activations."""
+    """Everything the backward pass needs: the input and each hidden layer's post-activation."""
 
     X: np.ndarray
-    pre: list[np.ndarray]   # z_k for every layer, k = 0..L-1
     post: list[np.ndarray]  # act(z_k) for hidden layers, k = 0..L-2
     logits: np.ndarray
 
@@ -187,12 +188,15 @@ class Gradients:
         return self.d_weights + self.d_biases
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+def _act_into(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, written over z."""
+    return np.maximum(z, 0.0, out=z) if name == "relu" else np.tanh(z, out=z)
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return (z > 0).astype(z.dtype) if name == "relu" else 1.0 - a * a
+def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
+    """The activation's slope where it output a: relu's z > 0 is a > 0, and
+    tanh's 1 - tanh(z)^2 is 1 - a^2."""
+    return a > 0 if name == "relu" else 1.0 - a * a
 
 
 def _checked_input(net: Network, X: np.ndarray) -> np.ndarray:
@@ -205,15 +209,9 @@ def _checked_input(net: Network, X: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, X: np.ndarray) -> ActivationTrace:
     X = _checked_input(net, X)
-    a = X
-    pre, post = [], []
-    for k in range(net.n_layers):
-        z = a @ net.weights[k].T + net.biases[k]
-        pre.append(z)
-        if k < net.n_layers - 1:
-            a = _act(net.spec.activation, z)
-            post.append(a)
-    return ActivationTrace(X=X, pre=pre, post=post, logits=pre[-1])
+    post = []
+    _, logits = _infer_into(net, X, post=post)
+    return ActivationTrace(X=X, post=post, logits=logits)
 
 
 def infer(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,13 +235,12 @@ def infer_many(net: Network, Xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.
     n_params, and two CPUs to run on, the caller runs the first input while
     one worker thread runs the others. Each input stays one GEMM per layer,
     because a GEMM split by rows or columns rounds differently. The caller
-    allocates every array, so the worker's thread gets no malloc arena of
+    allocates every array, so the worker's thread grows no malloc arena of
     its own, and the worker calls no public function, so a tracer that
     wraps them sees every call on the calling thread. A wrong input width
     raises infer's ShapeError before the worker is given anything."""
     Xs = [_checked_input(net, X) for X in Xs]
-    if (len(Xs) < 2 or min(X.shape[0] for X in Xs) * net.spec.n_params < PARALLEL_MIN_WORK
-            or _cpus() < 2 or not _Worker.lock.acquire(blocking=False)):
+    if not _take_worker(net, Xs):
         return [infer(net, X) for X in Xs]
     try:  # this thread holds the worker until its job is done
         outs = _layer_outputs(net, Xs[:1]) + _layer_outputs(net, Xs[1:])
@@ -256,6 +253,14 @@ def infer_many(net: Network, Xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.
     finally:
         _Worker.lock.release()
     return [first, *rest]
+
+
+def _take_worker(net: Network, Xs: list[np.ndarray]) -> bool:
+    """Whether Xs run on two threads: two or more inputs, the smallest of at
+    least PARALLEL_MIN_WORK rows times n_params, two CPUs and a free
+    worker, which the caller then holds."""
+    return (len(Xs) >= 2 and min(X.shape[0] for X in Xs) * net.spec.n_params >= PARALLEL_MIN_WORK
+            and _cpus() >= 2 and _Worker.lock.acquire(blocking=False))
 
 
 def _cpus() -> int:
@@ -276,10 +281,11 @@ def _layer_outputs(net: Network, Xs: list[np.ndarray]) -> list[list[np.ndarray]]
             + [np.empty((n, w)) for w in widths[-2:]] for n in rows]
 
 
-def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = None,
+                post: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """infer of the checked input X, layer k writing into outs[k] if outs
-    is given, else into a new array."""
+    is given, else into a new array; each hidden layer's output is also
+    appended to post if it is given."""
     a = X
     for k in range(net.n_layers):
         W = net.weights[k].T
@@ -287,7 +293,9 @@ def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = Non
         z += net.biases[k]
         if k == net.n_layers - 1:
             return a, z
-        a = np.maximum(z, 0.0, out=z) if net.spec.activation == "relu" else np.tanh(z, out=z)
+        a = _act_into(net.spec.activation, z)
+        if post is not None:
+            post.append(a)
 
 
 def _infer_into_all(net: Network, Xs: list[np.ndarray], outs: list[list[np.ndarray]]
@@ -295,12 +303,70 @@ def _infer_into_all(net: Network, Xs: list[np.ndarray], outs: list[list[np.ndarr
     return [_infer_into(net, X, out) for X, out in zip(Xs, outs)]
 
 
+class LogitsOnWorker:
+    """The logits of a frozen copy of net for each X of Xs, computed on
+    infer_many's worker while the caller goes on; bit for bit the logits of
+    infer_many(net, Xs) at the time of start().
+
+    start() goes ahead exactly when infer_many(net, Xs) would run in
+    parallel, and then the caller holds the worker until wait(). Below that
+    it returns False and has made nothing. The first start() that goes
+    ahead makes, on the calling thread, every array the worker writes or
+    reads besides Xs: the snapshot (a network whose weights and biases are
+    views into one flat copy of the parameters), one or two hidden-width
+    buffers that the inputs share in turn, and each input's logits. Each
+    start() copies net's parameters into the snapshot and hands the worker
+    the job infer_many gives it, so the worker makes no array and calls no
+    public function."""
+
+    def __init__(self, net: Network, Xs: list[np.ndarray]):
+        self.net, self.Xs = net, Xs
+        self._snapshot = self._worker = None
+
+    def start(self) -> bool:
+        if not _take_worker(self.net, self.Xs):
+            return False
+        try:
+            if self._snapshot is None:
+                self._build()
+            for dst, src in zip(self._snapshot.params, self.net.params):
+                np.copyto(dst, src)
+            self._worker = _Worker.get()
+            self._worker.submit(_infer_into_all, self._snapshot, self._checked, self._outs)
+        except BaseException:
+            _Worker.lock.release()
+            raise
+        return True
+
+    def wait(self) -> list[np.ndarray]:
+        """Block until the job of start() ends; each X's logits, which the
+        next start() overwrites. Raises what the job raised."""
+        try:
+            self._worker.wait()
+        finally:
+            self._worker = None
+            _Worker.lock.release()
+        return [outs[-1] for outs in self._outs]
+
+    def _build(self):
+        net = self.net
+        self._checked = [_checked_input(net, X) for X in self.Xs]
+        L = net.n_layers
+        params = _views(np.empty(net.spec.n_params), net.params)
+        self._snapshot = Network(net.spec, params[:L], params[L:])
+        rows = [X.shape[0] for X in self._checked]
+        hidden = [np.empty(max(rows) * max(net.spec.hidden_dims)) for _ in range(min(2, L - 1))]
+        widths = [W.shape[0] for W in net.weights]
+        self._outs = [[hidden[k % 2][:n * w].reshape(n, w) for k, w in enumerate(widths[:-1])]
+                      + [np.empty((n, widths[-1]))] for n in rows]
+
+
 class _Worker:
-    """One daemon thread that runs one job at a time for infer_many. It is
-    started on first use and ends after IDLE_S seconds without a job, so
-    that a worker whose module was imported afresh does not outlive it. A
-    caller holds lock from get to wait; a caller that finds it held runs
-    serially."""
+    """One daemon thread that runs one job at a time for infer_many and
+    LogitsOnWorker. It is started on first use and ends after IDLE_S
+    seconds without a job, so that a worker whose module was imported
+    afresh does not outlive it. A caller holds lock from get to wait; a
+    caller that finds it held runs serially."""
 
     IDLE_S = 0.1
     lock = threading.Lock()
@@ -366,12 +432,13 @@ def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
     d_b = [None] * L
     dz = np.asarray(d_logits, dtype=float)
     for k in range(L - 1, 0, -1):
-        d_w[k] = dz.T @ trace.post[k - 1]
+        a = trace.post[k - 1]
+        d_w[k] = dz.T @ a
         d_b[k] = dz.sum(axis=0)
-        da = dz @ net.weights[k]
+        dz = dz @ net.weights[k]  # the gradient at a, then at z in place
         if (k - 1) in extra:
-            da = da + extra[k - 1]
-        dz = da * _act_grad(net.spec.activation, trace.pre[k - 1], trace.post[k - 1])
+            dz += extra[k - 1]
+        dz *= _act_grad(net.spec.activation, a)
     d_w[0] = dz.T @ trace.X
     d_b[0] = dz.sum(axis=0)
     d_X = dz @ net.weights[0] if input_grad else np.empty((dz.shape[0], 0))

@@ -284,7 +284,7 @@ def adversarial_pass(stack: nn.Network, hidden: np.ndarray, batch: Batch,
             H = trace.post[0]
             off_block = np.where(unit_block[:, None] != unit_block, H.T @ H, 0.0)
             d_pre = (2.0 * diff_lambda * H @ off_block
-                     * nn._act_grad(stack.spec.activation, trace.pre[0], H))
+                     * nn._act_grad(stack.spec.activation, H))
             grads.d_weights[0] += d_pre.T @ inputs
             grads.d_biases[0] += d_pre.sum(axis=0)
     return loss, grads.d_X[:, :hidden.shape[1]] / k, grads.params
@@ -326,13 +326,15 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         unweighted[np.arange(len(batch.y)), batch.y] -= 1.0
         d_logits = d_logits + scale[:, None] * unweighted
 
-    hidden_extra = np.zeros_like(hidden)
+    # +0.0 plus each hidden term that runs, in order, as a zero array plus
+    # the terms would be; each sum is written over the term's own fresh array
+    hidden_extra = 0.0
     if cfg.fcl_lambda_y > 0 or cfg.fcl_lambda_g > 0:
         scl_loss, scl_grad = fairscl_loss(hidden, batch.y, batch.g,
                                           cfg.fcl_lambda_y, cfg.fcl_lambda_g,
                                           cfg.temperature)
         loss += scl_loss
-        hidden_extra += scl_grad
+        hidden_extra = np.add(hidden_extra, scl_grad, out=scl_grad)
     if cfg.adv_lambda > 0 and discs is None:
         raise ShapeError("adversarial method requires discriminators")
     disc_grads = []
@@ -341,7 +343,9 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
                                                                    cfg.diff_lambda)
         if cfg.adv_lambda > 0:
             loss -= cfg.adv_lambda * disc_loss
-            hidden_extra += -cfg.adv_lambda * disc_hidden_grad
+            disc_hidden_grad *= -cfg.adv_lambda
+            hidden_extra = np.add(hidden_extra, disc_hidden_grad, out=disc_hidden_grad)
+        del disc_hidden_grad
 
     extra = None
     if np.any(hidden_extra):
@@ -430,11 +434,18 @@ def predict(model: nn.Network, Xs: list[np.ndarray], gs: list[np.ndarray]) -> li
     """Each row's class for each X of Xs, through the head of its group in
     the matching g of gs if the model has group heads. Every X goes through
     one nn.infer_many call."""
+    return _classes(model, [logits for _, logits in nn.infer_many(model, Xs)], gs)
+
+
+def _classes(model: nn.Network, logits: list[np.ndarray], gs: list[np.ndarray]
+             ) -> list[np.ndarray]:
+    """Each row's class for each array of logits, through the head of its
+    group in the matching g of gs if the model has group heads."""
     predictions = []
-    for (_, logits), g in zip(nn.infer_many(model, Xs), gs, strict=True):
+    for z, g in zip(logits, gs, strict=True):
         if model.spec.group_heads:
-            logits = own_head_logits(model, logits, g)
-        predictions.append(logits.argmax(axis=1))
+            z = own_head_logits(model, z, g)
+        predictions.append(z.argmax(axis=1))
     return predictions
 
 
@@ -463,7 +474,15 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
     """Train one model; records per-epoch dev/test (performance, fairness)
     with epoch 0 being the untouched initialization. When run_dir is given,
     epochs.jsonl and the checkpoint store checkpoints.bin are written as
-    training goes."""
+    training goes.
+
+    Epoch k's dev and test logits are computed on nn's worker thread while
+    epoch k + 1 trains when nn.infer_many would run them in parallel
+    (nn.LogitsOnWorker), else before it trains; the last epoch is scored
+    after it. Either way the files are written in one order, record k, row
+    k, record k + 1, and a stop leaves the same files: row k is written
+    even when epoch k + 1 raises, and an error in scoring epoch k is raised
+    before record k + 1, in place of what epoch k + 1 raised."""
     num_classes, num_groups = train_ds.num_classes, train_ds.num_groups
     model = nn.init_network(nn.MlpSpec(
         input_dim=train_ds.dim, hidden_dims=cfg.hidden_dims, output_dim=num_classes,
@@ -491,16 +510,17 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
         epochs_file.write_text("")
         ckpt = str(run_dir / "checkpoints.bin")
 
-    def emit(epoch: int):
+    Xs, gs = [dev_ds.X, test_ds.X], [dev_ds.g, test_ds.g]
+
+    def checkpoint(epoch: int):
         if run_dir is not None:
             save_checkpoint(ckpt, model, epoch)
-        predictions = predict(model, [dev_ds.X, test_ds.X], [dev_ds.g, test_ds.g])
+
+    def score(epoch: int, predictions: list[np.ndarray]):
         record.rows.append(_append_row(epochs_file, {"epoch": epoch}, predictions,
                                        dev_ds, test_ds, tail={"checkpoint": ckpt}))
 
-    emit(0)
-
-    for epoch in range(1, cfg.epochs + 1):
+    def train_epoch(epoch: int):
         batches = make_batches(train_ds, min(cfg.batch_size, train_ds.n),
                                _shuffle_seed(cfg.seed, epoch), probs=record.fairbatch_probs)
         batch_losses, batch_cells = [], []  # FairBatch's per-row losses and cells
@@ -525,7 +545,19 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
             record.fairbatch_probs = fairbatch_epoch_update(
                 record.fairbatch_probs, cell_losses.reshape(num_classes, num_groups),
                 cfg.fairbatch_alpha)
-        del batches, batch  # the epoch's batches are not held while the model is scored
-        emit(epoch)
 
+    on_worker = nn.LogitsOnWorker(model, Xs)
+    checkpoint(0)
+    for epoch in range(1, cfg.epochs + 1):
+        overlapped = on_worker.start()  # epoch - 1's logits
+        if not overlapped:
+            score(epoch - 1, predict(model, Xs, gs))
+        try:
+            train_epoch(epoch)
+        finally:
+            if overlapped:
+                score(epoch - 1, _classes(model, on_worker.wait(), gs))
+        checkpoint(epoch)
+    del on_worker  # its arrays are not held while the last epoch is scored
+    score(cfg.epochs, predict(model, Xs, gs))
     return record

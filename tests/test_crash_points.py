@@ -111,6 +111,11 @@ PIPELINES = {
     # nn.PARALLEL_MIN_WORK, so the per-epoch and Gate-soft scoring run on two threads
     "parallel scoring: Gate + Gate-soft": (256, 67, 64, ["--method", "Gate", "--gate_soft"],
                                            False),
+    # the same scale: epoch k's dev and test logits are computed on the worker
+    # while epoch k + 1 trains, and its row is written after that epoch
+    "overlapped scoring: BT + Adv + INLP": (256, 67, 64, [
+        "--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing", "--INLP",
+        "--inlp_iterations", "1"], False),
 }
 
 

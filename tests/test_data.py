@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -462,6 +462,56 @@ class TestSyntheticGenerator:
             data.SyntheticSpec(n_per_cell={(0, 0): 5, (1, 0): 5})  # one group
         with pytest.raises(SpecError):
             data.SyntheticSpec(n_per_cell={(0, 0): 5, (0, 1): 5, (1, 0): 0, (1, 1): 0})
+
+
+def generate_by_cell(spec):
+    """Each split's (X, y, g) as the generator once drew them: every nonempty
+    cell's mean plus rng.normal(0, noise_sigma), stacked in cell order."""
+    splits = []
+    for k in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, k)))
+        xs, ys, gs = [], [], []
+        for (c, g) in sorted(spec.n_per_cell):
+            n = spec.n_per_cell[(c, g)]
+            if n == 0:
+                continue
+            mean = np.zeros(spec.d)
+            mean[0] = spec.class_separation * data._axis_position(c, spec.num_classes)
+            mean[1] = spec.group_shift * data._axis_position(g, spec.num_groups)
+            xs.append(mean + rng.normal(0.0, spec.noise_sigma, size=(n, spec.d)))
+            ys.append(np.full(n, c))
+            gs.append(np.full(n, g))
+        splits.append((np.vstack(xs), np.concatenate(ys), np.concatenate(gs)))
+    return splits
+
+
+@st.composite
+def synthetic_specs(draw):
+    """2-4 classes x 2-3 groups of 0-12 rows each, d 2-6, signed shifts."""
+    C, G = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    cells = {(c, g): draw(st.integers(0, 12)) for c in range(C) for g in range(G)}
+    shift = st.floats(-5.0, 5.0, allow_nan=False)
+    try:
+        return data.SyntheticSpec(n_per_cell=cells, d=draw(st.integers(2, 6)),
+                                  class_separation=draw(shift), group_shift=draw(shift),
+                                  noise_sigma=draw(st.floats(0.01, 3.0)),
+                                  seed=draw(st.integers(0, 2**32)))
+    except SpecError:
+        reject()
+
+
+class TestSyntheticGeneratorBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(synthetic_specs())
+    @example(data.SyntheticSpec(n_per_cell={(0, 0): 3, (0, 1): 0, (1, 0): 2, (1, 1): 0,
+                                            (2, 0): 0, (2, 1): 4},
+                                d=2, class_separation=-2.5, group_shift=1.5, seed=4))
+    def test_equals_drawing_each_cell_and_stacking(self, spec):
+        for ds, (X, y, g) in zip(data.generate_synthetic(spec), generate_by_cell(spec),
+                                 strict=True):
+            for got, want in ((ds.X, X), (ds.y, y), (ds.g, g)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 SPEC_COUNTS = {(0, 0): 4, (0, 1): 2, (1, 0): 1, (1, 1): 3}

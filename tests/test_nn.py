@@ -326,6 +326,74 @@ class TestInferMany:
                 assert np.array_equal(logits, nn.infer(net, X)[1])
 
 
+class TestLogitsOnWorker:
+    @settings(max_examples=60, deadline=None)
+    @given(networks_and_input_lists())
+    def test_equals_infer_of_the_parameters_at_start(self, case):
+        net, Xs, threshold = case
+        on_worker = nn.LogitsOnWorker(net, Xs)
+        parallel = (len(Xs) > 1 and min(len(X) for X in Xs) * net.spec.n_params >= threshold
+                    and nn._cpus() > 1)
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", threshold):
+            for _ in range(2):  # the second start reuses every array of the first
+                wanted = [nn.infer(net, X)[1] for X in Xs]
+                assert on_worker.start() == parallel
+                for p in net.params:  # the caller goes on changing the network
+                    p += 1.0
+                if parallel:
+                    got = on_worker.wait()
+                    assert len(got) == len(Xs)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, wanted))
+        assert (on_worker._snapshot is not None) == parallel
+        assert not nn._Worker.lock.locked()
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    def test_job_makes_no_array(self, activation):
+        net = small_net([64, 48, 40, 32, 3], activation=activation)
+        rng = np.random.default_rng(0)
+        on_worker = nn.LogitsOnWorker(net, [rng.normal(size=(1000, 64)),
+                                            rng.normal(size=(800, 64))])
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
+                mock.patch.object(nn, "_cpus", return_value=2):
+            assert on_worker.start()
+            on_worker.wait()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            nn._infer_into_all(on_worker._snapshot, on_worker._checked, on_worker._outs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # numpy buffers a bias broadcast over rows in at most getbufsize()
+        # elements (64 kB); the smallest array the job writes, [800, 3], is
+        # 19.2 kB, and one hidden layer's output 256 kB
+        assert peak - before < np.getbufsize() * 8 + 4096, peak - before
+
+    def test_job_error_is_raised_by_wait_and_frees_the_worker(self):
+        net = small_net([5, 7, 3])
+        Xs = [np.ones((40, 5)), np.ones((41, 5))]
+        on_worker = nn.LogitsOnWorker(net, Xs)
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
+                mock.patch.object(nn, "_cpus", return_value=2):
+            with mock.patch.object(nn, "_infer_into_all", side_effect=ShapeError("job failed")):
+                assert on_worker.start()
+                with pytest.raises(ShapeError, match="job failed"):
+                    on_worker.wait()
+            assert not nn._Worker.lock.locked()
+            assert on_worker.start()
+            for got, X in zip(on_worker.wait(), Xs):
+                assert np.array_equal(got, nn.infer(net, X)[1])
+
+    def test_makes_nothing_while_the_worker_is_held(self):
+        net = small_net([5, 7, 3])
+        on_worker = nn.LogitsOnWorker(net, [np.ones((40, 5)), np.ones((41, 5))])
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
+                mock.patch.object(nn, "_cpus", return_value=2):
+            with nn._Worker.lock:
+                assert not on_worker.start()
+        assert on_worker._snapshot is None
+
+
 class TestCrossEntropy:
     def test_uniform_softmax(self):
         loss, _, per = nn.cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))

@@ -149,10 +149,11 @@ def test_every_counter_reads_its_function_result(tmp_path):
 
 
 def test_every_traced_call_runs_on_the_main_thread(tmp_path):
-    """nn.infer_many runs inputs on a worker thread above PARALLEL_MIN_WORK;
-    the tracer keeps one span stack for all threads, so no public function
-    may run there. Wraps every function the tracer wraps during a Gate +
-    Gate-soft run and a BT + Adv + INLP run whose scoring is above it."""
+    """nn.infer_many and nn.LogitsOnWorker run inputs on a worker thread
+    above PARALLEL_MIN_WORK; the tracer keeps one span stack for all
+    threads, so no public function may run there. Wraps every function the
+    tracer wraps during a Gate + Gate-soft run and a BT + Adv + INLP run
+    whose scoring is above it."""
     tracing = load_tracing()
     modules = {layer: importlib.import_module(f"fairkit.{layer}") for layer in tracing.LAYERS}
     calls = []
@@ -164,12 +165,18 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
             return fn(*args, **kwargs)
         return recorded
 
-    worker_threads = []
-    infer_into_all = nn._infer_into_all
+    worker_threads, overlap_threads, snapshots = [], [], []
+    infer_into_all, build = nn._infer_into_all, nn.LogitsOnWorker._build
 
-    def worker_spy(*args):
+    def worker_spy(net, *args):
         worker_threads.append(threading.current_thread())
-        return infer_into_all(*args)
+        if any(net is snapshot for snapshot in snapshots):  # an overlapped job
+            overlap_threads.append(threading.current_thread())
+        return infer_into_all(net, *args)
+
+    def built(on_worker):
+        build(on_worker)
+        snapshots.append(on_worker._snapshot)
 
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump({"d": 256, "seed": 0, "group_shift": 2.0,
@@ -181,7 +188,8 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
         for name, fn in tracing.public_functions(layer, modules[layer]):
             patches.wrap(fn, on_thread(name, fn))
     try:
-        with mock.patch.object(nn, "_infer_into_all", worker_spy):
+        with mock.patch.object(nn, "_infer_into_all", worker_spy), \
+                mock.patch.object(nn.LogitsOnWorker, "_build", built):
             for flags in (["--method", "Gate", "--gate_soft"],
                           ["--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing",
                            "--INLP", "--inlp_iterations", "1"]):
@@ -194,3 +202,5 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
     assert [name for name, t in calls if t is not threading.main_thread()] == []
     if nn._cpus() > 1:  # the scoring did run on the worker
         assert worker_threads and threading.main_thread() not in worker_threads
+        # epochs 0 and 1 of both runs were scored while the next epoch trained
+        assert len(overlap_threads) == 4 and threading.main_thread() not in overlap_threads

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairkit import cli, data, files, nn, training
@@ -855,6 +857,123 @@ class TestTrainLoop:
         assert epochs_file.read_text() == ""
 
 
+# Each at-training method, BT + Adv + INLP and Gate + Gate-soft, at the CLI
+# default scale
+OVERLAP_PIPELINES = {
+    "Standard": [],
+    "Adv": ["--method", "Adv"],
+    "EAdv": ["--method", "EAdv", "--n_discriminators", "2"],
+    "DAdv": ["--method", "DAdv", "--diff_lambda", "0.1", "--n_discriminators", "2"],
+    "AAdv": ["--method", "AAdv"],
+    "ADAdv": ["--method", "ADAdv", "--diff_lambda", "0.1", "--n_discriminators", "2"],
+    "FairBatch": ["--method", "FairBatch", "--fairbatch_alpha", "0.05"],
+    "FairSCL": ["--method", "FairSCL", "--fcl_lambda_y", "0.1", "--fcl_lambda_g", "0.1"],
+    "EO_CLA": ["--method", "EO_CLA", "--eo_cla_lambda", "0.5"],
+    "BT + Adv + INLP": ["--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing", "--INLP",
+                        "--inlp_iterations", "1"],
+    "Gate + Gate-soft": ["--method", "Gate", "--gate_soft"],
+}
+
+
+class Stop(BaseException):
+    """A stop that nothing in fairkit catches."""
+
+
+class TestScoringOverlap:
+    """Epoch k is scored on nn's worker while epoch k + 1 trains when
+    nn.infer_many would run dev and test in parallel. PARALLEL_MIN_WORK 0
+    takes that path at every epoch but the last (on two CPUs), 10**12 never."""
+
+    def run(self, results, flags, min_work, epochs=3):
+        """(exit code, the run directory's files) of one CLI run, and the
+        threads that ran an overlapped job."""
+        snapshots, jobs = [], []
+        build, infer_into_all = nn.LogitsOnWorker._build, nn._infer_into_all
+
+        def built(on_worker):
+            build(on_worker)
+            snapshots.append(on_worker._snapshot)
+
+        def job(net, *args):
+            if any(net is snapshot for snapshot in snapshots):
+                jobs.append(threading.current_thread())
+            return infer_into_all(net, *args)
+
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", min_work), \
+                mock.patch.object(nn.LogitsOnWorker, "_build", built), \
+                mock.patch.object(nn, "_infer_into_all", job):
+            try:
+                code = cli.main(["--epochs", str(epochs), "--results_dir", str(results), *flags])
+            except Stop:
+                code = "stopped"
+        (run_dir,) = results.iterdir()
+        rows = [json.loads(line) for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+        for row in rows:
+            row.pop("checkpoint", None)
+        ckpt = run_dir / "checkpoints.bin"
+        names = sorted(p.name for p in run_dir.iterdir())
+        return (code, names, rows, ckpt.read_bytes() if ckpt.exists() else None), jobs
+
+    @pytest.mark.parametrize("name", list(OVERLAP_PIPELINES))
+    def test_overlapped_and_serial_runs_write_the_same_bytes(self, tmp_path, name):
+        serial, none = self.run(tmp_path / "serial", OVERLAP_PIPELINES[name], 10**12)
+        overlapped, jobs = self.run(tmp_path / "overlapped", OVERLAP_PIPELINES[name], 0)
+        assert none == [] and serial[0] == 0
+        assert overlapped == serial
+        if nn._cpus() > 1:  # epochs 0, 1 and 2 were scored on the worker
+            assert len(jobs) == 3 and threading.main_thread() not in jobs
+
+    @pytest.mark.parametrize("stop", ["diverge", "score", "score, then diverge", "interrupt"])
+    @pytest.mark.parametrize("flags", [[], ["--method", "Gate"]])
+    def test_a_stop_leaves_the_serial_runs_files(self, tmp_path, monkeypatch, stop, flags):
+        """Epoch 2 diverges or is interrupted, or scoring epoch 1 raises."""
+        make_batches, classes = training.make_batches, training._classes
+        calls = {"batches": 0, "classes": 0}
+
+        def batches(*args, **kwargs):
+            calls["batches"] += 1
+            out = make_batches(*args, **kwargs)
+            if calls["batches"] == 2 and "diverge" in stop:
+                return [dataclasses.replace(b, weights=b.weights * np.nan) for b in out]
+            if calls["batches"] == 2 and stop == "interrupt":
+                raise Stop()
+            return out
+
+        def scored(*args):
+            calls["classes"] += 1
+            if calls["classes"] == 2 and "score" in stop:
+                raise LabelDomainError("scoring epoch 1 failed")
+            return classes(*args)
+
+        monkeypatch.setattr(training, "make_batches", batches)
+        monkeypatch.setattr(training, "_classes", scored)
+        outcomes = []
+        for min_work in (10**12, 0):
+            calls.update(batches=0, classes=0)
+            outcomes.append(self.run(tmp_path / str(min_work), flags, min_work))
+        (serial, _), (overlapped, jobs) = outcomes
+        assert overlapped == serial
+        if nn._cpus() > 1:  # epochs 0 and 1 were scored on the worker
+            assert len(jobs) == 2
+        code, _, rows, ckpt = serial
+        assert code == {"diverge": 4, "interrupt": "stopped"}.get(stop, 1)
+        # rows 0 and 1 with records 0 and 1, or row 0 with records 0 and 1
+        assert [row["epoch"] for row in rows] == ([0] if "score" in stop else [0, 1])
+        header = ckpt[:ckpt.index(b"\n") + 1]
+        assert len(ckpt) == len(header) + 2 * json.loads(header)["n_params"] * 8
+
+    def test_below_the_gate_no_snapshot_is_made(self, tmp_path):
+        train_ds, dev_ds, test_ds = biased_bundle(n=60)
+        cfg = training.MethodConfig(method="Standard", epochs=3, seed=1)
+        assert dev_ds.n * make_model(cfg, d=6).spec.n_params < nn.PARALLEL_MIN_WORK
+        with mock.patch.object(nn.LogitsOnWorker, "_build", side_effect=AssertionError), \
+                mock.patch.object(nn._Worker, "get", side_effect=AssertionError), \
+                mock.patch.object(nn.Network, "flat_params", autospec=True,
+                                  side_effect=nn.Network.flat_params) as flat_params:
+            training.train(train_ds, dev_ds, test_ds, cfg, run_dir=tmp_path)
+        assert flat_params.call_count == 4  # once per epoch, for the checkpoint
+
+
 def gate_model_and_optimizer(kind="adam", steps=3):
     """A small Gate model after a few optimizer steps on random gradients."""
     cfg = training.MethodConfig(method="Gate", hidden_dims=(5,))
@@ -1097,6 +1216,23 @@ def saved_stores(draw):
     return spec, draw(st.integers(1, 6)), draw(st.integers(0, 2**32))
 
 
+@st.composite
+def damages(draw):
+    """("truncate", length), ("flip", [(offset, xor mask), ...]) with 1-3
+    flips, or ("append", bytes); offsets and lengths are taken modulo the
+    store's size."""
+    kind = draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        return kind, draw(st.integers(0, 2**20))
+    if kind == "flip":
+        return kind, draw(st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)),
+                                   min_size=1, max_size=3))
+    return kind, draw(st.binary(min_size=1, max_size=64))
+
+
+SEED_7 = nn.MlpSpec(input_dim=2, hidden_dims=(3,), output_dim=2, seed=7)
+
+
 class TestCheckpointStore:
     @settings(max_examples=100, deadline=None)
     @given(saved_stores())
@@ -1114,35 +1250,44 @@ class TestCheckpointStore:
             assert model.flat_params().tobytes() == params
 
     # A flipped byte inside a record is read back as stored: records carry no
-    # checksum. Every other damage is refused or leaves the record intact.
+    # checksum. Every other damage is refused or leaves the record intact. A
+    # damaged header that is still the header of some spec names where that
+    # spec's records lie, so the record read is the damaged file's bytes there.
     @settings(max_examples=200, deadline=None)
-    @given(saved_stores(), st.sampled_from(["truncate", "flip", "append"]),
-           st.data())
-    def test_damaged_store_loads_saved_record_or_is_refused(self, case, damage, draws):
+    @given(saved_stores(), damages())
+    # "seed": 7 made "seed": 8, and one bit of record 0 flipped
+    @example((SEED_7, 1, 0), ("flip", [(training._checkpoint_header(SEED_7).index(b"7,"), 0x0F),
+                                       (len(training._checkpoint_header(SEED_7)), 1)]))
+    def test_damaged_store_loads_saved_record_or_is_refused(self, case, damage):
         spec, epochs, seed = case
+        kind, how = damage
         with tempfile.TemporaryDirectory() as tmp:
             saved = write_store(Path(tmp) / "checkpoints.bin", spec, epochs, seed)
             original = (Path(tmp) / "checkpoints.bin").read_bytes()
-            if damage == "truncate":
-                damaged = original[:draws.draw(st.integers(0, len(original) - 1))]
-            elif damage == "flip":
+            if kind == "truncate":
+                damaged = original[:how % len(original)]
+            elif kind == "flip":
                 damaged = bytearray(original)
-                for _ in range(draws.draw(st.integers(1, 3))):
-                    at = draws.draw(st.integers(0, len(original) - 1))
-                    damaged[at] ^= draws.draw(st.integers(1, 255))
+                for at, mask in how:
+                    damaged[at % len(original)] ^= mask
                 damaged = bytes(damaged)
             else:
-                damaged = original + draws.draw(st.binary(min_size=1, max_size=64))
+                damaged = original + how
             path = Path(tmp) / "damaged.bin"
             path.write_bytes(damaged)
             header, size = len(training._checkpoint_header(spec)), spec.n_params * 8
             for epoch in range(epochs + 2):
                 record = damaged[header + epoch * size:header + (epoch + 1) * size]
                 try:
-                    loaded = training.load_checkpoint(path, epoch).flat_params().tobytes()
+                    model = training.load_checkpoint(path, epoch)
                 except training.ParseErrorForCheckpoint:
-                    loaded = None
+                    model = None
                 if damaged[:header] == original[:header]:
+                    loaded = None if model is None else model.flat_params().tobytes()
                     assert loaded == (record if len(record) == size else None)
-                else:  # a damaged header may still name the spec, up to its seed
-                    assert loaded in (None, saved[epoch] if epoch < epochs else None)
+                elif model is not None:
+                    line = training._checkpoint_header(model.spec)
+                    named = model.spec.n_params * 8  # the record size of the spec it names
+                    assert damaged.startswith(line)
+                    at = len(line) + epoch * named
+                    assert model.flat_params().tobytes() == damaged[at:at + named]
