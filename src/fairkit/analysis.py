@@ -28,6 +28,8 @@ class SelectionCriterion:
     def __post_init__(self):
         if self.kind not in CRITERIA:
             raise ValueError(f"criterion kind must be one of {CRITERIA}")
+        if not math.isfinite(self.threshold):  # DTO ignores it, but selection.json records it
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.kind != "DTO" and not (0.0 <= self.threshold <= 1.0):
             raise ValueError("threshold must lie in [0, 1]")
 

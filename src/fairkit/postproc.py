@@ -31,12 +31,16 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
                      num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-initialized ridge multinomial logistic regression; returns (W, b).
 
-    Boehning's bound iteration (Ann. Inst. Stat. Math. 44:197, 1992): the
-    Hessian of the cross-entropy is bounded by 0.5 * X'X/n for every W, so
-    the gradient step preconditioned by M = inv(0.5 * X'X/n + PROBE_L2 * I)
-    never raises the objective. M is inverted once; no K*(h+1) Hessian is
-    formed. Stops when the gradient norm falls below PROBE_TOL, or after
-    PROBE_MAX_STEPS steps.
+    Boehning's bound (Ann. Inst. Stat. Math. 44:197, 1992): the Hessian of
+    the cross-entropy is bounded by 0.5 * X'X/n for every W, so the step
+    preconditioned by M = inv(0.5 * X'X/n + PROBE_L2 * I) is a safe descent
+    step. M is inverted once; no K*(h+1) Hessian is formed. Each step is
+    taken from a Nesterov-extrapolated point Z, with the momentum reset
+    whenever the step's gradient points along the last move (gradient
+    restart, O'Donoghue & Candes, arXiv 1204.3982). So the objective can
+    rise for a step, but far fewer steps are needed. Stops when the gradient
+    norm at Z falls below PROBE_TOL, returning Z, or after PROBE_MAX_STEPS
+    steps, returning the last step's result. One softmax per step.
 
     Zero init and zero-sum gradient rows keep the class rows of W summing to
     zero, so for binary labels the row space has rank 1 (sound for nullspace
@@ -48,12 +52,20 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
     M = np.linalg.inv(0.5 * (X.T @ X) / n + PROBE_L2 * np.eye(h + 1))
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
-    Wb = np.zeros((num_classes, h + 1))
+    Wb = Z = np.zeros((num_classes, h + 1))  # the last step's result; the gradient point
+    theta = 1.0
     for _ in range(PROBE_MAX_STEPS):
-        G = (nn.softmax(X @ Wb.T) - onehot).T @ X / n + PROBE_L2 * Wb
+        G = (nn.softmax(X @ Z.T) - onehot).T @ X / n + PROBE_L2 * Z
         if np.linalg.norm(G) < PROBE_TOL:
+            Wb = Z
             break
-        Wb -= G @ M
+        new = Z - G @ M
+        move = new - Wb
+        if np.vdot(G, move) > 0:
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        Z = new + (theta - 1.0) / theta_next * move
+        Wb, theta = new, theta_next
     return Wb[:, :h], Wb[:, h]
 
 
@@ -122,7 +134,7 @@ def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Proje
     rows: list[np.ndarray] = []
     accs: list[float] = []
     for _ in range(max_iterations):
-        W, acc = fit_linear_probe(H_train @ P, g_train)
+        W, acc = fit_linear_probe(H_train @ P if rows else H_train, g_train)  # P is I at first
         accs.append(acc)
         if np.linalg.norm(W) < 1e-12:
             break
@@ -133,7 +145,10 @@ def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Proje
 
 @dataclass
 class ProjectedClassifier:
-    """Frozen encoder -> projection -> freshly fit linear softmax layer."""
+    """Frozen encoder -> projection -> freshly fit linear softmax layer.
+
+    W was fit on the projected train hidden states H @ P.T; at inference
+    the head is folded with the projection instead (see hidden_logits)."""
 
     model: nn.Network
     P: np.ndarray
@@ -141,8 +156,9 @@ class ProjectedClassifier:
     b: np.ndarray
 
     def hidden_logits(self, H: np.ndarray) -> np.ndarray:
-        """The logits of the encoder's hidden states H."""
-        return H @ self.P.T @ self.W.T + self.b
+        """The logits of the encoder's hidden states H: the head folded with
+        the projection, H @ (W @ P).T + b, so H is never projected."""
+        return H @ (self.W @ self.P).T + self.b
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.hidden_logits(nn.infer(self.model, X)[0]).argmax(axis=1)

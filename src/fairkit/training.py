@@ -449,6 +449,15 @@ def _classes(model: nn.Network, logits: list[np.ndarray], gs: list[np.ndarray]
     return predictions
 
 
+def _json_finite(value) -> bool:
+    """Whether value, a JSON-able row field, holds no NaN or infinity."""
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
 def _append_row(epochs_file, row: dict, predictions: list[np.ndarray], dev_ds: Dataset,
                 test_ds: Dataset, tail: dict | None = None) -> dict:
     """Add the dev and test scores of predictions (dev's, then test's), then
@@ -459,7 +468,12 @@ def _append_row(epochs_file, row: dict, predictions: list[np.ndarray], dev_ds: D
         row[f"{name}_fairness"] = report.fairness
     row.update(tail or {})
     if epochs_file is not None:
-        line = json.dumps(row, allow_nan=False) + "\n"  # a NaN score raises, unwritten
+        try:
+            line = json.dumps(row, allow_nan=False) + "\n"
+        except ValueError:  # a non-finite value; the row is left unwritten
+            key = next(k for k, v in row.items() if not _json_finite(v))
+            where = f"epoch {row['epoch']}" if "epoch" in row else row["post"]
+            raise TrainingDivergedError(f"non-finite {key} in the {where} row") from None
         with open(epochs_file, "a") as f:
             f.write(line)
     return row

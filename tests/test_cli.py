@@ -1,7 +1,7 @@
 import json
 import re
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -762,6 +762,40 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["DTO", "ConstrainedFairness", "ConstrainedPerformance"])
+    def test_analyze_non_finite_threshold(self, tmp_path, small_spec_file, kind, threshold,
+                                          capsys):
+        results, _ = self._results_with_good_run(tmp_path, small_spec_file)
+        out = tmp_path / "tables"
+        argv = ["analyze", "--results_dir", str(results), "--output_dir", str(out),
+                "--selection_criterion", kind, f"--threshold={threshold}"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: threshold must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_nan_score_at_a_row_write_exits_4(self, tmp_path, small_spec_file, monkeypatch,
+                                              capsys):
+        evaluate, reports = training.evaluate_predictions, []
+
+        def nan_fairness_at_epoch_1(*args, **kwargs):
+            reports.append(evaluate(*args, **kwargs))  # dev, then test, per row
+            return replace(reports[-1], fairness=float("nan")) if len(reports) == 3 \
+                else reports[-1]
+
+        monkeypatch.setattr(training, "evaluate_predictions", nan_fairness_at_epoch_1)
+        results = tmp_path / "results"
+        assert cli.main(fast_args(tmp_path, small_spec_file)) == 4
+        err = capsys.readouterr().err
+        assert "non-finite dev_fairness in the epoch 1 row" in err and "Traceback" not in err
+        (run_dir,) = results.iterdir()
+        rows = [json.loads(line) for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+        assert [row["epoch"] for row in rows] == [0]
+        monkeypatch.undo()
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 5
+        assert f"{run_dir}: unfinalized" in capsys.readouterr().err
 
     @pytest.mark.parametrize("declared", [[], ["--num_classes", "5", "--num_groups", "3"]])
     def test_declared_sizes_are_the_label_domain_of_every_split(

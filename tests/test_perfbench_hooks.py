@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 import yaml
 
-from fairkit import analysis, cli, data, evaluation, nn, training
+from fairkit import analysis, cli, data, evaluation, nn, postproc, training
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -146,6 +146,40 @@ def test_every_counter_reads_its_function_result(tmp_path):
         result = function(*args, **kwargs)
         count = counters[name](args, kwargs, result)
         assert count == (expected() if callable(expected) else expected), name
+
+
+def test_probe_iters_counts_the_softmax_head_steps(tmp_path):
+    """postproc.probe_iters of a traced --INLP run equals the nn.softmax
+    calls made inside fit_softmax_head, one per step of the probe and refit
+    solver. The spies wrap the tracer's wrappers, so both see every call."""
+    tracing = load_tracing()
+    modules = {layer: importlib.import_module(f"fairkit.{layer}") for layer in tracing.LAYERS}
+    recorder = tracing.Recorder()
+    patches = recorder.install(modules)
+    softmax, fit = nn.softmax, postproc.fit_softmax_head
+    steps, depth = [], []
+
+    def counted_softmax(logits):
+        if depth:
+            steps.append(1)
+        return softmax(logits)
+
+    def entered_fit(*args, **kwargs):
+        depth.append(1)
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    try:
+        with mock.patch.object(nn, "softmax", counted_softmax), \
+                mock.patch.object(postproc, "fit_softmax_head", entered_fit):
+            assert cli.main(["--INLP", "--inlp_iterations", "2", "--epochs", "1",
+                             "--results_dir", str(tmp_path / "results")]) == 0
+    finally:
+        patches.restore()
+    probe_iters = recorder.layer_metrics()["postproc.probe_iters"]
+    assert probe_iters > 0 and probe_iters == len(steps)
 
 
 def test_every_traced_call_runs_on_the_main_thread(tmp_path):

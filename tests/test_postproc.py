@@ -1,9 +1,12 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkit import cli, data, nn, postproc, training
 from fairkit.errors import DegenerateProbeError, MethodInapplicableError, ShapeError
@@ -74,6 +77,51 @@ def newton_softmax_head(H, labels, K):
     return Wb[:, :-1], Wb[:, -1]
 
 
+def plain_softmax_head(H, labels, K):
+    """Reference: Boehning's bound iteration with no extrapolation, the
+    solver fit_softmax_head replaced. Returns (W, b, converged)."""
+    X, Y = _design(H, labels, K)
+    n, d = X.shape
+    M = np.linalg.inv(0.5 * (X.T @ X) / n + postproc.PROBE_L2 * np.eye(d))
+    Wb = np.zeros((K, d))
+    for _ in range(postproc.PROBE_MAX_STEPS):
+        G = (nn.softmax(X @ Wb.T) - Y).T @ X / n + postproc.PROBE_L2 * Wb
+        if np.linalg.norm(G) < postproc.PROBE_TOL:
+            return Wb[:, :-1], Wb[:, -1], True
+        Wb -= G @ M
+    return Wb[:, :-1], Wb[:, -1], False
+
+
+def softmax_calls(solver, *args):
+    """The solver's result and its nn.softmax calls: one per step, as
+    perfbench's postproc.probe_iters counts them."""
+    calls, softmax = [], nn.softmax
+
+    def counted(z):
+        calls.append(1)
+        return softmax(z)
+
+    with mock.patch.object(nn, "softmax", counted):
+        result = solver(*args)
+    return result, len(calls)
+
+
+@st.composite
+def probe_problems(draw):
+    """Small ridge problems, some with duplicated rows, a zero column or
+    labels that a linear map separates."""
+    K, n, h = draw(st.integers(2, 5)), draw(st.integers(8, 200)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.normal(size=(n, h)) * rng.uniform(0.2, 3.0, size=h)
+    if draw(st.booleans()):
+        H[rng.integers(0, n, size=n // 2)] = H[:n // 2]
+    if draw(st.booleans()):
+        H[:, rng.integers(0, h)] = 0.0
+    noise = 0.0 if draw(st.booleans()) else 1.0  # noise-free labels are separable
+    labels = (H @ rng.normal(size=(h, K)) + noise * rng.gumbel(size=(n, K))).argmax(axis=1)
+    return H, labels, K
+
+
 class TestProbes:
     def test_separable_reaches_full_accuracy(self):
         H, g = leaky_hidden(shift=6.0)
@@ -122,6 +170,30 @@ class TestProbes:
         # class rows sum to zero: for K = 2, W[1] == -W[0] (a rank-1 probe)
         np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
         assert b.sum() == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_problems())
+    def test_softmax_head_converges_where_the_plain_loop_does(self, problem):
+        H, labels, K = problem
+        if not plain_softmax_head(H, labels, K)[2]:
+            return  # the plain loop stopped at the cap: nothing to compare
+        W, b = postproc.fit_softmax_head(H, labels, K)
+        grad_norm = np.linalg.norm(ridge_objective(H, labels, K, W, b)[1])
+        assert grad_norm < postproc.PROBE_TOL
+        np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
+        assert abs(b.sum()) <= 1e-12
+        W_ref, b_ref = newton_softmax_head(H, labels, K)
+        dist = np.linalg.norm(np.hstack([W - W_ref, (b - b_ref)[:, None]]))
+        assert dist <= grad_norm / postproc.PROBE_L2
+
+    @pytest.mark.parametrize("K, seed", [(2, 0), (3, 1), (5, 2)])
+    def test_softmax_head_takes_at_most_60_percent_of_the_plain_steps(self, K, seed):
+        # softmax calls, plain -> restarted: (2, 0) 231 -> 44, (3, 1) 434 -> 78, (5, 2) 400 -> 68
+        H, labels = random_problem(K, seed)
+        (*_, converged), plain = softmax_calls(plain_softmax_head, H, labels, K)
+        _, steps = softmax_calls(postproc.fit_softmax_head, H, labels, K)
+        assert converged
+        assert steps <= 0.6 * plain
 
     def test_majority_baseline(self):
         assert postproc.majority_baseline([0, 0, 1]) == pytest.approx(2 / 3)

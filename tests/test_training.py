@@ -851,7 +851,7 @@ class TestTrainLoop:
         _, dev_ds, test_ds = biased_bundle(n=40)
         epochs_file = tmp_path / "epochs.jsonl"
         epochs_file.write_text("")
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(TrainingDivergedError, match="non-finite dev_dto in the Gate-soft row"):
             training._append_row(epochs_file, {"post": "Gate-soft"}, [dev_ds.y, test_ds.y],
                                  dev_ds, test_ds, tail={"dev_dto": float("nan")})
         assert epochs_file.read_text() == ""
