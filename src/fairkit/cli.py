@@ -352,7 +352,10 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
     clf = postproc.apply_inlp_and_refit(model, projection.P, H_train, train_ds.y,
                                         num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
-           "probe_accuracies": projection.probe_accuracies}
+           "probe_accuracies": projection.probe_accuracies,
+           "probe_steps": [steps for steps, _ in projection.probe_fits],
+           "probe_grad_norms": [norm for _, norm in projection.probe_fits],
+           "refit_steps": clf.steps, "refit_grad_norm": clf.grad_norm}
     # dev and test run after the fit, so their hidden states are not held through it
     predictions = [clf.hidden_logits(H).argmax(axis=1)
                    for H, _ in nn.infer_many(model, [dev_ds.X, test_ds.X])]

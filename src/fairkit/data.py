@@ -17,6 +17,7 @@ import io
 import json
 import math
 import numbers
+import threading
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
@@ -390,30 +391,59 @@ def _axis_position(index: int, count: int) -> float:
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Three splits with identical cell counts, drawn from derived seeds.
-    Each cell's rows are drawn in place into its block of the split's X."""
-    cells = sorted(spec.n_per_cell.items())
-    counts = [n for _, n in cells]
-    datasets = []
-    for k, split in enumerate(("train", "dev", "test")):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, k)))
-        X = np.empty((sum(counts), spec.d))
-        start = 0
-        for (c, g), n in cells:
-            if n == 0:
-                continue
-            mean = np.zeros(spec.d)
-            mean[0] = spec.class_separation * _axis_position(c, spec.num_classes)
-            mean[1] = spec.group_shift * _axis_position(g, spec.num_groups)
-            block = X[start:start + n]
-            rng.standard_normal(out=block)  # the draws of rng.normal(0, sigma)
-            block *= spec.noise_sigma
-            block += mean
-            start += n
-        datasets.append(Dataset(
-            X, np.repeat([c for (c, _), _ in cells], counts),
-            np.repeat([g for (_, g), _ in cells], counts), split=split,
-            num_classes=spec.num_classes, num_groups=spec.num_groups))
-    return tuple(datasets)
+    Each cell's rows are drawn in place into its block of the split's X.
+
+    The splits' streams are independent, so the calling thread draws train
+    while two threads draw dev and test, with the bytes of drawing one after
+    another. The calling thread makes every array, mean and generator first,
+    joins both threads, and only then raises the first error of any draw,
+    in split order. The threads run _draw_split alone, which calls numpy
+    only."""
+    items = sorted(spec.n_per_cell.items())
+    cells, start = [], 0  # (rows, mean) of each cell
+    for (c, g), n in items:
+        mean = np.zeros(spec.d)
+        mean[0] = spec.class_separation * _axis_position(c, spec.num_classes)
+        mean[1] = spec.group_shift * _axis_position(g, spec.num_groups)
+        cells.append((slice(start, start + n), mean))
+        start += n
+    Xs = [np.empty((start, spec.d)) for _ in range(3)]
+    errors = [None] * 3
+    jobs = [(np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, k))), X, cells,
+             spec.noise_sigma, errors, k) for k, X in enumerate(Xs)]
+    threads = [threading.Thread(target=_draw_split, args=job, name=f"fairkit-generate-{k}")
+               for k, job in enumerate(jobs[1:], 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        _draw_split(*jobs[0])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    sizes = [n for _, n in items]
+    return tuple(Dataset(X, np.repeat([c for (c, _), _ in items], sizes),
+                         np.repeat([g for (_, g), _ in items], sizes), split=split,
+                         num_classes=spec.num_classes, num_groups=spec.num_groups)
+                 for X, split in zip(Xs, ("train", "dev", "test")))
+
+
+def _draw_split(rng, X: np.ndarray, cells: list, sigma: float, errors: list, k: int):
+    """Fill X in place with each cell's draws of rng.normal(mean, sigma), in
+    cell order: one draw of the whole split gives the bytes of one draw per
+    cell, as the stream runs on from one call to the next. An error is
+    stored in errors[k]. This runs on a generation thread, so it makes no
+    array of X's size and calls no public fairkit function."""
+    try:
+        rng.standard_normal(out=X)
+        X *= sigma
+        for rows, mean in cells:
+            X[rows] += mean
+    except BaseException as e:  # raised by generate_synthetic after the join
+        errors[k] = e
 
 
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:

@@ -28,8 +28,11 @@ PROBE_L2, PROBE_TOL, PROBE_MAX_STEPS = 0.02, 1e-6, 1000
 # Linear probes (L2-regularized multinomial logistic regression)
 
 def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
-                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-initialized ridge multinomial logistic regression; returns (W, b).
+                     num_classes: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Zero-initialized ridge multinomial logistic regression; returns (W, b,
+    steps, grad_norm): steps counts the gradients taken, one softmax each,
+    and grad_norm is the last one's norm, below PROBE_TOL exactly when the
+    fit converged.
 
     Boehning's bound (Ann. Inst. Stat. Math. 44:197, 1992): the Hessian of
     the cross-entropy is bounded by 0.5 * X'X/n for every W, so the step
@@ -54,9 +57,10 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
     onehot[np.arange(n), labels] = 1.0
     Wb = Z = np.zeros((num_classes, h + 1))  # the last step's result; the gradient point
     theta = 1.0
-    for _ in range(PROBE_MAX_STEPS):
+    for steps in range(1, PROBE_MAX_STEPS + 1):
         G = (nn.softmax(X @ Z.T) - onehot).T @ X / n + PROBE_L2 * Z
-        if np.linalg.norm(G) < PROBE_TOL:
+        grad_norm = float(np.linalg.norm(G))
+        if grad_norm < PROBE_TOL:
             Wb = Z
             break
         new = Z - G @ M
@@ -66,11 +70,13 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         Z = new + (theta - 1.0) / theta_next * move
         Wb, theta = new, theta_next
-    return Wb[:, :h], Wb[:, h]
+    return Wb[:, :h], Wb[:, h], steps, grad_norm
 
 
-def fit_linear_probe(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Protected-attribute probe; returns (W [num_groups x h], train accuracy)."""
+def fit_linear_probe(H: np.ndarray, g: np.ndarray,
+                     fits: list | None = None) -> tuple[np.ndarray, float]:
+    """Protected-attribute probe; returns (W [num_groups x h], train accuracy).
+    The solver's (steps, grad_norm) is appended to fits if it is given."""
     g = np.asarray(g, dtype=int)
     groups = np.unique(g)
     if groups.size < 2:
@@ -78,7 +84,9 @@ def fit_linear_probe(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     num_groups = int(g.max()) + 1
     if H.shape[0] < num_groups:
         raise DegenerateProbeError("fewer instances than groups")
-    W, b = fit_softmax_head(H, g, num_groups)
+    W, b, steps, grad_norm = fit_softmax_head(H, g, num_groups)
+    if fits is not None:
+        fits.append((steps, grad_norm))
     preds = (H @ W.T + b).argmax(axis=1)
     return W, float(np.mean(preds == g))
 
@@ -121,6 +129,7 @@ class Projection:
     P: np.ndarray
     iterations_applied: int
     probe_accuracies: list[float] = field(default_factory=list)
+    probe_fits: list[tuple[int, float]] = field(default_factory=list)  # (steps, grad_norm)
 
 
 def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Projection:
@@ -133,14 +142,16 @@ def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Proje
     P = np.eye(H_train.shape[1])
     rows: list[np.ndarray] = []
     accs: list[float] = []
+    fits: list[tuple[int, float]] = []
     for _ in range(max_iterations):
-        W, acc = fit_linear_probe(H_train @ P if rows else H_train, g_train)  # P is I at first
+        # P is I at first
+        W, acc = fit_linear_probe(H_train @ P if rows else H_train, g_train, fits)
         accs.append(acc)
         if np.linalg.norm(W) < 1e-12:
             break
         rows.extend(W @ P)  # probe directions mapped back to the original space
         P = nullspace_projection(np.array(rows))
-    return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs)
+    return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs, probe_fits=fits)
 
 
 @dataclass
@@ -154,6 +165,8 @@ class ProjectedClassifier:
     P: np.ndarray
     W: np.ndarray
     b: np.ndarray
+    steps: int  # the refit solver's steps and final gradient norm
+    grad_norm: float
 
     def hidden_logits(self, H: np.ndarray) -> np.ndarray:
         """The logits of the encoder's hidden states H: the head folded with
@@ -171,8 +184,8 @@ def apply_inlp_and_refit(model, P: np.ndarray, H_train: np.ndarray, y_train: np.
     h = H_train.shape[1]
     if P.shape != (h, h):
         raise ShapeError(f"projection shape {P.shape} does not match hidden dim {h}")
-    W, b = fit_softmax_head(H_train @ P.T, y_train, num_classes)
-    return ProjectedClassifier(model=model, P=P, W=W, b=b)
+    W, b, steps, grad_norm = fit_softmax_head(H_train @ P.T, y_train, num_classes)
+    return ProjectedClassifier(model=model, P=P, W=W, b=b, steps=steps, grad_norm=grad_norm)
 
 
 def save_projection(path, projection: Projection):

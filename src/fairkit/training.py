@@ -405,7 +405,8 @@ def load_checkpoint(path, epoch: int) -> nn.Network:
                     or os.fstat(f.fileno()).st_size < offset + size):
                 raise ParseErrorForCheckpoint(path)
             f.seek(offset)
-            model = nn.init_network(spec)
+            model = nn.Network(spec, [np.empty(shape) for shape in spec.layer_dims],
+                               [np.empty(out_d) for out_d, _ in spec.layer_dims])
             nn.unflatten_into(model.params, np.frombuffer(f.read(size), dtype="<f8"))
             return model
     # int() of an infinite float raises OverflowError, json.loads of a

@@ -2,9 +2,12 @@ import io
 import json
 import re
 import struct
+import threading
+import time
 import tracemalloc
 import zipfile
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -512,6 +515,62 @@ class TestSyntheticGeneratorBytes:
             for got, want in ((ds.X, X), (ds.y, y), (ds.g, g)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+class StandInDraws:
+    """A generator stand-in for one split: its draws fail, or they pause and
+    then come from rng, so a failed split ends before the others do."""
+
+    def __init__(self, rng, split, fail):
+        self.rng, self.split, self.fail = rng, split, fail
+
+    def standard_normal(self, out):
+        if self.fail:
+            raise RuntimeError(f"draw of split {self.split} failed")
+        time.sleep(0.02)
+        self.rng.standard_normal(out=out)
+
+
+class TestSyntheticDrawThreads:
+    SPEC = data.SyntheticSpec(n_per_cell={(0, 0): 500, (0, 1): 200, (1, 0): 200, (1, 1): 500},
+                              d=64, group_shift=2.0, seed=3)
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {1, 2}, {0, 2}])
+    def test_a_draw_error_reaches_the_caller_after_the_join(self, failing):
+        default_rng = np.random.default_rng
+
+        def stand_in(seed_sequence):
+            split = seed_sequence.entropy[1]
+            return StandInDraws(default_rng(seed_sequence), split, split in failing)
+
+        before = set(threading.enumerate())
+        with mock.patch.object(np.random, "default_rng", stand_in), \
+                pytest.raises(RuntimeError, match=f"split {min(failing)} failed"):
+            data.generate_synthetic(self.SPEC)
+        assert set(threading.enumerate()) <= before  # both threads were joined
+
+    def test_the_draw_makes_no_array(self):
+        jobs, draw = [], data._draw_split
+
+        def recorded(*args):
+            jobs.append(args)
+            draw(*args)
+
+        with mock.patch.object(data, "_draw_split", recorded):
+            data.generate_synthetic(self.SPEC)
+        assert len(jobs) == 3
+        rng, X, *rest = jobs[1]  # dev's job, run again on this thread
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            draw(rng, X, *rest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # numpy buffers the mean's broadcast over rows in at most
+        # getbufsize() elements (64 kB); the smallest cell block is 102 kB,
+        # the split 717 kB
+        assert peak - before < np.getbufsize() * 8 + 4096, peak - before
 
 
 SPEC_COUNTS = {(0, 0): 4, (0, 1): 2, (1, 0): 1, (1, 1): 3}

@@ -184,10 +184,11 @@ def test_probe_iters_counts_the_softmax_head_steps(tmp_path):
 
 def test_every_traced_call_runs_on_the_main_thread(tmp_path):
     """nn.infer_many and nn.LogitsOnWorker run inputs on a worker thread
-    above PARALLEL_MIN_WORK; the tracer keeps one span stack for all
+    above PARALLEL_MIN_WORK, and data.generate_synthetic draws dev and test
+    on two threads of its own; the tracer keeps one span stack for all
     threads, so no public function may run there. Wraps every function the
     tracer wraps during a Gate + Gate-soft run and a BT + Adv + INLP run
-    whose scoring is above it."""
+    whose scoring is above it, both on synthetic data."""
     tracing = load_tracing()
     modules = {layer: importlib.import_module(f"fairkit.{layer}") for layer in tracing.LAYERS}
     calls = []
@@ -199,14 +200,18 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
             return fn(*args, **kwargs)
         return recorded
 
-    worker_threads, overlap_threads, snapshots = [], [], []
-    infer_into_all, build = nn._infer_into_all, nn.LogitsOnWorker._build
+    worker_threads, overlap_threads, snapshots, draw_threads = [], [], [], []
+    infer_into_all, build, draw = nn._infer_into_all, nn.LogitsOnWorker._build, data._draw_split
 
     def worker_spy(net, *args):
         worker_threads.append(threading.current_thread())
         if any(net is snapshot for snapshot in snapshots):  # an overlapped job
             overlap_threads.append(threading.current_thread())
         return infer_into_all(net, *args)
+
+    def draw_spy(*args):
+        draw_threads.append(threading.current_thread())
+        draw(*args)
 
     def built(on_worker):
         build(on_worker)
@@ -223,7 +228,8 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
             patches.wrap(fn, on_thread(name, fn))
     try:
         with mock.patch.object(nn, "_infer_into_all", worker_spy), \
-                mock.patch.object(nn.LogitsOnWorker, "_build", built):
+                mock.patch.object(nn.LogitsOnWorker, "_build", built), \
+                mock.patch.object(data, "_draw_split", draw_spy):
             for flags in (["--method", "Gate", "--gate_soft"],
                           ["--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing",
                            "--INLP", "--inlp_iterations", "1"]):
@@ -234,6 +240,8 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
         patches.restore()
     assert {"nn.infer_many", "training.predict"} <= {name for name, _ in calls}
     assert [name for name, t in calls if t is not threading.main_thread()] == []
+    # each run drew train on the main thread, dev and test on two others
+    assert len(draw_threads) == 6 and draw_threads.count(threading.main_thread()) == 2
     if nn._cpus() > 1:  # the scoring did run on the worker
         assert worker_threads and threading.main_thread() not in worker_threads
         # epochs 0 and 1 of both runs were scored while the next epoch trained

@@ -148,7 +148,7 @@ class TestProbes:
     def test_softmax_head_rows_sum_to_zero(self):
         # zero init + softmax gradient keeps sum over class rows at zero
         H, g = leaky_hidden()
-        W, b = postproc.fit_softmax_head(H, g, 2)
+        W, b, *_ = postproc.fit_softmax_head(H, g, 2)
         np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
         assert b.sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -156,7 +156,7 @@ class TestProbes:
     @pytest.mark.parametrize("seed", range(3))
     def test_softmax_head_solves_the_ridge_problem(self, K, seed):
         H, labels = random_problem(K, seed)
-        W, b = postproc.fit_softmax_head(H, labels, K)
+        W, b, *_ = postproc.fit_softmax_head(H, labels, K)
         value, G = ridge_objective(H, labels, K, W, b)
         grad_norm = np.linalg.norm(G)
         assert grad_norm <= 10 * postproc.PROBE_TOL
@@ -177,7 +177,8 @@ class TestProbes:
         H, labels, K = problem
         if not plain_softmax_head(H, labels, K)[2]:
             return  # the plain loop stopped at the cap: nothing to compare
-        W, b = postproc.fit_softmax_head(H, labels, K)
+        W, b, _, reported = postproc.fit_softmax_head(H, labels, K)
+        assert reported < postproc.PROBE_TOL
         grad_norm = np.linalg.norm(ridge_objective(H, labels, K, W, b)[1])
         assert grad_norm < postproc.PROBE_TOL
         np.testing.assert_allclose(W.sum(axis=0), np.zeros(H.shape[1]), atol=1e-12)
@@ -191,7 +192,8 @@ class TestProbes:
         # softmax calls, plain -> restarted: (2, 0) 231 -> 44, (3, 1) 434 -> 78, (5, 2) 400 -> 68
         H, labels = random_problem(K, seed)
         (*_, converged), plain = softmax_calls(plain_softmax_head, H, labels, K)
-        _, steps = softmax_calls(postproc.fit_softmax_head, H, labels, K)
+        (*_, reported, grad_norm), steps = softmax_calls(postproc.fit_softmax_head, H, labels, K)
+        assert reported == steps and grad_norm < postproc.PROBE_TOL
         assert converged
         assert steps <= 0.6 * plain
 
@@ -367,6 +369,28 @@ def test_inlp_row_pinned(tmp_path, flags, row):
     keys = ("probe_accuracies", "dev_performance", "dev_fairness",
             "test_performance", "test_fairness")
     assert tuple(last[k] for k in keys) == row
+
+
+def test_inlp_row_reports_each_fit(tmp_path):
+    """The INLP row holds the steps and final gradient norm of each probe
+    and of the refit. With the solver capped at 2 steps, every fit stops
+    there unconverged, and the row shows it."""
+    for cap in (postproc.PROBE_MAX_STEPS, 2):
+        results = tmp_path / str(cap)
+        with mock.patch.object(postproc, "PROBE_MAX_STEPS", cap):
+            assert cli.main(["--INLP", "--inlp_iterations", "3", "--epochs", "1",
+                             "--results_dir", str(results)]) == 0
+        (run_dir,) = results.iterdir()
+        row = json.loads((run_dir / "epochs.jsonl").read_text().splitlines()[-1])
+        assert len(row["probe_steps"]) == len(row["probe_grad_norms"]) == row["iterations"] == 3
+        steps = [*row["probe_steps"], row["refit_steps"]]
+        norms = [*row["probe_grad_norms"], row["refit_grad_norm"]]
+        if cap == 2:
+            assert steps == [2] * 4
+            assert min(norms) > postproc.PROBE_TOL
+        else:
+            assert all(1 < s < cap for s in steps)
+            assert max(norms) < postproc.PROBE_TOL
 
 
 def trained_gate(seed=0, num_groups=2):

@@ -1164,6 +1164,17 @@ DAMAGE = {
 }
 
 
+@pytest.mark.parametrize("spec", [GATE_SPEC, nn.MlpSpec(3, (4, 6), 2, "tanh", seed=5)])
+def test_reload_is_bit_exact_and_draws_no_init(tmp_path, spec):
+    saved = write_store(tmp_path / "checkpoints.bin", spec, 3, seed=1)
+    with mock.patch.object(nn, "init_network") as init:
+        loaded = [training.load_checkpoint(tmp_path / "checkpoints.bin", e) for e in range(3)]
+    init.assert_not_called()
+    for model, params in zip(loaded, saved, strict=True):
+        assert model.spec == spec
+        assert model.flat_params().tobytes() == params
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("content", [b"", b"not a checkpoint", b"PK\x03\x04truncated"])
     def test_not_a_zip(self, tmp_path, content):
