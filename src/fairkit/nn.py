@@ -2,13 +2,14 @@
 
 Everything here is plain numpy: forward/backward passes with explicit
 activation traces, a trace-free inference pass, cross entropy, SGD/Adam
-over any model's parameter list, and a supervised contrastive loss. A
-trace keeps each hidden layer's post-activation only: forward applies the
-activation in place, and backward reads each slope from the
-post-activation. The backward pass accepts extra gradients injected at any
-hidden activation, which is how the adversarial and contrastive branches
-feed into the encoder. A network with group heads (Gate) holds them as
-extra rows of its output layer.
+over a network's flat parameter vector, and a supervised contrastive loss.
+A network's parameters, their gradients and Adam's moments share one flat
+layout (see Network). A trace keeps each hidden layer's post-activation
+only: forward applies the activation in place, and backward reads each
+slope from the post-activation. The backward pass accepts extra gradients
+injected at any hidden activation, which is how the adversarial and
+contrastive branches feed into the encoder. A network with group heads
+(Gate) holds them as extra rows of its output layer.
 """
 
 from __future__ import annotations
@@ -29,32 +30,6 @@ from .errors import (
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    """Concatenate arrays into one vector, in list order."""
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def unflatten_into(arrays: list[np.ndarray], flat: np.ndarray):
-    """Inverse of flatten: copy flat into the arrays in place.
-
-    Raises ShapeError unless flat is a vector of exactly their total size."""
-    total = sum(a.size for a in arrays)
-    if flat.shape != (total,):
-        raise ShapeError(f"flat vector has shape {flat.shape}, expected ({total},)")
-    for a, part in zip(arrays, _views(flat, arrays)):
-        a[...] = part
-
-
-def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Consecutive slices of flat shaped like each array of like; writing
-    to a slice writes to flat."""
-    views, end = [], 0
-    for a in like:
-        end += a.size
-        views.append(flat[end - a.size:end].reshape(a.shape))
-    return views
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -98,29 +73,38 @@ class MlpSpec:
         return sum(o * i + o for o, i in self.layer_dims)
 
 
+def _layout(flat: np.ndarray, spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of flat: layer k's [out x in] weight for each k, then layer k's
+    [out] bias for each k; writing to a view writes to flat."""
+    weights, biases, end = [], [], 0
+    for out_d, in_d in spec.layer_dims:
+        weights.append(flat[end:end + out_d * in_d].reshape(out_d, in_d))
+        end += out_d * in_d
+    for out_d, _ in spec.layer_dims:
+        biases.append(flat[end:end + out_d])
+        end += out_d
+    return weights, biases
+
+
 class Network:
-    """An MLP: weights[k] is [out x in], biases[k] is [out].
+    """An MLP whose parameters are one float64 vector, flat, of
+    spec.n_params entries: weights[k] is a [out x in] view into it and
+    biases[k] an [out] view, W0..W(L-1) first, then b0..b(L-1). The
+    network owns the flat it is given (it is not copied); without one it
+    starts at zero.
 
     The final layer is linear (no activation); hidden layers use
     spec.activation. The penultimate activation (input to the final
     layer) is the "hidden representation" consumed by debiasing methods.
     """
 
-    def __init__(self, spec: MlpSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.spec = spec
-        self.weights = weights
-        self.biases = biases
-        self._check_shapes()
-
-    def _check_shapes(self):
-        expect = self.spec.layer_dims
-        if len(self.weights) != len(expect) or len(self.biases) != len(expect):
-            raise ShapeError("layer count does not match spec")
-        for k, (out_d, in_d) in enumerate(expect):
-            if self.weights[k].shape != (out_d, in_d):
-                raise ShapeError(f"layer {k}: weight shape {self.weights[k].shape} != {(out_d, in_d)}")
-            if self.biases[k].shape != (out_d,):
-                raise ShapeError(f"layer {k}: bias shape {self.biases[k].shape} != {(out_d,)}")
+    def __init__(self, spec: MlpSpec, flat: np.ndarray | None = None):
+        if flat is None:
+            flat = np.zeros(spec.n_params)
+        if flat.shape != (spec.n_params,):
+            raise ShapeError(f"flat vector has shape {flat.shape}, expected ({spec.n_params},)")
+        self.spec, self.flat = spec, flat
+        self.weights, self.biases = _layout(flat, spec)
 
     @property
     def n_layers(self) -> int:
@@ -131,18 +115,13 @@ class Network:
         """Dimension of the representation entering the final layer."""
         return self.weights[-1].shape[1]
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Every parameter array: the weights, then the biases."""
-        return self.weights + self.biases
-
-    def param_names(self) -> list[str]:
-        """A readable name for each entry of params."""
-        return ([f"layer {k} weight" for k in range(self.n_layers)]
-                + [f"layer {k} bias" for k in range(self.n_layers)])
-
-    def flat_params(self) -> np.ndarray:
-        return flatten(self.params)
+    def param_name(self, i: int) -> str:
+        """The readable name of the array that holds entry i of flat."""
+        for kind, arrays in (("weight", self.weights), ("bias", self.biases)):
+            for k, a in enumerate(arrays):
+                if i < a.size:
+                    return f"layer {k} {kind}"
+                i -= a.size
 
 
 def init_network(spec: MlpSpec) -> Network:
@@ -150,16 +129,15 @@ def init_network(spec: MlpSpec) -> Network:
     The group heads' rows take the shared head's bound and come from a
     stream of their own (21)."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    net = Network(spec)
     dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
-    weights = []
-    for in_d, out_d in zip(dims, dims[1:]):
+    for W, in_d, out_d in zip(net.weights, dims, dims[1:]):
         bound = np.sqrt(6.0 / (in_d + out_d))
-        weights.append(rng.uniform(-bound, bound, size=(out_d, in_d)))
+        W[:out_d] = rng.uniform(-bound, bound, size=(out_d, in_d))
     if spec.group_heads:
         heads = np.random.default_rng(np.random.SeedSequence((derive_seed(spec.seed, 21), 3)))
-        weights[-1] = np.vstack([weights[-1], heads.uniform(
-            -bound, bound, size=(spec.group_heads * out_d, in_d))])
-    return Network(spec, weights, [np.zeros(w.shape[0]) for w in weights])
+        W[out_d:] = heads.uniform(-bound, bound, size=(spec.group_heads * out_d, in_d))
+    return net
 
 
 @dataclass
@@ -178,14 +156,14 @@ class ActivationTrace:
 
 @dataclass
 class Gradients:
+    """The parameter gradients as one vector, flat, in Network.flat's
+    layout, with d_weights and d_biases its views; and d_X, the gradient
+    w.r.t. the input."""
+
+    flat: np.ndarray
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
     d_X: np.ndarray  # [n, 0] when backward was asked not to compute it
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Parameter gradients in Network.params order."""
-        return self.d_weights + self.d_biases
 
 
 def _act_into(name: str, z: np.ndarray) -> np.ndarray:
@@ -312,12 +290,11 @@ class LogitsOnWorker:
     parallel, and then the caller holds the worker until wait(). Below that
     it returns False and has made nothing. The first start() that goes
     ahead makes, on the calling thread, every array the worker writes or
-    reads besides Xs: the snapshot (a network whose weights and biases are
-    views into one flat copy of the parameters), one or two hidden-width
-    buffers that the inputs share in turn, and each input's logits. Each
-    start() copies net's parameters into the snapshot and hands the worker
-    the job infer_many gives it, so the worker makes no array and calls no
-    public function."""
+    reads besides Xs: the snapshot (a network of net's spec), one or two
+    hidden-width buffers that the inputs share in turn, and each input's
+    logits. Each start() copies net.flat into the snapshot's and hands the
+    worker the job infer_many gives it, so the worker makes no array and
+    calls no public function."""
 
     def __init__(self, net: Network, Xs: list[np.ndarray]):
         self.net, self.Xs = net, Xs
@@ -329,8 +306,7 @@ class LogitsOnWorker:
         try:
             if self._snapshot is None:
                 self._build()
-            for dst, src in zip(self._snapshot.params, self.net.params):
-                np.copyto(dst, src)
+            np.copyto(self._snapshot.flat, self.net.flat)
             self._worker = _Worker.get()
             self._worker.submit(_infer_into_all, self._snapshot, self._checked, self._outs)
         except BaseException:
@@ -351,11 +327,10 @@ class LogitsOnWorker:
     def _build(self):
         net = self.net
         self._checked = [_checked_input(net, X) for X in self.Xs]
-        L = net.n_layers
-        params = _views(np.empty(net.spec.n_params), net.params)
-        self._snapshot = Network(net.spec, params[:L], params[L:])
+        self._snapshot = Network(net.spec)
         rows = [X.shape[0] for X in self._checked]
-        hidden = [np.empty(max(rows) * max(net.spec.hidden_dims)) for _ in range(min(2, L - 1))]
+        hidden = [np.empty(max(rows) * max(net.spec.hidden_dims))
+                  for _ in range(min(2, net.n_layers - 1))]
         widths = [W.shape[0] for W in net.weights]
         self._outs = [[hidden[k % 2][:n * w].reshape(n, w) for k, w in enumerate(widths[:-1])]
                       + [np.empty((n, widths[-1]))] for n in rows]
@@ -427,22 +402,21 @@ def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
     if d_logits.shape != trace.logits.shape:
         raise ShapeError(f"d_logits shape {d_logits.shape} != logits shape {trace.logits.shape}")
     extra = extra_post_grads or {}
-    L = net.n_layers
-    d_w = [None] * L
-    d_b = [None] * L
+    flat = np.empty(net.spec.n_params)  # every entry is written below
+    d_w, d_b = _layout(flat, net.spec)
     dz = np.asarray(d_logits, dtype=float)
-    for k in range(L - 1, 0, -1):
+    for k in range(net.n_layers - 1, 0, -1):
         a = trace.post[k - 1]
-        d_w[k] = dz.T @ a
-        d_b[k] = dz.sum(axis=0)
+        np.matmul(dz.T, a, out=d_w[k])  # the bits of dz.T @ a
+        dz.sum(axis=0, out=d_b[k])
         dz = dz @ net.weights[k]  # the gradient at a, then at z in place
         if (k - 1) in extra:
             dz += extra[k - 1]
         dz *= _act_grad(net.spec.activation, a)
-    d_w[0] = dz.T @ trace.X
-    d_b[0] = dz.sum(axis=0)
+    np.matmul(dz.T, trace.X, out=d_w[0])
+    dz.sum(axis=0, out=d_b[0])
     d_X = dz @ net.weights[0] if input_grad else np.empty((dz.shape[0], 0))
-    return Gradients(d_weights=d_w, d_biases=d_b, d_X=d_X)
+    return Gradients(flat=flat, d_weights=d_w, d_biases=d_b, d_X=d_X)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -485,7 +459,7 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray, weights: np.ndarray | None 
 @dataclass
 class OptimizerState:
     """Adam's moments are one flat vector each, flat_m and flat_v, in
-    params order."""
+    Network.flat's layout."""
 
     kind: str  # "sgd" | "adam"
     lr: float = 1e-3
@@ -494,28 +468,23 @@ class OptimizerState:
     flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def make_optimizer(model, kind: str = "adam", lr: float = 1e-3) -> OptimizerState:
-    """Optimizer state for every array in model.params."""
+def make_optimizer(model: Network, kind: str = "adam", lr: float = 1e-3) -> OptimizerState:
+    """Optimizer state for model.flat."""
     if kind not in OPTIMIZERS:
         raise ValueError(f"optimizer kind must be one of {OPTIMIZERS}")
-    total = sum(p.size for p in model.params)
+    total = model.spec.n_params
     return OptimizerState(kind=kind, lr=lr, flat_m=np.zeros(total), flat_v=np.zeros(total))
 
 
-def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
-    """In-place deterministic update of model.params, given one gradient
-    per parameter in the same order; Adam applies bias correction. Adam
-    updates the flat moments in one pass and subtracts each parameter's
-    slice of the flat step."""
-    params = model.params
-    g = flatten(grads)
+def optimizer_step(model: Network, g: np.ndarray, state: OptimizerState):
+    """In-place deterministic update of model.flat, given its gradient g in
+    the same layout; Adam applies bias correction. A non-finite entry of g
+    raises, naming its parameter, before anything is updated."""
     if not np.isfinite(g).all():
-        for i, gi in enumerate(grads):
-            if not np.all(np.isfinite(gi)):
-                raise TrainingDivergedError(f"non-finite gradient for {model.param_names()[i]}")
+        i = int(np.argmin(np.isfinite(g)))  # the first non-finite entry
+        raise TrainingDivergedError(f"non-finite gradient for {model.param_name(i)}")
     if state.kind == "sgd":
-        for p, gi in zip(params, grads):
-            p -= state.lr * gi
+        model.flat -= state.lr * g
         return
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
@@ -525,9 +494,7 @@ def optimizer_step(model, grads: list[np.ndarray], state: OptimizerState):
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
-    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    for p, s in zip(params, _views(step, params)):
-        p -= s
+    model.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def supervised_contrastive_loss(reprs: np.ndarray, terms: list[tuple[float, np.ndarray]],

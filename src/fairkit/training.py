@@ -239,13 +239,12 @@ def init_discriminators(cfg: MethodConfig, hidden_dim: int, num_classes: int,
                                         activation=cfg.activation,
                                         seed=nn.derive_seed(cfg.seed, 11 + i)))
              for i in range(k)]
-    out = np.zeros((k * G, k * H))
+    stack = nn.Network(nn.MlpSpec(input_dim=in_dim, hidden_dims=(k * H,), output_dim=k * G,
+                                  activation=cfg.activation, seed=cfg.seed))
     for i, disc in enumerate(discs):
-        out[i * G:(i + 1) * G, i * H:(i + 1) * H] = disc.weights[1]
-    spec = nn.MlpSpec(input_dim=in_dim, hidden_dims=(k * H,), output_dim=k * G,
-                      activation=cfg.activation, seed=cfg.seed)
-    return nn.Network(spec, [np.vstack([d.weights[0] for d in discs]), out],
-                      [np.zeros(k * H), np.zeros(k * G)])
+        stack.weights[0][i * H:(i + 1) * H] = disc.weights[0]
+        stack.weights[1][i * G:(i + 1) * G, i * H:(i + 1) * H] = disc.weights[1]
+    return stack
 
 
 def _disc_inputs(stack: nn.Network, hidden: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,11 +259,12 @@ def _disc_inputs(stack: nn.Network, hidden: np.ndarray, y: np.ndarray) -> np.nda
 
 
 def adversarial_pass(stack: nn.Network, hidden: np.ndarray, batch: Batch,
-                     diff_lambda: float) -> tuple[float, np.ndarray, list[np.ndarray]]:
+                     diff_lambda: float) -> tuple[float, np.ndarray, np.ndarray]:
     """One forward and one backward of the stack. Returns the mean of the k
     discriminators' CEs, its gradient w.r.t. hidden, and the stack's parameter
-    gradients (block i: discriminator i's own CE; off-block: 0). With k > 1
-    and diff_lambda > 0 these carry the penalty on the first-layer outputs H,
+    gradient in stack.flat's layout (block i: discriminator i's own CE;
+    off-block: 0). With k > 1 and diff_lambda > 0 these carry the penalty
+    on the first-layer outputs H,
     diff_lambda * sum_{i<j} ||H_i^T H_j||^2 = diff_lambda / 2 * (||H^T H||^2 -
     sum_i ||H_i^T H_i||^2), with gradient 2 * diff_lambda * H @ (H^T H off its
     diagonal blocks) at H. The hidden gradient leaves the penalty out."""
@@ -287,7 +287,7 @@ def adversarial_pass(stack: nn.Network, hidden: np.ndarray, batch: Batch,
                      * nn._act_grad(stack.spec.activation, H))
             grads.d_weights[0] += d_pre.T @ inputs
             grads.d_biases[0] += d_pre.sum(axis=0)
-    return loss, grads.d_X[:, :hidden.shape[1]] / k, grads.params
+    return loss, grads.d_X[:, :hidden.shape[1]] / k, grads.flat
 
 
 def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
@@ -307,10 +307,10 @@ def adv_joint_step(main: nn.Network, main_opt: nn.OptimizerState,
 
 def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
                         discs: nn.Network | None = None
-                        ) -> tuple[float, list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """Returns (scalar objective, one gradient per entry of model.params,
-    per-example CE, the discriminator stack's parameter gradients from
-    adversarial_pass, empty without discriminators)."""
+                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Returns (scalar objective, its gradient in model.flat's layout,
+    per-example CE, the discriminator stack's parameter gradient from
+    adversarial_pass, None without discriminators)."""
     trace = nn.forward(model, batch.X)
     hidden, logits = trace.hidden, trace.logits
     if model.spec.group_heads:
@@ -337,7 +337,7 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         hidden_extra = np.add(hidden_extra, scl_grad, out=scl_grad)
     if cfg.adv_lambda > 0 and discs is None:
         raise ShapeError("adversarial method requires discriminators")
-    disc_grads = []
+    disc_grads = None
     if discs is not None:  # the discriminators train even when adv_lambda is 0
         disc_loss, disc_hidden_grad, disc_grads = adversarial_pass(discs, hidden, batch,
                                                                    cfg.diff_lambda)
@@ -358,7 +358,7 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         d_blocks[:, 0] = d_blocks[rows, block] = d_logits
         d_logits = d_blocks.reshape(len(rows), -1)
     grads = nn.backward(model, trace, d_logits, extra_post_grads=extra, input_grad=False)
-    return loss, grads.params, per_example, disc_grads
+    return loss, grads.flat, per_example, disc_grads
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def save_checkpoint(path, model: nn.Network, epoch: int):
     with open(path, "ab" if epoch else "wb") as f:
         if not epoch:
             f.write(_checkpoint_header(model.spec))
-        f.write(model.flat_params().astype("<f8", copy=False).tobytes())
+        f.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path, epoch: int) -> nn.Network:
@@ -405,13 +405,11 @@ def load_checkpoint(path, epoch: int) -> nn.Network:
                     or os.fstat(f.fileno()).st_size < offset + size):
                 raise ParseErrorForCheckpoint(path)
             f.seek(offset)
-            model = nn.Network(spec, [np.empty(shape) for shape in spec.layer_dims],
-                               [np.empty(out_d) for out_d, _ in spec.layer_dims])
-            nn.unflatten_into(model.params, np.frombuffer(f.read(size), dtype="<f8"))
-            return model
+            # astype copies, so the network owns a writable buffer, not the record's bytes
+            return nn.Network(spec, np.frombuffer(f.read(size), dtype="<f8").astype(float))
     # int() of an infinite float raises OverflowError, json.loads of a
     # deeply nested header RecursionError; a record cut short since fstat
-    # makes unflatten_into raise ShapeError
+    # makes Network raise ShapeError
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ShapeError) as e:
         raise ParseErrorForCheckpoint(path) from e
 

@@ -326,7 +326,7 @@ def test_criterion_8_degradation_to_standard(capsys, tmp_path):
         out = []
         for e in range(base["epochs"] + 1):
             model = training.load_checkpoint(run_dir / "checkpoints.bin", e)
-            out.append(model.flat_params())
+            out.append(model.flat)
         return out
 
     standard = epoch_params("Standard", "std")

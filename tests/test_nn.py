@@ -28,7 +28,9 @@ def small_net(dims, activation="relu", seed=0):
 
 
 def zero_grads(model):
-    return [np.zeros_like(p) for p in model.params]
+    """A zero gradient for model, as a network of its spec: the gradient is
+    its flat, and its weights and biases are the gradient's views."""
+    return nn.Network(model.spec)
 
 
 def finite_diff_grad(f, theta, step=1e-5):
@@ -107,16 +109,16 @@ class TestBackward:
         y = rng.integers(0, 2, size=7)
 
         def loss_of(theta):
-            nn.unflatten_into(net.params, theta)
+            net.flat[...] = theta
             logits = nn.forward(net, X).logits
             return nn.cross_entropy(logits, y)[0]
 
-        theta0 = net.flat_params()
+        theta0 = net.flat.copy()
         trace = nn.forward(net, X)
         _, d_logits, _ = nn.cross_entropy(trace.logits, y)
-        analytic = nn.flatten(nn.backward(net, trace, d_logits).params)
+        analytic = nn.backward(net, trace, d_logits).flat
         numeric = finite_diff_grad(loss_of, theta0)
-        nn.unflatten_into(net.params, theta0)
+        net.flat[...] = theta0
         assert rel_err(analytic, numeric) < 1e-4
 
 
@@ -131,8 +133,7 @@ class TestBackward:
         extra = {len(dims) - 3: rng.normal(size=(6, dims[-2]))} if len(dims) > 2 else None
         full = nn.backward(net, trace, d_logits, extra_post_grads=extra)
         skipped = nn.backward(net, trace, d_logits, extra_post_grads=extra, input_grad=False)
-        for got, want in zip(skipped.params, full.params):
-            assert np.array_equal(got, want)
+        assert np.array_equal(skipped.flat, full.flat)
         assert full.d_X.shape == (6, 3)
         assert skipped.d_X.shape == (6, 0)
 
@@ -338,8 +339,7 @@ class TestLogitsOnWorker:
             for _ in range(2):  # the second start reuses every array of the first
                 wanted = [nn.infer(net, X)[1] for X in Xs]
                 assert on_worker.start() == parallel
-                for p in net.params:  # the caller goes on changing the network
-                    p += 1.0
+                net.flat += 1.0  # the caller goes on changing the network
                 if parallel:
                     got = on_worker.wait()
                     assert len(got) == len(Xs)
@@ -439,21 +439,33 @@ class TestCrossEntropy:
         assert loss == pytest.approx(float(w @ per / w.sum()), abs=1e-10)
 
 
-class TestFlatten:
-    def test_roundtrip_in_params_order(self):
+class TestNetworkLayout:
+    def test_views_in_weights_then_biases_order(self):
         net = small_net([2, 3, 2], seed=1)
-        theta = net.flat_params()
-        assert theta.size == sum(p.size for p in net.params)
-        np.testing.assert_array_equal(theta[:6], net.weights[0].ravel())
-        other = small_net([2, 3, 2], seed=2)
-        nn.unflatten_into(other.params, theta)
-        np.testing.assert_array_equal(other.flat_params(), theta)
+        arrays = net.weights + net.biases
+        assert [a.shape for a in arrays] == [(3, 2), (2, 3), (3,), (2,)]
+        np.testing.assert_array_equal(net.flat, np.concatenate([a.ravel() for a in arrays]))
+        assert all(np.shares_memory(a, net.flat) for a in arrays)
+
+    def test_write_to_view_shows_in_flat(self):
+        net = small_net([2, 3, 2], seed=1)
+        net.weights[1][0, 0] = 7.0  # after W0's 6 entries
+        net.biases[1][-1] = 5.0  # the last entry
+        assert net.flat[6] == 7.0 and net.flat[-1] == 5.0
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_length_rejected(self, delta):
-        net = small_net([2, 3, 2])
+        spec = small_net([2, 3, 2]).spec
         with pytest.raises(ShapeError):
-            nn.unflatten_into(net.params, np.zeros(net.flat_params().size + delta))
+            nn.Network(spec, np.zeros(spec.n_params + delta))
+
+    def test_given_flat_is_owned_not_copied(self):
+        spec = small_net([2, 3, 2]).spec
+        flat = np.arange(spec.n_params, dtype=float)
+        net = nn.Network(spec, flat)
+        assert net.flat is flat
+        flat[0] = -1.0
+        assert net.weights[0][0, 0] == -1.0
 
 
 class TestOptimizer:
@@ -462,17 +474,17 @@ class TestOptimizer:
         net.weights[0][...] = [[1.0]]
         state = nn.make_optimizer(net, kind="sgd", lr=0.1)
         grads = zero_grads(net)
-        grads[0][...] = [[1.0]]
-        nn.optimizer_step(net, grads, state)
+        grads.weights[0][...] = [[1.0]]
+        nn.optimizer_step(net, grads.flat, state)
         assert net.weights[0][0, 0] == pytest.approx(0.9, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_zero_gradient_fixed_point(self, kind):
         net = small_net([2, 3, 2], seed=4)
-        before = net.flat_params()
+        before = net.flat.copy()
         state = nn.make_optimizer(net, kind=kind, lr=0.1)
-        nn.optimizer_step(net, zero_grads(net), state)
-        np.testing.assert_array_equal(net.flat_params(), before)
+        nn.optimizer_step(net, zero_grads(net).flat, state)
+        np.testing.assert_array_equal(net.flat, before)
 
     def test_adam_first_step_magnitude_is_lr(self):
         # closed form: m_hat = g, v_hat = g^2, so |update| = lr*|g|/(|g|+eps)
@@ -481,18 +493,25 @@ class TestOptimizer:
             w0 = net.weights[0][0, 0]
             state = nn.make_optimizer(net, kind="adam", lr=1e-3)
             grads = zero_grads(net)
-            grads[0][...] = [[g_val]]
-            nn.optimizer_step(net, grads, state)
+            grads.weights[0][...] = [[g_val]]
+            nn.optimizer_step(net, grads.flat, state)
             update = abs(net.weights[0][0, 0] - w0)
             assert update == pytest.approx(1e-3, abs=1e-6)
 
-    def test_non_finite_gradient_names_parameter(self):
+    # the flat indices of a 2-3-2 net at its block boundaries: W0 holds 0-5,
+    # W1 6-11, b0 12-14 and b1 15-16
+    @pytest.mark.parametrize("index,name", [(12, "layer 0 bias"), (16, "layer 1 bias"),
+                                            (5, "layer 0 weight"), (6, "layer 1 weight")],
+                             ids=["b0-first", "b1-last", "W0-last", "W1-first"])
+    def test_non_finite_gradient_names_parameter(self, index, name):
         net = small_net([2, 3, 2])
+        before = net.flat.copy()
         state = nn.make_optimizer(net, kind="sgd", lr=0.1)
-        grads = zero_grads(net)
-        grads[1][0, 0] = np.nan  # layer 1 weight
-        with pytest.raises(TrainingDivergedError, match="layer 1 weight"):
+        grads = zero_grads(net).flat
+        grads[index] = np.nan
+        with pytest.raises(TrainingDivergedError, match=f"for {name}$"):
             nn.optimizer_step(net, grads, state)
+        np.testing.assert_array_equal(net.flat, before)
 
     def test_deterministic_given_state_and_grads(self):
         results = []
@@ -502,10 +521,10 @@ class TestOptimizer:
             rng = np.random.default_rng(6)
             for _ in range(5):
                 grads = zero_grads(net)
-                for g in grads:
+                for g in grads.weights + grads.biases:
                     g[...] = rng.normal(size=g.shape)
-                nn.optimizer_step(net, grads, state)
-            results.append(net.flat_params())
+                nn.optimizer_step(net, grads.flat, state)
+            results.append(net.flat)
         np.testing.assert_array_equal(results[0], results[1])
 
 
@@ -585,12 +604,12 @@ class TestDeterminism:
     def test_same_spec_seed_identical_params(self):
         a = small_net([4, 8, 3], seed=42)
         b = small_net([4, 8, 3], seed=42)
-        np.testing.assert_array_equal(a.flat_params(), b.flat_params())
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_different_seed_differs(self):
         a = small_net([4, 8, 3], seed=42)
         b = small_net([4, 8, 3], seed=43)
-        assert not np.array_equal(a.flat_params(), b.flat_params())
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_init_bound_is_glorot(self):
         net = small_net([100, 50], seed=0)

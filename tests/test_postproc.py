@@ -334,11 +334,11 @@ class TestApplyInlpAndRefit:
 
     def test_original_model_untouched(self):
         model, train_ds, _ = trained_standard()
-        before = model.flat_params()
+        before = model.flat.copy()
         H_train = nn.infer(model, train_ds.X)[0]
         P = postproc.inlp(H_train, train_ds.g, max_iterations=2).P
         postproc.apply_inlp_and_refit(model, P, H_train, train_ds.y, 2)
-        np.testing.assert_array_equal(model.flat_params(), before)
+        np.testing.assert_array_equal(model.flat, before)
 
 
 # 3 classes x 2 groups, group g = c mod 2 over-represented in class c

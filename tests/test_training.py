@@ -44,9 +44,20 @@ def make_model(cfg, d=5, num_classes=2, num_groups=2, seed=0):
                                       seed=seed, group_heads=heads))
 
 
+def param_arrays(net, flat):
+    """The weight and bias arrays of flat, a vector in net.flat's layout:
+    W0, ..., then b0, ...; views of flat."""
+    view = nn.Network(net.spec, flat)
+    return view.weights + view.biases
+
+
+def flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def stack_blocks(params, k, num_groups):
     """For each discriminator i of a stack of k, block i of each array of
-    params (the stack's parameters or their gradients, in params order)."""
+    params (the stack's parameter arrays or their gradients', W0, W1, b0, b1)."""
     H, G = training.DISC_HIDDEN, num_groups
     W0, W1, b0, b1 = params
     return [[W0[i * H:(i + 1) * H], W1[i * G:(i + 1) * G, i * H:(i + 1) * H],
@@ -67,8 +78,8 @@ def separate_discriminators(stack, k, num_groups):
     copies of their blocks."""
     spec = nn.MlpSpec(input_dim=stack.spec.input_dim, hidden_dims=(training.DISC_HIDDEN,),
                       output_dim=num_groups, activation=stack.spec.activation)
-    return [nn.Network(spec, [W0.copy(), W1.copy()], [b0.copy(), b1.copy()])
-            for W0, W1, b0, b1 in stack_blocks(stack.params, k, num_groups)]
+    return [nn.Network(spec, flatten(block))
+            for block in stack_blocks(stack.weights + stack.biases, k, num_groups)]
 
 
 def loop_adversarial_pass(discs, hidden, batch, diff_lambda):
@@ -95,7 +106,7 @@ def loop_adversarial_pass(discs, hidden, batch, diff_lambda):
         mean_grad += grads.d_X[:, :hidden.shape[1]] / len(discs)
         if np.any(pgrad):
             grads = nn.backward(disc, trace, d_logits, extra_post_grads={0: pgrad})
-        disc_grads.append(grads.params)
+        disc_grads.append(grads.d_weights + grads.d_biases)
     return mean_loss, mean_grad, disc_grads
 
 
@@ -104,15 +115,15 @@ def check_gradients(cfg, seed, discs=None):
     batch = random_batch(rng)
     model = make_model(cfg, seed=seed)
     loss, grads, _, _ = training.main_loss_and_grads(model, batch, cfg, discs=discs)
-    theta0 = nn.flatten(model.params)
+    theta0 = model.flat.copy()
 
     def loss_of(theta):
-        nn.unflatten_into(model.params, theta)
+        model.flat[...] = theta
         return training.main_loss_and_grads(model, batch, cfg, discs=discs)[0]
 
     numeric = finite_diff_grad(loss_of, theta0)
-    nn.unflatten_into(model.params, theta0)
-    return rel_err(nn.flatten(grads), numeric)
+    model.flat[...] = theta0
+    return rel_err(grads, numeric)
 
 
 class TestGradientCompositions:
@@ -157,7 +168,7 @@ class TestAdversarial:
         m2 = make_model(cfg_adv, seed=3)
         _, g1, _, _ = training.main_loss_and_grads(m1, batch, cfg_std)
         _, g2, _, _ = training.main_loss_and_grads(m2, batch, cfg_adv, discs=discs)
-        np.testing.assert_array_equal(nn.flatten(g1), nn.flatten(g2))
+        np.testing.assert_array_equal(g1, g2)
 
     def test_constant_hidden_reversed_gradient(self):
         # constant hidden rows -> identical per-row discriminator input gradient,
@@ -184,12 +195,12 @@ class TestAdversarial:
         std = training.MethodConfig(method="Standard", hidden_dims=(4,))
         model = make_model(std, d=4, seed=1)
         discs = training.init_discriminators(training.MethodConfig(method="Adv"), 4, 2, 2)
-        base = nn.flatten(training.main_loss_and_grads(model, batch, std)[1])
+        base = training.main_loss_and_grads(model, batch, std)[1]
         grads = {}
         for lam in (0.5, 1.0, 2.0):
             cfg = training.MethodConfig(method="Adv", adv_lambda=lam, hidden_dims=(4,))
             _, rev, _, _ = training.main_loss_and_grads(model, batch, cfg, discs=discs)
-            grads[lam] = nn.flatten(rev) - base
+            grads[lam] = rev - base
         assert np.any(grads[1.0])
         np.testing.assert_allclose(grads[1.0], 2.0 * grads[0.5], atol=1e-12)
         np.testing.assert_allclose(grads[2.0], 2.0 * grads[1.0], atol=1e-12)
@@ -215,13 +226,13 @@ class TestAdversarial:
         rng = np.random.default_rng(2)
         hidden = rng.normal(size=(6, 4))
         batch = random_batch(rng, n=6, d=4)
-        theta0 = stack.flat_params()
+        theta0 = stack.flat.copy()
 
         def objective(theta, hidden=hidden):
             # sum of the discriminators' own CEs plus the pairwise penalty, and the mean CE
-            nn.unflatten_into(stack.params, theta)
+            stack.flat[...] = theta
             discs = separate_discriminators(stack, 3, 2)
-            nn.unflatten_into(stack.params, theta0)
+            stack.flat[...] = theta0
             traces = [nn.forward(d_, hidden) for d_ in discs]
             ces = [nn.cross_entropy(t.logits, batch.g, batch.weights)[0] for t in traces]
             penalty = sum(np.sum((traces[i].post[0].T @ traces[j].post[0]) ** 2)
@@ -233,11 +244,10 @@ class TestAdversarial:
         assert mean_ce == pytest.approx(objective(theta0)[1], abs=1e-12)
         numeric = finite_diff_grad(lambda th: objective(th)[0], theta0)
         # each block's gradient matches on its own; the off-block ones are 0
-        numeric_params = [np.zeros_like(p) for p in stack.params]
-        nn.unflatten_into(numeric_params, numeric)
+        stack_grads = param_arrays(stack, stack_grads)
         blocks = stack_blocks(stack_grads, 3, 2)
-        for got, want in zip(blocks, stack_blocks(numeric_params, 3, 2)):
-            assert rel_err(nn.flatten(got), nn.flatten(want)) < 1e-4
+        for got, want in zip(blocks, stack_blocks(param_arrays(stack, numeric), 3, 2)):
+            assert rel_err(flatten(got), flatten(want)) < 1e-4
         assert not stack_grads[1][off_block_mask(3, 2)].any()
         # the hidden gradient is that of the mean CE alone, without the penalty
         numeric = finite_diff_grad(
@@ -270,10 +280,10 @@ class TestAdversarial:
         stack = training.init_discriminators(cfg, hidden_dim=4, num_classes=3, num_groups=2)
         in_dim = 4 + (3 if method == "ADAdv" else 0)
         assert stack.spec.input_dim == in_dim
-        for i, block in enumerate(stack_blocks(stack.params, 3, 2)):
+        for i, block in enumerate(stack_blocks(stack.weights + stack.biases, 3, 2)):
             lone = nn.init_network(nn.MlpSpec(input_dim=in_dim, hidden_dims=(16,), output_dim=2,
                                               seed=nn.derive_seed(5, 11 + i)))
-            for got, want in zip(block, lone.params):
+            for got, want in zip(block, lone.weights + lone.biases):
                 np.testing.assert_array_equal(got, want)
         assert not stack.weights[1][off_block_mask(3, 2)].any()
 
@@ -288,6 +298,7 @@ class TestAdversarial:
         batch = random_batch(rng, n=9, d=5, num_groups=3)
         batch = dataclasses.replace(batch, weights=rng.uniform(0.5, 2.0, 9))
         loss, d_hidden, grads = training.adversarial_pass(stack, hidden, batch, cfg.diff_lambda)
+        grads = param_arrays(stack, grads)
         want_loss, want_hidden, want_grads = loop_adversarial_pass(discs, hidden, batch,
                                                                    cfg.diff_lambda)
         assert loss == pytest.approx(want_loss, rel=1e-12)
@@ -307,11 +318,11 @@ class TestAdversarial:
         main_opt = nn.make_optimizer(model, kind=kind, lr=cfg.lr)
         stack_opt = nn.make_optimizer(stack, kind=kind, lr=cfg.lr)
         rng = np.random.default_rng(11)
-        before = stack.flat_params()
+        before = stack.flat.copy()
         for _ in range(20):
             training.adv_joint_step(model, main_opt, stack, stack_opt, random_batch(rng), cfg)
         assert np.all(stack.weights[1][off_block] == 0.0)
-        assert not np.array_equal(stack.flat_params(), before)
+        assert not np.array_equal(stack.flat, before)
 
     @pytest.mark.parametrize("method,flags,scores", [
         # dev/test (performance, fairness) of epochs 1 and 2, at seed 0 on the
@@ -665,10 +676,9 @@ class TestGate:
         _, d_logits, _ = nn.cross_entropy(logits, batch.y, batch.weights)
         d_all = np.concatenate([d_logits, *(mix[:, g, None] * d_logits for g in range(G))],
                                axis=1)
-        want = nn.backward(model, trace, d_all).params
+        want = nn.backward(model, trace, d_all).flat
         got = training.main_loss_and_grads(model, batch, cfg)[1]
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert np.array_equal(got, want)
 
     def test_group_out_of_range(self):
         cfg = training.MethodConfig(method="Gate", hidden_dims=(3,))
@@ -775,7 +785,7 @@ class TestTrainLoop:
                              training.MethodConfig(method="Standard", **base))
         other = training.train(train_ds, dev_ds, test_ds,
                                training.MethodConfig(method=method, **zeroed, **base))
-        np.testing.assert_array_equal(std.model.flat_params(), other.model.flat_params())
+        np.testing.assert_array_equal(std.model.flat, other.model.flat)
 
     @pytest.mark.parametrize("method", ["Adv", "AAdv"])
     def test_single_discriminator_methods_ignore_n_discriminators(self, method):
@@ -784,7 +794,7 @@ class TestTrainLoop:
         one, three = (training.train(train_ds, dev_ds, test_ds,
                                      training.MethodConfig(n_discriminators=k, **base))
                       for k in (1, 3))
-        np.testing.assert_array_equal(one.model.flat_params(), three.model.flat_params())
+        np.testing.assert_array_equal(one.model.flat, three.model.flat)
 
     def test_fairbatch_alpha_zero_keeps_initial_distribution(self):
         train_ds, dev_ds, test_ds = biased_bundle(n=60)
@@ -799,7 +809,7 @@ class TestTrainLoop:
         cfg = training.MethodConfig(method="Adv", adv_lambda=0.5, epochs=3, seed=11)
         a = training.train(train_ds, dev_ds, test_ds, cfg)
         b = training.train(train_ds, dev_ds, test_ds, cfg)
-        np.testing.assert_array_equal(a.model.flat_params(), b.model.flat_params())
+        np.testing.assert_array_equal(a.model.flat, b.model.flat)
         strip = lambda row: {k: v for k, v in row.items() if k != "seconds"}
         assert [strip(r) for r in a.rows] == [strip(r) for r in b.rows]
 
@@ -811,7 +821,7 @@ class TestTrainLoop:
         row = record.rows[-1]
         assert row["epoch"] == 2 and row["checkpoint"] == str(tmp_path / "checkpoints.bin")
         model = training.load_checkpoint(row["checkpoint"], row["epoch"])
-        np.testing.assert_array_equal(model.flat_params(), record.model.flat_params())
+        np.testing.assert_array_equal(model.flat, record.model.flat)
         X = dev_ds.X
         np.testing.assert_array_equal(nn.forward(model, X).logits,
                                       nn.forward(record.model, X).logits)
@@ -830,7 +840,7 @@ class TestTrainLoop:
         row = record.rows[-1]
         model = training.load_checkpoint(row["checkpoint"], row["epoch"])
         assert model.spec.group_heads == 2
-        np.testing.assert_array_equal(model.flat_params(), record.model.flat_params())
+        np.testing.assert_array_equal(model.flat, record.model.flat)
         np.testing.assert_array_equal(
             training.predict(model, [dev_ds.X], [dev_ds.g]),
             training.predict(record.model, [dev_ds.X], [dev_ds.g]))
@@ -844,8 +854,8 @@ class TestTrainLoop:
         assert (tmp_path / "checkpoints.bin").stat().st_size == (
             len(training._checkpoint_header(spec)) + 2 * spec.n_params * 8)
         np.testing.assert_array_equal(
-            training.load_checkpoint(tmp_path / "checkpoints.bin", 1).flat_params(),
-            record.model.flat_params())
+            training.load_checkpoint(tmp_path / "checkpoints.bin", 1).flat,
+            record.model.flat)
 
     def test_nan_score_row_raises_unwritten(self, tmp_path):
         _, dev_ds, test_ds = biased_bundle(n=40)
@@ -965,13 +975,14 @@ class TestScoringOverlap:
     def test_below_the_gate_no_snapshot_is_made(self, tmp_path):
         train_ds, dev_ds, test_ds = biased_bundle(n=60)
         cfg = training.MethodConfig(method="Standard", epochs=3, seed=1)
-        assert dev_ds.n * make_model(cfg, d=6).spec.n_params < nn.PARALLEL_MIN_WORK
+        spec = make_model(cfg, d=6).spec
+        assert dev_ds.n * spec.n_params < nn.PARALLEL_MIN_WORK
         with mock.patch.object(nn.LogitsOnWorker, "_build", side_effect=AssertionError), \
-                mock.patch.object(nn._Worker, "get", side_effect=AssertionError), \
-                mock.patch.object(nn.Network, "flat_params", autospec=True,
-                                  side_effect=nn.Network.flat_params) as flat_params:
+                mock.patch.object(nn._Worker, "get", side_effect=AssertionError):
             training.train(train_ds, dev_ds, test_ds, cfg, run_dir=tmp_path)
-        assert flat_params.call_count == 4  # once per epoch, for the checkpoint
+        ckpt = (tmp_path / "checkpoints.bin").read_bytes()
+        header = ckpt[:ckpt.index(b"\n") + 1]
+        assert len(ckpt) == len(header) + 4 * spec.n_params * 8  # one record per epoch
 
 
 def gate_model_and_optimizer(kind="adam", steps=3):
@@ -981,7 +992,7 @@ def gate_model_and_optimizer(kind="adam", steps=3):
     opt = nn.make_optimizer(model, kind=kind, lr=0.01)
     rng = np.random.default_rng(9)
     for _ in range(steps):
-        nn.optimizer_step(model, [rng.normal(size=p.shape) for p in model.params], opt)
+        nn.optimizer_step(model, rng.normal(size=model.spec.n_params), opt)
     return model, opt
 
 
@@ -1010,12 +1021,12 @@ class TestMethodConfig:
 class TestOneOptimizer:
     def test_nan_head_gradient_names_the_head(self):
         model, opt = gate_model_and_optimizer(steps=0)
-        before = nn.flatten(model.params)
+        before = model.flat.copy()
         grads = zero_grads(model)
-        grads[1][4, 0] = np.nan  # output layer, first row of group 1's head
+        grads.weights[1][4, 0] = np.nan  # output layer, first row of group 1's head
         with pytest.raises(TrainingDivergedError, match="layer 1 weight"):
-            nn.optimizer_step(model, grads, opt)
-        np.testing.assert_array_equal(nn.flatten(model.params), before)
+            nn.optimizer_step(model, grads.flat, opt)
+        np.testing.assert_array_equal(model.flat, before)
 
 
 def per_parameter_adam(params, grads, m, v, t, lr):
@@ -1037,19 +1048,20 @@ class TestFlatAdam:
         model = make_model(cfg, d=4, num_groups=3, seed=3)
         reference = make_model(cfg, d=4, num_groups=3, seed=3)
         opt = nn.make_optimizer(model, kind="adam", lr=0.01)
-        m = [np.zeros_like(p) for p in reference.params]
-        v = [np.zeros_like(p) for p in reference.params]
+        params = reference.weights + reference.biases
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
         rng = np.random.default_rng(4)
         for t in range(1, 51):
             grads = [rng.normal(scale=10.0 ** rng.integers(-4, 3), size=p.shape)
-                     for p in model.params]
-            nn.optimizer_step(model, grads, opt)
-            per_parameter_adam(reference.params, grads, m, v, t, 0.01)
+                     for p in params]
+            nn.optimizer_step(model, flatten(grads), opt)
+            per_parameter_adam(params, grads, m, v, t, 0.01)
         assert opt.t == 50
-        for a, b in zip(model.params, reference.params):
+        for a, b in zip(model.weights + model.biases, params):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(opt.flat_m, nn.flatten(m))
-        np.testing.assert_array_equal(opt.flat_v, nn.flatten(v))
+        np.testing.assert_array_equal(opt.flat_m, flatten(m))
+        np.testing.assert_array_equal(opt.flat_v, flatten(v))
 
 
 class HalfWrite:
@@ -1083,7 +1095,7 @@ class TestCrashSafeWrites:
         assert path.stat().st_size == (
             len(training._checkpoint_header(GATE_SPEC)) + 3 * size + size // 2)
         for epoch, params in enumerate(saved):
-            assert training.load_checkpoint(path, epoch).flat_params().tobytes() == params
+            assert training.load_checkpoint(path, epoch).flat.tobytes() == params
         with pytest.raises(training.ParseErrorForCheckpoint):
             training.load_checkpoint(path, 3)  # the torn record
 
@@ -1119,8 +1131,8 @@ def write_store(path, spec, epochs, seed) -> list[bytes]:
     saved = []
     for epoch in range(epochs):
         training.save_checkpoint(path, model, epoch)
-        saved.append(model.flat_params().tobytes())
-        for p in model.params:
+        saved.append(model.flat.tobytes())
+        for p in model.weights + model.biases:
             p += rng.normal(scale=10.0 ** rng.integers(-3, 4), size=p.shape)
     return saved
 
@@ -1172,7 +1184,18 @@ def test_reload_is_bit_exact_and_draws_no_init(tmp_path, spec):
     init.assert_not_called()
     for model, params in zip(loaded, saved, strict=True):
         assert model.spec == spec
-        assert model.flat_params().tobytes() == params
+        assert model.flat.tobytes() == params
+
+
+@pytest.mark.parametrize("kind", nn.OPTIMIZERS)
+def test_reloaded_network_is_writable_and_owns_its_buffer(tmp_path, kind):
+    path = tmp_path / "checkpoints.bin"
+    saved = write_store(path, GATE_SPEC, 2, seed=3)
+    stored = path.read_bytes()
+    model = training.load_checkpoint(path, 1)
+    nn.optimizer_step(model, np.ones(GATE_SPEC.n_params), nn.make_optimizer(model, kind, 0.1))
+    assert model.flat.tobytes() != saved[1]
+    assert path.read_bytes() == stored
 
 
 class TestMalformedCheckpoint:
@@ -1194,7 +1217,7 @@ class TestMalformedCheckpoint:
         model, opt = gate_model_and_optimizer()
         path = tmp_path / "epoch_1.npz"
         np.savez(path, magic=np.array(magic), epoch=np.array(1),
-                 params=model.flat_params(), opt_m=opt.flat_m, opt_v=opt.flat_v)
+                 params=model.flat, opt_m=opt.flat_m, opt_v=opt.flat_v)
         with pytest.raises(training.ParseErrorForCheckpoint):
             training.load_checkpoint(path, 1)
 
@@ -1203,7 +1226,7 @@ class TestMalformedCheckpoint:
         good = tmp_path / "good.bin"
         saved = write_store(good, GATE_SPEC, 3, seed=0)
         header, records = good.read_bytes().split(b"\n", 1)
-        assert training.load_checkpoint(good, 2).flat_params().tobytes() == saved[2]
+        assert training.load_checkpoint(good, 2).flat.tobytes() == saved[2]
         (tmp_path / "bad.bin").write_bytes(DAMAGE[damage](json.loads(header), records))
         with pytest.raises(training.ParseErrorForCheckpoint):
             training.load_checkpoint(tmp_path / "bad.bin", 2)
@@ -1257,8 +1280,8 @@ class TestCheckpointStore:
         assert size == len(training._checkpoint_header(spec)) + epochs * spec.n_params * 8
         for model, params in zip(loaded, saved):
             assert model.spec == spec
-            assert np.array_equal(model.flat_params(), np.frombuffer(params))
-            assert model.flat_params().tobytes() == params
+            assert np.array_equal(model.flat, np.frombuffer(params))
+            assert model.flat.tobytes() == params
 
     # A flipped byte inside a record is read back as stored: records carry no
     # checksum. Every other damage is refused or leaves the record intact. A
@@ -1294,11 +1317,11 @@ class TestCheckpointStore:
                 except training.ParseErrorForCheckpoint:
                     model = None
                 if damaged[:header] == original[:header]:
-                    loaded = None if model is None else model.flat_params().tobytes()
+                    loaded = None if model is None else model.flat.tobytes()
                     assert loaded == (record if len(record) == size else None)
                 elif model is not None:
                     line = training._checkpoint_header(model.spec)
                     named = model.spec.n_params * 8  # the record size of the spec it names
                     assert damaged.startswith(line)
                     at = len(line) + epoch * named
-                    assert model.flat_params().tobytes() == damaged[at:at + named]
+                    assert model.flat.tobytes() == damaged[at:at + named]
