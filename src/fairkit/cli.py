@@ -349,23 +349,20 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
     H_train = nn.infer(model, train_ds.X)[0]
     projection = postproc.inlp(H_train, train_ds.g, max_iterations=cfg.inlp_iterations)
     postproc.save_projection(run_dir / "inlp_projection.bin", projection)
-    clf = postproc.apply_inlp_and_refit(model, projection.P, H_train, train_ds.y,
-                                        num_classes=train_ds.num_classes)
+    refit, steps, grad_norm = postproc.apply_inlp_and_refit(
+        model, projection.P, H_train, train_ds.y, num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies,
            "probe_steps": [steps for steps, _ in projection.probe_fits],
            "probe_grad_norms": [norm for _, norm in projection.probe_fits],
-           "refit_steps": clf.steps, "refit_grad_norm": clf.grad_norm}
-    # dev and test run after the fit, so their hidden states are not held through it
-    predictions = [clf.hidden_logits(H).argmax(axis=1)
-                   for H, _ in nn.infer_many(model, [dev_ds.X, test_ds.X])]
+           "refit_steps": steps, "refit_grad_norm": grad_norm}
+    predictions = training.predict(refit, [dev_ds.X, test_ds.X], [dev_ds.g, test_ds.g])
     training._append_row(run_dir / "epochs.jsonl", row, predictions, dev_ds, test_ds)
 
 
 def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
     model = _select_model(record)
-    dev_logits, test_logits = (logits for _, logits in nn.infer_many(
-        model, [dev_ds.X, test_ds.X]))
+    dev_logits, test_logits = nn.infer_many(model, [dev_ds.X, test_ds.X])
     prior, dev_dto = postproc.gate_soft_search(model, dev_ds, cfg.gate_grid_resolution,
                                                logits=dev_logits)
     row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}

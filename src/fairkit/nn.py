@@ -9,7 +9,10 @@ only: forward applies the activation in place, and backward reads each
 slope from the post-activation. The backward pass accepts extra gradients
 injected at any hidden activation, which is how the adversarial and
 contrastive branches feed into the encoder. A network with group heads
-(Gate) holds them as extra rows of its output layer.
+(Gate) holds them as extra rows of its output layer. infer_many and
+LogitsOnWorker compute logits only; above PARALLEL_MIN_WORK each call
+starts one job on a thread of its own (fairkit-infer), which has ended
+by the time the call returns or raises.
 """
 
 from __future__ import annotations
@@ -200,45 +203,40 @@ def infer(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # infer_many runs inputs on two threads only when the smallest input's rows
-# times n_params reach this. Below it the hand-off to the worker costs more
-# than the overlap saves: on a 2-CPU host with one BLAS thread, two inputs
-# broke even at 0.7M-1.0M, and this leaves twice that for a busier host.
+# times n_params reach this. Below it the hand-off to a second thread costs
+# more than the overlap saves: on a 2-CPU host with one BLAS thread, two
+# inputs broke even at 0.7M-1.0M, and this leaves twice that for a busier host.
 PARALLEL_MIN_WORK = 2_000_000
 
 
-def infer_many(net: Network, Xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """[infer(net, X) for X in Xs], bit for bit.
+def infer_many(net: Network, Xs: list[np.ndarray]) -> list[np.ndarray]:
+    """[infer(net, X)[1] for X in Xs], the logits, bit for bit.
 
     With two or more inputs, each of at least PARALLEL_MIN_WORK rows times
-    n_params, and two CPUs to run on, the caller runs the first input while
-    one worker thread runs the others. Each input stays one GEMM per layer,
-    because a GEMM split by rows or columns rounds differently. The caller
-    allocates every array, so the worker's thread grows no malloc arena of
-    its own, and the worker calls no public function, so a tracer that
-    wraps them sees every call on the calling thread. A wrong input width
-    raises infer's ShapeError before the worker is given anything."""
+    n_params, and two CPUs to run on, the caller runs the first input as
+    infer does while a job on a second thread runs the others. Each input
+    stays one GEMM per layer, because a GEMM split by rows or columns rounds
+    differently. The caller makes every array the job writes (see
+    _outputs), so the job's thread grows no malloc arena of its own, and
+    the job calls no public function, so a tracer that wraps them sees
+    every call on the calling thread. A wrong input width raises infer's
+    ShapeError before any job starts."""
     Xs = [_checked_input(net, X) for X in Xs]
     if not _take_worker(net, Xs):
-        return [infer(net, X) for X in Xs]
-    try:  # this thread holds the worker until its job is done
-        outs = _layer_outputs(net, Xs[:1]) + _layer_outputs(net, Xs[1:])
-        worker = _Worker.get()
-        worker.submit(_infer_into_all, net, Xs[1:], outs[1:])
-        try:
-            first = _infer_into(net, Xs[0], outs[0])
-        finally:
-            rest = worker.wait()
+        return [infer(net, X)[1] for X in Xs]
+    job = _Job(_infer_into_all, net, Xs[1:], _outputs(net, Xs[1:]))
+    try:
+        first = infer(net, Xs[0])[1]
     finally:
-        _Worker.lock.release()
+        rest = job.wait()
     return [first, *rest]
 
 
 def _take_worker(net: Network, Xs: list[np.ndarray]) -> bool:
     """Whether Xs run on two threads: two or more inputs, the smallest of at
-    least PARALLEL_MIN_WORK rows times n_params, two CPUs and a free
-    worker, which the caller then holds."""
+    least PARALLEL_MIN_WORK rows times n_params, and two CPUs."""
     return (len(Xs) >= 2 and min(X.shape[0] for X in Xs) * net.spec.n_params >= PARALLEL_MIN_WORK
-            and _cpus() >= 2 and _Worker.lock.acquire(blocking=False))
+            and _cpus() >= 2)
 
 
 def _cpus() -> int:
@@ -248,15 +246,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _layer_outputs(net: Network, Xs: list[np.ndarray]) -> list[list[np.ndarray]]:
+def _outputs(net: Network, Xs: list[np.ndarray]) -> list[list[np.ndarray]]:
     """Each layer's output array for each input of Xs, for inputs run one
-    after another: each input's hidden and logits arrays are its own, and
-    the layers before share one buffer that each input overwrites."""
-    widths = [w.shape[0] for w in net.weights]
+    after another: the hidden layers write in turn into one or two buffers
+    that every input shares, and each input's logits are its own."""
     rows = [X.shape[0] for X in Xs]
-    shared = [np.empty(max(rows) * w) for w in widths[:-2]]
-    return [[buf[:n * w].reshape(n, w) for buf, w in zip(shared, widths)]
-            + [np.empty((n, w)) for w in widths[-2:]] for n in rows]
+    hidden = [np.empty(max(rows) * max(net.spec.hidden_dims))
+              for _ in range(min(2, net.n_layers - 1))]
+    widths = [W.shape[0] for W in net.weights]
+    return [[hidden[k % 2][:n * w].reshape(n, w) for k, w in enumerate(widths[:-1])]
+            + [np.empty((n, widths[-1]))] for n in rows]
 
 
 def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = None,
@@ -277,112 +276,62 @@ def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = Non
 
 
 def _infer_into_all(net: Network, Xs: list[np.ndarray], outs: list[list[np.ndarray]]
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [_infer_into(net, X, out) for X, out in zip(Xs, outs)]
+                    ) -> list[np.ndarray]:
+    return [_infer_into(net, X, out)[1] for X, out in zip(Xs, outs)]
 
 
 class LogitsOnWorker:
-    """The logits of a frozen copy of net for each X of Xs, computed on
-    infer_many's worker while the caller goes on; bit for bit the logits of
-    infer_many(net, Xs) at the time of start().
+    """The logits of a frozen copy of net for each X of Xs, computed on a
+    second thread while the caller goes on; bit for bit infer_many(net, Xs)
+    at the time of start().
 
     start() goes ahead exactly when infer_many(net, Xs) would run in
-    parallel, and then the caller holds the worker until wait(). Below that
-    it returns False and has made nothing. The first start() that goes
-    ahead makes, on the calling thread, every array the worker writes or
-    reads besides Xs: the snapshot (a network of net's spec), one or two
-    hidden-width buffers that the inputs share in turn, and each input's
-    logits. Each start() copies net.flat into the snapshot's and hands the
-    worker the job infer_many gives it, so the worker makes no array and
-    calls no public function."""
+    parallel; below that it returns False and has made nothing. The first
+    start() that goes ahead makes, on the calling thread, every array the
+    job writes or reads besides Xs: the snapshot (a network of net's spec)
+    and the arrays of _outputs. Each start() copies net.flat into the
+    snapshot's and starts the job infer_many gives its second thread, so
+    the job makes no array and calls no public function."""
 
     def __init__(self, net: Network, Xs: list[np.ndarray]):
         self.net, self.Xs = net, Xs
-        self._snapshot = self._worker = None
+        self._snapshot = None
 
     def start(self) -> bool:
         if not _take_worker(self.net, self.Xs):
             return False
-        try:
-            if self._snapshot is None:
-                self._build()
-            np.copyto(self._snapshot.flat, self.net.flat)
-            self._worker = _Worker.get()
-            self._worker.submit(_infer_into_all, self._snapshot, self._checked, self._outs)
-        except BaseException:
-            _Worker.lock.release()
-            raise
+        if self._snapshot is None:
+            self._checked = [_checked_input(self.net, X) for X in self.Xs]
+            self._snapshot, self._outs = Network(self.net.spec), _outputs(self.net, self._checked)
+        np.copyto(self._snapshot.flat, self.net.flat)
+        self._job = _Job(_infer_into_all, self._snapshot, self._checked, self._outs)
         return True
 
     def wait(self) -> list[np.ndarray]:
         """Block until the job of start() ends; each X's logits, which the
         next start() overwrites. Raises what the job raised."""
+        return self._job.wait()
+
+
+class _Job:
+    """fn(*args), started at once on a daemon thread of its own, named
+    fairkit-infer. wait() joins the thread, so none is left alive, then
+    returns what fn returned or raises what it raised."""
+
+    def __init__(self, fn, *args):
+        self._outcome = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args),
+                                        name="fairkit-infer", daemon=True)
+        self._thread.start()
+
+    def _run(self, fn, args):
         try:
-            self._worker.wait()
-        finally:
-            self._worker = None
-            _Worker.lock.release()
-        return [outs[-1] for outs in self._outs]
-
-    def _build(self):
-        net = self.net
-        self._checked = [_checked_input(net, X) for X in self.Xs]
-        self._snapshot = Network(net.spec)
-        rows = [X.shape[0] for X in self._checked]
-        hidden = [np.empty(max(rows) * max(net.spec.hidden_dims))
-                  for _ in range(min(2, net.n_layers - 1))]
-        widths = [W.shape[0] for W in net.weights]
-        self._outs = [[hidden[k % 2][:n * w].reshape(n, w) for k, w in enumerate(widths[:-1])]
-                      + [np.empty((n, widths[-1]))] for n in rows]
-
-
-class _Worker:
-    """One daemon thread that runs one job at a time for infer_many and
-    LogitsOnWorker. It is started on first use and ends after IDLE_S
-    seconds without a job, so that a worker whose module was imported
-    afresh does not outlive it. A caller holds lock from get to wait; a
-    caller that finds it held runs serially."""
-
-    IDLE_S = 0.1
-    lock = threading.Lock()
-    _instance: _Worker | None = None
-
-    @classmethod
-    def get(cls) -> _Worker:
-        if cls._instance is None:
-            cls._instance = cls()
-        return cls._instance
-
-    def __init__(self):
-        self._job = self._outcome = None
-        self._start, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        threading.Thread(target=self._loop, name="fairkit-infer", daemon=True).start()
-
-    def _loop(self):
-        cls = type(self)
-        while True:
-            if not self._start.acquire(timeout=self.IDLE_S):
-                if cls.lock.acquire(blocking=False):  # no caller holds this worker
-                    cls._instance = None
-                    cls.lock.release()
-                    return
-                continue  # a caller holds it and is about to submit
-            fn, args = self._job
-            self._job = None
-            try:
-                self._outcome = (fn(*args), None)
-            except BaseException as e:  # re-raised on the caller's thread by wait
-                self._outcome = (None, e)
-            del fn, args  # an idle worker holds none of the caller's arrays
-            self._done.release()
-
-    def submit(self, fn, *args):
-        self._job = (fn, args)
-        self._start.release()
+            self._outcome = (fn(*args), None)
+        except BaseException as e:  # re-raised on the caller's thread by wait
+            self._outcome = (None, e)
 
     def wait(self):
-        """Block until the job ends; return what it returned or raise what it raised."""
-        self._done.acquire()
+        self._thread.join()
         (result, error), self._outcome = self._outcome, None
         if error is not None:
             raise error

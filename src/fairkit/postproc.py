@@ -2,14 +2,15 @@
 
 INLP: iteratively fit linear probes for the protected attribute on frozen
 hidden representations, project their row space out, and refit the final
-classifier on the projected representations. Gate-soft: grid-search a prior
-over group-specific heads at inference time.
+classifier on the projected representations; the refit classifier is a
+network whose output layer is the refit head folded with the projection.
+Gate-soft: grid-search a prior over group-specific heads at inference time.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,38 +155,24 @@ def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Proje
     return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs, probe_fits=fits)
 
 
-@dataclass
-class ProjectedClassifier:
-    """Frozen encoder -> projection -> freshly fit linear softmax layer.
-
-    W was fit on the projected train hidden states H @ P.T; at inference
-    the head is folded with the projection instead (see hidden_logits)."""
-
-    model: nn.Network
-    P: np.ndarray
-    W: np.ndarray
-    b: np.ndarray
-    steps: int  # the refit solver's steps and final gradient norm
-    grad_norm: float
-
-    def hidden_logits(self, H: np.ndarray) -> np.ndarray:
-        """The logits of the encoder's hidden states H: the head folded with
-        the projection, H @ (W @ P).T + b, so H is never projected."""
-        return H @ (self.W @ self.P).T + self.b
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.hidden_logits(nn.infer(self.model, X)[0]).argmax(axis=1)
-
-
-def apply_inlp_and_refit(model, P: np.ndarray, H_train: np.ndarray, y_train: np.ndarray,
-                         num_classes: int) -> ProjectedClassifier:
+def apply_inlp_and_refit(model: nn.Network, P: np.ndarray, H_train: np.ndarray,
+                         y_train: np.ndarray, num_classes: int
+                         ) -> tuple[nn.Network, int, float]:
     """Fit a fresh final layer on the P-projected train hidden states
-    H_train of model; the original model is untouched."""
+    H_train of model; the original model is untouched. Returns (network,
+    steps, grad_norm): the network has model's hidden layers and, with no
+    group heads, the output layer W @ P, b of the head W, b fit on
+    H_train @ P.T, so hidden states are never projected; steps and
+    grad_norm are the refit solver's (see fit_softmax_head)."""
     h = H_train.shape[1]
     if P.shape != (h, h):
         raise ShapeError(f"projection shape {P.shape} does not match hidden dim {h}")
     W, b, steps, grad_norm = fit_softmax_head(H_train @ P.T, y_train, num_classes)
-    return ProjectedClassifier(model=model, P=P, W=W, b=b, steps=steps, grad_norm=grad_norm)
+    refit = nn.Network(replace(model.spec, output_dim=num_classes, group_heads=0))
+    for k in range(model.n_layers - 1):
+        refit.weights[k][...], refit.biases[k][...] = model.weights[k], model.biases[k]
+    refit.weights[-1][...], refit.biases[-1][...] = W @ P, b
+    return refit, steps, grad_norm
 
 
 def save_projection(path, projection: Projection):

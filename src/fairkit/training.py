@@ -433,7 +433,7 @@ def predict(model: nn.Network, Xs: list[np.ndarray], gs: list[np.ndarray]) -> li
     """Each row's class for each X of Xs, through the head of its group in
     the matching g of gs if the model has group heads. Every X goes through
     one nn.infer_many call."""
-    return _classes(model, [logits for _, logits in nn.infer_many(model, Xs)], gs)
+    return _classes(model, nn.infer_many(model, Xs), gs)
 
 
 def _classes(model: nn.Network, logits: list[np.ndarray], gs: list[np.ndarray]
@@ -489,7 +489,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
     epochs.jsonl and the checkpoint store checkpoints.bin are written as
     training goes.
 
-    Epoch k's dev and test logits are computed on nn's worker thread while
+    Epoch k's dev and test logits are computed on a second thread while
     epoch k + 1 trains when nn.infer_many would run them in parallel
     (nn.LogitsOnWorker), else before it trains; the last epoch is scored
     after it. Either way the files are written in one order, record k, row
@@ -543,6 +543,7 @@ def train(train_ds: Dataset, dev_ds: Dataset, test_ds: Dataset, cfg: MethodConfi
             else:
                 loss, grads, per_example, _ = main_loss_and_grads(model, batch, cfg)
                 nn.optimizer_step(model, grads, main_opt)
+                del grads  # not held through the next step's backward
                 if fairbatch:
                     batch_losses.append(per_example)
                     batch_cells.append(batch.y * num_groups + batch.g)

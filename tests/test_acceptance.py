@@ -93,8 +93,9 @@ def _efficacy_inlp(seed, iterations=2):
     _, _, record = _efficacy_run(seed, "Standard")
     H = nn.infer(record.model, train_ds.X)[0]
     proj = postproc.inlp(H, train_ds.g, max_iterations=iterations)
-    clf = postproc.apply_inlp_and_refit(record.model, proj.P, H, train_ds.y, 2)
-    report = evaluate_predictions(clf.predict(test_ds.X), test_ds.y, test_ds.g, 2, 2)
+    refit, _, _ = postproc.apply_inlp_and_refit(record.model, proj.P, H, train_ds.y, 2)
+    (preds,) = training.predict(refit, [test_ds.X], [test_ds.g])
+    report = evaluate_predictions(preds, test_ds.y, test_ds.g, 2, 2)
     return report.performance, report.fairness
 
 

@@ -1,14 +1,17 @@
-"""The package's runtime dependencies are numpy and PyYAML only, every
-public top-level function and class in it is used, and neither importing it
-nor a run below nn.PARALLEL_MIN_WORK starts a thread."""
+"""The package's runtime dependencies are numpy and PyYAML only, and every
+public top-level function and class in it is used. Importing it starts no
+thread; a run below nn.PARALLEL_MIN_WORK starts no fairkit-infer thread,
+and a run above it leaves none alive."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fairkit").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "yaml", "fairkit"}
@@ -90,11 +93,40 @@ def test_import_starts_no_thread_and_no_executor():
     assert out == "False 1"
 
 
+def _threads_of_a_run(argv: list[str]) -> dict:
+    """The name of each thread started while cli.main(argv) runs in a fresh
+    interpreter, the names of the threads alive after it, and nn._cpus()."""
+    return json.loads(_python(
+        "import json, threading\n"
+        "from fairkit import cli, nn\n"
+        "started, start = [], threading.Thread.start\n"
+        "def spy(thread):\n"
+        "    started.append(thread.name)\n"
+        "    start(thread)\n"
+        "threading.Thread.start = spy\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps({'started': started, 'cpus': nn._cpus(),\n"
+        "                  'alive': [t.name for t in threading.enumerate()]}))"))
+
+
 def test_a_run_below_the_parallel_threshold_starts_no_thread(tmp_path):
     # the CLI default scale: 800 rows x 178 parameters, below nn.PARALLEL_MIN_WORK
-    out = _python("import threading\n"
-                  "from fairkit import cli\n"
-                  "before = threading.active_count()\n"
-                  f"assert cli.main(['--epochs', '2', '--results_dir', {str(tmp_path)!r}]) == 0\n"
-                  "print(before, threading.active_count())")
-    assert out == "1 1"
+    run = _threads_of_a_run(["--epochs", "2", "--results_dir", str(tmp_path)])
+    assert "fairkit-infer" not in run["started"]
+    assert run["alive"] == ["MainThread"]
+
+
+def test_a_run_above_the_parallel_threshold_starts_a_thread_per_scoring(tmp_path):
+    """Epochs 0 and 1 are scored while the next epoch trains and epoch 2
+    after it, each on a thread of its own that has ended by the run's end."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"d": 256, "seed": 0, "group_shift": 2.0,
+                                    "n_per_cell": {"0,0": 140, "0,1": 60, "1,0": 60,
+                                                   "1,1": 140}}))
+    # dev and test: 400 rows x 16.6k parameters, above nn.PARALLEL_MIN_WORK
+    epochs = 2
+    run = _threads_of_a_run(["--synthetic_spec", str(spec), "--hidden_dims", "64",
+                             "--epochs", str(epochs), "--results_dir", str(tmp_path / "out")])
+    wanted = epochs + 1 if run["cpus"] > 1 else 0
+    assert run["started"].count("fairkit-infer") == wanted
+    assert run["alive"] == ["MainThread"]

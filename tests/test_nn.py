@@ -210,10 +210,8 @@ class TestInferMany:
                 mock.patch.object(nn, "_infer_into_all", spy):
             got = nn.infer_many(net, Xs)
         assert len(got) == len(Xs)
-        for (hidden, logits), X in zip(got, Xs):
-            want_hidden, want_logits = nn.infer(net, X)
-            assert np.array_equal(hidden, want_hidden)
-            assert np.array_equal(logits, want_logits)
+        for logits, X in zip(got, Xs):
+            assert np.array_equal(logits, nn.infer(net, X)[1])
         parallel = len(Xs) > 1 and min(len(X) for X in Xs) * net.spec.n_params >= threshold
         assert [t is not threading.main_thread() for t in ran_on] == (
             [True] if parallel and nn._cpus() > 1 else [])
@@ -230,7 +228,7 @@ class TestInferMany:
                 nn.infer_many(net, Xs)
             assert str(many.value) == str(serial.value)
             Xs[bad] = np.ones((40, 5))
-            for (hidden, logits), X in zip(nn.infer_many(net, Xs), Xs):
+            for logits, X in zip(nn.infer_many(net, Xs), Xs):
                 assert np.array_equal(logits, nn.infer(net, X)[1])
 
     def test_idle_worker_holds_no_input_or_output(self):
@@ -238,42 +236,43 @@ class TestInferMany:
         Xs = [np.ones((40, 5)), np.ones((41, 5)), np.ones((42, 5))]
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
             results = nn.infer_many(net, Xs)
-        arrays = [weakref.ref(a) for a in Xs + [a for pair in results for a in pair]]
+        arrays = [weakref.ref(a) for a in Xs + results]
         del Xs, results
         gc.collect()
         assert [ref() for ref in arrays if ref() is not None] == []
 
-    def test_worker_ends_when_idle_and_starts_again(self):
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_thread_is_left_alive(self, fails):
+        """No fairkit-infer thread is alive once infer_many or
+        LogitsOnWorker.wait returns or raises, even when the job is slow."""
         net = small_net([5, 7, 3])
         Xs = [np.ones((40, 5)), np.ones((41, 5))]
+        infer_into_all = nn._infer_into_all
 
-        def workers():
+        def slow(*args):
+            time.sleep(0.05)
+            if fails:
+                raise ShapeError("job failed")
+            return infer_into_all(*args)
+
+        def alive():
             return [t for t in threading.enumerate() if t.name == "fairkit-infer"]
 
-        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
-            for _ in range(2):
-                nn.infer_many(net, Xs)
-                if nn._cpus() > 1:
-                    assert len(workers()) == 1
-                deadline = time.monotonic() + nn._Worker.IDLE_S + 5.0
-                while workers() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert workers() == [] and nn._Worker._instance is None
-
-    def test_caller_runs_serially_while_the_worker_is_held(self):
-        net = small_net([5, 7, 3])
-        Xs = [np.ones((40, 5)), np.ones((41, 5))]
+        on_worker = nn.LogitsOnWorker(net, Xs)
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
-                mock.patch.object(nn, "_infer_into_all", side_effect=AssertionError):
-            with nn._Worker.lock:
-                got = nn.infer_many(net, Xs)
-        for (hidden, logits), X in zip(got, Xs):
-            assert np.array_equal(logits, nn.infer(net, X)[1])
+                mock.patch.object(nn, "_cpus", return_value=2), \
+                mock.patch.object(nn, "_infer_into_all", slow):
+            for call in (lambda: nn.infer_many(net, Xs),
+                         lambda: on_worker.start() and on_worker.wait()):
+                try:
+                    call()
+                except ShapeError:
+                    assert fails
+                assert alive() == []
 
     def test_concurrent_callers_get_their_own_results(self):
-        # more calling threads than cores, a short switch interval and a
-        # worker that ends after 1 ms idle: a job given to the wrong caller,
-        # or a worker lost between its exit and the next get, shows here
+        # more calling threads than cores and a short switch interval: a
+        # job's result given to the wrong caller shows here
         net = small_net([5, 7, 7, 3])
         rng = np.random.default_rng(0)
         inputs = [[rng.normal(size=(30 + i, 5)), rng.normal(size=(31 + i, 5))] for i in range(4)]
@@ -282,7 +281,7 @@ class TestInferMany:
 
         def call(i):
             for _ in range(50):
-                got = [logits for _, logits in nn.infer_many(net, inputs[i])]
+                got = nn.infer_many(net, inputs[i])
                 if not all(np.array_equal(a, b) for a, b in zip(got, wanted[i])):
                     failures.append(i)
             done.append(i)
@@ -290,8 +289,7 @@ class TestInferMany:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
-                    mock.patch.object(nn._Worker, "IDLE_S", 0.001):
+            with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
                 threads = [threading.Thread(target=call, args=(i,), daemon=True)
                            for i in range(4)]
                 for t in threads:
@@ -309,7 +307,7 @@ class TestInferMany:
         Xs = [np.ones((40, 5)), np.ones((41, 5))]
         infer_into, finished = nn._infer_into, []
 
-        def failing_on_worker(net, X, outs):
+        def failing_on_worker(net, X, outs=None):
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.05)
                 finished.append("worker")
@@ -323,7 +321,7 @@ class TestInferMany:
                 with pytest.raises(ShapeError, match="worker failed"):
                     nn.infer_many(net, Xs)
             assert sorted(finished) == ["caller", "worker"]
-            for (hidden, logits), X in zip(nn.infer_many(net, Xs), Xs):
+            for logits, X in zip(nn.infer_many(net, Xs), Xs):
                 assert np.array_equal(logits, nn.infer(net, X)[1])
 
 
@@ -345,7 +343,6 @@ class TestLogitsOnWorker:
                     assert len(got) == len(Xs)
                     assert all(np.array_equal(a, b) for a, b in zip(got, wanted))
         assert (on_worker._snapshot is not None) == parallel
-        assert not nn._Worker.lock.locked()
 
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
     def test_job_makes_no_array(self, activation):
@@ -379,19 +376,9 @@ class TestLogitsOnWorker:
                 assert on_worker.start()
                 with pytest.raises(ShapeError, match="job failed"):
                     on_worker.wait()
-            assert not nn._Worker.lock.locked()
             assert on_worker.start()
             for got, X in zip(on_worker.wait(), Xs):
                 assert np.array_equal(got, nn.infer(net, X)[1])
-
-    def test_makes_nothing_while_the_worker_is_held(self):
-        net = small_net([5, 7, 3])
-        on_worker = nn.LogitsOnWorker(net, [np.ones((40, 5)), np.ones((41, 5))])
-        with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
-                mock.patch.object(nn, "_cpus", return_value=2):
-            with nn._Worker.lock:
-                assert not on_worker.start()
-        assert on_worker._snapshot is None
 
 
 class TestCrossEntropy:

@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from fairkit import analysis, cli, data, evaluation, nn, postproc, training
+from test_training import overlap_job_spy
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -183,8 +184,8 @@ def test_probe_iters_counts_the_softmax_head_steps(tmp_path):
 
 
 def test_every_traced_call_runs_on_the_main_thread(tmp_path):
-    """nn.infer_many and nn.LogitsOnWorker run inputs on a worker thread
-    above PARALLEL_MIN_WORK, and data.generate_synthetic draws dev and test
+    """nn.infer_many and nn.LogitsOnWorker run inputs on a thread of their
+    own above PARALLEL_MIN_WORK, and data.generate_synthetic draws dev and test
     on two threads of its own; the tracer keeps one span stack for all
     threads, so no public function may run there. Wraps every function the
     tracer wraps during a Gate + Gate-soft run and a BT + Adv + INLP run
@@ -200,22 +201,16 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
             return fn(*args, **kwargs)
         return recorded
 
-    worker_threads, overlap_threads, snapshots, draw_threads = [], [], [], []
-    infer_into_all, build, draw = nn._infer_into_all, nn.LogitsOnWorker._build, data._draw_split
+    worker_threads, overlap_threads, draw_threads = [], [], []
+    infer_into_all, draw = nn._infer_into_all, data._draw_split
 
-    def worker_spy(net, *args):
+    def worker_spy(*args):
         worker_threads.append(threading.current_thread())
-        if any(net is snapshot for snapshot in snapshots):  # an overlapped job
-            overlap_threads.append(threading.current_thread())
-        return infer_into_all(net, *args)
+        return infer_into_all(*args)
 
     def draw_spy(*args):
         draw_threads.append(threading.current_thread())
         draw(*args)
-
-    def built(on_worker):
-        build(on_worker)
-        snapshots.append(on_worker._snapshot)
 
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump({"d": 256, "seed": 0, "group_shift": 2.0,
@@ -228,7 +223,7 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path):
             patches.wrap(fn, on_thread(name, fn))
     try:
         with mock.patch.object(nn, "_infer_into_all", worker_spy), \
-                mock.patch.object(nn.LogitsOnWorker, "_build", built), \
+                mock.patch.object(nn, "_Job", overlap_job_spy(overlap_threads)), \
                 mock.patch.object(data, "_draw_split", draw_spy):
             for flags in (["--method", "Gate", "--gate_soft"],
                           ["--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing",

@@ -311,17 +311,18 @@ class TestApplyInlpAndRefit:
         model, train_ds, dev_ds = trained_standard()
         h = model.hidden_dim
         H_train = nn.infer(model, train_ds.X)[0]
-        clf = postproc.apply_inlp_and_refit(model, np.eye(h), H_train, train_ds.y, 2)
+        refit, _, _ = postproc.apply_inlp_and_refit(model, np.eye(h), H_train, train_ds.y, 2)
         orig = np.mean(training.predict(model, [dev_ds.X], [dev_ds.g])[0] == dev_ds.y)
-        refit = np.mean(clf.predict(dev_ds.X) == dev_ds.y)
-        assert abs(refit - orig) <= 0.02
+        acc = np.mean(training.predict(refit, [dev_ds.X], [dev_ds.g])[0] == dev_ds.y)
+        assert abs(acc - orig) <= 0.02
 
     def test_zero_projection_collapses_to_majority(self):
         model, train_ds, dev_ds = trained_standard()
         h = model.hidden_dim
         H_train = nn.infer(model, train_ds.X)[0]
-        clf = postproc.apply_inlp_and_refit(model, np.zeros((h, h)), H_train, train_ds.y, 2)
-        preds = clf.predict(dev_ds.X)
+        refit, _, _ = postproc.apply_inlp_and_refit(model, np.zeros((h, h)), H_train,
+                                                    train_ds.y, 2)
+        (preds,) = training.predict(refit, [dev_ds.X], [dev_ds.g])
         assert len(np.unique(preds)) == 1  # constant classifier
         acc = np.mean(preds == dev_ds.y)
         assert acc == pytest.approx(postproc.majority_baseline(train_ds.y), abs=0.1)
@@ -331,6 +332,35 @@ class TestApplyInlpAndRefit:
         H_train = nn.infer(model, train_ds.X)[0]
         with pytest.raises(ShapeError):
             postproc.apply_inlp_and_refit(model, np.eye(3), H_train, train_ds.y, 2)
+
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("group_heads", [0, 2])
+    @pytest.mark.parametrize("min_work", [0, 10**12])
+    def test_refit_network_scores_as_the_folded_head(self, activation, group_heads, min_work):
+        """The refit network's logits are bit for bit H @ (W @ P).T + b, with
+        H the model's hidden states and W, b the head fit on H @ P.T, on the
+        serial path and the two-thread one."""
+        train_ds, dev_ds, test_ds = data.generate_synthetic(data.SyntheticSpec(
+            n_per_cell={(0, 0): 90, (0, 1): 30, (1, 0): 30, (1, 1): 90},
+            d=6, group_shift=2.5, seed=3))
+        model = nn.init_network(nn.MlpSpec(6, (12, 9), 2, activation, seed=4,
+                                           group_heads=group_heads))
+        H_train = nn.infer(model, train_ds.X)[0]
+        P = postproc.inlp(H_train, train_ds.g, max_iterations=2).P
+        W, b, steps, grad_norm = postproc.fit_softmax_head(H_train @ P.T, train_ds.y, 2)
+        refit, refit_steps, refit_norm = postproc.apply_inlp_and_refit(
+            model, P, H_train, train_ds.y, 2)
+        assert (refit_steps, refit_norm) == (steps, grad_norm)
+        assert refit.spec.group_heads == 0
+        Xs = [dev_ds.X, test_ds.X]
+        with mock.patch.object(nn, "PARALLEL_MIN_WORK", min_work), \
+                mock.patch.object(nn, "_cpus", return_value=2), \
+                mock.patch.object(nn, "_infer_into_all", wraps=nn._infer_into_all) as job:
+            got = nn.infer_many(refit, Xs)
+        assert job.called == (min_work == 0)
+        for logits, X in zip(got, Xs):
+            H = nn.infer(model, X)[0]
+            assert np.array_equal(logits, H @ (W @ P).T + b)
 
     def test_original_model_untouched(self):
         model, train_ds, _ = trained_standard()

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -752,6 +754,23 @@ class TestTrainLoop:
         # an epoch's rows of X are n * d * 8 bytes (8.2 MB); one batch's, 1/40 of that
         assert peak < n * d * 8 / 8, peak
 
+    @pytest.mark.parametrize("method", ["Standard", "FairBatch"])
+    def test_a_steps_gradient_is_freed_before_the_next_backward(self, method, monkeypatch):
+        train_ds, dev_ds, test_ds = biased_bundle(n=60)
+        cfg = training.MethodConfig(method=method, fairbatch_alpha=0.1, epochs=2,
+                                    batch_size=32, seed=1)
+        backward, last = nn.backward, []
+
+        def spy(*args, **kwargs):
+            assert not last or last[-1]() is None, "step k's gradient lives into step k + 1"
+            grads = backward(*args, **kwargs)
+            last.append(weakref.ref(grads.flat))
+            return grads
+
+        monkeypatch.setattr(nn, "backward", spy)
+        training.train(train_ds, dev_ds, test_ds, cfg)
+        assert len(last) > 2
+
     def test_epochs_zero_initialization_only(self):
         train_ds, dev_ds, test_ds = biased_bundle()
         cfg = training.MethodConfig(method="Standard", epochs=0, seed=1)
@@ -889,29 +908,33 @@ class Stop(BaseException):
     """A stop that nothing in fairkit catches."""
 
 
+def overlap_job_spy(jobs: list):
+    """A stand-in for nn._Job that appends to jobs the thread each job
+    started by nn.LogitsOnWorker.start (an overlapped one) runs on."""
+    make_job, start = nn._Job, nn.LogitsOnWorker.start.__code__
+
+    def job(fn, *args):
+        if sys._getframe(1).f_code is not start:
+            return make_job(fn, *args)
+
+        def overlapped(*args):
+            jobs.append(threading.current_thread())
+            return fn(*args)
+        return make_job(overlapped, *args)
+    return job
+
+
 class TestScoringOverlap:
-    """Epoch k is scored on nn's worker while epoch k + 1 trains when
+    """Epoch k is scored on a second thread while epoch k + 1 trains when
     nn.infer_many would run dev and test in parallel. PARALLEL_MIN_WORK 0
     takes that path at every epoch but the last (on two CPUs), 10**12 never."""
 
     def run(self, results, flags, min_work, epochs=3):
         """(exit code, the run directory's files) of one CLI run, and the
         threads that ran an overlapped job."""
-        snapshots, jobs = [], []
-        build, infer_into_all = nn.LogitsOnWorker._build, nn._infer_into_all
-
-        def built(on_worker):
-            build(on_worker)
-            snapshots.append(on_worker._snapshot)
-
-        def job(net, *args):
-            if any(net is snapshot for snapshot in snapshots):
-                jobs.append(threading.current_thread())
-            return infer_into_all(net, *args)
-
+        jobs = []
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", min_work), \
-                mock.patch.object(nn.LogitsOnWorker, "_build", built), \
-                mock.patch.object(nn, "_infer_into_all", job):
+                mock.patch.object(nn, "_Job", overlap_job_spy(jobs)):
             try:
                 code = cli.main(["--epochs", str(epochs), "--results_dir", str(results), *flags])
             except Stop:
@@ -977,8 +1000,8 @@ class TestScoringOverlap:
         cfg = training.MethodConfig(method="Standard", epochs=3, seed=1)
         spec = make_model(cfg, d=6).spec
         assert dev_ds.n * spec.n_params < nn.PARALLEL_MIN_WORK
-        with mock.patch.object(nn.LogitsOnWorker, "_build", side_effect=AssertionError), \
-                mock.patch.object(nn._Worker, "get", side_effect=AssertionError):
+        with mock.patch.object(nn, "_outputs", side_effect=AssertionError), \
+                mock.patch.object(nn, "_Job", side_effect=AssertionError):
             training.train(train_ds, dev_ds, test_ds, cfg, run_dir=tmp_path)
         ckpt = (tmp_path / "checkpoints.bin").read_bytes()
         header = ckpt[:ckpt.index(b"\n") + 1]
