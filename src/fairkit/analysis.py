@@ -186,7 +186,7 @@ def emit_table(rows: dict[str, dict], format: str = "markdown") -> str:
     raise ValueError(f"unknown table format {format!r}")
 
 
-def emit_tradeoff_data(runs_by_method: dict[str, list[dict]],
+def emit_tradeoff_data(runs_by_pipeline: dict[str, list[dict]],
                        pareto_only: bool = False,
                        criterion: SelectionCriterion | None = None) -> dict:
     """Structured plot data: one named series per pipeline (sorted), each a
@@ -195,9 +195,9 @@ def emit_tradeoff_data(runs_by_method: dict[str, list[dict]],
     every point."""
     criterion = criterion or SelectionCriterion()
     series = []
-    for method in sorted(runs_by_method):
+    for method in sorted(runs_by_pipeline):
         pts = []
-        for r in sorted(runs_by_method[method],
+        for r in sorted(runs_by_pipeline[method],
                         key=lambda r: (_index_key(r["index"]), r["seed"])):
             row = _run_point(r, criterion)
             pts.append({"performance": row["test_performance"],
@@ -233,7 +233,8 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
     method when its stages are that method alone (or absent), else by its
     stages joined with " / ". A run is skipped if it is unfinalized (also
     when it has no manifest.json yet), has no epoch rows, or either file
-    does not parse or has a mistyped or non-finite field."""
+    does not parse or has a mistyped or non-finite field; every run of a
+    pipeline whose runs disagree on the index keys is skipped too."""
     results_dir = Path(results_dir)
     runs, skipped = [], []
     if not results_dir.is_dir():
@@ -246,7 +247,21 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
             skipped.append((str(run_dir), reason))
         else:
             runs.append(run)
-    return runs, skipped
+    for name, pipeline_runs in group_by_pipeline(runs).items():
+        schemas = sorted({tuple(sorted(r["index"])) for r in pipeline_runs})
+        if len(schemas) > 1:
+            skipped += [(r["dir"], f"the runs of {name} disagree on index keys: {schemas}")
+                        for r in pipeline_runs]
+    mixed = {run_dir for run_dir, _ in skipped}
+    return [r for r in runs if r["dir"] not in mixed], sorted(skipped)
+
+
+def group_by_pipeline(runs: list[dict]) -> dict[str, list[dict]]:
+    """The runs of each pipeline name, in the order given."""
+    pipelines: dict[str, list[dict]] = {}
+    for r in runs:
+        pipelines.setdefault(r["method"], []).append(r)
+    return pipelines
 
 
 _SCORES = ("dev_performance", "dev_fairness", "test_performance", "test_fairness")
@@ -303,17 +318,15 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
             "dir": str(run_dir)}, ""
 
 
-def analyze_runs(runs: list[dict], criterion: SelectionCriterion) -> tuple[dict[str, dict], dict]:
-    """Full pipeline over loaded runs: per-pipeline sweep selection, cross-seed
+def analyze_runs(runs_by_pipeline: dict[str, list[dict]],
+                 criterion: SelectionCriterion) -> tuple[dict[str, dict], dict]:
+    """Per-pipeline sweep selection over group_by_pipeline's runs, cross-seed
     aggregation (the table's rows), and selection metadata."""
-    if not runs:
+    if not runs_by_pipeline:
         raise EmptyInputError("no finalized runs to analyze")
-    by_method: dict[str, list[dict]] = {}
-    for r in runs:
-        by_method.setdefault(r["method"], []).append(r)
     rows, selection = {}, {}
-    for method in sorted(by_method):
-        chosen = select_across_hyperparameters(by_method[method], criterion)
+    for method in sorted(runs_by_pipeline):
+        chosen = select_across_hyperparameters(runs_by_pipeline[method], criterion)
         pts = [(d["test_performance"], d["test_fairness"]) for d in chosen["per_seed"]]
         rows[method] = aggregate_runs(pts)
         selection[method] = {"index": chosen["index"],

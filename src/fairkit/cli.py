@@ -24,6 +24,7 @@ import yaml
 from . import analysis, data, nn, postproc, training
 from .errors import (
     ConfigError,
+    DegenerateProbeError,
     EmptyCellError,
     EmptyInputError,
     FairkitError,
@@ -152,59 +153,63 @@ def _coerce(key: str, value):
         raise ConfigError(f"config key {key!r}: expected {kind}, got {value!r}") from None
 
 
+def pipeline(cfg: TrainConfig) -> dict:
+    """The run's method (--adv_debiasing is an alias of Adv), sweep index (the
+    method's trade-offs in sweep order, then inlp_iterations when INLP runs)
+    and stages in the order they run, as its manifest records them."""
+    method = "Adv" if cfg.adv_debiasing else cfg.method
+    index = {name: getattr(cfg, name) for name in training.METHODS[method].tradeoffs}
+    stages = [f"at:{method}"]
+    if cfg.BT is not None:
+        stages.insert(0, f"pre:{cfg.BTObj}-{cfg.BT.lower()}")
+    if cfg.INLP:
+        index["inlp_iterations"] = cfg.inlp_iterations
+        stages.append("post:INLP")
+    if cfg.gate_soft:
+        stages.append("post:Gate-soft")
+    return {"method": method, "index": index, "stages": stages}
+
+
 def _validate(cfg: TrainConfig):
     if cfg.encoder_architecture != "vector":
         raise ConfigError(
             f"encoder_architecture {cfg.encoder_architecture!r} is not supported; "
             "this toolkit consumes precomputed fixed-dimension vectors (use 'vector')")
-    if cfg.BTObj is not None and cfg.BT is None:
-        raise ConfigError("--BTObj requires --BT (objective given without a mode)")
-    if cfg.BT is not None and cfg.BTObj is None:
-        raise ConfigError("--BT requires --BTObj (mode given without an objective)")
     for key, choices in _CHOICES.items():
         value = getattr(cfg, key)
         if value is not None and value not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
-    if cfg.BTObj == "y" and cfg.BT != "Downsampling":
-        raise ConfigError("--BTObj y is defined by downsampling; use --BT Downsampling")
-    if cfg.gate_soft and not training.METHODS[cfg.method].group_heads:
-        raise ConfigError("--gate_soft needs --method Gate")
     for key, low in (("emb_size", 0), ("num_classes", 0), ("num_groups", 0),
                      ("inlp_iterations", 0), ("gate_grid_resolution", 2)):
         if getattr(cfg, key) < low:
             raise ConfigError(f"--{key} must be >= {low}")
     try:
-        method_config(cfg)
+        settings = method_config(cfg)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-
-def effective_method(cfg: TrainConfig) -> str:
-    """The method, with --adv_debiasing an alias of --method Adv that only
-    Standard and Adv accept."""
-    if not cfg.adv_debiasing:
-        return cfg.method
-    if cfg.method not in ("Standard", "Adv"):
+    # The stage checks that need the config alone. A flag that would change
+    # nothing is an error too.
+    if (cfg.BT is None) != (cfg.BTObj is None):
+        raise ConfigError("--BT and --BTObj go together (a balancing mode and its objective)")
+    if cfg.BTObj == "y" and cfg.BT != "Downsampling":
+        raise ConfigError("--BTObj y is defined by downsampling; use --BT Downsampling")
+    if cfg.adv_debiasing and cfg.method not in ("Standard", "Adv"):
         raise ConfigError(f"--adv_debiasing works only with --method Standard or Adv, "
                           f"not {cfg.method}")
-    return "Adv"
+    if cfg.gate_soft and not training.METHODS[settings.method].group_heads:
+        raise ConfigError("--gate_soft needs --method Gate")
+    # training.main_loss_and_grads' rule; a weight the method does not list is 0 here
+    if not settings.hidden_dims and max(settings.adv_lambda, settings.fcl_lambda_y,
+                                        settings.fcl_lambda_g) > 0:
+        raise ConfigError(f"--method {settings.method} adds a hidden-level loss term, "
+                          "which needs at least one hidden layer (--hidden_dims)")
 
 
 def method_config(cfg: TrainConfig) -> training.MethodConfig:
-    """The training settings of cfg, with the effective method. Raises
-    ValueError for an invalid value, ConfigError for --adv_debiasing with a
-    method it does not alias."""
+    """The training settings of cfg, with the pipeline's method. Raises
+    ValueError for an invalid value."""
     settings = {f.name: getattr(cfg, f.name) for f in fields(training.Settings)}
-    return training.MethodConfig(**{**settings, "method": effective_method(cfg)})
-
-
-def method_index(cfg: TrainConfig) -> dict:
-    """Trade-off hyperparameter index identifying a sweep point."""
-    index = {name: getattr(cfg, name)
-             for name in training.METHODS[effective_method(cfg)].tradeoffs}
-    if cfg.INLP:
-        index["inlp_iterations"] = cfg.inlp_iterations
-    return index
+    return training.MethodConfig(**{**settings, "method": pipeline(cfg)["method"]})
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -289,34 +294,30 @@ def _declared_sizes(cfg: TrainConfig, splits) -> tuple[data.Dataset, data.Datase
 
 def cmd_train(cfg: TrainConfig) -> int:
     train_ds, dev_ds, test_ds = resolve_datasets(cfg)
-    if cfg.BT is not None:  # before the run directory, so an impossible balancing makes none
+    # The stage checks that need the data, before the run directory, so that
+    # a run they refuse makes none: the --BT balancing, and the groups the INLP
+    # probe needs in the balanced train split.
+    if cfg.BT is not None:
         try:
             train_ds = data.balance(train_ds, BTOBJ_TO_OBJECTIVE[cfg.BTObj], cfg.BT,
                                     seed=cfg.seed)
         except EmptyCellError as e:
             raise ConfigError(f"--BT {cfg.BT} --BTObj {cfg.BTObj}: {e}") from None
+    if cfg.INLP and cfg.inlp_iterations > 0:
+        try:
+            postproc.probe_classes(train_ds.g)
+        except DegenerateProbeError as e:
+            raise ConfigError(f"--INLP on the train split: {e}") from None
 
     opt_yaml = cfg.to_yaml()
     run_dir = Path(cfg.results_dir) / _text_hash(opt_yaml)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "opt.yaml").write_text(opt_yaml)
 
-    stages = []
-    if cfg.BT is not None:
-        stages.append(f"pre:{cfg.BTObj}-{cfg.BT.lower()}")
-    method = effective_method(cfg)
-    stages.append(f"at:{method}")
-    if cfg.INLP:
-        stages.append("post:INLP")
-    if cfg.gate_soft:
-        stages.append("post:Gate-soft")
-
     manifest = {
         "version": TOOLKIT_VERSION,
-        "method": method,
-        "index": method_index(cfg),
+        **pipeline(cfg),
         "seed": cfg.seed,
-        "stages": stages,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "finalized": False,
     }
@@ -325,10 +326,14 @@ def cmd_train(cfg: TrainConfig) -> int:
 
     record = training.train(train_ds, dev_ds, test_ds, method_config(cfg), run_dir=run_dir)
 
-    if cfg.INLP:
-        run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg, run_dir)
-    if cfg.gate_soft:
-        run_gate_soft_stage(record, dev_ds, test_ds, cfg, run_dir)
+    # Every post stage starts from the one checkpoint at the dev-DTO-best epoch.
+    # The stage functions are looked up per run, so a wrapper set on the
+    # module attribute sees the call.
+    post = [stage for stage in manifest["stages"] if stage.startswith("post:")]
+    model = _select_model(record) if post else None
+    for stage in post:
+        run_stage = {"post:INLP": run_inlp_stage, "post:Gate-soft": run_gate_soft_stage}[stage]
+        run_stage(model, train_ds, dev_ds, test_ds, cfg, run_dir)
 
     manifest["finalized"] = True
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -344,8 +349,8 @@ def _select_model(record: training.RunRecord) -> nn.Network:
     return training.load_checkpoint(row["checkpoint"], row["epoch"])
 
 
-def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
-    model = _select_model(record)
+def run_inlp_stage(model: nn.Network, train_ds, dev_ds, test_ds, cfg: TrainConfig,
+                   run_dir: Path):
     H_train = nn.infer(model, train_ds.X)[0]
     projection = postproc.inlp(H_train, train_ds.g, max_iterations=cfg.inlp_iterations)
     postproc.save_projection(run_dir / "inlp_projection.bin", projection)
@@ -360,8 +365,8 @@ def run_inlp_stage(record, train_ds, dev_ds, test_ds, cfg: TrainConfig, run_dir:
     training._append_row(run_dir / "epochs.jsonl", row, predictions, dev_ds, test_ds)
 
 
-def run_gate_soft_stage(record, dev_ds, test_ds, cfg: TrainConfig, run_dir: Path):
-    model = _select_model(record)
+def run_gate_soft_stage(model: nn.Network, train_ds, dev_ds, test_ds, cfg: TrainConfig,
+                        run_dir: Path):
     dev_logits, test_logits = nn.infer_many(model, [dev_ds.X, test_ds.X])
     prior, dev_dto = postproc.gate_soft_search(model, dev_ds, cfg.gate_grid_resolution,
                                                logits=dev_logits)
@@ -392,16 +397,14 @@ def cmd_analyze(argv: list[str]) -> int:
         print(f"warning: skipped {len(skipped)} run(s):", file=sys.stderr)
         for run_dir, reason in skipped:
             print(f"  {run_dir}: {reason}", file=sys.stderr)
-    table, selection = analysis.analyze_runs(runs, criterion)
+    pipelines = analysis.group_by_pipeline(runs)
+    table, selection = analysis.analyze_runs(pipelines, criterion)
 
     out_dir = Path(args.output_dir or args.results_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt, ext in (("markdown", "md"), ("latex", "tex"), ("csv", "csv")):
         (out_dir / f"results_table.{ext}").write_text(analysis.emit_table(table, fmt))
-    by_method: dict[str, list[dict]] = {}
-    for r in runs:
-        by_method.setdefault(r["method"], []).append(r)
-    tradeoff = analysis.emit_tradeoff_data(by_method, pareto_only=args.pareto_only,
+    tradeoff = analysis.emit_tradeoff_data(pipelines, pareto_only=args.pareto_only,
                                            criterion=criterion)
     (out_dir / "tradeoff.json").write_text(json.dumps(tradeoff, indent=2, allow_nan=False))
     (out_dir / "selection.json").write_text(json.dumps(selection, indent=2, allow_nan=False))

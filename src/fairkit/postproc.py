@@ -74,18 +74,25 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
     return Wb[:, :h], Wb[:, h], steps, grad_norm
 
 
+def probe_classes(g: np.ndarray) -> int:
+    """The number of classes a probe of group labels g predicts, the largest
+    label + 1; raises DegenerateProbeError unless two groups are present and
+    there are at least as many labels as classes."""
+    g = np.asarray(g, dtype=int)
+    if np.unique(g).size < 2:
+        raise DegenerateProbeError("probe needs at least two groups present")
+    num_groups = int(g.max()) + 1
+    if g.size < num_groups:
+        raise DegenerateProbeError("fewer instances than groups")
+    return num_groups
+
+
 def fit_linear_probe(H: np.ndarray, g: np.ndarray,
                      fits: list | None = None) -> tuple[np.ndarray, float]:
     """Protected-attribute probe; returns (W [num_groups x h], train accuracy).
     The solver's (steps, grad_norm) is appended to fits if it is given."""
     g = np.asarray(g, dtype=int)
-    groups = np.unique(g)
-    if groups.size < 2:
-        raise DegenerateProbeError("probe needs at least two groups present")
-    num_groups = int(g.max()) + 1
-    if H.shape[0] < num_groups:
-        raise DegenerateProbeError("fewer instances than groups")
-    W, b, steps, grad_norm = fit_softmax_head(H, g, num_groups)
+    W, b, steps, grad_norm = fit_softmax_head(H, g, probe_classes(g))
     if fits is not None:
         fits.append((steps, grad_norm))
     preds = (H @ W.T + b).argmax(axis=1)

@@ -413,7 +413,7 @@ class TestLoadAndAnalyzeRuns:
                             "index": {}, "seed": seed},
                            rows_from_points([(p, f)]))
         runs, _ = an.load_runs(tmp_path)
-        table, selection = an.analyze_runs(runs, an.SelectionCriterion())
+        table, selection = an.analyze_runs(an.group_by_pipeline(runs), an.SelectionCriterion())
         agg = table["Standard"]
         assert agg["performance_mean"] == pytest.approx(0.81)
         assert agg["n_seeds"] == 2

@@ -228,7 +228,7 @@ class TestMethodIndex:
         if inlp:
             argv.append("--INLP")
             expected["inlp_iterations"] = 3
-        index = cli.method_index(cli.parse_config(argv))
+        index = cli.pipeline(cli.parse_config(argv))["index"]
         assert index == expected
         assert list(index) == list(expected)  # key order is the sweep-index order
 
@@ -237,20 +237,64 @@ class TestMethodIndex:
 
     def test_adv_debiasing_flag_maps_to_adv(self):
         cfg = cli.parse_config(["--adv_debiasing", "--adv_lambda", "0.8"])
-        assert cli.effective_method(cfg) == "Adv"
-        assert cli.method_index(cfg) == {"adv_lambda": 0.8}
+        assert cli.pipeline(cfg)["method"] == "Adv"
+        assert cli.pipeline(cfg)["index"] == {"adv_lambda": 0.8}
 
     def test_dadv_includes_diff_lambda(self):
         cfg = cli.parse_config(["--method", "DAdv", "--adv_lambda", "1.0",
                                 "--diff_lambda", "0.1"])
-        assert cli.method_index(cfg) == {"adv_lambda": 1.0, "diff_lambda": 0.1}
+        assert cli.pipeline(cfg)["index"] == {"adv_lambda": 1.0, "diff_lambda": 0.1}
 
     def test_inlp_adds_iterations(self):
         cfg = cli.parse_config(["--INLP", "--inlp_iterations", "4"])
-        assert cli.method_index(cfg) == {"inlp_iterations": 4}
+        assert cli.pipeline(cfg)["index"] == {"inlp_iterations": 4}
 
     def test_standard_empty_index(self):
-        assert cli.method_index(cli.parse_config([])) == {}
+        assert cli.pipeline(cli.parse_config([]))["index"] == {}
+
+
+# The pipeline grid at the CLI default scale with --epochs 1 and --results_dir
+# results: run-directory name -> (flags, manifest method, index, stages, post rows)
+PIPELINE_GRID = {
+    "64e312728a42": ([], "Standard", {}, ["at:Standard"], []),
+    "bf5d0cf56a85": (["--BT", "Resampling", "--BTObj", "EO", "--adv_debiasing", "--INLP"],
+                     "Adv", {"adv_lambda": 1.0, "inlp_iterations": 10},
+                     ["pre:EO-resampling", "at:Adv", "post:INLP"], ["INLP"]),
+    "67f75e2d6031": (["--method", "Gate", "--gate_soft", "--INLP"],
+                     "Gate", {"inlp_iterations": 10},
+                     ["at:Gate", "post:INLP", "post:Gate-soft"], ["INLP", "Gate-soft"]),
+    "a5f1d82e72f9": (["--BT", "Reweighting", "--BTObj", "joint", "--method", "FairBatch",
+                      "--fairbatch_alpha", "0.05"],
+                     "FairBatch", {"fairbatch_alpha": 0.05},
+                     ["pre:joint-reweighting", "at:FairBatch"], []),
+    "48540cd271bc": (["--method", "DAdv", "--n_discriminators", "3", "--diff_lambda", "0.1"],
+                     "DAdv", {"adv_lambda": 1.0, "diff_lambda": 0.1}, ["at:DAdv"], []),
+}
+
+
+def test_pipeline_grid_is_pinned(tmp_path, monkeypatch, capsys):
+    """Each pipeline of the grid writes its manifest's method, index (key
+    order included) and stages, its post rows in stage order, and the
+    run-directory name it always had; analyze names one table row each."""
+    monkeypatch.chdir(tmp_path)
+    for flags, *_ in PIPELINE_GRID.values():
+        assert cli.main([*flags, "--epochs", "1", "--results_dir", "results"]) == 0
+    results = tmp_path / "results"
+    assert sorted(p.name for p in results.iterdir()) == sorted(PIPELINE_GRID)
+    for name, (_, method, index, stages, post) in PIPELINE_GRID.items():
+        manifest = json.loads((results / name / "manifest.json").read_text())
+        assert (manifest["method"], manifest["index"], manifest["stages"]) == (
+            method, index, stages), name
+        assert list(manifest["index"]) == list(index), name
+        rows = [json.loads(line)
+                for line in (results / name / "epochs.jsonl").read_text().splitlines()]
+        assert [row["post"] for row in rows if "post" in row] == post, name
+    capsys.readouterr()
+    assert cli.main(["analyze", "--results_dir", "results"]) == 0
+    table = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(" | ")[0][2:] for line in table[2:]] == [
+        "DAdv", "Standard", "at:Gate / post:INLP / post:Gate-soft",
+        "pre:EO-resampling / at:Adv / post:INLP", "pre:joint-reweighting / at:FairBatch"]
 
 
 class TestGenerate:
@@ -392,6 +436,34 @@ class TestTrain:
         post = [r for r in rows if r.get("post") == "Gate-soft"]
         assert len(post) == 1
         assert sum(post[0]["prior"]) == pytest.approx(1.0)
+
+    def test_post_stages_share_one_checkpoint_reload(self, tmp_path, small_spec_file,
+                                                     monkeypatch):
+        """INLP, then Gate-soft, each run on the one model reloaded from the
+        dev-DTO-best checkpoint. Each stage function is looked up on the
+        module when it runs, so a wrapper set there sees the call."""
+        loads, calls = [], []
+        load = training.load_checkpoint
+
+        def counted_load(*args):
+            loads.append(args)
+            return load(*args)
+
+        def recorded(name, stage):
+            def run(model, *args):
+                calls.append((name, model))
+                return stage(model, *args)
+            return run
+
+        monkeypatch.setattr(training, "load_checkpoint", counted_load)
+        for name in ("run_inlp_stage", "run_gate_soft_stage"):
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        argv = fast_args(tmp_path, small_spec_file,
+                         extra=["--method", "Gate", "--gate_soft", "--INLP"])
+        assert cli.main(argv) == 0
+        assert len(loads) == 1
+        assert [name for name, _ in calls] == ["run_inlp_stage", "run_gate_soft_stage"]
+        assert calls[0][1] is calls[1][1]
 
     def test_checkpoint_reload_bit_identical_logits(self, tmp_path, small_spec_file):
         argv = fast_args(tmp_path, small_spec_file)
@@ -872,3 +944,67 @@ class TestExitCodes:
         self._truncate_manifest(good)
         assert cli.main(["analyze", "--results_dir", str(results)]) == 5
         assert "skipped 2 run(s)" in capsys.readouterr().err
+
+    def test_analyze_skips_a_pipeline_whose_runs_disagree_on_index_keys(
+            self, tmp_path, small_spec_file, capsys):
+        results, good = self._results_with_good_run(tmp_path, small_spec_file)
+        for lam in ("0.5", "1.0"):
+            assert cli.main(fast_args(tmp_path, small_spec_file,
+                                      extra=["--method", "Adv", "--adv_lambda", lam])) == 0
+        adv = sorted(p.parent for p in results.glob("*/manifest.json") if p.parent != good)
+        path = adv[0] / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "index": {}}))
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped 2 run(s)" in err
+        for run_dir in adv:
+            assert (f"{run_dir}: the runs of Adv disagree on index keys: "
+                    "[(), ('adv_lambda',)]") in err
+        selection = json.loads((results / "selection.json").read_text())
+        assert list(selection["selection"]) == ["Standard"]
+        shutil.rmtree(good)
+        assert cli.main(["analyze", "--results_dir", str(results)]) == 5
+
+
+# --conf_file text for a network with no hidden layer -> exit code
+NO_HIDDEN_LAYER = {
+    "Adv": ("method: Adv\n", 2),
+    "FairSCL": ("method: FairSCL\nfcl_lambda_y: 0.5\n", 2),
+    "ADAdv, 2 discriminators": ("method: ADAdv\nn_discriminators: 2\ndiff_lambda: 0.1\n", 2),
+    "Adv at adv_lambda 0": ("method: Adv\nadv_lambda: 0.0\n", 0),
+    "Standard": ("method: Standard\nfcl_lambda_y: 0.5\n", 0),
+    "EO_CLA": ("method: EO_CLA\neo_cla_lambda: 0.5\n", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_HIDDEN_LAYER))
+def test_hidden_level_term_without_hidden_layer_is_config_error(tmp_path, small_spec_file,
+                                                                case, capsys):
+    """A method whose loss reaches the hidden layer needs one, which is
+    checked before any run directory is made; a method that adds no such
+    term, or adds it at weight 0, trains without one."""
+    text, code = NO_HIDDEN_LAYER[case]
+    results = tmp_path / "results"
+    argv = [*_conf_text(f"hidden_dims: []\n{text}")(tmp_path, small_spec_file),
+            "--epochs", "1", "--results_dir", str(results)]
+    assert cli.main(argv) == code
+    if code == 2:
+        assert "needs at least one hidden layer" in capsys.readouterr().err
+        assert not results.exists()
+
+
+@pytest.mark.parametrize("iterations, code", [("10", 2), ("0", 0)])
+def test_inlp_on_a_train_split_of_one_group(tmp_path, small_spec_file, iterations, code, capsys):
+    """INLP's probe needs two groups in the train split, checked before any
+    run directory is made; with no iterations no probe is fit, so the run
+    goes ahead."""
+    source = _damaged_npz("train", lambda X, y, g: {"X": X, "y": y,
+                                                    "protected_label": np.zeros_like(g)})
+    results = tmp_path / "results"
+    argv = [*source(tmp_path, small_spec_file), "--INLP", "--inlp_iterations", iterations,
+            "--epochs", "1", "--results_dir", str(results)]
+    assert cli.main(argv) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "config error: --INLP" in err and "two groups" in err
+        assert not results.exists()
