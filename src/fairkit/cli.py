@@ -74,7 +74,7 @@ _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
 
 # The allowed values of each field that has a fixed set, for flags and YAML alike
 _CHOICES = {
-    "dataset_format": ["npz", "jsonl", "csv"],
+    "dataset_format": ["npz"],
     "BT": list(data.MODES),
     "BTObj": list(BTOBJ_TO_OBJECTIVE),
     "method": list(training.METHODS),
@@ -258,13 +258,14 @@ def resolve_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset, data
         return _declared_sizes(cfg, data.generate_synthetic(spec))
     splits = []
     for split in ("train", "dev", "test"):
-        path = Path(cfg.data_dir) / f"{cfg.dataset}_{split}.{cfg.dataset_format}"
+        path = Path(cfg.data_dir) / f"{cfg.dataset}_{split}.npz"
         if not path.exists():
-            hint = "".join(f"; {other} exists, read it with --dataset_format {fmt}"
-                           for fmt in _CHOICES["dataset_format"]
-                           if (other := path.with_suffix(f".{fmt}")).exists())
+            hint = "".join(f"; {other} exists, but splits are read as .npz only "
+                           "(README, Data files, shows how to convert it)"
+                           for other in map(path.with_suffix, (".jsonl", ".csv"))
+                           if other.exists())
             raise IOErrorWithStage(f"dataset file not found: {path}{hint}")
-        splits.append(data.load_dataset(path, cfg.dataset_format, split=split))
+        splits.append(data.load_dataset(path, split=split))
     return _declared_sizes(cfg, splits)
 
 

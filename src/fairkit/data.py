@@ -12,9 +12,6 @@ except "y" which is defined by downsampling.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import numbers
 import threading
@@ -102,52 +99,21 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # File ingestion
 
-def load_dataset(path, format: str, split: str = "train") -> Dataset:
-    """Load npz (arrays X, y, protected_label), csv (header row, reserved
-    columns y / protected_label) or jsonl (keys X, y, protected_label).
-    Remaining numeric csv columns form X in file order. num_classes/num_groups
-    are inferred as max index + 1."""
+def load_dataset(path, split: str = "train") -> Dataset:
+    """The split of an .npz archive: X float or integer [n, d], y and
+    protected_label integer [n]. num_classes/num_groups are inferred as max
+    index + 1. Each member's .npy header is read first, and its shape times
+    itemsize must equal the bytes the member holds, so no array is allocated
+    at a size the data does not back."""
     path = Path(path)
-    if format == "npz":
-        rows_X, rows_y, rows_g = _read_npz(path)
-    elif format == "csv":
-        rows_X, rows_y, rows_g = _read_csv(path)
-    elif format == "jsonl":
-        rows_X, rows_y, rows_g = _read_jsonl(path)
-    else:
-        raise ParseError(f"unknown format {format!r}")
-    if len(rows_y) == 0:
-        raise ParseError(f"{path}: empty file")
-    X = np.asarray(rows_X, dtype=float)
-    if X.shape[1] == 0:
-        raise ParseError(f"{path}: X has no features")
-    return Dataset(X, rows_y, rows_g, split=split)
-
-
-def save_npz(dataset: Dataset, path):
-    """The split as load_dataset reads it in npz format: X float64 [n, d],
-    y and protected_label int64 [n], in an uncompressed archive."""
-    np.savez(path, X=dataset.X, y=dataset.y, protected_label=dataset.g)
-
-
-# Each array's allowed dtype kinds, and their name; never bool, complex or object
-_NPZ_KINDS = {"X": ("iuf", "float or integer"), "y": ("iu", "integer"),
-              "protected_label": ("iu", "integer")}
-
-
-def _read_npz(path: Path):
-    """X, y and g of an .npz split. Each member's .npy header is read first,
-    and its shape times itemsize must equal the bytes the member holds, so
-    no array is allocated at a size the data does not back."""
     try:
         with zipfile.ZipFile(path) as archive:
-            arrays = [_npz_member(path, archive, key) for key in _NPZ_KINDS]
+            X, y, g = [_npz_member(path, archive, key) for key in _NPZ_KINDS]
     # besides BadZipFile, zipfile raises NotImplementedError for a zip version it
     # does not read, and UnicodeDecodeError for a member name flagged UTF-8 that is not
     except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
             UnicodeDecodeError) as e:
         raise ParseError(f"{path}: not a readable .npz archive: {e}") from None
-    X, y, g = arrays
     if X.ndim != 2:
         raise ParseError(f"{path}: X must be a 2-D array, got shape {X.shape}")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
@@ -162,7 +128,22 @@ def _read_npz(path: Path):
     if not (X.shape[0] == y.size == g.size):
         raise ParseError(f"{path}: X, y and protected_label have {X.shape[0]}, {y.size} "
                          f"and {g.size} rows")
-    return X, y, g
+    if y.size == 0:
+        raise ParseError(f"{path}: holds no rows")
+    if X.shape[1] == 0:
+        raise ParseError(f"{path}: X has no features")
+    return Dataset(X, y, g, split=split)
+
+
+def save_npz(dataset: Dataset, path):
+    """The split as load_dataset reads it: X float64 [n, d], y and
+    protected_label int64 [n], in an uncompressed archive."""
+    np.savez(path, X=dataset.X, y=dataset.y, protected_label=dataset.g)
+
+
+# Each array's allowed dtype kinds, and their name; never bool, complex or object
+_NPZ_KINDS = {"X": ("iuf", "float or integer"), "y": ("iu", "integer"),
+              "protected_label": ("iu", "integer")}
 
 
 def _npz_member(path: Path, archive: zipfile.ZipFile, key: str) -> np.ndarray:
@@ -200,133 +181,6 @@ def _npz_member(path: Path, archive: zipfile.ZipFile, key: str) -> np.ndarray:
     if len(buf) != size:
         raise ParseError(f"{path}: {key}: member ends after {len(buf)} of {size} bytes")
     return np.frombuffer(buf, dtype=dtype).reshape(shape, order="F" if fortran_order else "C")
-
-
-def _open_text(path: Path, newline: str | None = None) -> io.StringIO:
-    """The file's UTF-8 text as open() reads it; a bad byte raises ParseError naming its line."""
-    raw = path.read_bytes()
-    try:
-        return io.StringIO(raw.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as e:
-        lineno = raw.count(b"\n", 0, e.start) + 1
-        raise ParseError(f"{path}:{lineno}: not valid UTF-8: {e.reason}") from None
-
-
-def _read_csv(path: Path):
-    reader = csv.reader(_open_text(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    for required in ("y", "protected_label"):
-        if required not in header:
-            raise SchemaError(f"{path}: missing column {required!r}")
-    y_col = header.index("y")
-    g_col = header.index("protected_label")
-    x_cols = [i for i in range(len(header)) if i not in (y_col, g_col)]
-    rows_X, rows_y, rows_g = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            x = [float(row[i]) for i in x_cols]
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
-        if not all(map(math.isfinite, x)):
-            raise ParseError(f"{path}:{lineno}: feature values must be finite, got {x}")
-        rows_X.append(x)
-        try:
-            rows_y.append(_int_label(row[y_col], "y"))
-            rows_g.append(_int_label(row[g_col], "protected_label"))
-        except LabelDomainError as e:
-            raise LabelDomainError(f"{path}:{lineno}: {e}") from None
-    return rows_X, rows_y, rows_g
-
-
-def _read_jsonl(path: Path):
-    """X, y and g of a JSONL file, parsed by one json.loads over its
-    non-blank lines joined into an array. A file that does not give
-    well-formed rows that way is read again line by line, which names the
-    first bad line."""
-    lines = _open_text(path).read().split("\n")
-    body = [s for s in map(str.strip, lines) if s]
-    text = "[" + ",".join(body) + "]"
-    # Every line opens with the only "{" it holds and closes with the only
-    # "}", so each array element is exactly one line's object; a boolean
-    # would pass as a number, so the line path refuses it
-    if (text.count("{") == text.count("}") == len(body) and "true" not in text
-            and "false" not in text and all(s[0] == "{" and s[-1] == "}" for s in body)):
-        try:
-            objs = json.loads(text)
-            X = np.array([o["X"] for o in objs])
-            y = np.array([o["y"] for o in objs])
-            g = np.array([o["protected_label"] for o in objs])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            pass
-        else:
-            if (X.ndim == 2 and X.dtype.kind in "biuf" and np.isfinite(X).all()
-                    and y.ndim == g.ndim == 1 and y.dtype.kind == "i" and g.dtype.kind == "i"
-                    and y.min() >= 0 and g.min() >= 0):
-                return X.astype(float), y, g
-    return _read_jsonl_lines(path, lines)
-
-
-def _read_jsonl_lines(path: Path, lines: list[str]):
-    """The line-by-line reading of _read_jsonl; raises for the first bad
-    line, naming it as path:lineno."""
-    rows_X, rows_y, rows_g = [], [], []
-    arity = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            x, y, g = _jsonl_row(json.loads(line))
-            if arity is None:
-                arity = len(x)
-            elif len(x) != arity:
-                raise ParseError(f"X has {len(x)} values, expected {arity}")
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
-        except (SchemaError, ParseError, LabelDomainError) as e:
-            raise type(e)(f"{path}:{lineno}: {e}") from None
-        rows_X.append(x)
-        rows_y.append(y)
-        rows_g.append(g)
-    return rows_X, rows_y, rows_g
-
-
-def _jsonl_row(obj) -> tuple[list[float], int, int]:
-    """(X, y, protected_label) of one decoded JSONL line."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in ("X", "y", "protected_label"):
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}")
-    if not isinstance(obj["X"], list) or any(isinstance(v, bool) for v in obj["X"]):
-        raise ParseError(f"X must be a list of numbers, got {obj['X']!r}")
-    try:
-        x = [float(v) for v in obj["X"]]
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"X must be a list of numbers, got {obj['X']!r}") from None
-    if not all(map(math.isfinite, x)):
-        raise ParseError(f"X values must be finite, got {obj['X']!r}")
-    return x, _int_label(obj["y"], "y"), _int_label(obj["protected_label"], "protected_label")
-
-
-def _int_label(value, name: str) -> int:
-    try:
-        iv = int(value)
-        valid = (not isinstance(value, bool) and iv == float(value)
-                 and 0 <= iv <= np.iinfo(np.int64).max)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise LabelDomainError(f"{name} must be a nonnegative integer, got {value!r}")
-    return iv
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import yaml
 
 from fairkit import cli, data, training
 from fairkit.errors import ConfigError
-from test_data import npy_bytes, write_jsonl, zip_bytes
+from test_data import npy_bytes, readme_converters, write_csv, write_jsonl, zip_bytes
 
 
 SMALL_SPEC = {
@@ -139,10 +139,10 @@ class TestParseConfig:
 
 
 # A non-default value for every TrainConfig field: (flag arguments, YAML value).
-# encoder_architecture accepts only its default.
+# encoder_architecture and dataset_format accept only their default.
 NON_DEFAULT = {
     "dataset": (["toy"], "toy"),
-    "dataset_format": (["csv"], "csv"),
+    "dataset_format": (["npz"], "npz"),
     "emb_size": (["12"], 12),
     "num_classes": (["3"], 3),
     "num_groups": (["4"], 4),
@@ -195,7 +195,7 @@ class TestGeneratedParser:
         conf.write_text(yaml.safe_dump({name: yaml_value, **companions}))
         by_yaml = cli.parse_config(["--conf_file", str(conf)])
         assert getattr(by_flag, name) == yaml_value
-        if name != "encoder_architecture":
+        if name not in ("encoder_architecture", "dataset_format"):
             assert getattr(cli.TrainConfig(), name) != yaml_value
         assert by_flag.to_dict() == by_yaml.to_dict()
         assert cli.config_hash(by_flag) == cli.config_hash(by_yaml)
@@ -330,33 +330,39 @@ class TestGenerate:
                        "--epochs", "1", "--results_dir", str(tmp_path / "r")])
         assert rc == 0
 
-    def test_npz_and_jsonl_splits_train_and_analyze_alike(self, tmp_path, small_spec_file):
-        """One generated dataset read as .npz and as JSONL: equal epochs.jsonl
-        bytes apart from checkpoint paths, and byte-identical analyze outputs."""
-        out = tmp_path / "data"
-        assert cli.main(["generate", "--synthetic_spec", str(small_spec_file),
-                         "--out_dir", str(out), "--name", "toy"]) == 0
-        npz_to_jsonl(out)
+    def test_converted_jsonl_splits_train_and_analyze_alike(self, tmp_path, small_spec_file):
+        """One generated dataset read as generated and as JSONL splits turned
+        into .npz by README's conversion: equal epochs.jsonl bytes apart from
+        checkpoint paths, and byte-identical analyze outputs."""
+        generated, converted = tmp_path / "generated", tmp_path / "converted"
+        for out in (generated, converted):
+            assert cli.main(["generate", "--synthetic_spec", str(small_spec_file),
+                             "--out_dir", str(out), "--name", "toy"]) == 0
+        for split in ("train", "dev", "test"):
+            path = converted / f"toy_{split}.npz"
+            write_jsonl(path.with_suffix(".jsonl"), *_split_arrays(path))
+            path.unlink()
+            readme_converters()[".jsonl"](path.with_suffix(".jsonl"), path)
         outputs = []
-        for fmt in ("npz", "jsonl"):
-            results = tmp_path / fmt
+        for out in (generated, converted):
+            results = tmp_path / f"{out.name}-results"
             for pipeline in ([], ["--method", "Adv"],
                              ["--method", "Gate", "--gate_soft", "--gate_grid_resolution", "5"]):
-                assert cli.main(["--dataset", "toy", "--data_dir", str(out),
-                                 "--dataset_format", fmt, "--epochs", "3",
+                assert cli.main(["--dataset", "toy", "--data_dir", str(out), "--epochs", "3",
                                  "--batch_size", "32", "--results_dir", str(results),
                                  *pipeline]) == 0
+            analysis = tmp_path / f"{out.name}-analysis"
             assert cli.main(["analyze", "--results_dir", str(results),
-                             "--output_dir", str(tmp_path / f"{fmt}-analysis")]) == 0
+                             "--output_dir", str(analysis)]) == 0
             runs = {json.loads((run / "manifest.json").read_text())["method"]:
                     re.sub(r', "checkpoint": "[^"]*"', "", (run / "epochs.jsonl").read_text())
                     for run in results.iterdir()}
-            tables = {f.name: f.read_bytes() for f in (tmp_path / f"{fmt}-analysis").iterdir()}
+            tables = {f.name: f.read_bytes() for f in analysis.iterdir()}
             outputs.append((runs, tables))
-        (npz_runs, npz_tables), (jsonl_runs, jsonl_tables) = outputs
-        assert sorted(npz_runs) == ["Adv", "Gate", "Standard"]
-        assert npz_runs == jsonl_runs
-        assert len(npz_tables) == 5 and npz_tables == jsonl_tables
+        (generated_runs, generated_tables), (converted_runs, converted_tables) = outputs
+        assert sorted(generated_runs) == ["Adv", "Gate", "Standard"]
+        assert generated_runs == converted_runs
+        assert len(generated_tables) == 5 and generated_tables == converted_tables
 
 
 class TestTrain:
@@ -573,69 +579,28 @@ def _split_arrays(path):
         return z["X"], z["y"], z["protected_label"]
 
 
-def npz_to_jsonl(data_dir, name="toy"):
-    """Each generated .npz split of data_dir written again as a .jsonl split."""
-    for split in ("train", "dev", "test"):
-        write_jsonl(data_dir / f"{name}_{split}.jsonl",
-                    *_split_arrays(data_dir / f"{name}_{split}.npz"))
-
-
-def _text_only(text_files):
-    """The text splits of source text_files alone, read without --dataset_format."""
+def _text_only(write, suffix):
+    """The generated splits written by write(path, X, y, g) as text files of
+    suffix in place of the .npz ones."""
     def source(tmp_path, spec_file):
-        argv = text_files(tmp_path, spec_file)
+        argv = _generated(tmp_path, spec_file)
         for split in ("train", "dev", "test"):
-            (tmp_path / "data" / f"toy_{split}.npz").unlink()
-        return argv[:argv.index("--dataset_format")]
-    return source
-
-
-def _jsonl_files(tmp_path, spec_file):
-    """The generated splits as JSONL files, read with --dataset_format jsonl."""
-    argv = _generated(tmp_path, spec_file)
-    npz_to_jsonl(tmp_path / "data")
-    return [*argv, "--dataset_format", "jsonl"]
-
-
-def _narrow_dev(tmp_path, spec_file):
-    """JSONL files whose dev split has one column fewer than train."""
-    argv = _jsonl_files(tmp_path, spec_file)
-    dev = tmp_path / "data" / "toy_dev.jsonl"
-    rows = [json.loads(line) for line in dev.read_text().splitlines()]
-    dev.write_text("".join(json.dumps({**r, "X": r["X"][:-1]}) + "\n" for r in rows))
-    return argv
-
-
-def _appended_row(split, literal, key="X"):
-    """JSONL files with one more row in split, whose value of key (the
-    first feature, for X) is the JSON text literal."""
-    def source(tmp_path, spec_file):
-        argv = _jsonl_files(tmp_path, spec_file)
-        path = tmp_path / "data" / f"toy_{split}.jsonl"
-        row = json.loads(path.read_text().splitlines()[0])
-        value = ["@", *row["X"][1:]] if key == "X" else "@"
-        line = json.dumps({**row, key: value}).replace('"@"', literal)
-        with open(path, "a") as f:
-            f.write(line + "\n")
+            path = tmp_path / "data" / f"toy_{split}.npz"
+            write(path.with_suffix(suffix), *_split_arrays(path))
+            path.unlink()
         return argv
     return source
 
 
-def _csv_files(split=None, literal=None):
-    """The generated splits rewritten as CSV files; if split is given, the
-    first feature of its first row is the text literal."""
+def _converted(write, suffix):
+    """The generated splits written by write(path, X, y, g) as text files of
+    suffix, then turned back into .npz files by README's conversion."""
     def source(tmp_path, spec_file):
-        _generated(tmp_path, spec_file)
-        data_dir = tmp_path / "data"
-        for name in ("train", "dev", "test"):
-            X, y, g = _split_arrays(data_dir / f"toy_{name}.npz")
-            lines = [",".join([*(f"x{i}" for i in range(X.shape[1])), "y", "protected_label"])]
-            lines += [",".join(map(str, [*map(float, x), int(label), int(group)]))
-                      for x, label, group in zip(X, y, g)]
-            if name == split:
-                lines[1] = literal + lines[1][lines[1].index(","):]
-            (data_dir / f"toy_{name}.csv").write_text("\n".join(lines) + "\n")
-        return ["--dataset", "toy", "--data_dir", str(data_dir), "--dataset_format", "csv"]
+        argv = _text_only(write, suffix)(tmp_path, spec_file)
+        for split in ("train", "dev", "test"):
+            text = tmp_path / "data" / f"toy_{split}{suffix}"
+            readme_converters()[suffix](text, text.with_suffix(".npz"))
+        return argv
     return source
 
 
@@ -652,6 +617,10 @@ def _damaged_npz(split, damage):
             path.write_bytes(zip_bytes({f"{key}.npy": npy_bytes(a) for key, a in content.items()}))
         return argv
     return source
+
+
+# Generated files whose dev split has one column fewer than train
+_narrow_dev = _damaged_npz("dev", lambda X, y, g: {"X": X[:, :-1], "y": y, "protected_label": g})
 
 
 def _with_value(a, value):
@@ -683,6 +652,11 @@ DAMAGED_NPZ = {
                                                               "protected_label": g}),
     "a negative protected_label": ("test", lambda X, y, g: {"X": X, "y": y,
                                                            "protected_label": g - 1}),
+    "zero rows": ("train", lambda X, y, g: {"X": X[:0], "y": y[:0], "protected_label": g[:0]}),
+    "a y of 2**63 (uint64)": ("test", lambda X, y, g: {
+        "X": X, "y": np.r_[y[:-1].astype(np.uint64), np.uint64(2**63)], "protected_label": g}),
+    "a protected_label of 2**63 (uint64)": ("dev", lambda X, y, g: {
+        "X": X, "y": y, "protected_label": np.r_[g[:-1].astype(np.uint64), np.uint64(2**63)]}),
     "a (10**15, 768) X header over 64 bytes": ("train", lambda X, y, g: zip_bytes({
         "X.npy": npy_bytes(header={"descr": "<f8", "fortran_order": False,
                               "shape": (10**15, 768)}, data=bytes(64)),
@@ -733,28 +707,19 @@ def _conf_text(text):
 # (data source, extra flags, exit code) for the declared sizes and the flags
 # that change nothing
 TRAIN_EXIT_CODES = {
-    "files, --num_classes below the labels": (_jsonl_files, ["--num_classes", "1"], 2),
-    "files, --num_groups below the labels": (_jsonl_files, ["--num_groups", "1"], 2),
-    "files, --emb_size mismatch": (_jsonl_files, ["--emb_size", "5"], 2),
+    "files, --num_classes below the labels": (_generated, ["--num_classes", "1"], 2),
+    "files, --num_groups below the labels": (_generated, ["--num_groups", "1"], 2),
+    "files, --emb_size mismatch": (_generated, ["--emb_size", "5"], 2),
     "files, dev split narrower than train": (_narrow_dev, [], 2),
     "files, declared sizes above the labels": (
-        _jsonl_files, ["--num_classes", "3", "--num_groups", "3"], 0),
-    "files, NaN in a train feature": (_appended_row("train", "NaN"), [], 1),
-    "files, -Infinity in a train feature": (_appended_row("train", "-Infinity"), [], 1),
-    "files, 1e400 in a dev feature": (_appended_row("dev", "1e400"), [], 1),
-    "files, true in a train feature": (_appended_row("train", "true"), [], 1),
-    "files, true as a train y": (_appended_row("train", "true", "y"), [], 1),
-    "files, false as a dev protected_label": (
-        _appended_row("dev", "false", "protected_label"), [], 1),
-    "files, true as a test protected_label": (
-        _appended_row("test", "true", "protected_label"), [], 1),
-    "csv files": (_csv_files(), [], 0),
-    "csv files, nan in a train feature": (_csv_files("train", "nan"), [], 1),
-    "csv files, 1e400 in a test feature": (_csv_files("test", "1e400"), [], 1),
+        _generated, ["--num_classes", "3", "--num_groups", "3"], 0),
+    "files, --dataset_format jsonl": (_generated, ["--dataset_format", "jsonl"], 2),
+    "files, dataset_format: csv in --conf_file": (_conf_text("dataset_format: csv\n"), [], 2),
     **{f"npz files, {name}": (_damaged_npz(split, damage), [], 1)
        for name, (split, damage) in DAMAGED_NPZ.items()},
-    "jsonl files only, no --dataset_format": (_text_only(_jsonl_files), [], 3),
-    "csv files only, no --dataset_format": (_text_only(_csv_files()), [], 3),
+    "jsonl files only, no --dataset_format": (_text_only(write_jsonl, ".jsonl"), [], 3),
+    "csv files only, no --dataset_format": (_text_only(write_csv, ".csv"), [], 3),
+    "csv files, converted as README shows": (_converted(write_csv, ".csv"), [], 0),
     "spec, --num_classes below the labels": (_spec, ["--num_classes", "1"], 2),
     "spec, --emb_size mismatch": (_spec, ["--emb_size", "5"], 2),
     "spec, declared sizes above the labels": (
@@ -788,11 +753,11 @@ class TestExitCodes:
         assert "Traceback" not in err
         if code == 2:
             assert "config error" in err
-        if code == 1:  # a text data file names the bad line, an .npz file itself
-            assert re.search(r"\.(jsonl:\d+|csv:\d+|npz): ", err)
-        if code == 3:  # a text split where the .npz is missing names its format flag
-            assert re.search(r"toy_train\.npz; \S+toy_train\.(jsonl|csv) exists, "
-                             r"read it with --dataset_format \1$", err.strip())
+        if code == 1:  # a damaged split names its .npz file
+            assert re.search(r"\.npz: ", err)
+        if code == 3:  # a text split where the .npz is missing is named
+            assert re.search(r"toy_train\.npz; \S+toy_train\.(jsonl|csv) exists, but splits "
+                             r"are read as \.npz only", err)
         if code != 0:
             assert not results.exists()
 

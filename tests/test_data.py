@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import zipfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,14 @@ def write_jsonl(path, X, y, g):
                                 "protected_label": int(group)}, allow_nan=False) + "\n")
 
 
+def write_csv(path, X, y, g):
+    """Rows X, y, g as a CSV split: a header row, then the features and the labels."""
+    lines = [",".join([*(f"x{i}" for i in range(X.shape[1])), "y", "protected_label"])]
+    lines += [",".join(map(str, [*map(float, x), int(label), int(group)]))
+              for x, label, group in zip(X, y, g)]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def npy_bytes(array=None, header=None, data=b""):
     """The bytes of a .npy member: array's, or header's (a dict of descr,
     fortran_order and shape) followed by data."""
@@ -81,133 +90,109 @@ def make_counts_dataset(counts, d=3, seed=0):
 
 
 class TestLoadDataset:
-    def test_csv_direct_parse(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("x0,x1,y,protected_label\n0.1,0.2,0,0\n0.3,0.4,1,1\n0.5,0.6,0,1\n")
-        ds = data.load_dataset(p, "csv")
-        assert ds.n == 3 and ds.dim == 2
-        assert ds.num_classes == 2 and ds.num_groups == 2
-        np.testing.assert_allclose(ds.X[0], [0.1, 0.2])
-
-    def test_csv_missing_column(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("x0,y\n0.1,0\n")
-        with pytest.raises(SchemaError, match="protected_label"):
-            data.load_dataset(p, "csv")
-
-    def test_csv_ragged_row_reports_line(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("x0,y,protected_label\n0.1,0,0\n0.2,1\n")
-        with pytest.raises(ParseError, match=":3"):
-            data.load_dataset(p, "csv")
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("")
-        with pytest.raises(ParseError, match="empty"):
-            data.load_dataset(p, "csv")
-
-    def test_unknown_label_value(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("x0,y,protected_label\n0.1,-1,0\n")
-        with pytest.raises((LabelDomainError, ParseError)):
-            data.load_dataset(p, "csv")
-
-    def test_jsonl_single_row(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        p.write_text(json.dumps({"X": [0.5], "y": 0, "protected_label": 1}) + "\n")
-        ds = data.load_dataset(p, "jsonl")
+    def test_single_row(self, tmp_path):
+        p = tmp_path / "d.npz"
+        np.savez(p, X=[[0.5]], y=[0], protected_label=[1])
+        ds = data.load_dataset(p)
         assert ds.n == 1 and ds.num_groups == 2
 
-    def test_jsonl_ragged_arity(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        p.write_text('{"X": [1, 2], "y": 0, "protected_label": 0}\n'
-                     '{"X": [1], "y": 0, "protected_label": 1}\n')
-        with pytest.raises(ParseError, match=":2"):
-            data.load_dataset(p, "jsonl")
+    def test_missing_key(self, tmp_path):
+        p = tmp_path / "d.npz"
+        np.savez(p, X=[[0.1]], y=[0])
+        with pytest.raises(SchemaError, match="protected_label"):
+            data.load_dataset(p)
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        ds = make_counts_dataset({(0, 0): 3, (1, 1): 2})
-        p = tmp_path / "out.jsonl"
-        write_jsonl(p, ds.X, ds.y, ds.g)
-        back = data.load_dataset(p, "jsonl")
-        np.testing.assert_allclose(back.X, ds.X)
-        np.testing.assert_array_equal(back.y, ds.y)
-        np.testing.assert_array_equal(back.g, ds.g)
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "d.npz"
+        p.write_bytes(b"")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: not a readable .npz archive")):
+            data.load_dataset(p)
 
-    def test_generated_file_takes_the_one_pass_path(self, tmp_path, monkeypatch):
-        ds = make_counts_dataset({(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 5})
-        p = tmp_path / "out.jsonl"
-        write_jsonl(p, ds.X, ds.y, ds.g)
+    def test_archive_of_zero_rows(self, tmp_path):
+        p = tmp_path / "d.npz"
+        np.savez(p, X=np.zeros((0, 3)), y=np.zeros(0, np.int64),
+                 protected_label=np.zeros(0, np.int64))
+        with pytest.raises(ParseError, match=re.escape(f"{p}: holds no rows")):
+            data.load_dataset(p)
 
-        def no_fallback(*args):
-            raise AssertionError("read line by line")
-        monkeypatch.setattr(data, "_read_jsonl_lines", no_fallback)
-        back = data.load_dataset(p, "jsonl")
-        np.testing.assert_array_equal(back.X, ds.X)
-        np.testing.assert_array_equal(back.y, ds.y)
+    def test_unknown_label_value(self, tmp_path):
+        p = tmp_path / "d.npz"
+        np.savez(p, X=[[0.1]], y=[-1], protected_label=[0])
+        with pytest.raises(LabelDomainError, match=re.escape(f"{p}: y must hold integers")):
+            data.load_dataset(p)
 
 
-# One malformed value per row, each appended as line 3 after two valid rows
-GOOD_JSONL = ('{"X": [0.1, 0.2], "y": 0, "protected_label": 1}\n'
-              '{"X": [0.3, 0.4], "y": 1, "protected_label": 0}\n')
-MALFORMED_JSONL = {
-    "X a number": ({"X": 5, "y": 0, "protected_label": 0}, ParseError),
-    "X holds a list": ({"X": [[1], 2], "y": 0, "protected_label": 0}, ParseError),
-    "y a string": ({"X": [1, 2], "y": "a", "protected_label": 0}, LabelDomainError),
-    "y null": ({"X": [1, 2], "y": None, "protected_label": 0}, LabelDomainError),
-    "y above int64": ({"X": [1, 2], "y": 10**20, "protected_label": 0}, LabelDomainError),
-    "protected_label 2**63": ({"X": [1, 2], "y": 0, "protected_label": 2**63}, LabelDomainError),
-    "a JSON string": ("X, y and protected_label", SchemaError),
-    "X holds NaN": ({"X": [float("nan"), 2], "y": 0, "protected_label": 0}, ParseError),
-    "X holds -Infinity": ({"X": [1, float("-inf")], "y": 0, "protected_label": 0}, ParseError),
-    "X holds an integer beyond float": ({"X": [10**400, 2], "y": 0, "protected_label": 0},
-                                        ParseError),
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+def test_non_finite_feature_names_its_row(tmp_path, value):
+    p = tmp_path / "toy_train.npz"
+    X = np.ones((4, 2))
+    X[2, 1] = value
+    np.savez(p, X=X, y=np.zeros(4, np.int64), protected_label=np.arange(4))
+    with pytest.raises(ParseError, match=re.escape(f"{p}: X row 2 holds a non-finite value")):
+        data.load_dataset(p)
+
+
+def _readme_block(marker):
+    """The code of the README block that follows the line <!-- marker -->."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(rf"<!-- {marker} -->\n```python\n(.*?)```", text, re.S)
+    assert block, marker
+    return block[1]
+
+
+def readme_converters():
+    """README's text-to-.npz conversion functions, by the suffix they read."""
+    convert = {}
+    exec(_readme_block("convert-text-splits"), convert)
+    return {".jsonl": convert["jsonl_to_npz"], ".csv": convert["csv_to_npz"]}
+
+
+@pytest.mark.parametrize("suffix,write", [(".jsonl", write_jsonl), (".csv", write_csv)],
+                         ids=["jsonl", "csv"])
+def test_readme_converts_text_splits_to_npz(tmp_path, suffix, write):
+    """README's conversion of a text split gives an .npz file that loads as
+    the split it was written from, byte for byte."""
+    train = data.generate_synthetic(data.SyntheticSpec(
+        n_per_cell={(0, 0): 7, (0, 1): 3, (1, 0): 2, (1, 1): 5}, d=5, seed=3))[0]
+    text = tmp_path / f"toy_train{suffix}"
+    write(text, train.X, train.y, train.g)
+    readme_converters()[suffix](text, text.with_suffix(".npz"))
+    back = data.load_dataset(text.with_suffix(".npz"))
+    for want, got in zip((train.X, train.y, train.g), (back.X, back.y, back.g)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# CSV text that README's conversion carries into an .npz the reader refuses
+CONVERTED_CSV = {
+    "1e400 feature": ("x0,x1,y,protected_label\n0.1,0.2,0,1\n0.1,1e400,0,1\n",
+                      "X row 1 holds a non-finite value"),
+    "no feature columns": ("y,protected_label\n0,1\n1,0\n", "X has no features"),
 }
 
 
-@pytest.mark.parametrize("name", list(MALFORMED_JSONL))
-def test_jsonl_malformed_value_names_its_line(tmp_path, name):
-    row, error = MALFORMED_JSONL[name]
-    p = tmp_path / "toy_train.jsonl"
-    p.write_text(GOOD_JSONL + json.dumps(row) + "\n")
-    with pytest.raises(error, match=re.escape(f"{p}:3: ")):
-        data.load_dataset(p, "jsonl")
+@pytest.mark.parametrize("name", list(CONVERTED_CSV))
+def test_readme_conversion_keeps_the_split_checks(tmp_path, name):
+    text, message = CONVERTED_CSV[name]
+    src = tmp_path / "toy_train.csv"
+    src.write_text(text)
+    p = src.with_suffix(".npz")
+    readme_converters()[".csv"](src, p)
+    with pytest.raises(ParseError, match=re.escape(f"{p}: {message}")):
+        data.load_dataset(p)
 
 
-def test_csv_label_above_int64_names_its_line(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("x0,y,protected_label\n0.1,0,0\n0.2,100000000000000000000,1\n")
-    with pytest.raises(LabelDomainError, match=re.escape(f"{p}:3: ")):
-        data.load_dataset(p, "csv")
-
-
-@pytest.mark.parametrize("fmt,good,bad", [
-    ("jsonl", GOOD_JSONL, '{"X": [1e400, 0.2], "y": 0, "protected_label": 1}\n'),
-    *(("csv", "x0,x1,y,protected_label\n0.1,0.2,0,1\n", f"0.1,{v},0,1\n")
-      for v in ("nan", "-inf", "1e400")),
-])
-def test_non_finite_feature_names_its_line(tmp_path, fmt, good, bad):
-    p = tmp_path / f"toy_train.{fmt}"
-    p.write_text(good + bad)
-    line = good.count("\n") + 1
-    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: ")):
-        data.load_dataset(p, fmt)
-
-
-@pytest.mark.parametrize("fmt,good", [("jsonl", GOOD_JSONL),
-                                      ("csv", "x0,x1,y,protected_label\n0.1,0.2,0,1\n")])
-def test_non_utf8_bytes_name_their_line(tmp_path, fmt, good):
-    p = tmp_path / f"toy_dev.{fmt}"
-    p.write_bytes(good.encode() + b"\xff\xfe\n")
-    line = good.count("\n") + 1
-    with pytest.raises(ParseError, match=re.escape(f"{p}:{line}: not valid UTF-8")):
-        data.load_dataset(p, fmt)
+def test_label_above_int64_names_its_file(tmp_path):
+    p = tmp_path / "toy_train.npz"
+    np.savez(p, X=np.ones((2, 1)), y=np.array([0, 2**64 - 1], np.uint64),
+             protected_label=[0, 1])
+    with pytest.raises(LabelDomainError, match=re.escape(
+            f"{p}: y must hold integers in [0, 2**63), got 0 to {2**64 - 1}")):
+        data.load_dataset(p)
 
 
 def _loaded(path):
     """X, y and g of the npz split at path, as load_dataset returns them."""
-    ds = data.load_dataset(path, "npz")
+    ds = data.load_dataset(path)
     return ds.X, ds.y, ds.g
 
 
@@ -267,7 +252,7 @@ def test_npz_member_declaring_more_than_its_file_is_refused_unread(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(ParseError, match=re.escape(f"{path}: X: ")):
-            data.load_dataset(path, "npz")
+            data.load_dataset(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,7 +265,7 @@ def test_npz_member_with_bytes_beyond_its_header_is_refused(tmp_path):
     path.write_bytes(zip_bytes({"X.npy": npy_bytes(ds.X) + bytes(8), "y.npy": npy_bytes(ds.y),
                                 "protected_label.npy": npy_bytes(ds.g)}))
     with pytest.raises(ParseError, match=re.escape(f"{path}: X: header declares shape (4, 3)")):
-        data.load_dataset(path, "npz")
+        data.load_dataset(path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,7 +293,7 @@ def test_damaged_npz_raises_a_data_error_or_loads_unchanged(tmp_path_factory, co
         del raw[cut % len(raw):]
     path.write_bytes(bytes(raw))
     try:
-        back = data.load_dataset(path, "npz")
+        back = data.load_dataset(path)
     except FairkitError as e:
         assert str(e).startswith(f"{path}: ")
         return
@@ -316,108 +301,11 @@ def test_damaged_npz_raises_a_data_error_or_loads_unchanged(tmp_path_factory, co
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("fmt,text", [
-    ("jsonl", '{"X": [], "y": 0, "protected_label": 1}\n'
-              '{"X": [], "y": 1, "protected_label": 0}\n'),
-    ("csv", "y,protected_label\n0,1\n1,0\n"),
-])
-def test_rows_without_features_are_a_parse_error(tmp_path, fmt, text):
-    p = tmp_path / f"toy_train.{fmt}"
-    p.write_text(text)
+def test_rows_without_features_are_a_parse_error(tmp_path):
+    p = tmp_path / "toy_train.npz"
+    np.savez(p, X=np.zeros((2, 0)), y=[0, 1], protected_label=[1, 0])
     with pytest.raises(ParseError, match=re.escape(f"{p}: X has no features")):
-        data.load_dataset(p, fmt)
-
-
-def _outcome(read, *args):
-    """The arrays read returns, or the type and message of what it raises."""
-    try:
-        X, y, g = read(*args)
-    except FairkitError as e:
-        return type(e), str(e)
-    return np.asarray(X, dtype=float), np.asarray(y), np.asarray(g)
-
-
-_numbers = st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False),
-                     st.integers(-10**6, 10**6))
-_rows = st.integers(1, 4).flatmap(lambda arity: st.lists(st.fixed_dictionaries(
-    {"X": st.lists(_numbers, min_size=arity, max_size=arity), "y": st.integers(0, 5),
-     "protected_label": st.integers(0, 5)}), min_size=3, max_size=8))
-# Valid rows that the one-pass reading leaves to the line-by-line one
-VARIANTS = {
-    "plain": lambda row: row,
-    "float labels": lambda row: {**row, "y": float(row["y"])},
-    "an extra key with braces": lambda row: {**row, "extra": {"k": [1, {"a": "}"}]}},
-}
-
-
-def _dump(row, compact):
-    return json.dumps(row, separators=(",", ":") if compact else None)
-
-
-def _splice(lines, i, count, *new):
-    """lines with the count lines from line i replaced by new."""
-    return lines[:i] + list(new) + lines[i + count:]
-
-
-def _changed(rows, i, **values):
-    """Row i with values set, dumped compactly."""
-    return _dump({**rows[i], **values}, True)
-
-
-# Damage to row i of a file, as (rows, lines, i) -> lines. The last case keeps
-# as many lines as rows, and joining its lines with commas gives valid rows.
-DAMAGE = {
-    "missing key": lambda rows, lines, i: _splice(lines, i, 1, _dump(
-        {k: v for k, v in rows[i].items() if k != "y"}, True)),
-    "X a number": lambda rows, lines, i: _splice(lines, i, 1, _changed(rows, i, X=5)),
-    "X holds a string": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, X=["a"] + rows[i]["X"][1:])),
-    "X one value too many": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, X=rows[i]["X"] + [1.0])),
-    "negative label": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, protected_label=-1)),
-    "fractional label": lambda rows, lines, i: _splice(lines, i, 1, _changed(rows, i, y=1.5)),
-    "boolean label": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, protected_label=False)),
-    "X holds a boolean": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, X=[True] + rows[i]["X"][1:])),
-    "X holds NaN": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, X=[float("nan")] + rows[i]["X"][1:])),
-    "X holds 1e400": lambda rows, lines, i: _splice(
-        lines, i, 1, _changed(rows, i, X=["@"] + rows[i]["X"][1:]).replace('"@"', "1e400")),
-    "a JSON list": lambda rows, lines, i: _splice(lines, i, 1, "[1, 2]"),
-    "truncated line": lambda rows, lines, i: _splice(lines, i, 1, lines[i][:-1]),
-    "two rows on one line": lambda rows, lines, i: _splice(
-        lines, i, 2, lines[i] + ", " + lines[i + 1]),
-    "one row on two lines and two on one": lambda rows, lines, i: _splice(
-        lines, i, 3, *lines[i].split(",", 1), lines[i + 1] + ", " + lines[i + 2]),
-}
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=_rows, variant=st.sampled_from(list(VARIANTS)), compact=st.booleans(),
-       blank=st.booleans(), crlf=st.booleans(), damage=st.sampled_from([None, *DAMAGE]),
-       at=st.integers(0, 5))
-def test_jsonl_one_pass_matches_line_by_line(tmp_path_factory, rows, variant, compact, blank,
-                                             crlf, damage, at):
-    rows = [VARIANTS[variant](row) for row in rows]
-    lines = [_dump(row, compact) for row in rows]
-    if damage is not None:
-        lines = DAMAGE[damage](rows, lines, at % (len(rows) - 2))
-    if blank:
-        lines = ["  "] + lines[:1] + [""] + lines[1:]
-    p = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
-    p.write_bytes((("\r\n" if crlf else "\n").join(lines) + "\n").encode())
-    fast = _outcome(data._read_jsonl, p)
-    by_line = _outcome(data._read_jsonl_lines, p, p.read_text().split("\n"))
-    if damage is not None:
-        assert by_line[0] in (ParseError, SchemaError, LabelDomainError)
-        assert fast == by_line
-    else:
-        assert len(fast) == 3 and len(by_line) == 3, (fast, by_line)
-        for a, b in zip(fast, by_line):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        data.load_dataset(p)
 
 
 @pytest.mark.parametrize("cells", [[1, 2], {"a,b": 1}, {"0,0,1": 1}, {5: 1}, {"0,0": "x"}])

@@ -127,7 +127,7 @@ def test_every_counter_reads_its_function_result(tmp_path):
     n = train_ds.n
     # (counter, function, args, kwargs, the count it should record)
     calls = [
-        ("data.load_dataset", data.load_dataset, (split_file, "npz"), {"split": "train"}, n),
+        ("data.load_dataset", data.load_dataset, (split_file,), {"split": "train"}, n),
         ("data.make_batches", data.make_batches, (train_ds, 16, 0), {}, n),
         ("nn.forward", nn.forward, (net, train_ds.X), {}, n),
         ("nn.backward", nn.backward, (net, trace, np.ones_like(trace.logits)), {}, n),
