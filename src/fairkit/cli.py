@@ -134,23 +134,28 @@ def parse_config(argv: list[str]) -> TrainConfig:
 
 
 def _coerce(key: str, value):
-    if value is None:
-        return None
+    """A flag or YAML value as its field's type. None fits only a `| None`
+    field, a bool only a bool field, an int field takes integral numbers,
+    and a scalar field takes no list or mapping."""
     kind = _CONFIG_FIELDS[key].type
+    if value is None and kind.endswith(" | None"):
+        return None
     try:
         if key == "hidden_dims":
-            return [int(v) for v in value]
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-            raise ValueError("expected a boolean")
-        return str(value)
-    except (TypeError, ValueError):
+            if not isinstance(value, list):
+                raise ValueError
+            return [_scalar("int", v) for v in value]
+        return _scalar(kind.removesuffix(" | None"), value)
+    except (ValueError, OverflowError):
         raise ConfigError(f"config key {key!r}: expected {kind}, got {value!r}") from None
+
+
+def _scalar(kind: str, value):
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, (int, float, str)):
+        raise ValueError
+    if kind == "int" and isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return {"int": int, "float": float, "str": str}.get(kind, bool)(value)
 
 
 def pipeline(cfg: TrainConfig) -> dict:

@@ -1,11 +1,12 @@
 """Group fairness evaluation from confusion matrices.
 
-All metrics are one-vs-rest per class, computed per protected group and
-overall, as [num_classes, num_groups] tables: the [C, G, 4] (TP, FP, TN, FN)
-counts of confusion_by_group, and the metric cells cm_metric maps them to,
-NaN where a metric is 0/0 ("undefined", excluded rather than imputed). The
-fairness score is 1 - GAP: the sum over groups of each cell's absolute
-deviation from its class's overall metric, root-mean-square over classes.
+The metric is the TPR (equal opportunity), one-vs-rest per class, computed
+per protected group and overall, as [num_classes, num_groups] tables: the
+[C, G, 4] (TP, FP, TN, FN) counts of confusion_by_group, and the TPR cells
+TP / (TP + FN), NaN where 0/0 ("undefined", excluded rather than imputed).
+The fairness score is 1 - GAP: the sum over groups of each cell's absolute
+deviation from its class's overall TPR, root-mean-square over classes.
+Another criterion is built from the counts table and gap_and_fairness.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ import numpy as np
 
 from .errors import EvaluationDegenerateError, LabelDomainError, ShapeError
 
-# Each named metric as the (numerator, denominator) weights of (TP, FP, TN, FN)
-_RATIOS = {
-    "positive_rate": ((1, 1, 0, 0), (1, 1, 1, 1)),
-    "tpr": ((1, 0, 0, 0), (1, 0, 0, 1)),
-    "fpr": ((0, 1, 0, 0), (0, 1, 1, 0)),
-    "precision": ((1, 0, 0, 0), (1, 1, 0, 0)),
-    "npv": ((0, 0, 1, 0), (0, 0, 1, 1)),
-}
-METRICS = tuple(_RATIOS)
 UTOPIA = (1.0, 1.0)  # the (performance, fairness) corner DTO is measured from
 
 
@@ -62,19 +54,11 @@ def confusion_by_group(predictions, y, g, num_classes: int, num_groups: int) -> 
     return cube_counts(confusion_cube(predictions, y, g, num_classes, num_groups))
 
 
-def cm_metric(counts, kind) -> np.ndarray:
-    """Confusion-matrix metric of counts [..., 4], elementwise; NaN (undefined) on 0/0.
-
-    kind is a registry name or a callable of (TP, FP, TN, FN), called once
-    per cell with ints; a callable's None is undefined too."""
-    counts = np.asarray(counts)
-    if callable(kind):  # as a float array, None is NaN
-        return np.array([kind(*cell) for cell in counts.reshape(-1, 4).tolist()],
-                        dtype=float).reshape(counts.shape[:-1])
-    if kind not in _RATIOS:
-        raise ValueError(f"unknown metric kind {kind!r}; known: {METRICS}")
-    num, den = (counts @ np.array(weights) for weights in _RATIOS[kind])
-    return np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0)
+def _tpr(counts: np.ndarray) -> np.ndarray:
+    """TP / (TP + FN) of counts [..., 4] (TP, FP, TN, FN); NaN (undefined) on 0/0."""
+    tp = counts[..., 0]
+    den = tp + counts[..., 3]
+    return np.divide(tp, den, out=np.full(den.shape, np.nan), where=den != 0)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -124,7 +108,6 @@ class FairnessReport:
     fairness: float
     rawlsian_min: float
     max_violation: float
-    metric_kind: str = "tpr"
 
     def to_json_dict(self) -> dict:
         d = {
@@ -136,15 +119,15 @@ class FairnessReport:
         }
         for (c, gr), v in np.ndenumerate(self.per_group_metric):
             if not np.isnan(v):
-                d[f"{self.metric_kind}_class{c}_group{gr}"] = float(v)
+                d[f"tpr_class{c}_group{gr}"] = float(v)
         return d
 
 
-def evaluate_counts(counts: np.ndarray, kind: str = "tpr") -> FairnessReport:
+def evaluate_counts(counts: np.ndarray) -> FairnessReport:
     """The report of one-vs-rest counts [..., C, G, 4]; each score is an
     array over the leading axes (a numpy float for one [C, G, 4] table)."""
-    cells = cm_metric(counts, kind)
-    deviations = np.abs(cells - cm_metric(counts.sum(axis=-2), kind)[..., None])
+    cells = _tpr(counts)
+    deviations = np.abs(cells - _tpr(counts.sum(axis=-2))[..., None])
     gap, fairness = gap_and_fairness(deviations)
     # correct rows are the TPs summed over classes; one division = np.mean's float
     correct = counts[..., 0].sum(axis=-2)
@@ -157,13 +140,10 @@ def evaluate_counts(counts: np.ndarray, kind: str = "tpr") -> FairnessReport:
         rawlsian_min=rawlsian_min(
             np.divide(correct, rows, out=np.full(rows.shape, np.nan), where=rows > 0)),
         max_violation=np.fmax.reduce(deviations.reshape(*deviations.shape[:-2], -1), axis=-1),
-        metric_kind=kind if isinstance(kind, str) else "custom",
     )
 
 
-def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int,
-                         kind: str = "tpr") -> FairnessReport:
+def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int) -> FairnessReport:
     """Accuracy + group fairness in one report (the standard per-epoch eval)."""
-    report = evaluate_counts(confusion_by_group(predictions, y, g, num_classes, num_groups),
-                             kind)
+    report = evaluate_counts(confusion_by_group(predictions, y, g, num_classes, num_groups))
     return replace(report, **{name: float(getattr(report, name)) for name in _SCORES})

@@ -33,6 +33,7 @@ from .errors import (
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_MAX_GRAD = float(np.sqrt(np.finfo(float).max))  # below it, g * g and v / bc2 are finite
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -427,11 +428,14 @@ def make_optimizer(model: Network, kind: str = "adam", lr: float = 1e-3) -> Opti
 
 def optimizer_step(model: Network, g: np.ndarray, state: OptimizerState):
     """In-place deterministic update of model.flat, given its gradient g in
-    the same layout; Adam applies bias correction. A non-finite entry of g
-    raises, naming its parameter, before anything is updated."""
-    if not np.isfinite(g).all():
-        i = int(np.argmin(np.isfinite(g)))  # the first non-finite entry
-        raise TrainingDivergedError(f"non-finite gradient for {model.param_name(i)}")
+    the same layout; Adam applies bias correction. A non-finite entry of g,
+    or for Adam one at or above _ADAM_MAX_GRAD in magnitude, raises, naming
+    its parameter, before anything is updated."""
+    bound = _ADAM_MAX_GRAD if state.kind == "adam" else np.inf
+    if not np.abs(g).max() < bound:  # NaN fails the comparison too
+        i = int(np.argmin(np.abs(g) < bound))  # the first refused entry
+        raise TrainingDivergedError(f"gradient {g[i]:.3g} (|g| must be below {bound:.3g}) "
+                                    f"for {model.param_name(i)}")
     if state.kind == "sgd":
         model.flat -= state.lr * g
         return

@@ -704,8 +704,19 @@ def _conf_text(text):
     return source
 
 
-# (data source, extra flags, exit code) for the declared sizes and the flags
-# that change nothing
+# --conf_file lines the flags would refuse: null outside the `| None` fields,
+# a bool outside the bool fields, a non-integral or infinite number for an int
+# field, and a list or mapping for a scalar one
+BAD_CONF_LINES = [
+    "method: null", "lr: null", "optimizer: null", "activation: null", "hidden_dims: null",
+    "inlp_iterations: null", "dataset: null", "INLP: null", "epochs: true", "lr: true",
+    "dataset: true", "hidden_dims: [true]", "hidden_dims: [1.5]", "hidden_dims: 16",
+    "hidden_dims: '16'", "epochs: 1.7", "emb_size: 4.5", "gate_grid_resolution: 2.9",
+    "epochs: .inf", f"adv_lambda: {10**400}", "dataset: [toy]", "seed: {a: 1}",
+]
+
+# (data source, extra flags, exit code) for the declared sizes, the flags
+# that change nothing and training that diverges
 TRAIN_EXIT_CODES = {
     "files, --num_classes below the labels": (_generated, ["--num_classes", "1"], 2),
     "files, --num_groups below the labels": (_generated, ["--num_groups", "1"], 2),
@@ -727,6 +738,13 @@ TRAIN_EXIT_CODES = {
     "generator, --num_classes 1": (lambda *_: [], ["--num_classes", "1"], 2),
     **{f"spec file {name}": (_spec_text(text), [], 2) for name, text in BAD_SPECS.items()},
     "--conf_file not YAML": (_conf_text("epochs: [\n"), [], 2),
+    **{f"--conf_file {line[:30]}": (_conf_text(line + "\n"), [], 2) for line in BAD_CONF_LINES},
+    "--conf_file BT: null": (_conf_text("BT: null\n"), [], 0),
+    "--conf_file hidden_dims: [8.0]": (_conf_text("hidden_dims: [8.0]\n"), [], 0),
+    "Adv, --adv_lambda 1e308 overflows Adam": (
+        _spec, ["--method", "Adv", "--adv_lambda", "1e308"], 4),
+    "FairSCL, --temperature 1e-300 overflows Adam": (
+        _spec, ["--method", "FairSCL", "--fcl_lambda_y", "1", "--temperature", "1e-300"], 4),
     "spec, --num_classes 3 empties a joint cell": (
         _spec, ["--num_classes", "3", "--BT", "Downsampling", "--BTObj", "joint"], 2),
     "spec, --num_classes 3 with EO downsampling": (
@@ -758,7 +776,10 @@ class TestExitCodes:
         if code == 3:  # a text split where the .npz is missing is named
             assert re.search(r"toy_train\.npz; \S+toy_train\.(jsonl|csv) exists, but splits "
                              r"are read as \.npz only", err)
-        if code != 0:
+        if code == 4:  # a diverged run stays visibly unfinalized
+            (run_dir,) = results.iterdir()
+            assert json.loads((run_dir / "manifest.json").read_text())["finalized"] is False
+        elif code != 0:
             assert not results.exists()
 
     @pytest.mark.parametrize("name", list(BAD_SPECS))

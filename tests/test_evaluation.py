@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairkit import evaluation as ev
 from fairkit.errors import EvaluationDegenerateError, LabelDomainError, ShapeError
+from test_data import _readme_block
 
 
 def _masked_counts(pred_pos, true_pos, mask):
@@ -47,31 +48,36 @@ def as_dicts(counts):
             {c: tuple(overall[c].tolist()) for c in range(C)})
 
 
-def gap_and_cells(counts, kind="tpr"):
-    """gap_and_fairness of counts' deviation table, and the metric cells it
-    leaves defined."""
-    cells = ev.cm_metric(counts, kind)
-    deviations = np.abs(cells - ev.cm_metric(counts.sum(axis=1), kind)[:, None])
-    return (*ev.gap_and_fairness(deviations), np.where(np.isnan(deviations), np.nan, cells))
-
-
 # The reference evaluation the [C, G] arrays must equal exactly: cell by
-# cell over dicts, with every sum added left to right by Python
+# cell over dicts, with every sum added left to right by Python. The report
+# scores TPR; FPR is README's custom criterion.
 REFERENCE_RATIOS = {
-    "positive_rate": (lambda tp, fp, tn, fn: tp + fp, lambda tp, fp, tn, fn: tp + fp + tn + fn),
     "tpr": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fn),
     "fpr": (lambda tp, fp, tn, fn: fp, lambda tp, fp, tn, fn: fp + tn),
-    "precision": (lambda tp, fp, tn, fn: tp, lambda tp, fp, tn, fn: tp + fp),
-    "npv": (lambda tp, fp, tn, fn: tn, lambda tp, fp, tn, fn: tn + fn),
 }
 
 
-def reference_metric(counts, kind):
+def reference_metric(counts, kind="tpr"):
     num, den = (f(*counts) for f in REFERENCE_RATIOS[kind])
     return None if den == 0 else num / den
 
 
-def reference_report(predictions, y, g, num_classes, num_groups, kind):
+def tpr_cells(counts):
+    """reference_metric of each cell of counts [..., 4], NaN where undefined."""
+    counts = np.asarray(counts)
+    return np.array([reference_metric(cell) for cell in counts.reshape(-1, 4).tolist()],
+                    dtype=float).reshape(counts.shape[:-1])
+
+
+def gap_and_cells(counts):
+    """gap_and_fairness of counts' TPR deviation table, and the TPR cells it
+    leaves defined."""
+    cells = tpr_cells(counts)
+    deviations = np.abs(cells - tpr_cells(counts.sum(axis=1))[:, None])
+    return (*ev.gap_and_fairness(deviations), np.where(np.isnan(deviations), np.nan, cells))
+
+
+def reference_report(predictions, y, g, num_classes, num_groups, kind="tpr"):
     """to_json_dict() of the report, from per-cell dicts and Python sums."""
     counts, overall = reference_tally(predictions, y, g, num_classes, num_groups)
     per_group, class_gaps = {}, []
@@ -114,8 +120,7 @@ def report_cases(draw):
     # predictions right about half the time, so metric cells take many values
     y = rng.integers(0, num_classes, n)
     predictions = np.where(rng.random(n) < 0.5, y, rng.integers(0, num_classes, n))
-    return (predictions, y, rng.integers(0, num_groups, n), num_classes, num_groups,
-            draw(st.sampled_from(ev.METRICS)))
+    return predictions, y, rng.integers(0, num_groups, n), num_classes, num_groups
 
 
 @given(report_cases())
@@ -137,16 +142,16 @@ def test_report_equals_dict_reference(case):
 def test_counts_over_a_leading_axis_equal_each_report(case, k):
     """evaluate_counts on k stacked cubes (Gate-soft's priors) gives, at each
     index, the scores of evaluate_predictions on that cube's predictions."""
-    predictions, y, g, num_classes, num_groups, kind = case
+    predictions, y, g, num_classes, num_groups = case
     rng = np.random.default_rng(len(y) + k)
     batch = [np.where(rng.random(len(y)) < 0.5, predictions, rng.integers(0, num_classes, len(y)))
              for _ in range(k)]
     try:
-        reports = [ev.evaluate_predictions(p, y, g, num_classes, num_groups, kind) for p in batch]
+        reports = [ev.evaluate_predictions(p, y, g, num_classes, num_groups) for p in batch]
     except EvaluationDegenerateError:
         return
     cubes = np.array([ev.confusion_cube(p, y, g, num_classes, num_groups) for p in batch])
-    stacked = ev.evaluate_counts(ev.cube_counts(cubes), kind)
+    stacked = ev.evaluate_counts(ev.cube_counts(cubes))
     for i, report in enumerate(reports):
         for name in ("performance", "gap", "fairness", "rawlsian_min", "max_violation"):
             assert getattr(stacked, name)[i] == getattr(report, name), name
@@ -222,29 +227,20 @@ class TestConfusionByGroup:
 
 
 class TestCmMetric:
+    """The report's confusion-matrix metric, the TPR of counts [..., 4]."""
+
     def test_tpr(self):
-        assert ev.cm_metric((3, 0, 0, 1), "tpr") == pytest.approx(0.75)
+        assert ev._tpr(np.array([3, 0, 0, 1])) == pytest.approx(0.75)
 
     def test_tpr_undefined(self):
-        assert np.isnan(ev.cm_metric((0, 5, 5, 0), "tpr"))
-
-    def test_direct_formulas(self):
-        counts = (2, 2, 4, 2)
-        assert ev.cm_metric(counts, "positive_rate") == pytest.approx(0.4)
-        assert ev.cm_metric(counts, "fpr") == pytest.approx(1 / 3)
-        assert ev.cm_metric(counts, "precision") == pytest.approx(0.5)
-        assert ev.cm_metric(counts, "npv") == pytest.approx(2 / 3)
-
-    def test_custom_callable(self):
-        f1 = lambda tp, fp, tn, fn: 2 * tp / (2 * tp + fp + fn)
-        assert ev.cm_metric((2, 1, 0, 1), f1) == pytest.approx(2 / 3)
+        assert np.isnan(ev._tpr(np.array([0, 5, 5, 0])))
 
     def test_complements_when_defined(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             tp, fp, tn, fn = rng.integers(0, 10, 4)
-            tpr = ev.cm_metric((tp, fp, tn, fn), "tpr")
-            fnr = ev.cm_metric((fn, tn, fp, tp), "tpr")  # FNR = FN/(FN+TP) via relabel
+            tpr = ev._tpr(np.array([tp, fp, tn, fn]))
+            fnr = ev._tpr(np.array([fn, tn, fp, tp]))  # FNR = FN/(FN+TP) via relabel
             if not np.isnan(tpr):
                 assert 0.0 <= tpr <= 1.0
                 assert tpr + fnr == pytest.approx(1.0)
@@ -255,7 +251,7 @@ class TestGapAndFairness:
         y = np.array([0, 1, 0, 1])
         g = np.array([0, 0, 1, 1])
         gc = ev.confusion_by_group(y, y, g, 2, 2)
-        gap, fairness, _ = gap_and_cells(gc, "tpr")
+        gap, fairness, _ = gap_and_cells(gc)
         assert gap == pytest.approx(0.0)
         assert fairness == pytest.approx(1.0)
 
@@ -265,9 +261,9 @@ class TestGapAndFairness:
         g = np.array([0] * 5 + [1] * 5 + [0] * 5 + [1] * 5)
         preds = np.array([1, 1, 1, 1, 0,  1, 1, 1, 0, 0] + [0] * 10)
         gc = ev.confusion_by_group(preds, y, g, 2, 2)
-        assert ev.cm_metric(gc[1, 0], "tpr") == pytest.approx(0.8)
-        assert ev.cm_metric(gc[1, 1], "tpr") == pytest.approx(0.6)
-        gap, fairness, _ = gap_and_cells(gc, "tpr")
+        assert reference_metric(gc[1, 0]) == pytest.approx(0.8)
+        assert reference_metric(gc[1, 1]) == pytest.approx(0.6)
+        gap, fairness, _ = gap_and_cells(gc)
         # class 1 gap: |0.8-0.7| + |0.6-0.7| = 0.2
         # class 0 (negatives as positives): TPRs 1.0, 1.0, overall 1.0 -> gap 0
         assert gap == pytest.approx(math.sqrt((0.2 ** 2 + 0.0) / 2))
@@ -279,7 +275,7 @@ class TestGapAndFairness:
         g = np.array([0, 0, 1, 1])
         preds = np.array([1, 0, 0, 0])
         gc = ev.confusion_by_group(preds, y, g, 2, 2)
-        gap, fairness, per_group = gap_and_cells(gc, "tpr")
+        gap, fairness, per_group = gap_and_cells(gc)
         assert np.isnan(per_group[1, 1])
         assert np.isfinite(gap)
 
@@ -289,10 +285,10 @@ class TestGapAndFairness:
         g = rng.integers(0, 3, 60)
         preds = rng.integers(0, 2, 60)
         gc = ev.confusion_by_group(preds, y, g, 2, 3)
-        gap1, _, _ = gap_and_cells(gc, "tpr")
+        gap1, _, _ = gap_and_cells(gc)
         perm = np.array([2, 0, 1])
         gc2 = ev.confusion_by_group(preds, y, perm[g], 2, 3)
-        gap2, _, _ = gap_and_cells(gc2, "tpr")
+        gap2, _, _ = gap_and_cells(gc2)
         assert gap1 == pytest.approx(gap2, abs=1e-12)
 
     def test_fairness_one_iff_parity(self):
@@ -303,11 +299,11 @@ class TestGapAndFairness:
             preds = rng.integers(0, 2, 30)
             gc = ev.confusion_by_group(preds, y, g, 2, 2)
             try:
-                gap, fairness, per_group = gap_and_cells(gc, "tpr")
+                gap, fairness, per_group = gap_and_cells(gc)
             except EvaluationDegenerateError:
                 continue
             parity = all(
-                ev.cm_metric(gc[c, gr], "tpr") == ev.cm_metric(gc.sum(axis=1)[c], "tpr")
+                reference_metric(gc[c, gr]) == reference_metric(gc.sum(axis=1)[c])
                 for c, gr in zip(*np.nonzero(~np.isnan(per_group))))
             assert (fairness == pytest.approx(1.0, abs=1e-12)) == parity
 
@@ -333,10 +329,10 @@ class TestRawlsianAndViolation:
         gc = ev.confusion_by_group(preds, y, g, 2, 3)
         mv = ev.evaluate_predictions(preds, y, g, 2, 3).max_violation
         for c in range(2):
-            m_overall = ev.cm_metric(gc.sum(axis=1)[c], "tpr")
+            m_overall = reference_metric(gc.sum(axis=1)[c])
             for gr in range(3):
-                m = ev.cm_metric(gc[c, gr], "tpr")
-                if not np.isnan(m) and not np.isnan(m_overall):
+                m = reference_metric(gc[c, gr])
+                if m is not None and m_overall is not None:
                     assert abs(m - m_overall) <= mv + 1e-12
 
 
@@ -384,3 +380,22 @@ class TestEvaluatePredictions:
         assert report.fairness == pytest.approx(1.0 - report.gap)
         d = report.to_json_dict()
         assert set(d) >= {"accuracy", "TPR_GAP", "fairness", "rawlsian_min", "max_violation"}
+
+
+@given(report_cases())
+@settings(max_examples=200)
+def test_readme_custom_criterion_equals_dict_reference(case):
+    """README's FPR GAP, built from the counts table and gap_and_fairness,
+    equals the cell-by-cell FPR reference exactly."""
+    readme = {}
+    exec(_readme_block("custom-criterion"), readme)
+    try:
+        expected = reference_report(*case, kind="fpr")
+    except EvaluationDegenerateError:
+        with pytest.raises(EvaluationDegenerateError):
+            readme["fpr_gap"](*case)
+        return
+    gap, fairness, cells = readme["fpr_gap"](*case)
+    assert (gap, fairness) == (expected["TPR_GAP"], expected["fairness"])  # the FPR GAP here
+    assert {f"fpr_class{c}_group{gr}": float(v) for (c, gr), v in np.ndenumerate(cells)
+            if not np.isnan(v)} == {k: v for k, v in expected.items() if k.startswith("fpr_")}

@@ -500,6 +500,24 @@ class TestOptimizer:
             nn.optimizer_step(net, grads, state)
         np.testing.assert_array_equal(net.flat, before)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_adam_refuses_a_gradient_whose_square_overflows(self, sign):
+        """|g| = 1e200 would make v infinite and freeze the parameter; it
+        raises before model.flat or the state changes. 1e150 steps."""
+        net = small_net([2, 3, 2])
+        before = net.flat.copy()
+        state = nn.make_optimizer(net, kind="adam", lr=1e-3)
+        grads = zero_grads(net).flat
+        grads[6] = sign * 1e200
+        with pytest.raises(TrainingDivergedError, match="for layer 1 weight$"):
+            nn.optimizer_step(net, grads, state)
+        np.testing.assert_array_equal(net.flat, before)
+        assert state.t == 0 and not state.flat_v.any()
+        grads[6] = sign * 1e150
+        nn.optimizer_step(net, grads, state)
+        assert net.flat[6] - before[6] == pytest.approx(-sign * 1e-3)
+        assert np.isfinite(state.flat_v).all()
+
     def test_deterministic_given_state_and_grads(self):
         results = []
         for _ in range(2):
