@@ -357,11 +357,14 @@ def _select_model(record: training.RunRecord) -> nn.Network:
 
 def run_inlp_stage(model: nn.Network, train_ds, dev_ds, test_ds, cfg: TrainConfig,
                    run_dir: Path):
-    H_train = nn.infer(model, train_ds.X)[0]
-    projection = postproc.inlp(H_train, train_ds.g, max_iterations=cfg.inlp_iterations)
+    # the hidden states of the loaded rows, each weighted by its count in the
+    # (balanced) split; every probe and the refit fit from their one Gram matrix
+    m, y, g = train_ds.rows_of_X()
+    H_train = postproc.Rows(nn.infer(model, train_ds.X)[0], m)
+    projection = postproc.inlp(H_train, g, max_iterations=cfg.inlp_iterations)
     postproc.save_projection(run_dir / "inlp_projection.bin", projection)
     refit, steps, grad_norm = postproc.apply_inlp_and_refit(
-        model, projection.P, H_train, train_ds.y, num_classes=train_ds.num_classes)
+        model, projection.P, H_train, y, num_classes=train_ds.num_classes)
     row = {"post": "INLP", "iterations": projection.iterations_applied,
            "probe_accuracies": projection.probe_accuracies,
            "probe_steps": [steps for steps, _ in projection.probe_fits],

@@ -55,7 +55,9 @@ class Batch:
 @dataclass(frozen=True)
 class Dataset:
     """Immutable vector dataset with target and protected labels; weights
-    default to ones."""
+    default to ones. Row i of the split has features X[i], or X[rows[i]]
+    when rows is given: a balanced split keeps the loaded X and indexes it,
+    so y, g, weights and n are the split's rows, and X is not copied."""
 
     X: np.ndarray
     y: np.ndarray
@@ -64,20 +66,24 @@ class Dataset:
     split: str = "train"
     num_classes: int = 0
     num_groups: int = 0
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=int)
         g = np.asarray(self.g, dtype=int)
-        w = np.ones(X.shape[0]) if self.weights is None else np.asarray(self.weights, dtype=float)
-        n = X.shape[0]
+        rows = None if self.rows is None else np.asarray(self.rows, dtype=np.intp)
+        n = X.shape[0] if rows is None else rows.shape[0]
+        w = np.ones(n) if self.weights is None else np.asarray(self.weights, dtype=float)
         if n < 1:
             raise SpecError("dataset must have at least one instance")
         if y.shape != (n,) or g.shape != (n,) or w.shape != (n,):
             raise SpecError("X, y, g, weights lengths disagree")
+        if rows is not None and (rows.min() < 0 or rows.max() >= X.shape[0]):
+            raise SpecError(f"rows must index the {X.shape[0]} rows of X")
         nc = self.num_classes or int(y.max()) + 1
         ng = self.num_groups or int(g.max()) + 1
-        for name, value in (("X", X), ("y", y), ("g", g), ("weights", w),
+        for name, value in (("X", X), ("y", y), ("g", g), ("weights", w), ("rows", rows),
                             ("num_classes", nc), ("num_groups", ng)):
             object.__setattr__(self, name, value)
         if y.min() < 0 or y.max() >= nc:
@@ -89,11 +95,20 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.y.shape[0]
 
     @property
     def dim(self) -> int:
         return self.X.shape[1]
+
+    def rows_of_X(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(m, y, g) of each row of X: how many rows of the split it is, and
+        its labels, 0 for a row the split leaves out (m = 0)."""
+        if self.rows is None:
+            return np.ones(self.n, dtype=np.int64), self.y, self.g
+        y, g = np.zeros(self.X.shape[0], dtype=int), np.zeros(self.X.shape[0], dtype=int)
+        y[self.rows], g[self.rows] = self.y, self.g
+        return np.bincount(self.rows, minlength=self.X.shape[0]), y, g
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +152,10 @@ def load_dataset(path, split: str = "train") -> Dataset:
 
 def save_npz(dataset: Dataset, path):
     """The split as load_dataset reads it: X float64 [n, d], y and
-    protected_label int64 [n], in an uncompressed archive."""
+    protected_label int64 [n], in an uncompressed archive. A balanced split
+    (one with rows) is not saved."""
+    if dataset.rows is not None:
+        raise ValueError("a balanced split indexes its X; save the split it was drawn from")
     np.savez(path, X=dataset.X, y=dataset.y, protected_label=dataset.g)
 
 
@@ -356,7 +374,10 @@ def _unit_sets(objective: str, dataset: Dataset) -> list[list[tuple[str, np.ndar
 
 
 def balance(dataset: Dataset, objective: str, mode: str, seed: int = 0) -> Dataset:
-    """Apply one balancing objective in one mode; pure in (inputs, seed)."""
+    """Apply one balancing objective in one mode; pure in (inputs, seed).
+    Reweighting sets weights; Downsampling and Resampling return the drawn
+    rows, in row order, as an index into dataset.X (composed with
+    dataset.rows if it has them), so no feature is copied."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     if mode not in MODES:
@@ -384,8 +405,8 @@ def balance(dataset: Dataset, objective: str, mode: str, seed: int = 0) -> Datas
         return replace(dataset, weights=w / w.mean())
     sel = np.concatenate(keep)
     sel.sort()
-    return replace(dataset, X=dataset.X[sel], y=dataset.y[sel], g=dataset.g[sel],
-                   weights=np.ones(sel.size))
+    return replace(dataset, y=dataset.y[sel], g=dataset.g[sel], weights=np.ones(sel.size),
+                   rows=sel if dataset.rows is None else dataset.rows[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -427,4 +448,5 @@ def make_batches(dataset: Dataset, batch_size: int, shuffle_seed: int = 0,
             which = rng.choice(p.size, size=batch_size, p=p)
             chunks.append(flat[starts[which] + rng.integers(sizes[which])])
     return [Batch(features=dataset.X, y=dataset.y[ix], g=dataset.g[ix],
-                  weights=dataset.weights[ix], rows=ix) for ix in chunks]
+                  weights=dataset.weights[ix],
+                  rows=ix if dataset.rows is None else dataset.rows[ix]) for ix in chunks]

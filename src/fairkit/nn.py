@@ -33,7 +33,9 @@ from .errors import (
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-_ADAM_MAX_GRAD = float(np.sqrt(np.finfo(float).max))  # below it, g * g and v / bc2 are finite
+# Below it, a product of two numbers is finite: Adam's g * g and v / bc2, and
+# a parameter times an activation as large as itself
+_MAX_MAGNITUDE = float(np.sqrt(np.finfo(float).max))
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -346,8 +348,10 @@ def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
 
     extra_post_grads maps a hidden-layer index k (0..L-2) to a gradient
     added at post-activation k; injecting at index L-2 targets the
-    penultimate ("hidden") representation. Without input_grad the
-    gradient w.r.t. the input is not computed and d_X is an [n, 0] array.
+    penultimate ("hidden") representation. Each entry is removed from
+    extra_post_grads once it has been added, so that its array is not held
+    through the rest of the pass. Without input_grad the gradient w.r.t.
+    the input is not computed and d_X is an [n, 0] array.
     """
     if d_logits.shape != trace.logits.shape:
         raise ShapeError(f"d_logits shape {d_logits.shape} != logits shape {trace.logits.shape}")
@@ -361,7 +365,7 @@ def backward(net: Network, trace: ActivationTrace, d_logits: np.ndarray,
         dz.sum(axis=0, out=d_b[k])
         dz = dz @ net.weights[k]  # the gradient at a, then at z in place
         if (k - 1) in extra:
-            dz += extra[k - 1]
+            dz += extra.pop(k - 1)
         dz *= _act_grad(net.spec.activation, a)
     np.matmul(dz.T, trace.X, out=d_w[0])
     dz.sum(axis=0, out=d_b[0])
@@ -428,26 +432,49 @@ def make_optimizer(model: Network, kind: str = "adam", lr: float = 1e-3) -> Opti
 
 def optimizer_step(model: Network, g: np.ndarray, state: OptimizerState):
     """In-place deterministic update of model.flat, given its gradient g in
-    the same layout; Adam applies bias correction. A non-finite entry of g,
-    or for Adam one at or above _ADAM_MAX_GRAD in magnitude, raises, naming
-    its parameter, before anything is updated."""
-    bound = _ADAM_MAX_GRAD if state.kind == "adam" else np.inf
-    if not np.abs(g).max() < bound:  # NaN fails the comparison too
+    the same layout; Adam applies bias correction. Raises
+    TrainingDivergedError for a non-finite entry of g (under Adam, one at
+    or above _MAX_MAGNITUDE), naming its parameter, before anything is
+    updated; and for a step that overflows, one after which the parameters'
+    squared norm is not finite, naming the largest parameter, before
+    model.flat is written (Adam's moments have then advanced)."""
+    bound = _MAX_MAGNITUDE if state.kind == "adam" else np.inf
+    g_max = float(np.abs(g).max())
+    if not g_max < bound:  # NaN fails the comparison too
         i = int(np.argmin(np.abs(g) < bound))  # the first refused entry
         raise TrainingDivergedError(f"gradient {g[i]:.3g} (|g| must be below {bound:.3g}) "
                                     f"for {model.param_name(i)}")
+    # The update can overflow, and numpy warn, only when lr times |g| (SGD), or
+    # times |m / bc1|, which stays below bound (Adam), nears float max
+    if state.lr * (g_max if state.kind == "sgd" else bound) < np.finfo(float).max / 8:
+        new = _stepped(model.flat, g, state)
+    else:
+        with np.errstate(over="ignore"):  # an overflowed step is refused below
+            new = _stepped(model.flat, g, state)
+    if not np.vdot(new, new) < np.inf:  # NaN fails the comparison too
+        i = int(np.argmax(np.abs(new)))  # NaN counts as the largest
+        raise TrainingDivergedError(
+            f"the {state.kind} step at lr {state.lr:.3g} overflowed: it would write {new[i]:.3g} "
+            f"(the parameters' norm must be below {_MAX_MAGNITUDE:.3g}) for "
+            f"{model.param_name(i)}")
+    np.copyto(model.flat, new)
+
+
+def _stepped(flat: np.ndarray, g: np.ndarray, state: OptimizerState) -> np.ndarray:
+    """flat after the step of g, as a new array; Adam's moments advance."""
     if state.kind == "sgd":
-        model.flat -= state.lr * g
-        return
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    m, v = state.flat_m, state.flat_v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    model.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        step = state.lr * g
+    else:
+        state.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** state.t
+        bc2 = 1.0 - ADAM_BETA2 ** state.t
+        m, v = state.flat_m, state.flat_v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return np.subtract(flat, step, out=step)
 
 
 def supervised_contrastive_loss(reprs: np.ndarray, terms: list[tuple[float, np.ndarray]],

@@ -28,18 +28,43 @@ PROBE_L2, PROBE_TOL, PROBE_MAX_STEPS = 0.02, 1e-6, 1000
 # ---------------------------------------------------------------------------
 # Linear probes (L2-regularized multinomial logistic regression)
 
-def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
-                     num_classes: int) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Zero-initialized ridge multinomial logistic regression; returns (W, b,
-    steps, grad_norm): steps counts the gradients taken, one softmax each,
-    and grad_norm is the last one's norm, below PROBE_TOL exactly when the
-    fit converged.
+class Rows:
+    """The rows a probe or refit is fit on: hidden states H [n, h], row i
+    standing for m[i] rows of the fit (1 each if m is None, 0 for a row
+    left out), so the fit is the one on the rows repeated. gram is
+    [H 1]^T diag(m) [H 1], formed once here for every fit on these rows."""
+
+    def __init__(self, H: np.ndarray, m: np.ndarray | None = None):
+        self.H = np.asarray(H, dtype=float)
+        n, h = self.H.shape
+        self.m = np.ones(n, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
+        weighted = self.H if m is None else self.H * self.m[:, None]
+        self.gram = np.empty((h + 1, h + 1))
+        np.matmul(self.H.T, weighted, out=self.gram[:h, :h])
+        self.gram[h, :h] = self.gram[:h, h] = weighted.sum(axis=0)
+        self.gram[h, h] = self.n = int(self.m.sum())
+
+
+def _rows(H: np.ndarray | Rows) -> Rows:
+    return H if isinstance(H, Rows) else Rows(H)
+
+
+def fit_softmax_head(H: np.ndarray | Rows, labels: np.ndarray, num_classes: int,
+                     P: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Zero-initialized ridge multinomial logistic regression on the rows H
+    (each weighted by its multiplicity when H is a Rows), projected by P
+    when it is given: the features are then H @ P.T, though that product is
+    never formed. Returns (W, b, steps, grad_norm): steps counts the
+    gradients taken, one softmax each, and grad_norm is the last one's norm,
+    below PROBE_TOL exactly when the fit converged.
 
     Boehning's bound (Ann. Inst. Stat. Math. 44:197, 1992): the Hessian of
     the cross-entropy is bounded by 0.5 * X'X/n for every W, so the step
     preconditioned by M = inv(0.5 * X'X/n + PROBE_L2 * I) is a safe descent
-    step. M is inverted once; no K*(h+1) Hessian is formed. Each step is
-    taken from a Nesterov-extrapolated point Z, with the momentum reset
+    step. M is inverted once; no K*(h+1) Hessian is formed. With X = [H 1]
+    Q^T, Q = diag(P, 1), X'X is Q gram Q^T, the logits are H (W P)^T + b
+    and the gradient's data term is ((S - Y)^T diag(m) [H 1]) Q^T. Each step
+    is taken from a Nesterov-extrapolated point Z, with the momentum reset
     whenever the step's gradient points along the last move (gradient
     restart, O'Donoghue & Candes, arXiv 1204.3982). So the objective can
     rise for a step, but far fewer steps are needed. Stops when the gradient
@@ -49,17 +74,32 @@ def fit_softmax_head(H: np.ndarray, labels: np.ndarray,
     Zero init and zero-sum gradient rows keep the class rows of W summing to
     zero, so for binary labels the row space has rank 1 (sound for nullspace
     removal)."""
-    H = np.asarray(H, dtype=float)
+    rows = _rows(H)
+    H, n = rows.H, rows.n
+    h = H.shape[1]
     labels = np.asarray(labels, dtype=int)
-    n, h = H.shape
-    X = np.hstack([H, np.ones((n, 1))])
-    M = np.linalg.inv(0.5 * (X.T @ X) / n + PROBE_L2 * np.eye(h + 1))
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
+    gram = rows.gram
+    if P is not None:
+        Q = np.eye(h + 1)
+        Q[:h, :h] = P
+        gram = Q @ gram @ Q.T
+    M = np.linalg.inv(0.5 * gram / n + PROBE_L2 * np.eye(h + 1))
+    onehot = np.zeros((H.shape[0], num_classes))
+    live = np.flatnonzero(rows.m)  # a row the fit leaves out may hold any label
+    onehot[live, labels[live]] = 1.0
+    m = rows.m[:, None]
     Wb = Z = np.zeros((num_classes, h + 1))  # the last step's result; the gradient point
+    G = np.empty_like(Z)  # the gradient at Z
     theta = 1.0
     for steps in range(1, PROBE_MAX_STEPS + 1):
-        G = (nn.softmax(X @ Z.T) - onehot).T @ X / n + PROBE_L2 * Z
+        R = (nn.softmax(H @ (Z[:, :h] if P is None else Z[:, :h] @ P).T + Z[:, h])
+             - onehot) * m
+        np.matmul(R.T, H, out=G[:, :h])
+        if P is not None:
+            G[:, :h] = G[:, :h] @ P.T
+        R.sum(axis=0, out=G[:, h])
+        G /= n
+        G += PROBE_L2 * Z
         grad_norm = float(np.linalg.norm(G))
         if grad_norm < PROBE_TOL:
             Wb = Z
@@ -87,16 +127,19 @@ def probe_classes(g: np.ndarray) -> int:
     return num_groups
 
 
-def fit_linear_probe(H: np.ndarray, g: np.ndarray,
-                     fits: list | None = None) -> tuple[np.ndarray, float]:
-    """Protected-attribute probe; returns (W [num_groups x h], train accuracy).
-    The solver's (steps, grad_norm) is appended to fits if it is given."""
+def fit_linear_probe(H: np.ndarray | Rows, g: np.ndarray, fits: list | None = None,
+                     P: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Protected-attribute probe on the rows H, projected by P if it is
+    given (see fit_softmax_head); returns (W [num_groups x h], train
+    accuracy over the rows, each counted its multiplicity times). The
+    solver's (steps, grad_norm) is appended to fits if it is given."""
+    rows = _rows(H)
     g = np.asarray(g, dtype=int)
-    W, b, steps, grad_norm = fit_softmax_head(H, g, probe_classes(g))
+    W, b, steps, grad_norm = fit_softmax_head(rows, g, probe_classes(np.repeat(g, rows.m)), P)
     if fits is not None:
         fits.append((steps, grad_norm))
-    preds = (H @ W.T + b).argmax(axis=1)
-    return W, float(np.mean(preds == g))
+    preds = (rows.H @ (W if P is None else W @ P).T + b).argmax(axis=1)
+    return W, float(rows.m @ (preds == g) / rows.n)
 
 
 def majority_baseline(labels: np.ndarray) -> float:
@@ -140,41 +183,44 @@ class Projection:
     probe_fits: list[tuple[int, float]] = field(default_factory=list)  # (steps, grad_norm)
 
 
-def inlp(H_train: np.ndarray, g_train: np.ndarray, max_iterations: int) -> Projection:
+def inlp(H_train: np.ndarray | Rows, g_train: np.ndarray, max_iterations: int) -> Projection:
     """Iterative nullspace projection over frozen representations.
 
     Each iteration probes the projected data, records the probe accuracy,
     and removes the probe's row space (accumulated in the original space, so
-    the returned P is an exact symmetric idempotent projection)."""
-    H_train = np.asarray(H_train, dtype=float)
-    P = np.eye(H_train.shape[1])
-    rows: list[np.ndarray] = []
+    the returned P is an exact symmetric idempotent projection). Every probe
+    is fit from the one Gram matrix of the rows (see Rows)."""
+    rows = _rows(H_train)
+    P = np.eye(rows.H.shape[1])
+    directions: list[np.ndarray] = []
     accs: list[float] = []
     fits: list[tuple[int, float]] = []
     for _ in range(max_iterations):
         # P is I at first
-        W, acc = fit_linear_probe(H_train @ P if rows else H_train, g_train, fits)
+        W, acc = fit_linear_probe(rows, g_train, fits, P if directions else None)
         accs.append(acc)
         if np.linalg.norm(W) < 1e-12:
             break
-        rows.extend(W @ P)  # probe directions mapped back to the original space
-        P = nullspace_projection(np.array(rows))
+        directions.extend(W @ P)  # probe directions mapped back to the original space
+        P = nullspace_projection(np.array(directions))
     return Projection(P=P, iterations_applied=len(accs), probe_accuracies=accs, probe_fits=fits)
 
 
-def apply_inlp_and_refit(model: nn.Network, P: np.ndarray, H_train: np.ndarray,
+def apply_inlp_and_refit(model: nn.Network, P: np.ndarray, H_train: np.ndarray | Rows,
                          y_train: np.ndarray, num_classes: int
                          ) -> tuple[nn.Network, int, float]:
     """Fit a fresh final layer on the P-projected train hidden states
     H_train of model; the original model is untouched. Returns (network,
     steps, grad_norm): the network has model's hidden layers and, with no
     group heads, the output layer W @ P, b of the head W, b fit on
-    H_train @ P.T, so hidden states are never projected; steps and
-    grad_norm are the refit solver's (see fit_softmax_head)."""
-    h = H_train.shape[1]
+    H_train @ P.T (from the rows' one Gram matrix, see fit_softmax_head),
+    so hidden states are never projected; steps and grad_norm are the refit
+    solver's."""
+    rows = _rows(H_train)
+    h = rows.H.shape[1]
     if P.shape != (h, h):
         raise ShapeError(f"projection shape {P.shape} does not match hidden dim {h}")
-    W, b, steps, grad_norm = fit_softmax_head(H_train @ P.T, y_train, num_classes)
+    W, b, steps, grad_norm = fit_softmax_head(rows, y_train, num_classes, P)
     refit = nn.Network(replace(model.spec, output_dim=num_classes, group_heads=0))
     for k in range(model.n_layers - 1):
         refit.weights[k][...], refit.biases[k][...] = model.weights[k], model.biases[k]

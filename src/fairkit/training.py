@@ -335,6 +335,7 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
                                           cfg.temperature)
         loss += scl_loss
         hidden_extra = np.add(hidden_extra, scl_grad, out=scl_grad)
+        del scl_grad
     if cfg.adv_lambda > 0 and discs is None:
         raise ShapeError("adversarial method requires discriminators")
     disc_grads = None
@@ -352,6 +353,7 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         if model.n_layers < 2:
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
         extra = {model.n_layers - 2: hidden_extra}
+    del hidden_extra  # extra holds it alone, and backward lets go of it once added
     if model.spec.group_heads:  # the shared block and each row's own head's block
         rows, block = _own_head(model, batch.g)
         d_blocks = np.zeros((len(rows), 1 + model.spec.group_heads, model.spec.output_dim))

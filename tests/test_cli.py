@@ -745,6 +745,9 @@ TRAIN_EXIT_CODES = {
         _spec, ["--method", "Adv", "--adv_lambda", "1e308"], 4),
     "FairSCL, --temperature 1e-300 overflows Adam": (
         _spec, ["--method", "FairSCL", "--fcl_lambda_y", "1", "--temperature", "1e-300"], 4),
+    "--lr 1e308 overflows the Adam step": (_spec, ["--lr", "1e308"], 4),
+    "--optimizer sgd --lr 1e300 overflows the step": (
+        _spec, ["--optimizer", "sgd", "--lr", "1e300"], 4),
     "spec, --num_classes 3 empties a joint cell": (
         _spec, ["--num_classes", "3", "--BT", "Downsampling", "--BTObj", "joint"], 2),
     "spec, --num_classes 3 with EO downsampling": (

@@ -16,7 +16,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairkit import data
+from fairkit import data, training
 from fairkit.errors import (
     EmptyCellError,
     FairkitError,
@@ -546,8 +546,7 @@ class TestBalance:
                 assert all(after[k] >= v for k, v in before.items())
                 _assert_equality(objective, after)
             else:
-                assert out.n == ds.n
-                np.testing.assert_array_equal(out.X, ds.X)
+                assert out.n == ds.n and out.rows is None and out.X is ds.X
                 _assert_weight_equality(objective, out)
                 again = data.balance(out, objective, mode, seed=trial + 1)
                 np.testing.assert_allclose(again.weights, out.weights, atol=1e-12)
@@ -601,9 +600,74 @@ def test_balance_seeded_draws_pinned(objective, mode):
     if mode == "Reweighting":
         assert out.weights.tolist() == PINNED_DRAWS[objective, mode]
     else:
-        assert out.X[:, 0].astype(int).tolist() == PINNED_DRAWS[objective, mode]
-        np.testing.assert_array_equal(out.y, ds.y[out.X[:, 0].astype(int)])
-        np.testing.assert_array_equal(out.g, ds.g[out.X[:, 0].astype(int)])
+        assert out.rows.tolist() == PINNED_DRAWS[objective, mode]
+        np.testing.assert_array_equal(out.y, ds.y[out.rows])
+        np.testing.assert_array_equal(out.g, ds.g[out.rows])
+
+
+BALANCINGS = [(o, m) for o in ("g", "joint", "eo") for m in data.MODES] + [("y", "Downsampling")]
+
+
+@pytest.mark.parametrize("objective,mode", BALANCINGS)
+def test_balance_copies_no_features(objective, mode):
+    """A balanced split keeps the loaded X and indexes it: balancing
+    allocates less than 8 rows of features, where a copy of the balanced
+    rows would take 60 to 240."""
+    ds = make_counts_dataset({(0, 0): 60, (0, 1): 15, (1, 0): 20, (1, 1): 45}, d=1024)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = data.balance(ds, objective, mode, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < ds.X[:8].nbytes, peak - before
+    assert np.shares_memory(out.X, ds.X)
+    if mode != "Reweighting":
+        assert out.n == out.rows.size != ds.n
+        np.testing.assert_array_equal(out.y, ds.y[out.rows])
+
+
+@pytest.mark.parametrize("objective,mode,method", [("eo", "Resampling", "Adv"),
+                                                   ("joint", "Downsampling", "FairBatch")])
+def test_training_on_the_index_equals_training_on_a_copy(objective, mode, method):
+    """Batches of a balanced split gather X[rows[ix]], the rows a copy of the
+    balanced features would give, in the same order: the trained parameters
+    and every epoch row are bit for bit those of training on the copy."""
+    train, dev, test = data.generate_synthetic(data.SyntheticSpec(
+        n_per_cell={(0, 0): 70, (0, 1): 20, (1, 0): 25, (1, 1): 65}, d=5, group_shift=2.0,
+        seed=4))
+    out = data.balance(train, objective, mode, seed=5)
+    copy = data.Dataset(out.X[out.rows], out.y, out.g, out.weights)
+    cfg = training.MethodConfig(method=method, adv_lambda=0.5, fairbatch_alpha=0.05,
+                                epochs=3, batch_size=32, seed=6)
+    got, want = (training.train(ds, dev, test, cfg) for ds in (out, copy))
+    assert np.array_equal(got.model.flat, want.model.flat)
+    assert got.rows == want.rows
+
+
+def test_rebalancing_composes_the_indices():
+    ds = make_counts_dataset({(0, 0): 30, (0, 1): 8, (1, 0): 12, (1, 1): 25})
+    once = data.balance(ds, "eo", "Resampling", seed=1)
+    twice = data.balance(once, "joint", "Downsampling", seed=2)
+    reference = data.balance(data.Dataset(once.X[once.rows], once.y, once.g), "joint",
+                             "Downsampling", seed=2)
+    assert twice.X is ds.X
+    np.testing.assert_array_equal(twice.X[twice.rows], reference.X[reference.rows])
+    np.testing.assert_array_equal(twice.y, reference.y)
+
+
+def test_rows_of_X_count_each_loaded_row(tmp_path):
+    ds = make_counts_dataset({(0, 0): 6, (0, 1): 2, (1, 0): 3, (1, 1): 5})
+    out = data.balance(ds, "joint", "Resampling", seed=0)
+    with pytest.raises(ValueError, match="balanced split"):  # its X is not its rows
+        data.save_npz(out, tmp_path / "toy_train.npz")
+    m, y, g = out.rows_of_X()
+    np.testing.assert_array_equal(m, np.bincount(out.rows, minlength=ds.n))
+    np.testing.assert_array_equal(np.repeat(y, m), out.y)
+    np.testing.assert_array_equal(np.repeat(g, m), out.g)
+    m, y, g = ds.rows_of_X()
+    assert m.tolist() == [1] * ds.n and y is ds.y and g is ds.g
 
 
 def _assert_equality(objective, counts):

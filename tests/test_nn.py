@@ -130,9 +130,13 @@ class TestBackward:
         X = rng.normal(size=(6, 3))
         trace = nn.forward(net, X)
         d_logits = rng.normal(size=trace.logits.shape)
-        extra = {len(dims) - 3: rng.normal(size=(6, dims[-2]))} if len(dims) > 2 else None
-        full = nn.backward(net, trace, d_logits, extra_post_grads=extra)
-        skipped = nn.backward(net, trace, d_logits, extra_post_grads=extra, input_grad=False)
+        grad = rng.normal(size=(6, dims[-2]))
+
+        def extra():  # backward consumes the entry it was given
+            return {len(dims) - 3: grad} if len(dims) > 2 else None
+
+        full = nn.backward(net, trace, d_logits, extra_post_grads=extra())
+        skipped = nn.backward(net, trace, d_logits, extra_post_grads=extra(), input_grad=False)
         assert np.array_equal(skipped.flat, full.flat)
         assert full.d_X.shape == (6, 3)
         assert skipped.d_X.shape == (6, 0)
@@ -517,6 +521,29 @@ class TestOptimizer:
         nn.optimizer_step(net, grads, state)
         assert net.flat[6] - before[6] == pytest.approx(-sign * 1e-3)
         assert np.isfinite(state.flat_v).all()
+
+    @pytest.mark.parametrize("kind,lr,g", [("sgd", 1e300, 1e10), ("sgd", 1e300, 0.5),
+                                           ("adam", 1e308, 0.5), ("adam", 1e300, -3.0)],
+                             ids=["sgd-inf", "sgd-huge", "adam-huge", "adam-huge-negative"])
+    def test_a_step_that_overflows_is_refused(self, kind, lr, g):
+        """A step that would leave a parameter infinite (1e300 * 1e10), or
+        the parameters finite but of norm at or above sqrt(float max), where
+        the next forward pass overflows, raises naming the parameter;
+        model.flat is unchanged and no warning escapes. A step that lands
+        below the bound is taken."""
+        net = small_net([2, 3, 2])
+        before = net.flat.copy()
+        state = nn.make_optimizer(net, kind=kind, lr=lr)
+        grads = zero_grads(net).flat
+        grads[13] = g
+        with pytest.raises(TrainingDivergedError, match="step at lr .* overflowed: .* "
+                                                        "for layer 0 bias$"):
+            nn.optimizer_step(net, grads, state)
+        np.testing.assert_array_equal(net.flat, before)
+        state = nn.make_optimizer(net, kind=kind, lr=1e150 / abs(g) if kind == "sgd" else 1e150)
+        nn.optimizer_step(net, grads, state)
+        assert net.flat[13] == pytest.approx(-np.sign(g) * 1e150)
+        np.testing.assert_array_equal(np.delete(net.flat, 13), np.delete(before, 13))
 
     def test_deterministic_given_state_and_grads(self):
         results = []

@@ -149,6 +149,23 @@ def test_every_counter_reads_its_function_result(tmp_path):
         assert count == (expected() if callable(expected) else expected), name
 
 
+def test_a_balanced_split_is_counted_by_its_balanced_rows():
+    """Dataset.n of a balanced split is its balanced row count, not the rows
+    of the X it indexes, so training.train_rows, data.batch_rows and
+    train_rows_per_s count the rows training reads."""
+    train_ds, dev_ds, test_ds = data.generate_synthetic(data.SyntheticSpec(
+        n_per_cell={(0, 0): 30, (0, 1): 10, (1, 0): 10, (1, 1): 30}, d=4, seed=0))
+    counters = load_tracing().COUNTERS
+    for mode in ("Resampling", "Downsampling"):
+        out = data.balance(train_ds, "eo", mode, seed=0)
+        assert out.n == out.rows.size == {"Resampling": 120, "Downsampling": 40}[mode]
+        assert out.X.shape[0] == train_ds.n == 80
+        args = (out, 16, 0)
+        assert counters["data.make_batches"](args, {}, data.make_batches(*args)) == out.n
+        cfg = training.MethodConfig(epochs=2, hidden_dims=(3,))
+        assert counters["training.train"]((out, dev_ds, test_ds, cfg), {}, None) == 2 * out.n
+
+
 def test_probe_iters_counts_the_softmax_head_steps(tmp_path):
     """postproc.probe_iters of a traced --INLP run equals the nn.softmax
     calls made inside fit_softmax_head, one per step of the probe and refit

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairkit import cli, data, nn, postproc, training
@@ -295,6 +295,99 @@ class TestInlp:
         assert loaded.probe_accuracies == pytest.approx(proj.probe_accuracies)
 
 
+def expanded_softmax_head(H, labels, K):
+    """Reference: fit_softmax_head as it was before Rows, on the rows as
+    given: it stacks X = [H 1] and forms X'X itself."""
+    n, h = H.shape
+    X = np.hstack([H, np.ones((n, 1))])
+    M = np.linalg.inv(0.5 * (X.T @ X) / n + postproc.PROBE_L2 * np.eye(h + 1))
+    onehot = np.eye(K)[labels]
+    Wb = Z = np.zeros((K, h + 1))
+    theta = 1.0
+    for _ in range(postproc.PROBE_MAX_STEPS):
+        G = (nn.softmax(X @ Z.T) - onehot).T @ X / n + postproc.PROBE_L2 * Z
+        if np.linalg.norm(G) < postproc.PROBE_TOL:
+            Wb = Z
+            break
+        new = Z - G @ M
+        move = new - Wb
+        if np.vdot(G, move) > 0:
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        Z = new + (theta - 1.0) / theta_next * move
+        Wb, theta = new, theta_next
+    return Wb[:, :h], Wb[:, h]
+
+
+def expanded_inlp(H, g, max_iterations):
+    """Reference: inlp as it was before Rows, projecting H for every probe.
+    Returns (P, probe accuracies)."""
+    P, directions, accs = np.eye(H.shape[1]), [], []
+    for _ in range(max_iterations):
+        Hp = H @ P
+        W, b = expanded_softmax_head(Hp, g, int(g.max()) + 1)
+        accs.append(float(np.mean((Hp @ W.T + b).argmax(axis=1) == g)))
+        if np.linalg.norm(W) < 1e-12:
+            break
+        directions.extend(W @ P)
+        P = postproc.nullspace_projection(np.array(directions))
+    return P, accs
+
+
+@st.composite
+def weighted_problems(draw):
+    """Distinct rows with multiplicities in {0, 1, 2, 3} (0: left out by
+    downsampling, 2 or 3: drawn again by resampling), group labels that
+    leak through H, class labels, and an INLP iteration count. There are at
+    least 3h + 6 distinct rows: with about as many rows as dimensions, a
+    late probe fits noise of order 1e-10, where nullspace_projection's rank
+    threshold or the solver's restart test decides on rounding, and both
+    summation orders are right while their P differ (seen: 0.16 apart at
+    6 rows in 7 dimensions, 3 iterations)."""
+    h = draw(st.integers(1, 8))
+    n = draw(st.integers(3 * h + 6, 60))
+    groups, classes = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.normal(size=(n, h)) * rng.uniform(0.2, 3.0, size=h)
+    g = (H @ rng.normal(size=(h, groups)) + rng.gumbel(size=(n, groups))).argmax(axis=1)
+    y = (H @ rng.normal(size=(h, classes)) + rng.gumbel(size=(n, classes))).argmax(axis=1)
+    m = rng.integers(0, 4, size=n)
+    return H, m, g, y, classes, draw(st.integers(1, 3))
+
+
+def close(got, want, rel=1e-9):
+    """got within rel of want, relative to want's norm (at least 1)."""
+    return np.linalg.norm(got - want) <= rel * max(np.linalg.norm(want), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_problems())
+def test_weighted_inlp_equals_inlp_on_the_expanded_rows(problem):
+    """INLP and the refit on distinct rows weighted by their multiplicities,
+    from one Gram matrix, are the fits on the rows repeated that many times,
+    by the solver that stacked and projected them: P, W and b within 1e-9
+    relative, the same probe accuracies and the same predictions."""
+    H, m, g, y, classes, iterations = problem
+    expanded = np.repeat(np.arange(len(m)), m)
+    assume(np.unique(g[expanded]).size >= 2 and g[expanded].max() + 1 <= expanded.size)
+    rows = postproc.Rows(H, m)
+    projection = postproc.inlp(rows, g, iterations)
+    P, accs = expanded_inlp(H[expanded], g[expanded], iterations)
+    assert close(projection.P, P)
+    assert projection.probe_accuracies == accs
+    model = nn.init_network(nn.MlpSpec(2, (H.shape[1],), classes))
+    refit, _, _ = postproc.apply_inlp_and_refit(model, projection.P, rows, y, classes)
+    W, b = expanded_softmax_head(H[expanded] @ P.T, y[expanded], classes)
+    head = np.hstack([refit.weights[-1], refit.biases[-1][:, None]])
+    assert close(head, np.hstack([W @ P, b[:, None]]))  # [W b] as one, as the solver fits it
+    X = np.random.default_rng(len(m)).normal(size=(200, H.shape[1])) * 3.0
+    want = X @ (W @ P).T + b
+    top2 = np.sort(want, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-6  # away from ties
+    got = X @ refit.weights[-1].T + refit.biases[-1]
+    assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
+
+
 def trained_standard(seed=0):
     spec = data.SyntheticSpec(
         n_per_cell={(0, 0): 120, (0, 1): 40, (1, 0): 40, (1, 1): 120},
@@ -338,8 +431,8 @@ class TestApplyInlpAndRefit:
     @pytest.mark.parametrize("min_work", [0, 10**12])
     def test_refit_network_scores_as_the_folded_head(self, activation, group_heads, min_work):
         """The refit network's logits are bit for bit H @ (W @ P).T + b, with
-        H the model's hidden states and W, b the head fit on H @ P.T, on the
-        serial path and the two-thread one."""
+        H the model's hidden states and W, b the head fit_softmax_head fits on
+        H projected by P, on the serial path and the two-thread one."""
         train_ds, dev_ds, test_ds = data.generate_synthetic(data.SyntheticSpec(
             n_per_cell={(0, 0): 90, (0, 1): 30, (1, 0): 30, (1, 1): 90},
             d=6, group_shift=2.5, seed=3))
@@ -347,7 +440,7 @@ class TestApplyInlpAndRefit:
                                            group_heads=group_heads))
         H_train = nn.infer(model, train_ds.X)[0]
         P = postproc.inlp(H_train, train_ds.g, max_iterations=2).P
-        W, b, steps, grad_norm = postproc.fit_softmax_head(H_train @ P.T, train_ds.y, 2)
+        W, b, steps, grad_norm = postproc.fit_softmax_head(H_train, train_ds.y, 2, P)
         refit, refit_steps, refit_norm = postproc.apply_inlp_and_refit(
             model, P, H_train, train_ds.y, 2)
         assert (refit_steps, refit_norm) == (steps, grad_norm)

@@ -771,6 +771,29 @@ class TestTrainLoop:
         training.train(train_ds, dev_ds, test_ds, cfg)
         assert len(last) > 2
 
+    @pytest.mark.parametrize("method", ["Adv", "FairSCL"])
+    def test_the_hidden_gradient_is_freed_once_added(self, method, monkeypatch):
+        """The hidden gradient main_loss_and_grads injects is held by nothing
+        once backward has added it: the slope that follows is taken with
+        the gradient already freed."""
+        train_ds, dev_ds, test_ds = biased_bundle(n=60)
+        cfg = training.MethodConfig(method=method, fcl_lambda_y=0.5, epochs=1,
+                                    batch_size=32, seed=1)
+        backward, act_grad, refs, freed = nn.backward, nn._act_grad, [], []
+
+        def spy(net, trace, d_logits, extra_post_grads=None, input_grad=True):
+            refs[:] = [weakref.ref(a) for a in (extra_post_grads or {}).values()]
+            return backward(net, trace, d_logits, extra_post_grads, input_grad)
+
+        def slope(name, a):
+            freed.extend(ref() is None for ref in refs)
+            return act_grad(name, a)
+
+        monkeypatch.setattr(nn, "backward", spy)
+        monkeypatch.setattr(nn, "_act_grad", slope)
+        training.train(train_ds, dev_ds, test_ds, cfg)
+        assert freed and all(freed)
+
     def test_epochs_zero_initialization_only(self):
         train_ds, dev_ds, test_ds = biased_bundle()
         cfg = training.MethodConfig(method="Standard", epochs=0, seed=1)
