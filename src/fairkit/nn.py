@@ -9,10 +9,11 @@ only: forward applies the activation in place, and backward reads each
 slope from the post-activation. The backward pass accepts extra gradients
 injected at any hidden activation, which is how the adversarial and
 contrastive branches feed into the encoder. A network with group heads
-(Gate) holds them as extra rows of its output layer. infer_many and
-LogitsOnWorker compute logits only; above PARALLEL_MIN_WORK each call
-starts one job on a thread of its own (fairkit-infer), which has ended
-by the time the call returns or raises.
+(Gate) holds them as extra rows of its output layer. infer, infer_many
+and LogitsOnWorker score in blocks of rows through block-sized buffers;
+infer_many and LogitsOnWorker compute logits only, and above
+PARALLEL_MIN_WORK each call starts one job on a thread of its own
+(fairkit-infer), which has ended by the time the call returns or raises.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +35,10 @@ from .errors import (
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_FLOAT_MAX = float(np.finfo(float).max)
 # Below it, a product of two numbers is finite: Adam's g * g and v / bc2, and
 # a parameter times an activation as large as itself
-_MAX_MAGNITUDE = float(np.sqrt(np.finfo(float).max))
+_MAX_MAGNITUDE = float(np.sqrt(_FLOAT_MAX))
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -68,12 +71,13 @@ class MlpSpec:
         if self.group_heads < 0:
             raise ValueError("group_heads must be >= 0")
 
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
+    # computed once per spec: the training step reads both several times
+    @cached_property
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
         dims = [self.input_dim, *self.hidden_dims, self.output_dim * (1 + self.group_heads)]
-        return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         """The number of parameters, weights and biases, of a network of this spec."""
         return sum(o * i + o for o, i in self.layer_dims)
@@ -192,17 +196,29 @@ def _checked_input(net: Network, X: np.ndarray) -> np.ndarray:
 
 
 def forward(net: Network, X: np.ndarray) -> ActivationTrace:
-    X = _checked_input(net, X)
+    a = X = _checked_input(net, X)
     post = []
-    _, logits = _infer_into(net, X, post=post)
-    return ActivationTrace(X=X, post=post, logits=logits)
+    for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ W.T
+        z += b
+        if k == net.n_layers - 1:
+            return ActivationTrace(X=X, post=post, logits=z)
+        a = _act_into(net.spec.activation, z)
+        post.append(a)
 
 
 def infer(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden, logits) of forward, bit for bit, keeping no trace: each
-    layer's bias and activation are applied in place, so at most two
-    hidden-width arrays are alive at once."""
-    return _infer_into(net, _checked_input(net, X))
+    """(hidden, logits) of forward, keeping no trace, scored in blocks of
+    rows (see _score_blocks): each equals forward's on each block's rows,
+    bit for bit. Alive at once are the full hidden and logits arrays and at
+    most two block-sized buffers."""
+    X = _checked_input(net, X)
+    logits = _new_logits(net, [X])
+    if net.n_layers == 1:
+        return X, _score_blocks(net, [X], logits, [])[0]
+    hidden = np.empty((X.shape[0], net.hidden_dim))
+    _score_blocks(net, [X], logits, _block_buffers(net, [X], net.n_layers - 2), [hidden])
+    return hidden, logits[0]
 
 
 # infer_many runs inputs on two threads only when the smallest input's rows
@@ -211,28 +227,34 @@ def infer(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # inputs broke even at 0.7M-1.0M, and this leaves twice that for a busier host.
 PARALLEL_MIN_WORK = 2_000_000
 
+# Scoring runs its rows through the hidden layers in blocks whose widest
+# hidden layer takes this many bytes (float64), so that its buffers do not
+# grow with the input: 436 rows at the paper's 300-wide layers, 8192 at the
+# CLI default's 16. A network without hidden layers runs each input whole.
+SCORE_BLOCK_BYTES = 2 ** 20
+
 
 def infer_many(net: Network, Xs: list[np.ndarray]) -> list[np.ndarray]:
-    """[infer(net, X)[1] for X in Xs], the logits, bit for bit.
+    """[infer(net, X)[1] for X in Xs], the logits, bit for bit, without
+    any full hidden array.
 
     With two or more inputs, each of at least PARALLEL_MIN_WORK rows times
-    n_params, and two CPUs to run on, the caller runs the first input as
-    infer does while a job on a second thread runs the others. Each input
-    stays one GEMM per layer, because a GEMM split by rows or columns rounds
-    differently. The caller makes every array the job writes (see
-    _outputs), so the job's thread grows no malloc arena of its own, and
-    the job calls no public function, so a tracer that wraps them sees
-    every call on the calling thread. A wrong input width raises infer's
-    ShapeError before any job starts."""
+    n_params, and two CPUs to run on, the caller runs the first input while
+    a job on a second thread runs the others. The caller makes every array
+    the job writes (its block buffers and the logits), so the job's thread
+    grows no malloc arena of its own, and the job calls no public function,
+    so a tracer that wraps them sees every call on the calling thread. A
+    wrong input width raises infer's ShapeError before any job starts."""
     Xs = [_checked_input(net, X) for X in Xs]
+    logits = _new_logits(net, Xs)
     if not _take_worker(net, Xs):
-        return [infer(net, X)[1] for X in Xs]
-    job = _Job(_infer_into_all, net, Xs[1:], _outputs(net, Xs[1:]))
+        return _score_blocks(net, Xs, logits, _block_buffers(net, Xs))
+    job = _Job(_score_blocks, net, Xs[1:], logits[1:], _block_buffers(net, Xs[1:]))
     try:
-        first = infer(net, Xs[0])[1]
+        _score_blocks(net, Xs[:1], logits[:1], _block_buffers(net, Xs[:1]))
     finally:
-        rest = job.wait()
-    return [first, *rest]
+        job.wait()
+    return logits
 
 
 def _take_worker(net: Network, Xs: list[np.ndarray]) -> bool:
@@ -249,38 +271,55 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _outputs(net: Network, Xs: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Each layer's output array for each input of Xs, for inputs run one
-    after another: the hidden layers write in turn into one or two buffers
-    that every input shares, and each input's logits are its own."""
-    rows = [X.shape[0] for X in Xs]
-    hidden = [np.empty(max(rows) * max(net.spec.hidden_dims))
-              for _ in range(min(2, net.n_layers - 1))]
-    widths = [W.shape[0] for W in net.weights]
-    return [[hidden[k % 2][:n * w].reshape(n, w) for k, w in enumerate(widths[:-1])]
-            + [np.empty((n, widths[-1]))] for n in rows]
+def _block_rows(net: Network, n: int) -> int:
+    """The rows of each block in which an input of n rows is scored."""
+    if net.n_layers == 1:
+        return max(n, 1)
+    return max(1, SCORE_BLOCK_BYTES // (8 * max(net.spec.hidden_dims)))
 
 
-def _infer_into(net: Network, X: np.ndarray, outs: list[np.ndarray] | None = None,
-                post: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """infer of the checked input X, layer k writing into outs[k] if outs
-    is given, else into a new array; each hidden layer's output is also
-    appended to post if it is given."""
-    a = X
-    for k in range(net.n_layers):
-        W = net.weights[k].T
-        z = a @ W if outs is None else np.matmul(a, W, out=outs[k])  # the same bits
-        z += net.biases[k]
-        if k == net.n_layers - 1:
-            return a, z
-        a = _act_into(net.spec.activation, z)
-        if post is not None:
-            post.append(a)
+def _new_logits(net: Network, Xs: list[np.ndarray]) -> list[np.ndarray]:
+    return [np.empty((X.shape[0], net.weights[-1].shape[0])) for X in Xs]
 
 
-def _infer_into_all(net: Network, Xs: list[np.ndarray], outs: list[list[np.ndarray]]
-                    ) -> list[np.ndarray]:
-    return [_infer_into(net, X, out)[1] for X, out in zip(Xs, outs)]
+def _block_buffers(net: Network, Xs: list[np.ndarray], layers: int | None = None
+                   ) -> list[np.ndarray]:
+    """The flat buffers, at most two, into which the first layers (all hidden
+    layers by default) of each block of Xs write in turn."""
+    n = max((X.shape[0] for X in Xs), default=0)
+    rows = min(_block_rows(net, n), n)
+    layers = net.n_layers - 1 if layers is None else layers
+    return [np.empty(rows * max(net.spec.hidden_dims)) for _ in range(min(2, layers))]
+
+
+def _score_blocks(net: Network, Xs: list[np.ndarray], logits: list[np.ndarray],
+                  buffers: list[np.ndarray], hidden: list[np.ndarray] | None = None
+                  ) -> list[np.ndarray]:
+    """Writes the logits of each checked input of Xs into its array of
+    logits, and returns them; with hidden, also the last hidden layer's
+    output into its array of hidden. Each block of _block_rows rows goes
+    through every layer: one np.matmul(..., out=) into the block's rows of
+    the output, or into the buffers in turn, then the bias and the
+    activation in place, so each block's rows get forward's bits for those
+    rows. The arrays are the caller's, so a job that runs this makes none."""
+    last, act = net.n_layers - 1, net.spec.activation
+    for x, X in enumerate(Xs):
+        step = _block_rows(net, X.shape[0])
+        for i in range(0, X.shape[0], step):
+            a = X[i:i + step]
+            m = a.shape[0]
+            for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+                if k == last:
+                    out = logits[x][i:i + m]
+                elif hidden is not None and k == last - 1:
+                    out = hidden[x][i:i + m]
+                else:
+                    out = buffers[k % 2][:m * W.shape[0]].reshape(m, W.shape[0])
+                np.matmul(a, W.T, out=out)  # the bits of a @ W.T
+                out += b
+                if k < last:
+                    a = _act_into(act, out)
+    return logits
 
 
 class LogitsOnWorker:
@@ -291,10 +330,11 @@ class LogitsOnWorker:
     start() goes ahead exactly when infer_many(net, Xs) would run in
     parallel; below that it returns False and has made nothing. The first
     start() that goes ahead makes, on the calling thread, every array the
-    job writes or reads besides Xs: the snapshot (a network of net's spec)
-    and the arrays of _outputs. Each start() copies net.flat into the
-    snapshot's and starts the job infer_many gives its second thread, so
-    the job makes no array and calls no public function."""
+    job writes or reads besides Xs: the snapshot (a network of net's spec),
+    the two block buffers that the inputs share in turn, and each input's
+    logits. Each start() copies net.flat into the snapshot's and starts a
+    job that scores Xs into them, so the job makes no array and calls no
+    public function."""
 
     def __init__(self, net: Network, Xs: list[np.ndarray]):
         self.net, self.Xs = net, Xs
@@ -305,9 +345,12 @@ class LogitsOnWorker:
             return False
         if self._snapshot is None:
             self._checked = [_checked_input(self.net, X) for X in self.Xs]
-            self._snapshot, self._outs = Network(self.net.spec), _outputs(self.net, self._checked)
+            self._logits = _new_logits(self.net, self._checked)
+            self._buffers = _block_buffers(self.net, self._checked)
+            self._snapshot = Network(self.net.spec)
         np.copyto(self._snapshot.flat, self.net.flat)
-        self._job = _Job(_infer_into_all, self._snapshot, self._checked, self._outs)
+        self._job = _Job(_score_blocks, self._snapshot, self._checked, self._logits,
+                         self._buffers)
         return True
 
     def wait(self) -> list[np.ndarray]:
@@ -446,7 +489,7 @@ def optimizer_step(model: Network, g: np.ndarray, state: OptimizerState):
                                     f"for {model.param_name(i)}")
     # The update can overflow, and numpy warn, only when lr times |g| (SGD), or
     # times |m / bc1|, which stays below bound (Adam), nears float max
-    if state.lr * (g_max if state.kind == "sgd" else bound) < np.finfo(float).max / 8:
+    if state.lr * (g_max if state.kind == "sgd" else bound) < _FLOAT_MAX / 8:
         new = _stepped(model.flat, g, state)
     else:
         with np.errstate(over="ignore"):  # an overflowed step is refused below

@@ -270,7 +270,7 @@ def gate_soft_search(model: nn.Network, dev_ds, grid_resolution: int = 11,
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     if logits is None:
-        logits = nn.infer(model, dev_ds.X)[1]
+        logits = nn.infer_many(model, [dev_ds.X])[0]
     # contiguous copies: the walk reads them faster than strided views of logits
     heads = [np.ascontiguousarray(h) for h in head_blocks(model, logits)]
     priors, cubes = [], []

@@ -349,7 +349,7 @@ def main_loss_and_grads(model: nn.Network, batch: Batch, cfg: MethodConfig,
         del disc_hidden_grad
 
     extra = None
-    if np.any(hidden_extra):
+    if isinstance(hidden_extra, np.ndarray) and hidden_extra.any():  # a term ran
         if model.n_layers < 2:
             raise ShapeError("hidden-level loss terms need at least one hidden layer")
         extra = {model.n_layers - 2: hidden_extra}

@@ -21,6 +21,11 @@ from fairkit.errors import (
 )
 
 
+# numpy buffers a bias broadcast over rows in at most getbufsize() elements
+# (64 kB), and a call makes a few hundred bytes of Python objects
+SLACK = np.getbufsize() * 8 + 8192
+
+
 def small_net(dims, activation="relu", seed=0):
     spec = nn.MlpSpec(input_dim=dims[0], hidden_dims=tuple(dims[1:-1]),
                       output_dim=dims[-1], activation=activation, seed=seed)
@@ -173,7 +178,8 @@ class TestInfer:
             nn.infer(small_net([2, 3, 2]), np.ones((1, 5)))
 
     def test_holds_two_hidden_arrays(self):
-        # the paper's encoder: forward keeps four [n, 300] arrays, infer two
+        # the paper's encoder: forward keeps four [n, 300] arrays; infer the
+        # full hidden output, the logits and at most two block buffers
         n = 2000
         net = small_net([768, 300, 300, 2])
         X = np.random.default_rng(0).normal(size=(n, 768))
@@ -183,7 +189,7 @@ class TestInfer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n * 300 * 8, peak
+        assert peak < n * 300 * 8 + n * 2 * 8 + 2 * nn.SCORE_BLOCK_BYTES + SLACK, peak
 
 
 @st.composite
@@ -207,18 +213,18 @@ class TestInferMany:
 
         def spy(*args):
             ran_on.append(threading.current_thread())
-            return infer_into_all(*args)
+            return score_blocks(*args)
 
-        infer_into_all = nn._infer_into_all
+        score_blocks = nn._score_blocks
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", threshold), \
-                mock.patch.object(nn, "_infer_into_all", spy):
+                mock.patch.object(nn, "_score_blocks", spy):
             got = nn.infer_many(net, Xs)
         assert len(got) == len(Xs)
         for logits, X in zip(got, Xs):
             assert np.array_equal(logits, nn.infer(net, X)[1])
         parallel = len(Xs) > 1 and min(len(X) for X in Xs) * net.spec.n_params >= threshold
-        assert [t is not threading.main_thread() for t in ran_on] == (
-            [True] if parallel and nn._cpus() > 1 else [])
+        assert sum(t is not threading.main_thread() for t in ran_on) == (
+            1 if parallel and nn._cpus() > 1 else 0)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_wrong_width_raises_infers_error_and_next_call_works(self, bad):
@@ -251,13 +257,15 @@ class TestInferMany:
         LogitsOnWorker.wait returns or raises, even when the job is slow."""
         net = small_net([5, 7, 3])
         Xs = [np.ones((40, 5)), np.ones((41, 5))]
-        infer_into_all = nn._infer_into_all
+        score_blocks = nn._score_blocks
 
         def slow(*args):
+            if threading.current_thread() is threading.main_thread():
+                return score_blocks(*args)
             time.sleep(0.05)
             if fails:
                 raise ShapeError("job failed")
-            return infer_into_all(*args)
+            return score_blocks(*args)
 
         def alive():
             return [t for t in threading.enumerate() if t.name == "fairkit-infer"]
@@ -265,7 +273,7 @@ class TestInferMany:
         on_worker = nn.LogitsOnWorker(net, Xs)
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
                 mock.patch.object(nn, "_cpus", return_value=2), \
-                mock.patch.object(nn, "_infer_into_all", slow):
+                mock.patch.object(nn, "_score_blocks", slow):
             for call in (lambda: nn.infer_many(net, Xs),
                          lambda: on_worker.start() and on_worker.wait()):
                 try:
@@ -309,19 +317,19 @@ class TestInferMany:
     def test_worker_error_is_raised_after_both_threads_finish(self):
         net = small_net([5, 7, 3])
         Xs = [np.ones((40, 5)), np.ones((41, 5))]
-        infer_into, finished = nn._infer_into, []
+        score_blocks, finished = nn._score_blocks, []
 
-        def failing_on_worker(net, X, outs=None):
+        def failing_on_worker(net, Xs, logits, buffers, hidden=None):
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.05)
                 finished.append("worker")
                 raise ShapeError("worker failed")
-            result = infer_into(net, X, outs)
+            result = score_blocks(net, Xs, logits, buffers, hidden)
             finished.append("caller")
             return result
 
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0):
-            with mock.patch.object(nn, "_infer_into", failing_on_worker):
+            with mock.patch.object(nn, "_score_blocks", failing_on_worker):
                 with pytest.raises(ShapeError, match="worker failed"):
                     nn.infer_many(net, Xs)
             assert sorted(finished) == ["caller", "worker"]
@@ -361,7 +369,8 @@ class TestLogitsOnWorker:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            nn._infer_into_all(on_worker._snapshot, on_worker._checked, on_worker._outs)
+            nn._score_blocks(on_worker._snapshot, on_worker._checked, on_worker._logits,
+                             on_worker._buffers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -376,13 +385,96 @@ class TestLogitsOnWorker:
         on_worker = nn.LogitsOnWorker(net, Xs)
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
                 mock.patch.object(nn, "_cpus", return_value=2):
-            with mock.patch.object(nn, "_infer_into_all", side_effect=ShapeError("job failed")):
+            with mock.patch.object(nn, "_score_blocks", side_effect=ShapeError("job failed")):
                 assert on_worker.start()
                 with pytest.raises(ShapeError, match="job failed"):
                     on_worker.wait()
             assert on_worker.start()
             for got, X in zip(on_worker.wait(), Xs):
                 assert np.array_equal(got, nn.infer(net, X)[1])
+
+
+class TestScoreBlocks:
+    """Scoring runs each input in blocks of rows; every scoring path equals
+    forward on each block's rows, bit for bit, and holds block-sized buffers."""
+
+    @pytest.mark.parametrize("dims, activation, heads", [
+        ([6, 7, 3], "relu", 0),
+        ([6, 9, 7, 2], "tanh", 0),
+        ([6, 5, 9, 4, 2], "relu", 2),
+        ([6, 3], "relu", 0),  # no hidden layer: one GEMM over the whole input
+    ])
+    def test_every_path_equals_forward_block_by_block(self, dims, activation, heads):
+        spec = nn.MlpSpec(dims[0], tuple(dims[1:-1]), dims[-1], activation, seed=3,
+                          group_heads=heads)
+        net = nn.init_network(spec)
+        rng = np.random.default_rng(1)
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape)
+        Xs = [rng.normal(size=(23, 6)) * 3.0, rng.normal(size=(19, 6)) * 3.0]
+        block = 5  # 23 rows are four blocks and a remainder of 3
+        with mock.patch.object(nn, "SCORE_BLOCK_BYTES", block * 8 * max(dims[1:-1] or [1])):
+            step = nn._block_rows(net, 23)
+            assert step == (block if len(dims) > 2 else 23)
+            hidden, logits = nn.infer(net, Xs[0])
+            serial = nn.infer_many(net, Xs)
+            with mock.patch.object(nn, "PARALLEL_MIN_WORK", 0), \
+                    mock.patch.object(nn, "_cpus", return_value=2):
+                parallel = nn.infer_many(net, Xs)
+                on_worker = nn.LogitsOnWorker(net, Xs)
+                assert on_worker.start()
+                worker = on_worker.wait()
+        for x, X in enumerate(Xs):
+            for i in range(0, len(X), step):
+                trace = nn.forward(net, X[i:i + step])
+                for got in (serial[x], parallel[x], worker[x]) + ((logits,) if x == 0 else ()):
+                    assert np.array_equal(got[i:i + step], trace.logits)
+                if x == 0:
+                    assert np.array_equal(hidden[i:i + step], trace.hidden)
+
+    @pytest.mark.parametrize("widest, rows", [(300, 436), (64, 2048), (16, 8192), (10**7, 1)])
+    def test_block_rows_follow_the_widest_hidden_layer(self, widest, rows):
+        net = nn.Network(nn.MlpSpec(4, (3, widest), 2))
+        assert nn._block_rows(net, 10**6) == rows
+        assert [b.size for b in nn._block_buffers(net, [np.ones((rows + 1, 4))])] == [
+            rows * widest] * 2
+
+    def test_small_inputs_get_buffers_of_their_rows(self):
+        net = small_net([8, 16, 16, 2])
+        assert [b.size for b in nn._block_buffers(net, [np.ones((40, 8)), np.ones((9, 8))])] \
+            == [40 * 16] * 2
+
+    def test_infer_many_holds_the_logits_and_two_block_buffers(self):
+        # the paper's encoder on a 2000-row input, five blocks of 436 rows
+        n = 2000
+        net = small_net([768, 300, 300, 2])
+        X = np.random.default_rng(0).normal(size=(n, 768))
+        tracemalloc.start()
+        try:
+            nn.infer_many(net, [X])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 2 * 8 + 2 * nn.SCORE_BLOCK_BYTES + SLACK, peak
+
+    def test_logits_on_worker_holds_the_snapshot_buffers_and_logits(self):
+        n = 2000
+        net = small_net([768, 300, 300, 2])
+        rng = np.random.default_rng(0)
+        Xs = [rng.normal(size=(n, 768)), rng.normal(size=(n, 768))]
+        on_worker = nn.LogitsOnWorker(net, Xs)
+        with mock.patch.object(nn, "_cpus", return_value=2):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                assert on_worker.start()
+                on_worker.wait()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        budget = net.spec.n_params * 8 + 2 * nn.SCORE_BLOCK_BYTES + 2 * n * 2 * 8
+        assert held - before < budget + 8192, held - before
+        assert peak - before < budget + SLACK, peak - before
 
 
 class TestCrossEntropy:

@@ -448,7 +448,7 @@ class TestApplyInlpAndRefit:
         Xs = [dev_ds.X, test_ds.X]
         with mock.patch.object(nn, "PARALLEL_MIN_WORK", min_work), \
                 mock.patch.object(nn, "_cpus", return_value=2), \
-                mock.patch.object(nn, "_infer_into_all", wraps=nn._infer_into_all) as job:
+                mock.patch.object(nn, "_Job", wraps=nn._Job) as job:
             got = nn.infer_many(refit, Xs)
         assert job.called == (min_work == 0)
         for logits, X in zip(got, Xs):

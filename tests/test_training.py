@@ -1023,9 +1023,19 @@ class TestScoringOverlap:
         cfg = training.MethodConfig(method="Standard", epochs=3, seed=1)
         spec = make_model(cfg, d=6).spec
         assert dev_ds.n * spec.n_params < nn.PARALLEL_MIN_WORK
-        with mock.patch.object(nn, "_outputs", side_effect=AssertionError), \
+        made = []
+
+        class Recorded(nn.LogitsOnWorker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with mock.patch.object(nn, "LogitsOnWorker", Recorded), \
                 mock.patch.object(nn, "_Job", side_effect=AssertionError):
             training.train(train_ds, dev_ds, test_ds, cfg, run_dir=tmp_path)
+        # the worker made no snapshot, block buffer or logits array
+        assert [sorted(vars(w)) for w in made] == [["Xs", "_snapshot", "net"]]
+        assert made[0]._snapshot is None
         ckpt = (tmp_path / "checkpoints.bin").read_bytes()
         header = ckpt[:ckpt.index(b"\n") + 1]
         assert len(ckpt) == len(header) + 4 * spec.n_params * 8  # one record per epoch
