@@ -277,8 +277,8 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
     if not (run_dir / "manifest.json").exists():
         return None, "unfinalized"
     try:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-    except ValueError as e:
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # a UnicodeDecodeError is a ValueError
         return None, f"manifest.json does not parse: {e}"
     if not isinstance(manifest, dict):
         return None, "manifest.json is not a JSON object"
@@ -300,11 +300,15 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
     rows, post = [], []
     epochs_path = run_dir / "epochs.jsonl"
     if epochs_path.exists():
-        for lineno, line in enumerate(epochs_path.read_text().splitlines(), start=1):
+        try:
+            lines = epochs_path.read_text(encoding="utf-8").splitlines()
+        except ValueError as e:  # UnicodeDecodeError
+            return None, f"epochs.jsonl does not parse: {e}"
+        for lineno, line in enumerate(lines, start=1):
             if line.strip():
                 try:
                     row = json.loads(line)
-                except ValueError as e:
+                except (ValueError, RecursionError) as e:
                     return None, f"epochs.jsonl line {lineno} does not parse: {e}"
                 if isinstance(row, dict) and ("epoch" in row or "post" in row):
                     bad = [key for key in _SCORES if not _is_number(row.get(key))]

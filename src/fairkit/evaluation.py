@@ -82,68 +82,32 @@ def gap_and_fairness(deviations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gap, 1.0 - gap
 
 
-def rawlsian_min(per_group_performance: np.ndarray) -> np.ndarray:
-    """The worst group's performance over the last axis; NaN marks a group without rows."""
-    worst = np.fmin.reduce(per_group_performance, axis=-1, initial=np.nan)
-    if np.isnan(worst).any():
-        raise EvaluationDegenerateError("no groups to take the minimum over")
-    return worst
-
-
 def dto(point, utopia: tuple[float, float] = UTOPIA) -> float:
     """Euclidean distance of (performance, fairness) to the utopia corner; lower is better."""
     perf, fair = point
     return math.hypot(utopia[0] - perf, utopia[1] - fair)
 
 
-# The FairnessReport fields that hold one number per counts table
-_SCORES = ("performance", "gap", "fairness", "rawlsian_min", "max_violation")
-
-
 @dataclass
 class FairnessReport:
     performance: float
-    per_group_metric: np.ndarray  # [C, G], NaN where undefined
-    gap: float
     fairness: float
-    rawlsian_min: float
-    max_violation: float
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "accuracy": self.performance,
-            "TPR_GAP": self.gap,
-            "fairness": self.fairness,
-            "rawlsian_min": self.rawlsian_min,
-            "max_violation": self.max_violation,
-        }
-        for (c, gr), v in np.ndenumerate(self.per_group_metric):
-            if not np.isnan(v):
-                d[f"tpr_class{c}_group{gr}"] = float(v)
-        return d
+    counts: np.ndarray  # [..., C, G, 4] (TP, FP, TN, FN), the table the scores come from
 
 
 def evaluate_counts(counts: np.ndarray) -> FairnessReport:
     """The report of one-vs-rest counts [..., C, G, 4]; each score is an
     array over the leading axes (a numpy float for one [C, G, 4] table)."""
-    cells = _tpr(counts)
-    deviations = np.abs(cells - _tpr(counts.sum(axis=-2))[..., None])
-    gap, fairness = gap_and_fairness(deviations)
+    deviations = np.abs(_tpr(counts) - _tpr(counts.sum(axis=-2))[..., None])
+    _, fairness = gap_and_fairness(deviations)
     # correct rows are the TPs summed over classes; one division = np.mean's float
-    correct = counts[..., 0].sum(axis=-2)
-    rows = counts[..., 0, :, :].sum(axis=-1)
-    return FairnessReport(
-        performance=correct.sum(axis=-1) / rows.sum(axis=-1),
-        per_group_metric=np.where(np.isnan(deviations), np.nan, cells),
-        gap=gap,
-        fairness=fairness,
-        rawlsian_min=rawlsian_min(
-            np.divide(correct, rows, out=np.full(rows.shape, np.nan), where=rows > 0)),
-        max_violation=np.fmax.reduce(deviations.reshape(*deviations.shape[:-2], -1), axis=-1),
-    )
+    correct = counts[..., 0].sum(axis=(-2, -1))
+    rows = counts[..., 0, :, :].sum(axis=(-2, -1))
+    return FairnessReport(performance=correct / rows, fairness=fairness, counts=counts)
 
 
 def evaluate_predictions(predictions, y, g, num_classes: int, num_groups: int) -> FairnessReport:
     """Accuracy + group fairness in one report (the standard per-epoch eval)."""
     report = evaluate_counts(confusion_by_group(predictions, y, g, num_classes, num_groups))
-    return replace(report, **{name: float(getattr(report, name)) for name in _SCORES})
+    return replace(report, performance=float(report.performance),
+                   fairness=float(report.fairness))

@@ -461,12 +461,14 @@ def _json_finite(value) -> bool:
 
 def _append_row(epochs_file, row: dict, predictions: list[np.ndarray], dev_ds: Dataset,
                 test_ds: Dataset, tail: dict | None = None) -> dict:
-    """Add the dev and test scores of predictions (dev's, then test's), then
-    tail, to row; append row to epochs_file unless it is None. Returns row."""
+    """Add the dev and test scores of predictions (dev's, then test's) and
+    the [C, G, 4] counts they come from, then tail, to row; append row to
+    epochs_file unless it is None. Returns row."""
     for name, ds, pred in zip(("dev", "test"), (dev_ds, test_ds), predictions, strict=True):
         report = evaluate_predictions(pred, ds.y, ds.g, ds.num_classes, ds.num_groups)
         row[f"{name}_performance"] = report.performance
         row[f"{name}_fairness"] = report.fairness
+        row[f"{name}_counts"] = report.counts.tolist()
     row.update(tail or {})
     if epochs_file is not None:
         try:

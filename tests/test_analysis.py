@@ -342,15 +342,28 @@ class TestLoadAndAnalyzeRuns:
         self.write_run(tmp_path, "nokeys", {"finalized": True, "index": {}}, rows)
         self.write_run(tmp_path, "notadict", manifest, rows)
         (tmp_path / "notadict" / "manifest.json").write_text("[1, 2]")
+        for name in ("nested_manifest", "nested_row", "non_utf8"):
+            self.write_run(tmp_path, name, manifest, rows)
+        (tmp_path / "nested_manifest" / "manifest.json").write_text("[" * 200_000)
+        with open(tmp_path / "nested_row" / "epochs.jsonl", "a") as f:
+            f.write("[" * 200_000 + "\n")
+        with open(tmp_path / "non_utf8" / "epochs.jsonl", "ab") as f:
+            f.write(b"\xff\n")
         runs, skipped = an.load_runs(tmp_path)
         assert [r["dir"] for r in runs] == [str(tmp_path / "good")]
         assert runs[0]["rows"] == rows
         reasons = {Path(d).name: reason for d, reason in skipped}
-        assert sorted(reasons) == ["manifest", "nokeys", "notadict", "truncated"]
+        assert sorted(reasons) == ["manifest", "nested_manifest", "nested_row", "nokeys",
+                                   "non_utf8", "notadict", "truncated"]
         assert reasons["manifest"].startswith("manifest.json does not parse")
         assert reasons["truncated"].startswith("epochs.jsonl line 2 does not parse")
         assert reasons["nokeys"] == "manifest.json lacks method, seed"
         assert reasons["notadict"] == "manifest.json is not a JSON object"
+        assert reasons["nested_manifest"].startswith(
+            "manifest.json does not parse: maximum recursion depth")
+        assert reasons["nested_row"].startswith(
+            "epochs.jsonl line 3 does not parse: maximum recursion depth")
+        assert reasons["non_utf8"].startswith("epochs.jsonl does not parse: 'utf-8' codec")
 
     @pytest.mark.parametrize("damage", list(MISTYPED_RUNS))
     def test_analyze_skips_mistyped_run_and_names_it(self, tmp_path, damage, capsys):

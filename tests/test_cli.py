@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fairkit import cli, data, training
+from fairkit import analysis, cli, data, evaluation, training
 from fairkit.errors import ConfigError
 from test_data import npy_bytes, readme_converters, write_csv, write_jsonl, zip_bytes
 
@@ -295,6 +295,51 @@ def test_pipeline_grid_is_pinned(tmp_path, monkeypatch, capsys):
     assert [line.split(" | ")[0][2:] for line in table[2:]] == [
         "DAdv", "Standard", "at:Gate / post:INLP / post:Gate-soft",
         "pre:EO-resampling / at:Adv / post:INLP", "pre:joint-reweighting / at:FairBatch"]
+
+
+def _strip_counts(run_dir):
+    path = run_dir / "epochs.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({k: v for k, v in row.items()
+                                        if k not in ("dev_counts", "test_counts")}) + "\n"
+                            for row in rows))
+
+
+def test_pipeline_grid_rows_carry_counts_that_give_their_scores(tmp_path, monkeypatch, capsys):
+    """Every epoch and post row of every grid pipeline stores its dev and
+    test [C, G, 4] counts, and evaluate_counts of each table gives the row's
+    performance and fairness exactly. With the counts stripped, as in a run
+    written before they were stored, analyze loads every run and writes the
+    same selection, trade-off data and tables."""
+    monkeypatch.chdir(tmp_path)
+    for flags, *_ in PIPELINE_GRID.values():
+        assert cli.main([*flags, "--epochs", "1", "--results_dir", "results"]) == 0
+    for name, (*_, post) in PIPELINE_GRID.items():
+        rows = [json.loads(line)
+                for line in (tmp_path / "results" / name / "epochs.jsonl").read_text().splitlines()]
+        assert [row.get("epoch", row.get("post")) for row in rows] == [0, 1, *post], name
+        for row in rows:
+            for split in ("dev", "test"):
+                counts = np.array(row[f"{split}_counts"])
+                assert counts.shape == (2, 2, 4) and counts.dtype == np.int64
+                report = evaluation.evaluate_counts(counts)
+                assert (float(report.performance), float(report.fairness)) == (
+                    row[f"{split}_performance"], row[f"{split}_fairness"]), (name, split)
+    shutil.copytree(tmp_path / "results", tmp_path / "stripped")
+    for run_dir in (tmp_path / "stripped").iterdir():
+        _strip_counts(run_dir)
+    outputs = {}
+    for tree in ("results", "stripped"):
+        runs, skipped = analysis.load_runs(tree)
+        assert (len(runs), skipped) == (len(PIPELINE_GRID), []), tree
+        assert all(("dev_counts" in row) == (tree == "results")
+                   for r in runs for row in r["rows"] + r["post"]), tree
+        assert cli.main(["analyze", "--results_dir", tree, "--output_dir", f"out_{tree}"]) == 0
+        outputs[tree] = {f: (tmp_path / f"out_{tree}" / f).read_bytes()
+                         for f in ("selection.json", "tradeoff.json", "results_table.md",
+                                   "results_table.tex", "results_table.csv")}
+    assert outputs["results"] == outputs["stripped"]
+    assert capsys.readouterr().err == ""
 
 
 class TestGenerate:
@@ -894,14 +939,30 @@ class TestExitCodes:
         path = run_dir / "epochs.jsonl"
         path.write_bytes(path.read_bytes()[:-20])
 
-    @pytest.mark.parametrize("damage", ["_truncate_manifest", "_truncate_epochs"])
+    @staticmethod
+    def _non_utf8_epochs(run_dir):
+        with open(run_dir / "epochs.jsonl", "ab") as f:
+            f.write(b"\xff\n")
+
+    @staticmethod
+    def _deeply_nested_manifest(run_dir):
+        (run_dir / "manifest.json").write_text("[" * 200_000)
+
+    @staticmethod
+    def _deeply_nested_row(run_dir):
+        with open(run_dir / "epochs.jsonl", "a") as f:
+            f.write("[" * 200_000 + "\n")
+
+    @pytest.mark.parametrize("damage", ["_truncate_manifest", "_truncate_epochs",
+                                        "_non_utf8_epochs", "_deeply_nested_manifest",
+                                        "_deeply_nested_row"])
     def test_analyze_skips_damaged_run(self, tmp_path, small_spec_file, damage, capsys):
         results, good = self._results_with_good_run(tmp_path, small_spec_file)
         bad = self._damaged_copy(good, "damaged", getattr(self, damage))
         assert cli.main(["analyze", "--results_dir", str(results)]) == 0
         err = capsys.readouterr().err
         assert "skipped 1 run(s)" in err
-        assert f"{bad}: " in err and "does not parse" in err
+        assert f"{bad}: " in err and "does not parse" in err and "Traceback" not in err
         selection = json.loads((results / "selection.json").read_text())
         assert len(selection["selection"]["Standard"]["per_seed"]) == 1
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairkit import cli
 from fairkit import evaluation as ev
 from fairkit.errors import EvaluationDegenerateError, LabelDomainError, ShapeError
 from test_data import _readme_block
@@ -78,7 +80,9 @@ def gap_and_cells(counts):
 
 
 def reference_report(predictions, y, g, num_classes, num_groups, kind="tpr"):
-    """to_json_dict() of the report, from per-cell dicts and Python sums."""
+    """The full fairness report of the metric kind, from per-cell dicts and
+    Python sums: accuracy, GAP, fairness, Rawlsian min, max violation and
+    each defined cell's metric."""
     counts, overall = reference_tally(predictions, y, g, num_classes, num_groups)
     per_group, class_gaps = {}, []
     for c in range(num_classes):
@@ -100,7 +104,7 @@ def reference_report(predictions, y, g, num_classes, num_groups, kind="tpr"):
     rows = [sum(counts[(0, gr)]) for gr in range(num_groups)]
     report = {
         "accuracy": sum(correct) / sum(rows),
-        "TPR_GAP": gap,
+        "GAP": gap,
         "fairness": 1.0 - gap,
         "rawlsian_min": min(correct[gr] / rows[gr] for gr in range(num_groups) if rows[gr]),
         "max_violation": max(abs(m - overall_m[c]) for (c, _), m in per_group.items()),
@@ -126,15 +130,18 @@ def report_cases(draw):
 @given(report_cases())
 @settings(max_examples=500)
 def test_report_equals_dict_reference(case):
-    """Every number of the report, GAP, max violation and Rawlsian minimum
-    included, equals the cell-by-cell reference exactly."""
+    """The report's accuracy and fairness equal the cell-by-cell reference
+    exactly, and its counts are the table of confusion_by_group."""
     try:
         expected = reference_report(*case)
     except EvaluationDegenerateError:
         with pytest.raises(EvaluationDegenerateError):
             ev.evaluate_predictions(*case)
         return
-    assert ev.evaluate_predictions(*case).to_json_dict() == expected
+    report = ev.evaluate_predictions(*case)
+    assert (report.performance, report.fairness) == (expected["accuracy"], expected["fairness"])
+    assert type(report.performance) is type(report.fairness) is float
+    np.testing.assert_array_equal(report.counts, ev.confusion_by_group(*case))
 
 
 @given(report_cases(), st.integers(1, 4))
@@ -153,9 +160,9 @@ def test_counts_over_a_leading_axis_equal_each_report(case, k):
     cubes = np.array([ev.confusion_cube(p, y, g, num_classes, num_groups) for p in batch])
     stacked = ev.evaluate_counts(ev.cube_counts(cubes))
     for i, report in enumerate(reports):
-        for name in ("performance", "gap", "fairness", "rawlsian_min", "max_violation"):
-            assert getattr(stacked, name)[i] == getattr(report, name), name
-        np.testing.assert_array_equal(stacked.per_group_metric[i], report.per_group_metric)
+        assert stacked.performance[i] == report.performance
+        assert stacked.fairness[i] == report.fairness
+        np.testing.assert_array_equal(stacked.counts[i], report.counts)
 
 
 class TestConfusionByGroup:
@@ -222,8 +229,7 @@ class TestConfusionByGroup:
         except EvaluationDegenerateError:
             return
         assert report.performance == float(np.mean(preds == y))
-        assert report.rawlsian_min == min(float(np.mean(preds[g == gr] == y[g == gr]))
-                                          for gr in range(num_groups) if np.any(g == gr))
+        assert as_dicts(report.counts) == as_dicts(gc)
 
 
 class TestCmMetric:
@@ -308,34 +314,6 @@ class TestGapAndFairness:
             assert (fairness == pytest.approx(1.0, abs=1e-12)) == parity
 
 
-class TestRawlsianAndViolation:
-    def test_rawlsian_min(self):
-        assert ev.rawlsian_min(np.array([0.9, 0.7])) == pytest.approx(0.7)
-        assert ev.rawlsian_min(np.array([0.5])) == pytest.approx(0.5)
-        assert ev.rawlsian_min(np.array([0.6, 0.6])) == pytest.approx(0.6)
-        with pytest.raises(EvaluationDegenerateError):
-            ev.rawlsian_min(np.array([]))
-
-    def test_max_violation_parity(self):
-        y = np.array([0, 1, 0, 1])
-        g = np.array([0, 0, 1, 1])
-        assert ev.evaluate_predictions(y, y, g, 2, 2).max_violation == pytest.approx(0.0)
-
-    def test_max_violation_dominates_all_gaps(self):
-        rng = np.random.default_rng(4)
-        y = rng.integers(0, 2, 80)
-        g = rng.integers(0, 3, 80)
-        preds = rng.integers(0, 2, 80)
-        gc = ev.confusion_by_group(preds, y, g, 2, 3)
-        mv = ev.evaluate_predictions(preds, y, g, 2, 3).max_violation
-        for c in range(2):
-            m_overall = reference_metric(gc.sum(axis=1)[c])
-            for gr in range(3):
-                m = reference_metric(gc[c, gr])
-                if m is not None and m_overall is not None:
-                    assert abs(m - m_overall) <= mv + 1e-12
-
-
 # (performance mean %, fairness mean %, reported DTO) for each method on both
 # benchmark tasks; the means are the arithmetic ground truth for dto().
 REPORTED = [
@@ -369,33 +347,48 @@ class TestDto:
         assert ev.dto((1.0, 1.0)) == 0.0
 
 
-class TestEvaluatePredictions:
-    def test_report_fields_and_json(self):
-        rng = np.random.default_rng(5)
-        y = rng.integers(0, 2, 40)
-        g = rng.integers(0, 2, 40)
-        preds = rng.integers(0, 2, 40)
-        report = ev.evaluate_predictions(preds, y, g, 2, 2)
-        assert 0.0 <= report.performance <= 1.0
-        assert report.fairness == pytest.approx(1.0 - report.gap)
-        d = report.to_json_dict()
-        assert set(d) >= {"accuracy", "TPR_GAP", "fairness", "rawlsian_min", "max_violation"}
+def readme_criterion() -> dict:
+    """The names README's custom-criterion block defines."""
+    readme = {}
+    exec(_readme_block("custom-criterion"), readme)
+    return readme
 
 
 @given(report_cases())
 @settings(max_examples=200)
 def test_readme_custom_criterion_equals_dict_reference(case):
-    """README's FPR GAP, built from the counts table and gap_and_fairness,
-    equals the cell-by-cell FPR reference exactly."""
-    readme = {}
-    exec(_readme_block("custom-criterion"), readme)
-    try:
-        expected = reference_report(*case, kind="fpr")
-    except EvaluationDegenerateError:
-        with pytest.raises(EvaluationDegenerateError):
-            readme["fpr_gap"](*case)
-        return
-    gap, fairness, cells = readme["fpr_gap"](*case)
-    assert (gap, fairness) == (expected["TPR_GAP"], expected["fairness"])  # the FPR GAP here
-    assert {f"fpr_class{c}_group{gr}": float(v) for (c, gr), v in np.ndenumerate(cells)
-            if not np.isnan(v)} == {k: v for k, v in expected.items() if k.startswith("fpr_")}
+    """README's criteria from a counts table equal the cell-by-cell
+    reference exactly: FPR GAP and fairness, the per-group TPR and FPR, the
+    max violation of each, and the Rawlsian min."""
+    readme = readme_criterion()
+    counts = ev.confusion_by_group(*case)
+    for kind in ("tpr", "fpr"):
+        try:
+            expected = reference_report(*case, kind=kind)
+        except EvaluationDegenerateError:
+            with pytest.raises(EvaluationDegenerateError):
+                readme["criterion"](readme[kind], counts)
+            continue
+        gap, fairness, cells, max_violation = readme["criterion"](readme[kind], counts)
+        assert (gap, fairness, max_violation) == (
+            expected["GAP"], expected["fairness"], expected["max_violation"]), kind
+        assert {f"{kind}_class{c}_group{gr}": float(v) for (c, gr), v in np.ndenumerate(cells)
+                if not np.isnan(v)} == {k: v for k, v in expected.items()
+                                        if k.startswith(f"{kind}_")}
+        assert readme["rawlsian_min"](counts) == expected["rawlsian_min"]
+
+
+def test_readme_custom_criterion_reads_a_finished_run(tmp_path):
+    """README's row_counts reads each row's dev and test counts from a
+    finished run, and its TPR criterion gives the row's own fairness."""
+    readme = readme_criterion()
+    assert cli.main(["--INLP", "--inlp_iterations", "2", "--epochs", "1",
+                     "--results_dir", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    rows = [json.loads(line) for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+    assert [row.get("post") for row in rows] == [None, None, "INLP"]
+    for line, row in enumerate(rows):
+        for split in ("dev", "test"):
+            counts = readme["row_counts"](run_dir, split, line)
+            assert counts.shape == (2, 2, 4)
+            assert readme["criterion"](readme["tpr"], counts)[1] == row[f"{split}_fairness"]
