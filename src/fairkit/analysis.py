@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyInputError, IndexSchemaError
+from .errors import EmptyInputError
 from .evaluation import UTOPIA, dto
 
 CRITERIA = ("DTO", "ConstrainedFairness", "ConstrainedPerformance")
@@ -78,12 +78,10 @@ def select_across_hyperparameters(runs: list[dict], criterion: SelectionCriterio
     post-stage rows). Per index, each seed's point is chosen on dev; the
     criterion is applied to dev metrics averaged over seeds. Returns the
     chosen index plus per-seed test points at each run's point, naming its
-    epoch or post stage."""
+    epoch or post stage. The runs share one index schema, as load_runs
+    leaves the runs of each pipeline."""
     if not runs:
         raise EmptyInputError("no runs")
-    schemas = {tuple(sorted(r["index"].keys())) for r in runs}
-    if len(schemas) > 1:
-        raise IndexSchemaError(f"inconsistent hyperparameter index schemas: {sorted(schemas)}")
     by_index: dict[tuple, list[dict]] = {}
     for r in runs:
         by_index.setdefault(_index_key(r["index"]), []).append(r)
@@ -233,8 +231,9 @@ def load_runs(results_dir) -> tuple[list[dict], list[tuple[str, str]]]:
     method when its stages are that method alone (or absent), else by its
     stages joined with " / ". A run is skipped if it is unfinalized (also
     when it has no manifest.json yet), has no epoch rows, or either file
-    does not parse or has a mistyped or non-finite field; every run of a
-    pipeline whose runs disagree on the index keys is skipped too."""
+    cannot be read, does not parse or has a mistyped or non-finite field;
+    every run of a pipeline whose runs disagree on the index keys is
+    skipped too, so the runs of each pipeline share one index schema."""
     results_dir = Path(results_dir)
     runs, skipped = [], []
     if not results_dir.is_dir():
@@ -278,6 +277,8 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
         return None, "unfinalized"
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    except OSError as e:
+        return None, f"manifest.json cannot be read: {e}"
     except (ValueError, RecursionError) as e:  # a UnicodeDecodeError is a ValueError
         return None, f"manifest.json does not parse: {e}"
     if not isinstance(manifest, dict):
@@ -302,6 +303,8 @@ def _load_run(run_dir: Path) -> tuple[dict | None, str]:
     if epochs_path.exists():
         try:
             lines = epochs_path.read_text(encoding="utf-8").splitlines()
+        except OSError as e:
+            return None, f"epochs.jsonl cannot be read: {e}"
         except ValueError as e:  # UnicodeDecodeError
             return None, f"epochs.jsonl does not parse: {e}"
         for lineno, line in enumerate(lines, start=1):

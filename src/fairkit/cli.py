@@ -377,8 +377,8 @@ def run_inlp_stage(model: nn.Network, train_ds, dev_ds, test_ds, cfg: TrainConfi
 def run_gate_soft_stage(model: nn.Network, train_ds, dev_ds, test_ds, cfg: TrainConfig,
                         run_dir: Path):
     dev_logits, test_logits = nn.infer_many(model, [dev_ds.X, test_ds.X])
-    prior, dev_dto = postproc.gate_soft_search(model, dev_ds, cfg.gate_grid_resolution,
-                                               logits=dev_logits)
+    prior, dev_dto = postproc.gate_soft_search(model, dev_ds, dev_logits,
+                                               cfg.gate_grid_resolution)
     row = {"post": "Gate-soft", "prior": list(prior), "dev_dto": dev_dto}
     predictions = [training.gate_logits(training.head_blocks(model, logits),
                                         np.array(prior)).argmax(axis=1)

@@ -7,14 +7,14 @@ Balancing objectives (CLI names in parentheses):
   "eo"    (BTEO) per class, equalize group counts within the class
 
 Each objective runs in Downsampling, Resampling, or Reweighting mode,
-except "y" which is defined by downsampling.
+except "y" which is defined by downsampling. generate_synthetic draws dev
+and test on two nn._Jobs while the calling thread draws train.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .errors import (
     EmptyCellError,
     LabelDomainError,
@@ -266,10 +267,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
     Each cell's rows are drawn in place into its block of the split's X.
 
     The splits' streams are independent, so the calling thread draws train
-    while two threads draw dev and test, with the bytes of drawing one after
-    another. The calling thread makes every array, mean and generator first,
-    joins both threads, and only then raises the first error of any draw,
-    in split order. The threads run _draw_split alone, which calls numpy
+    while two nn._Jobs draw dev and test, with the bytes of drawing one
+    after another. The calling thread makes every array, mean and generator
+    first, joins both jobs, and only then raises the first error of any
+    draw, in split order. The jobs run _draw_split alone, which calls numpy
     only."""
     items = sorted(spec.n_per_cell.items())
     cells, start = [], 0  # (rows, mean) of each cell
@@ -280,22 +281,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
         cells.append((slice(start, start + n), mean))
         start += n
     Xs = [np.empty((start, spec.d)) for _ in range(3)]
-    errors = [None] * 3
-    jobs = [(np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, k))), X, cells,
-             spec.noise_sigma, errors, k) for k, X in enumerate(Xs)]
-    threads = [threading.Thread(target=_draw_split, args=job, name=f"fairkit-generate-{k}")
-               for k, job in enumerate(jobs[1:], 1)]
+    draws = [(np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, k))), X, cells,
+              spec.noise_sigma) for k, X in enumerate(Xs)]
+    jobs = []
     try:
-        for thread in threads:
-            thread.start()
-        _draw_split(*jobs[0])
+        for k in (1, 2):
+            jobs.append(nn._Job(_draw_split, *draws[k], name=f"fairkit-generate-{k}"))
+        _draw_split(*draws[0])
     finally:
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+        for job in jobs:
+            job.join()
+    for job in jobs:
+        job.wait()
     sizes = [n for _, n in items]
     return tuple(Dataset(X, np.repeat([c for (c, _), _ in items], sizes),
                          np.repeat([g for (_, g), _ in items], sizes), split=split,
@@ -303,19 +300,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
                  for X, split in zip(Xs, ("train", "dev", "test")))
 
 
-def _draw_split(rng, X: np.ndarray, cells: list, sigma: float, errors: list, k: int):
+def _draw_split(rng, X: np.ndarray, cells: list, sigma: float):
     """Fill X in place with each cell's draws of rng.normal(mean, sigma), in
     cell order: one draw of the whole split gives the bytes of one draw per
-    cell, as the stream runs on from one call to the next. An error is
-    stored in errors[k]. This runs on a generation thread, so it makes no
-    array of X's size and calls no public fairkit function."""
-    try:
-        rng.standard_normal(out=X)
-        X *= sigma
-        for rows, mean in cells:
-            X[rows] += mean
-    except BaseException as e:  # raised by generate_synthetic after the join
-        errors[k] = e
+    cell, as the stream runs on from one call to the next. This runs on a
+    generation job's thread, so it makes no array of X's size and calls no
+    public fairkit function."""
+    rng.standard_normal(out=X)
+    X *= sigma
+    for rows, mean in cells:
+        X[rows] += mean
 
 
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:

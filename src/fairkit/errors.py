@@ -65,9 +65,5 @@ class EmptyInputError(FairkitError):
     """An analysis operation received no usable runs or epochs."""
 
 
-class IndexSchemaError(FairkitError):
-    """Runs of one method carry inconsistent hyperparameter indices."""
-
-
 class IOErrorWithStage(FairkitError):
     """A file or directory needed by a pipeline stage is missing."""

@@ -14,6 +14,7 @@ and LogitsOnWorker score in blocks of rows through block-sized buffers;
 infer_many and LogitsOnWorker compute logits only, and above
 PARALLEL_MIN_WORK each call starts one job on a thread of its own
 (fairkit-infer), which has ended by the time the call returns or raises.
+Every fairkit thread is a _Job's, data.generate_synthetic's two included.
 """
 
 from __future__ import annotations
@@ -360,14 +361,14 @@ class LogitsOnWorker:
 
 
 class _Job:
-    """fn(*args), started at once on a daemon thread of its own, named
-    fairkit-infer. wait() joins the thread, so none is left alive, then
-    returns what fn returned or raises what it raised."""
+    """fn(*args), started at once on a daemon thread of its own, named name.
+    join() waits for it and never raises; wait() joins it, so none is left
+    alive, then returns what fn returned or raises what it raised."""
 
-    def __init__(self, fn, *args):
+    def __init__(self, fn, *args, name: str = "fairkit-infer"):
         self._outcome = None
-        self._thread = threading.Thread(target=self._run, args=(fn, args),
-                                        name="fairkit-infer", daemon=True)
+        self._thread = threading.Thread(target=self._run, args=(fn, args), name=name,
+                                        daemon=True)
         self._thread.start()
 
     def _run(self, fn, args):
@@ -376,8 +377,11 @@ class _Job:
         except BaseException as e:  # re-raised on the caller's thread by wait
             self._outcome = (None, e)
 
-    def wait(self):
+    def join(self):
         self._thread.join()
+
+    def wait(self):
+        self.join()
         (result, error), self._outcome = self._outcome, None
         if error is not None:
             raise error

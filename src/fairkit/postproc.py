@@ -257,20 +257,17 @@ def _grid_mixes(heads: list[np.ndarray], resolution: int):
     return rec(0, heads[0], total, ())
 
 
-def gate_soft_search(model: nn.Network, dev_ds, grid_resolution: int = 11,
-                     logits: np.ndarray | None = None) -> tuple[tuple[float, ...], float]:
+def gate_soft_search(model: nn.Network, dev_ds, logits: np.ndarray,
+                     grid_resolution: int = 11) -> tuple[tuple[float, ...], float]:
     """Grid search over the group simplex minimizing dev DTO; ties broken
     toward the uniform prior. Returns (prior, best DTO). logits are the
-    model's dev logits if the caller has them; otherwise the network runs
-    once. Each prior's predictions are counted into one confusion cube, and
-    every cube is scored at once by evaluate_counts."""
+    model's logits on dev_ds.X. Each prior's predictions are counted into
+    one confusion cube, and every cube is scored at once by evaluate_counts."""
     num_groups = model.spec.group_heads
     if num_groups < 1:
         raise MethodInapplicableError("gate-soft needs a model with group heads")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    if logits is None:
-        logits = nn.infer_many(model, [dev_ds.X])[0]
     # contiguous copies: the walk reads them faster than strided views of logits
     heads = [np.ascontiguousarray(h) for h in head_blocks(model, logits)]
     priors, cubes = [], []

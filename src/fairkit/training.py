@@ -207,8 +207,6 @@ def eo_cla_adjusted_loss(per_example_losses: np.ndarray, y: np.ndarray, g: np.nd
     ce = np.asarray(per_example_losses, dtype=float)
     y = np.asarray(y, dtype=int)
     g = np.asarray(g, dtype=int)
-    if eo_cla_lambda == 0.0:
-        return 0.0, np.zeros(ce.shape[0])
     C, G = int(y.max()) + 1, int(g.max()) + 1
     cell = y * G + g
     counts = np.bincount(cell, minlength=C * G).reshape(C, G)

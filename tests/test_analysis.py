@@ -7,7 +7,7 @@ import pytest
 
 from fairkit import analysis as an
 from fairkit import cli
-from fairkit.errors import EmptyInputError, IndexSchemaError
+from fairkit.errors import EmptyInputError
 
 
 def rows_from_points(points):
@@ -83,12 +83,6 @@ class TestSelectAcrossHyperparameters:
         out = an.select_across_hyperparameters(runs, an.SelectionCriterion())
         assert out["per_seed"][0]["epoch"] == 1
         assert out["dev_mean"] == pytest.approx((0.9, 0.9))
-
-    def test_inconsistent_index_schemas(self):
-        runs = [sweep_run({"lam": 0.1}, 0, [(0.5, 0.5)]),
-                sweep_run({"alpha": 0.1}, 0, [(0.5, 0.5)])]
-        with pytest.raises(IndexSchemaError):
-            an.select_across_hyperparameters(runs, an.SelectionCriterion())
 
     def test_matches_brute_force_on_random_sweeps(self):
         rng = np.random.default_rng(1)
@@ -342,19 +336,22 @@ class TestLoadAndAnalyzeRuns:
         self.write_run(tmp_path, "nokeys", {"finalized": True, "index": {}}, rows)
         self.write_run(tmp_path, "notadict", manifest, rows)
         (tmp_path / "notadict" / "manifest.json").write_text("[1, 2]")
-        for name in ("nested_manifest", "nested_row", "non_utf8"):
+        for name in ("nested_manifest", "nested_row", "non_utf8", "epochs_dir", "manifest_dir"):
             self.write_run(tmp_path, name, manifest, rows)
         (tmp_path / "nested_manifest" / "manifest.json").write_text("[" * 200_000)
         with open(tmp_path / "nested_row" / "epochs.jsonl", "a") as f:
             f.write("[" * 200_000 + "\n")
         with open(tmp_path / "non_utf8" / "epochs.jsonl", "ab") as f:
             f.write(b"\xff\n")
+        for name, file in (("epochs_dir", "epochs.jsonl"), ("manifest_dir", "manifest.json")):
+            (tmp_path / name / file).unlink()
+            (tmp_path / name / file).mkdir()
         runs, skipped = an.load_runs(tmp_path)
         assert [r["dir"] for r in runs] == [str(tmp_path / "good")]
         assert runs[0]["rows"] == rows
         reasons = {Path(d).name: reason for d, reason in skipped}
-        assert sorted(reasons) == ["manifest", "nested_manifest", "nested_row", "nokeys",
-                                   "non_utf8", "notadict", "truncated"]
+        assert sorted(reasons) == ["epochs_dir", "manifest", "manifest_dir", "nested_manifest",
+                                   "nested_row", "nokeys", "non_utf8", "notadict", "truncated"]
         assert reasons["manifest"].startswith("manifest.json does not parse")
         assert reasons["truncated"].startswith("epochs.jsonl line 2 does not parse")
         assert reasons["nokeys"] == "manifest.json lacks method, seed"
@@ -364,6 +361,8 @@ class TestLoadAndAnalyzeRuns:
         assert reasons["nested_row"].startswith(
             "epochs.jsonl line 3 does not parse: maximum recursion depth")
         assert reasons["non_utf8"].startswith("epochs.jsonl does not parse: 'utf-8' codec")
+        assert reasons["epochs_dir"].startswith("epochs.jsonl cannot be read: [Errno")
+        assert reasons["manifest_dir"].startswith("manifest.json cannot be read: [Errno")
 
     @pytest.mark.parametrize("damage", list(MISTYPED_RUNS))
     def test_analyze_skips_mistyped_run_and_names_it(self, tmp_path, damage, capsys):

@@ -953,16 +953,33 @@ class TestExitCodes:
         with open(run_dir / "epochs.jsonl", "a") as f:
             f.write("[" * 200_000 + "\n")
 
-    @pytest.mark.parametrize("damage", ["_truncate_manifest", "_truncate_epochs",
-                                        "_non_utf8_epochs", "_deeply_nested_manifest",
-                                        "_deeply_nested_row"])
+    @staticmethod
+    def _epochs_is_a_directory(run_dir):
+        (run_dir / "epochs.jsonl").unlink()
+        (run_dir / "epochs.jsonl").mkdir()
+
+    @staticmethod
+    def _manifest_is_a_directory(run_dir):
+        (run_dir / "manifest.json").unlink()
+        (run_dir / "manifest.json").mkdir()
+
+    # the start of the reason each damage is skipped for
+    DAMAGE_REASONS = {"_truncate_manifest": "manifest.json does not parse",
+                      "_truncate_epochs": "epochs.jsonl line 3 does not parse",
+                      "_non_utf8_epochs": "epochs.jsonl does not parse",
+                      "_deeply_nested_manifest": "manifest.json does not parse",
+                      "_deeply_nested_row": "epochs.jsonl line 4 does not parse",
+                      "_epochs_is_a_directory": "epochs.jsonl cannot be read",
+                      "_manifest_is_a_directory": "manifest.json cannot be read"}
+
+    @pytest.mark.parametrize("damage", list(DAMAGE_REASONS))
     def test_analyze_skips_damaged_run(self, tmp_path, small_spec_file, damage, capsys):
         results, good = self._results_with_good_run(tmp_path, small_spec_file)
         bad = self._damaged_copy(good, "damaged", getattr(self, damage))
         assert cli.main(["analyze", "--results_dir", str(results)]) == 0
         err = capsys.readouterr().err
         assert "skipped 1 run(s)" in err
-        assert f"{bad}: " in err and "does not parse" in err and "Traceback" not in err
+        assert f"{bad}: {self.DAMAGE_REASONS[damage]}" in err and "Traceback" not in err
         selection = json.loads((results / "selection.json").read_text())
         assert len(selection["selection"]["Standard"]["per_seed"]) == 1
 

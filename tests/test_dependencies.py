@@ -1,7 +1,8 @@
 """The package's runtime dependencies are numpy and PyYAML only, and every
-public top-level function and class in it is used. Importing it starts no
-thread; a run below nn.PARALLEL_MIN_WORK starts no fairkit-infer thread,
-and a run above it leaves none alive."""
+public top-level function and class in it is used. Only nn._Job makes a
+thread. Importing the package starts no thread; a run below
+nn.PARALLEL_MIN_WORK starts no fairkit-infer thread, and a run above it
+leaves none alive."""
 
 import ast
 import json
@@ -65,9 +66,12 @@ def unreferenced(modules: dict[str, ast.Module]) -> list[str]:
                         if other is not node)]
 
 
+def parsed_sources() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+
+
 def test_every_public_definition_is_used():
-    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
-    assert sorted(unreferenced(modules)) == sorted(UNREFERENCED_ALLOWED)
+    assert sorted(unreferenced(parsed_sources())) == sorted(UNREFERENCED_ALLOWED)
 
 
 def test_unused_definition_is_caught():
@@ -77,6 +81,30 @@ def test_unused_definition_is_caught():
     assert unreferenced(modules) == ["a.Unused"]
     del modules["b"]
     assert unreferenced(modules) == ["a.used", "a.Unused"]
+
+
+def thread_makers(modules: dict[str, ast.Module]) -> list[str]:
+    """module.name of each top-level statement (named <module> unless it is
+    a definition) that calls threading.Thread or a bare Thread."""
+    def makes_thread(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "Thread"
+            or isinstance(node.func, ast.Name) and node.func.id == "Thread")
+
+    return [f"{mod}.{getattr(node, 'name', '<module>')}" for mod, tree in modules.items()
+            for node in tree.body if any(map(makes_thread, ast.walk(node)))]
+
+
+def test_only_the_job_makes_a_thread():
+    assert thread_makers(parsed_sources()) == ["nn._Job"]
+
+
+def test_thread_maker_is_caught():
+    modules = {"a": ast.parse("import threading\n\nclass _Job:\n    def __init__(self):\n"
+                              "        threading.Thread(target=print).start()\n"),
+               "b": ast.parse("from threading import Thread\n\ndef draw():\n"
+                              "    return [Thread(target=print)]\n\nt = Thread()\n")}
+    assert thread_makers(modules) == ["a._Job", "b.draw", "b.<module>"]
 
 
 def _python(code: str) -> str:

@@ -590,7 +590,8 @@ class TestGateSoft:
         # pick the same prior with the same DTO, bit for bit
         for num_groups in (2, 3, 4):
             model, dev_ds = trained_gate(num_groups=num_groups)
-            prior, best = postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
+            logits = nn.infer_many(model, [dev_ds.X])[0]
+            prior, best = postproc.gate_soft_search(model, dev_ds, logits, grid_resolution=11)
             uniform = np.full(num_groups, 1.0 / num_groups)
             oracle = None
             for point in simplex_grid(num_groups, 11):
@@ -616,8 +617,9 @@ class TestGateSoft:
             g = np.arange(n_rows) % num_groups
             dev_ds = data.Dataset(rng.normal(size=(n_rows, 5)), rng.integers(0, 3, n_rows), g,
                                   num_classes=3, num_groups=num_groups)
+            logits = nn.infer_many(model, [dev_ds.X])[0]
             for resolution in range(2, 12):
-                got = postproc.gate_soft_search(model, dev_ds, grid_resolution=resolution)
+                got = postproc.gate_soft_search(model, dev_ds, logits, grid_resolution=resolution)
                 assert got == loop_search(model, dev_ds, resolution), (n_rows, resolution)
 
     def test_walk_mixes_equal_gate_logits(self):
@@ -636,9 +638,10 @@ class TestGateSoft:
         model = nn.init_network(nn.MlpSpec(6, (8,), C, seed=0, group_heads=G))
         dev_ds = data.Dataset(rng.normal(size=(n, 6)), rng.integers(0, C, n),
                               rng.integers(0, G, n), num_classes=C, num_groups=G)
+        logits = nn.infer_many(model, [dev_ds.X])[0]
         tracemalloc.start()
         try:
-            postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
+            postproc.gate_soft_search(model, dev_ds, logits, grid_resolution=11)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -649,7 +652,8 @@ class TestGateSoft:
         model, dev_ds = trained_gate()
         model.weights[-1][2:] = 0.0
         model.biases[-1][2:] = 0.0
-        prior, _ = postproc.gate_soft_search(model, dev_ds, grid_resolution=11)
+        logits = nn.infer_many(model, [dev_ds.X])[0]
+        prior, _ = postproc.gate_soft_search(model, dev_ds, logits, grid_resolution=11)
         assert prior == (0.5, 0.5)
 
     def test_grid_covers_simplex(self):
@@ -664,4 +668,4 @@ class TestGateSoft:
     def test_requires_gate_model(self):
         net = nn.init_network(nn.MlpSpec(4, (4,), 2, "relu", 0))
         with pytest.raises(MethodInapplicableError):
-            postproc.gate_soft_search(net, None)
+            postproc.gate_soft_search(net, None, None)

@@ -936,14 +936,14 @@ def overlap_job_spy(jobs: list):
     started by nn.LogitsOnWorker.start (an overlapped one) runs on."""
     make_job, start = nn._Job, nn.LogitsOnWorker.start.__code__
 
-    def job(fn, *args):
+    def job(fn, *args, **kwargs):
         if sys._getframe(1).f_code is not start:
-            return make_job(fn, *args)
+            return make_job(fn, *args, **kwargs)
 
         def overlapped(*args):
             jobs.append(threading.current_thread())
             return fn(*args)
-        return make_job(overlapped, *args)
+        return make_job(overlapped, *args, **kwargs)
     return job
 
 
